@@ -85,8 +85,8 @@ def main() -> None:
     hydration(lazy, "release_source")
     lazy.close()
 
-    # ``lazy=False`` (or REPRO_PERSIST_LAZY=0) restores the old
-    # load-everything open — byte-identical state, paid up front.
+    # ``lazy=False`` means "fault every source in at open" — the same
+    # byte-identical state, paid up front.
     started = time.perf_counter()
     eager = Aladin.open(snapshot_path, read_only=True, lazy=False)
     eager_ms = (time.perf_counter() - started) * 1000

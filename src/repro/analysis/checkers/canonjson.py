@@ -6,7 +6,7 @@ non-deterministic key order, loose separators, and bare ``NaN`` tokens.
 Every serialization site must route through
 :func:`repro.persist.codec.canonical_json` (or its display twin) — or
 carry an explicit ``# repro-lint: allow[raw-json-dumps]`` exemption with
-the reason it cannot (the obs leaf, byte-exact legacy replay).
+the reason it cannot (the obs leaf, layers below persist).
 """
 
 from __future__ import annotations
@@ -45,6 +45,5 @@ class CanonicalJsonChecker(Checker):
             hint="route through repro.persist.codec.canonical_json (or "
             "display_json for human-facing output); annotate with "
             "# repro-lint: allow[raw-json-dumps] only when the layer "
-            "cannot import persist (obs) or the bytes must replay a "
-            "legacy encoding exactly",
+            "cannot import persist (obs, layers below persist)",
         )

@@ -52,8 +52,8 @@ def parse_suppressions(source: str) -> Dict[int, Set[str]]:
     A comment suppresses its own line *and* the following line, so an
     annotation may sit above a long statement::
 
-        # repro-lint: allow[raw-json-dumps] legacy bytes must replay
-        data = json.dumps(list(tup), separators=(",", ":"))
+        # repro-lint: allow[raw-json-dumps] obs is a leaf; not content-hashed
+        line = json.dumps(record)
     """
     table: Dict[int, Set[str]] = {}
 

@@ -24,8 +24,8 @@ the space that per-source checkpoints leave behind::
     python -m repro compact warehouse.snapshot
 
 Opens are lazy by default — only the manifest is read up front and each
-source's rows fault in on first touch (``--eager`` restores the old
-behavior). ``stats`` opens lazily read-only and reports what a query
+source's rows fault in on first touch (``--eager`` faults every source
+in at open). ``stats`` opens lazily read-only and reports what a query
 actually faulted in::
 
     python -m repro stats warehouse.snapshot --search "kinase"
@@ -181,17 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="break an existing writer lock (only when its holder is known "
         "dead; stale same-host locks are detected automatically)",
     )
-    hydration = open_cmd.add_mutually_exclusive_group()
-    hydration.add_argument(
-        "--lazy",
-        action="store_true",
-        help="open by manifest only and fault sources in on first touch "
-        "(default: REPRO_PERSIST_LAZY, which defaults to lazy)",
-    )
-    hydration.add_argument(
+    open_cmd.add_argument(
         "--eager",
         action="store_true",
-        help="materialize every source up front, as before lazy opens",
+        help="fault every source in at open (default: read the manifest "
+        "only and fault each source in on first touch)",
     )
     _add_access_flags(open_cmd)
     _add_exec_flags(open_cmd)
@@ -672,7 +666,7 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
                 read_only=args.read_only,
                 lock_timeout=args.lock_timeout,
                 force_lock=args.force_lock,
-                lazy=True if args.lazy else (False if args.eager else None),
+                lazy=not args.eager,
             )
         except SnapshotError as exc:
             print(f"error: {exc}", file=out)

@@ -59,7 +59,7 @@ from repro.exec.graph import TaskGraph
 from repro.exec.pool import AutoExecutor, Executor, create_executor
 from repro.linking.engine import LinkDiscoveryEngine, _pair_task
 from repro.linking.model import ObjectLink
-from repro.linking.stats import collect_profiles, collect_statistics, statistics_from_profile
+from repro.linking.stats import collect_profiles, collect_statistics
 from repro.metadata.repository import MetadataRepository
 from repro.obs import Observability
 from repro.obs.events import (
@@ -111,20 +111,6 @@ def _import_task(_state: Any, spec: Tuple) -> Tuple:
         import_seconds,
         discover_seconds,
     )
-
-
-def _dup_pair_task(engine: LinkDiscoveryEngine, spec: Tuple[str, str, DuplicateConfig]):
-    """Step 5 for one source pair, exactly as the sequential pass runs it."""
-    name_a, name_b, config = spec
-    started = time.perf_counter()
-    detector = DuplicateDetector(config)
-    links = detector.detect(
-        engine.database_for(name_a),
-        engine.structure_for(name_a),
-        engine.database_for(name_b),
-        engine.structure_for(name_b),
-    )
-    return links, time.perf_counter() - started
 
 
 def _contiguous_groups(items: List[str], groups: int) -> List[List[str]]:
@@ -864,21 +850,13 @@ class Aladin:
         value-pair cache that persists across ``add_source`` calls), the
         same scorer shape the batch pipeline uses — so the Nth incremental
         addition does bounded work instead of re-scoring every candidate
-        pair from scratch. ``config.incremental_shared_scorer = False``
-        restores the pre-scorer per-pair fan-out for benchmarking.
+        pair from scratch.
         """
         if not self.config.detect_duplicates:
             return []
         others = [o for o in self.repository.source_names() if o != name]
         if not others:
             return []
-        if not self.config.incremental_shared_scorer:
-            specs = [(name, other, self.config.duplicates) for other in others]
-            labels = [f"duplicates:{name}<->{other}" for other in others]
-            results = self._executor.map_ordered(
-                _dup_pair_task, specs, state=self._engine, labels=labels
-            )
-            return [links for links, _seconds in results]
         if self._executor.cpu_parallel and self._executor.workers > 1 and len(others) > 1:
             # A backend with real CPU parallelism: worker parallelism
             # beats the session cache (whose growth could not cross fork
@@ -1046,26 +1024,27 @@ class Aladin:
 
         Every mutating entry point calls this first, so link discovery
         sees all sources' statistics and no stub can resurrect stale rows
-        after an in-place change. Eager systems: no-op.
+        after an in-place change. Systems not opened from a snapshot:
+        no-op.
         """
         if self._lazy is not None:
             self._lazy.hydrate()
             self._lazy.note_maintenance()
 
     def release_source(self, name: str) -> bool:
-        """Evict one hydrated source back to its stub (lazy opens only).
+        """Evict one hydrated source back to its stub (snapshot opens only).
 
         The rows, ColumnStore caches, and engine statistics of ``name``
         are dropped; the next touch faults them back in from the
         snapshot. Bounds resident memory in long-lived read-only
         processes. Returns False if the source was not hydrated; raises
-        :class:`SnapshotError` on an eager system (memory is the only
-        copy there) or after maintenance has written.
+        :class:`SnapshotError` on a system not opened from a snapshot
+        (memory is the only copy there) or after maintenance has written.
         """
         if self._lazy is None:
             raise SnapshotError(
-                "release_source requires a lazily opened snapshot "
-                "(Aladin.open(..., lazy=True))"
+                "release_source requires a system opened from a snapshot "
+                "(Aladin.open)"
             )
         return self._lazy.release(name)
 
@@ -1077,7 +1056,7 @@ class Aladin:
             "lazy": False,
             "sources": len(self._databases),
             "hydrated": sorted(self._databases),
-            "resident_bytes": None,  # eager systems do not meter payloads
+            "resident_bytes": None,  # in-memory systems do not meter payloads
             "pushdown_hits": 0,
             "per_source": {
                 name: {
@@ -1145,30 +1124,27 @@ class Aladin:
         read_only: bool = False,
         lock_timeout: Optional[float] = None,
         force_lock: bool = False,
-        lazy: Optional[bool] = None,
+        lazy: bool = True,
     ) -> "Aladin":
         """Warm-start a system from a snapshot — no re-integration.
 
         Nothing is re-imported, re-discovered, re-linked, or re-indexed:
-        rows bulk-load with their ColumnStore caches materialized, the
-        persisted ColumnProfiles become the profile caches, the engine is
-        rehydrated with statistics rebuilt arithmetically from those
+        the persisted ColumnProfiles become the profile caches, the engine
+        is rehydrated with statistics rebuilt arithmetically from those
         profiles, links land back in the repository, and the inverted
         index is restored posting by posting. The snapshot stays attached
         for incremental checkpoints, exactly as after :meth:`save`.
 
-        By default the open is *lazy*: only the manifest — version,
-        per-source structure, profiles, samples, row counts — is read up
-        front (O(manifest), not O(rows)), and each source's tables fault
-        in on first touch; point lookups and single-table SELECTs against
-        untouched sources are pushed down to SQL on the snapshot's value
-        index. Lazy and eager systems are observably identical — the
+        Only the manifest — version, per-source structure, profiles,
+        samples, row counts — is read up front (O(manifest), not O(rows)),
+        and each source's tables fault in on first touch; point lookups
+        and single-table SELECTs against untouched sources are pushed down
+        to SQL on the snapshot's value index. The reopened system is
+        observably identical to the one that wrote the snapshot — the
         differential suite pins rows, links, postings, and BM25 rankings
-        byte-for-byte — lazy is purely a when-to-load decision. Pass
-        ``lazy=False`` (or set ``persist.lazy_open = False``, or
-        ``REPRO_PERSIST_LAZY=0``) to materialize everything up front;
-        maintenance on a lazy system faults all sources in first, so
-        long-lived writers may prefer an eager open.
+        byte-for-byte. ``lazy=False`` means "fault every source in at
+        open": the same load, finished before this call returns.
+        Maintenance faults all sources in first either way.
 
         Attaching as a writer takes the snapshot's advisory lock. When
         another *process* holds it, ``persist.lock_policy`` decides:
@@ -1203,51 +1179,23 @@ class Aladin:
                 if policy.lock_policy != "readonly":
                     raise
                 attach_writer = False
-        lazy_open = policy.lazy_open if lazy is None else lazy
+        aladin = None
         try:
             # Any failure from here to the end must release the writer
-            # lock: nothing else would survive to detach it.
-            if lazy_open:
-                manifest = store.load_manifest()
-                if config is None and manifest.config is not None:
-                    config = config_from_dict(manifest.config)
-                aladin = cls(config)
-                session = LazySnapshotSession(store, manifest)
-                session.install(aladin)
-                aladin._lazy = session
-            else:
-                state = store.load_state()
-                if config is None and state.config is not None:
-                    config = config_from_dict(state.config)
-                aladin = cls(config)
-                for source in state.sources:
-                    statistics = {
-                        attr: statistics_from_profile(attr, profile)
-                        for attr, profile in source.profiles.items()
-                    }
-                    aladin._engine.restore_source(
-                        source.database, source.structure, statistics
-                    )
-                    aladin.repository.register_source(
-                        source.structure,
-                        statistics,
-                        source.samples,
-                        source.row_counts,
-                        profiles=source.profiles,
-                    )
-                    aladin._databases[source.name] = source.database
-                    aladin.web.attach_database(source.name, source.database)
-                    if source.format_name is not None:
-                        aladin._raw_inputs[source.name] = (
-                            source.format_name,
-                            source.raw_text,
-                            source.import_options,
-                        )
-                for attribute_link in state.attribute_links:
-                    aladin.repository.add_attribute_link(attribute_link)
-                aladin.repository.add_object_links(state.object_links)
-                aladin._index = state.index
+            # lock and the session's connections: nothing else would
+            # survive to close them.
+            manifest = store.load_manifest()
+            if config is None and manifest.config is not None:
+                config = config_from_dict(manifest.config)
+            aladin = cls(config)
+            session = LazySnapshotSession(store, manifest)
+            session.install(aladin)
+            aladin._lazy = session
+            if not lazy:
+                session.hydrate()
         except BaseException:
+            if aladin is not None:
+                aladin.close()
             if attach_writer:
                 store.detach_writer()
             raise
@@ -1258,7 +1206,7 @@ class Aladin:
         aladin.obs.events.emit(
             SNAPSHOT_OPENED,
             path=str(path),
-            lazy=lazy_open,
+            lazy=lazy,
             read_only=aladin.read_only,
             sources=len(aladin.source_names()),
         )
@@ -1267,7 +1215,7 @@ class Aladin:
             opened_wall,
             time.perf_counter() - opened,
             path=str(path),
-            lazy=lazy_open,
+            lazy=lazy,
             read_only=aladin.read_only,
             sources=len(aladin.source_names()),
         )

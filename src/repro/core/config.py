@@ -31,10 +31,9 @@ class AladinConfig:
     # REPRO_EXEC_BACKEND / REPRO_EXEC_WORKERS so a whole run can switch
     # backends from the environment.
     execution: ExecConfig = field(default_factory=ExecConfig)
-    # Snapshot lifecycle: advisory writer-lock policy, the online
-    # auto-compaction thresholds, and whether `Aladin.open` hydrates
-    # lazily (`lazy_open`, default on, env REPRO_PERSIST_LAZY). A host
-    # property like `execution` — it is never restored from snapshots.
+    # Snapshot lifecycle: advisory writer-lock policy and the online
+    # auto-compaction thresholds. A host property like `execution` — it
+    # is never restored from snapshots.
     persist: PersistConfig = field(default_factory=PersistConfig)
     # Telemetry: the metrics registry + lifecycle event bus (default on,
     # REPRO_OBS=0 disables; REPRO_OBS_EXPORT names a JSON-lines sink).
@@ -49,12 +48,6 @@ class AladinConfig:
     # memory instead of growing with every distinct value pair seen.
     # 0 or None disables the bound.
     scorer_cache_entries: int = 262144
-    # Incremental add_source scores its duplicate pass through one
-    # session-wide BoundedRecordScorer (value-pair cache + exact
-    # best-match pruning, shared across successive maintenance calls).
-    # False restores the pre-scorer per-pair path — kept only so
-    # BENCH_incremental can measure old vs. new on one build.
-    incremental_shared_scorer: bool = True
     # Section 6.2: "We envisage a threshold on the number of changes to a
     # data source before a new analysis is carried out." Fraction of rows
     # that must change before update_source() triggers full re-analysis.

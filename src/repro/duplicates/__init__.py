@@ -23,11 +23,10 @@ from repro.duplicates.similarity import (
     jaccard_ngrams,
     jaro,
     jaro_winkler,
-    levenshtein,
-    levenshtein_similarity,
     monge_elkan,
     token_cosine,
 )
+from repro.linking.editdistance import levenshtein, levenshtein_similarity
 from repro.duplicates.record import RecordView, record_similarity
 from repro.duplicates.blocking import (
     candidate_pairs_by_key,

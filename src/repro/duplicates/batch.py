@@ -35,11 +35,8 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.duplicates.record import RecordView
-from repro.duplicates.similarity import (
-    jaro_winkler,
-    levenshtein_similarity,
-    token_cosine,
-)
+from repro.duplicates.similarity import jaro_winkler, token_cosine
+from repro.linking.editdistance import levenshtein_similarity
 
 _SHORT = 25  # same shape split as record._value_similarity
 

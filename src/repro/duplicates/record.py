@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.duplicates.similarity import jaro_winkler, levenshtein_similarity, token_cosine
+from repro.duplicates.similarity import jaro_winkler, token_cosine
+from repro.linking.editdistance import levenshtein_similarity
 
 
 @dataclass

@@ -2,9 +2,10 @@
 
 The duplicate-detection toolbox of Section 4.5 ("usually based on edit
 distance") plus the token-level measures needed for semi-structured text:
-Levenshtein, Damerau-Levenshtein, Jaro, Jaro-Winkler, n-gram Jaccard,
-token cosine, and Monge-Elkan hybrid matching. All similarities are
-normalized to [0, 1] with 1 meaning identical.
+Damerau-Levenshtein, Jaro, Jaro-Winkler, n-gram Jaccard, token cosine,
+and Monge-Elkan hybrid matching. Plain Levenshtein lives one layer down
+in :mod:`repro.linking.editdistance` (schema matching needs it too). All
+similarities are normalized to [0, 1] with 1 meaning identical.
 """
 
 from __future__ import annotations
@@ -13,17 +14,11 @@ import math
 from collections import Counter
 from typing import Callable, List, Sequence
 
-# Levenshtein is defined one layer down (linking.schemamatch needs it
-# too) and re-exported here so the toolbox keeps one public surface.
-from repro.linking.editdistance import levenshtein, levenshtein_similarity
-
 __all__ = [
     "damerau_levenshtein",
     "jaccard_ngrams",
     "jaro",
     "jaro_winkler",
-    "levenshtein",
-    "levenshtein_similarity",
     "monge_elkan",
     "token_cosine",
 ]

@@ -11,12 +11,12 @@ reclaims the churn those checkpoints leave behind, and an advisory
 sidecar lock (:class:`repro.persist.lock.SnapshotLock`) keeps two writer
 *processes* from attaching to one snapshot at a time.
 
-Opens come in two flavors: the eager :meth:`SnapshotStore.load_state`
-materializes everything up front, while
-:class:`repro.persist.lazy.LazySnapshotSession` reads only the manifest
-(:meth:`SnapshotStore.load_manifest`) and faults each source's rows in on
-first touch, pushing point lookups and single-table SELECTs down to SQL
-on the snapshot's value index until then.
+Every open goes through one loader,
+:class:`repro.persist.lazy.LazySnapshotSession`: it reads only the
+manifest (:meth:`SnapshotStore.load_manifest`) and faults each source's
+rows in on first touch, pushing point lookups and single-table SELECTs
+down to SQL on the snapshot's value index until then. ``lazy=False``
+means "fault every source in at open".
 """
 
 from repro.persist.snapshot import (
@@ -25,10 +25,8 @@ from repro.persist.snapshot import (
     PersistConfig,
     SnapshotError,
     SnapshotManifest,
-    SnapshotState,
     SnapshotStore,
     SourceBody,
-    SourceState,
     SourceStub,
 )
 from repro.persist.lazy import LazyInvertedIndex, LazySnapshotSession
@@ -44,9 +42,7 @@ __all__ = [
     "SnapshotLock",
     "SnapshotLockedError",
     "SnapshotManifest",
-    "SnapshotState",
     "SnapshotStore",
     "SourceBody",
-    "SourceState",
     "SourceStub",
 ]

@@ -1,9 +1,7 @@
 """Lazy snapshot sessions: manifest-only opens, fault-in hydration.
 
-The eager open path (:meth:`SnapshotStore.load_state`) deserializes every
-source's rows, links, and postings up front, so open latency and RSS grow
-linearly with corpus size. A :class:`LazySnapshotSession` instead installs
-the O(manifest) part of the snapshot — per-source stubs carrying the
+A :class:`LazySnapshotSession` is the one loader of a snapshot. It
+installs the O(manifest) part of the file — per-source stubs carrying the
 discovered structure, ColumnProfiles, samples, and row counts — and leaves
 three fault-in seams armed:
 
@@ -21,17 +19,22 @@ three fault-in seams armed:
 On top of the fault-in path sits *pushdown*: for a source that is not
 hydrated yet, point lookups (``value -> row_ids``), single-table SELECT
 statements, and simple aggregations are answered by SQL against the
-snapshot's own ``cells`` value index (written at checkpoint time, format
-version 3) — a query over 2 of 50 sources never materializes the other
-48. Anything the pushdown layer cannot answer exactly declines, hydrates,
-and runs in memory; declining is always correct, just slower.
+snapshot's own ``cells`` value index (written at checkpoint time) — a
+query over 2 of 50 sources never materializes the other 48. Anything the
+pushdown layer cannot answer exactly declines, hydrates, and runs in
+memory; declining is always correct, just slower.
+
+An eager open (``Aladin.open(..., lazy=False)``) is this session followed
+by :meth:`LazySnapshotSession.hydrate` with no name: every source, the
+link web, and the whole index are faulted in before the open returns.
 
 Maintenance (``add_source``/``update_source``/``remove_source``/``save``)
 faults every source in first — mutation runs only against fully resident
-state, so the lazy and eager systems cannot diverge. ``release_source``
-evicts a hydrated source again (read-only long-runners bounding RSS), and
-is refused once maintenance has written, because the in-memory state may
-then be ahead of what a re-fault would reload.
+state, so a reopened system cannot diverge from the one that wrote the
+snapshot. ``release_source`` evicts a hydrated source again (read-only
+long-runners bounding RSS), and is refused once maintenance has written,
+because the in-memory state may then be ahead of what a re-fault would
+reload.
 """
 
 from __future__ import annotations
@@ -117,11 +120,11 @@ class LazyInvertedIndex(InvertedIndex):
     """An inverted index whose postings page in from the snapshot.
 
     Document metadata (one row per document) loads on first use; posting
-    lists load per token, in exactly the order the eager
-    ``_load_index`` restores them, so BM25 scores and tie-breaks are
-    byte-identical. Any operation that needs the whole index — mutation,
-    source removal, export — faults the remainder in first and then
-    behaves like a plain :class:`InvertedIndex`.
+    lists load per token, in document order and then insertion order —
+    the order the writer's index exported them — so BM25 scores and
+    tie-breaks are byte-identical. Any operation that needs the whole
+    index — mutation, source removal, export — faults the remainder in
+    first and then behaves like a plain :class:`InvertedIndex`.
     """
 
     def __init__(self, session: "LazySnapshotSession"):
@@ -172,8 +175,8 @@ class LazyInvertedIndex(InvertedIndex):
                     "reopen the snapshot"
                 )
             # Rebuilt from scratch (partial per-token loads discarded):
-            # token insertion order must be the eager loader's — docs in
-            # id order, postings in rowid order — so export_documents
+            # token insertion order must be the stored one — docs in id
+            # order, postings in rowid order — so export_documents
             # round-trips byte-identically.
             postings: Dict[str, List[PostingField]] = type(self._postings)(list)
             for doc_id, pk in enumerate(self._doc_pks):
@@ -310,9 +313,9 @@ class LazySnapshotSession:
     def install(self, aladin) -> None:
         """Register every source as a stub and arm the fault-in seams.
 
-        Stub registration mirrors the eager open exactly — structure,
-        statistics rebuilt arithmetically from the persisted profiles,
-        samples, row counts — except that no database is attached yet.
+        Each stub registers its structure, statistics rebuilt
+        arithmetically from the persisted profiles, samples, and row
+        counts; no database is attached until the source is faulted in.
         """
         self._aladin = aladin
         for stub in self._manifest.sources:
@@ -365,7 +368,7 @@ class LazySnapshotSession:
         """Fault one source (or, with ``None``, every remaining one) in.
 
         Unknown names are ignored — the caller's own lookup then fails
-        exactly as it would on an eager system.
+        exactly as it would on a fully resident system.
         """
         if name is None:
             for stub_name in sorted(self._stubs):
@@ -417,7 +420,7 @@ class LazySnapshotSession:
                     span.set(payload_bytes=self._hydrated.get(name, 0))
 
     def _hydrate_locked(self, name: str) -> None:
-        body = self._store.load_source_body(name, materialize=False)
+        body = self._store.load_source_body(name)
         stub = self._stubs[name]
         database = body.database
         for attr, profile in stub.profiles.items():
@@ -536,11 +539,9 @@ class LazySnapshotSession:
     def _cells_available(self, source: str) -> bool:
         """Does this file carry a cells slice for ``source``?
 
-        Per source, not per file: a v1/v2 snapshot upgraded by partial
-        checkpoints has cells only for the sources written since.
+        A source with no non-null scalar cell has no slice, so its
+        lookups decline to the in-memory path.
         """
-        if not self._manifest.has_cells:
-            return False
         cached = self._cells_cache.get(source)
         if cached is None:
             try:

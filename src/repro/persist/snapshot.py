@@ -86,27 +86,20 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.access.index import InvertedIndex
 from repro.discovery.model import AttributeRef, SourceStructure
-from repro.linking.model import AttributeLink, ObjectLink
+from repro.linking.model import ObjectLink
 from repro.metadata.repository import MetadataRepository
 from repro.persist import codec
 from repro.relational.columns import ColumnProfile
 from repro.relational.database import Database
 from repro.relational.types import is_null
 
-# Version 2: the persisted config gained `incremental_shared_scorer`.
-# Pre-PR-4 readers rebuild AladinConfig with **payload and would die on
-# the unknown key with a raw TypeError; the bump turns that into their
-# clean "this build reads version 1" SnapshotError instead.
-#
-# Version 3: snapshots additionally carry the `cells` value index (the
-# SQL-pushdown covering index lazy readers answer point lookups from).
-# Older builds must refuse v3 files: their checkpoints would rewrite a
-# source's rows without maintaining its cells slice, leaving the index
-# silently stale for any newer build that reads the file afterwards.
-# This build still reads v1/v2 snapshots — lazy opens work, pushdown
-# degrades to hydration until the first write upgrades the file.
+# Version 3: snapshots carry the `cells` value index (the SQL-pushdown
+# covering index lazy readers answer point lookups from). Older builds
+# must refuse v3 files: their checkpoints would rewrite a source's rows
+# without maintaining its cells slice, leaving the index silently stale.
+# This build reads v3 only; older files raise a clean SnapshotError.
 FORMAT_VERSION = 3
-_READ_VERSIONS = (1, 2, 3)
+_READ_VERSIONS = (FORMAT_VERSION,)
 _MAGIC = "repro-aladin-snapshot"
 
 
@@ -116,8 +109,7 @@ def _encode_row_task(_state, tup) -> str:
     ``canonical_json`` rather than bare ``json.dumps``: a REAL cell can
     hold a non-finite float (hostile input parsed with ``float``), which
     must become the explicit marker encoding, never an invalid bare
-    ``NaN`` token. For finite payloads the bytes are identical, so
-    pre-existing content hashes are unaffected.
+    ``NaN`` token.
     """
     return codec.canonical_json(list(tup))
 
@@ -152,7 +144,7 @@ def _encode_rows(rows: List[tuple], executor=None) -> List[str]:
 def _hash_stored_source(conn: sqlite3.Connection, name: str) -> str:
     """Recompute one stored source's content hash from its persisted slice.
 
-    Byte-for-byte the hashing order of ``_write_source`` / ``_load_source``:
+    Byte-for-byte the hashing order of ``_write_source`` / ``_load_tables``:
     per table (sorted by name) the canonical schema JSON, then every row
     payload in row-id order.
     """
@@ -172,14 +164,11 @@ def _hash_stored_source(conn: sqlite3.Connection, name: str) -> str:
     return hasher.hexdigest()
 
 
-def _hash_memory_source(database, legacy_rows: bool = False) -> str:
+def _hash_memory_source(database) -> str:
     """The content hash of a live in-memory source, same byte order.
 
     ``Database.table_names()`` is sorted, matching the stored slice's
-    ``ORDER BY table_name``. ``legacy_rows`` replays the pre-marker row
-    encoding (bare ``NaN``/``Infinity`` tokens), which is what a stored
-    slice written by an older build hashes to when it carries non-finite
-    cells — for finite data the two encodings are byte-identical.
+    ``ORDER BY table_name``.
     """
     hasher = hashlib.sha256()
     for table_name in database.table_names():
@@ -187,12 +176,7 @@ def _hash_memory_source(database, legacy_rows: bool = False) -> str:
         schema_json = codec.canonical_json(codec.schema_to_dict(table.schema))
         hasher.update(schema_json.encode("utf-8"))
         for tup in table.raw_rows():
-            if legacy_rows:
-                # repro-lint: allow[raw-json-dumps] v1/v2 hash replay must reproduce the legacy row bytes exactly
-                data = json.dumps(list(tup), separators=(",", ":"))
-            else:
-                data = _encode_row_task(None, tup)
-            hasher.update(data.encode("utf-8"))
+            hasher.update(_encode_row_task(None, tup).encode("utf-8"))
     return hasher.hexdigest()
 
 
@@ -291,10 +275,8 @@ CREATE INDEX IF NOT EXISTS idx_cells_lookup
 def _ensure_schema(conn: sqlite3.Connection) -> None:
     """Create any missing tables/indexes inside the current transaction.
 
-    Statement-by-statement rather than ``executescript`` (which issues an
-    implicit COMMIT first and would split a checkpoint's transaction), and
-    run by every write path so a v1/v2 file gains the v3 ``cells`` table
-    the first time this build writes to it.
+    Statement-by-statement rather than ``executescript``, which issues an
+    implicit COMMIT first and would split a write's transaction.
     """
     for statement in _SCHEMA.split(";"):
         statement = statement.strip()
@@ -329,14 +311,6 @@ class SnapshotError(RuntimeError):
     """A snapshot file is missing, corrupted, or from another format version."""
 
 
-def _env_lazy_open() -> bool:
-    """Default for ``PersistConfig.lazy_open``: REPRO_PERSIST_LAZY, else on."""
-    raw = os.environ.get("REPRO_PERSIST_LAZY", "").strip().lower()
-    if raw in ("0", "false", "no", "off", "eager"):
-        return False
-    return True
-
-
 @dataclass
 class PersistConfig:
     """Snapshot lifecycle knobs: writer locking and online compaction.
@@ -364,11 +338,6 @@ class PersistConfig:
     auto_compact: bool = True
     compact_after_bytes: int = 4 * 1024 * 1024
     compact_churn_ratio: float = 0.5
-    # ``Aladin.open`` reads only the manifest and hydrates sources on
-    # first touch (REPRO_PERSIST_LAZY=0 / CLI --eager restore the old
-    # load-everything open). Host policy like the lock knobs above: how
-    # this process pages data in, never restored from snapshots.
-    lazy_open: bool = field(default_factory=_env_lazy_open)
 
 
 @dataclass
@@ -388,37 +357,6 @@ class CompactionStats:
             f"{self.sources_verified} sources verified, "
             f"{self.seconds * 1000:.0f} ms)"
         )
-
-
-@dataclass
-class SourceState:
-    """One rehydrated source: warm database plus its persisted metadata."""
-
-    name: str
-    database: Database
-    structure: SourceStructure
-    profiles: Dict[AttributeRef, ColumnProfile]
-    samples: Dict[str, List[dict]]
-    row_counts: Dict[str, int]
-    format_name: Optional[str] = None
-    raw_text: Optional[str] = None
-    import_options: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
-class SnapshotState:
-    """Everything a warm start needs, fully deserialized.
-
-    ``config`` is the raw dict of the :class:`AladinConfig` the system was
-    integrated with — the core layer rebuilds the dataclass (the persist
-    layer sits below core and does not import it).
-    """
-
-    sources: List[SourceState]
-    attribute_links: List[AttributeLink]
-    object_links: List[ObjectLink]
-    index: Optional[InvertedIndex]
-    config: Optional[Dict[str, Any]] = None
 
 
 @dataclass
@@ -444,11 +382,14 @@ class SourceStub:
 
 @dataclass
 class SnapshotManifest:
-    """The O(manifest) part of a snapshot: stubs, flags, config — no rows."""
+    """The O(manifest) part of a snapshot: stubs, flags, config — no rows.
 
-    version: int
+    ``config`` is the raw dict of the :class:`AladinConfig` the system was
+    integrated with — the core layer rebuilds the dataclass (the persist
+    layer sits below core and does not import it).
+    """
+
     index_built: bool
-    has_cells: bool  # the v3 pushdown value index exists in this file
     sources: List[SourceStub]
     config: Optional[Dict[str, Any]] = None
 
@@ -740,7 +681,7 @@ class SnapshotStore:
     ) -> None:
         # The hash walk below (per table sorted by name: schema JSON,
         # then row payloads in row-id order) is the content-hash
-        # definition; ``_load_source``, ``_hash_stored_source``, and
+        # definition; ``_load_tables``, ``_hash_stored_source``, and
         # ``_hash_memory_source`` replay it byte for byte, and the
         # compaction tests fail loudly if any of the four drift.
         database = aladin.database(name)
@@ -902,7 +843,6 @@ class SnapshotStore:
         try:
             with conn:
                 self._read_manifest(conn)
-                _ensure_schema(conn)  # upgrades a v1/v2 file: adds `cells`
                 self._write_config(conn, aladin)
                 self._delete_source_slice(conn, name)
                 self._write_source(conn, aladin, name, executor=executor)
@@ -916,11 +856,6 @@ class SnapshotStore:
         self._set_manifest(
             conn, "config", codec.canonical_json(dataclasses.asdict(aladin.config))
         )
-        # The written config follows *this* build's schema, so the file is
-        # now a current-version snapshot even if it was opened as an older
-        # one — stamp the version wherever the config lands, or an old
-        # build could read a file whose manifest undersells its content.
-        self._set_manifest(conn, "format_version", str(FORMAT_VERSION))
 
     @_serialized
     def checkpoint_remove(self, name: str) -> None:
@@ -929,7 +864,6 @@ class SnapshotStore:
         try:
             with conn:
                 self._read_manifest(conn)
-                _ensure_schema(conn)  # a v1/v2 file has no `cells` to delete from
                 self._delete_source_slice(conn, name)
         finally:
             conn.close()
@@ -987,7 +921,6 @@ class SnapshotStore:
         try:
             with conn:
                 self._read_manifest(conn)
-                _ensure_schema(conn)  # a v1/v2 file lacks the token index
                 try:
                     self._write_index_full(conn, index)
                 except sqlite3.DatabaseError as exc:
@@ -1220,16 +1153,7 @@ class SnapshotStore:
                     "snapshot was left untouched"
                 )
             for name in aladin.source_names():
-                database = aladin.database(name)
-                if _hash_memory_source(database) == file_hashes[name]:
-                    continue
-                # An untouched slice written by a pre-marker build hashes
-                # to the legacy row encoding (bare NaN tokens for
-                # non-finite cells); accept it before refusing the swap.
-                if (
-                    _hash_memory_source(database, legacy_rows=True)
-                    == file_hashes[name]
-                ):
+                if _hash_memory_source(aladin.database(name)) == file_hashes[name]:
                     continue
                 raise SnapshotError(
                     f"compaction of {self.path!r} does not match the "
@@ -1239,71 +1163,18 @@ class SnapshotStore:
         return len(file_hashes)
 
     # ------------------------------------------------------------------
-    # load
+    # load: manifest now, bodies on first touch
     # ------------------------------------------------------------------
-    def load_state(self) -> SnapshotState:
-        """Deserialize the snapshot into warm, ready-to-attach state."""
-        if not os.path.exists(self.path):
-            raise SnapshotError(f"snapshot {self.path!r} does not exist")
-        conn = self._connect()
-        try:
-            manifest = self._read_manifest(conn)
-            try:
-                sources = [
-                    self._load_source(conn, row)
-                    for row in conn.execute(
-                        "SELECT name, content_hash, format_name, raw_text, "
-                        "import_options, structure, samples, row_counts "
-                        "FROM sources ORDER BY name"
-                    ).fetchall()
-                ]
-                attribute_links = [
-                    codec.attribute_link_from_dict(codec.canonical_loads(payload))
-                    for (payload,) in conn.execute(
-                        "SELECT payload FROM attribute_links ORDER BY rowid"
-                    )
-                ]
-                object_links = [
-                    codec.object_link_from_dict(codec.canonical_loads(payload))
-                    for (payload,) in conn.execute(
-                        "SELECT payload FROM object_links ORDER BY rowid"
-                    )
-                ]
-                index = (
-                    self._load_index(conn)
-                    if manifest.get("index_built") == "1"
-                    else None
-                )
-            except (sqlite3.DatabaseError, json.JSONDecodeError, KeyError,
-                    ValueError, TypeError) as exc:
-                raise SnapshotError(
-                    f"snapshot {self.path!r} is corrupted: {exc}"
-                ) from exc
-        finally:
-            conn.close()
-        config_json = manifest.get("config")
-        return SnapshotState(
-            sources=sources,
-            attribute_links=attribute_links,
-            object_links=object_links,
-            index=index,
-            config=json.loads(config_json) if config_json else None,
-        )
-
     def _load_tables(
-        self,
-        conn: sqlite3.Connection,
-        name: str,
-        content_hash: str,
-        materialize: bool = True,
+        self, conn: sqlite3.Connection, name: str, content_hash: str
     ) -> Tuple[Database, int]:
         """Rebuild one source's tables from its stored slice, hash-verified.
 
-        Returns the warm database plus the decoded row-payload volume in
-        bytes (the RSS proxy lazy hydration accounts per source). With
-        ``materialize=False`` the ColumnStore access paths are left
-        unbuilt — the lazy path defers them to first access so a
-        snapshot-backed lookup can be answered by pushdown instead.
+        Returns the database plus the decoded row-payload volume in bytes
+        (the RSS proxy lazy hydration accounts per source). The
+        ColumnStore access paths are left unbuilt: they are deferred to
+        first access so a snapshot-backed lookup can be answered by
+        pushdown instead.
         """
         hasher = hashlib.sha256()
         database = Database(name)
@@ -1326,7 +1197,7 @@ class SnapshotStore:
                 hasher.update(data.encode("utf-8"))
                 payload_bytes += len(data)
                 tuples.append(codec.canonical_loads(data))
-            table.bulk_load(tuples, materialize=materialize)
+            table.bulk_load(tuples, materialize=False)
         if hasher.hexdigest() != content_hash:
             raise SnapshotError(
                 f"snapshot {self.path!r}: content hash mismatch for source "
@@ -1334,34 +1205,6 @@ class SnapshotStore:
             )
         return database, payload_bytes
 
-    def _load_source(self, conn: sqlite3.Connection, row: Tuple) -> SourceState:
-        (name, content_hash, format_name, raw_text, import_options,
-         structure_json, samples_json, row_counts_json) = row
-        database, _ = self._load_tables(conn, name, content_hash)
-        profiles: Dict[AttributeRef, ColumnProfile] = {}
-        for table_name, column_name, profile_json in conn.execute(
-            "SELECT table_name, column_name, profile FROM profiles "
-            "WHERE source = ? ORDER BY table_name, column_name",
-            (name,),
-        ):
-            profile = codec.profile_from_dict(codec.canonical_loads(profile_json))
-            profiles[AttributeRef(table_name, column_name)] = profile
-            database.table(table_name).columns.restore_profile(column_name, profile)
-        return SourceState(
-            name=name,
-            database=database,
-            structure=codec.structure_from_dict(codec.canonical_loads(structure_json)),
-            profiles=profiles,
-            samples=codec.canonical_loads(samples_json),
-            row_counts=json.loads(row_counts_json),
-            format_name=format_name,
-            raw_text=raw_text,
-            import_options=json.loads(import_options) if import_options else {},
-        )
-
-    # ------------------------------------------------------------------
-    # lazy load: manifest now, bodies on first touch
-    # ------------------------------------------------------------------
     def load_manifest(self) -> SnapshotManifest:
         """Read the O(manifest) slice: stubs, flags, config — no row data.
 
@@ -1376,16 +1219,6 @@ class SnapshotStore:
         try:
             manifest = self._read_manifest(conn)
             try:
-                # A v1/v2 file has no cells table; pushdown degrades to
-                # hydration for its sources until the first write upgrades
-                # the schema (and per-source availability is re-probed).
-                has_cells = (
-                    conn.execute(
-                        "SELECT 1 FROM sqlite_master "
-                        "WHERE type = 'table' AND name = 'cells'"
-                    ).fetchone()
-                    is not None
-                )
                 profiles_by_source: Dict[str, Dict[AttributeRef, ColumnProfile]] = {}
                 for source, table_name, column_name, profile_json in conn.execute(
                     "SELECT source, table_name, column_name, profile "
@@ -1423,9 +1256,7 @@ class SnapshotStore:
             conn.close()
         config_json = manifest.get("config")
         return SnapshotManifest(
-            version=int(manifest.get("format_version", -1)),
             index_built=manifest.get("index_built") == "1",
-            has_cells=has_cells,
             sources=stubs,
             config=json.loads(config_json) if config_json else None,
         )
@@ -1461,7 +1292,7 @@ class SnapshotStore:
             hasher.update(b"\x01" + content_hash.encode("utf-8"))
         return hasher.hexdigest()
 
-    def load_source_body(self, name: str, materialize: bool = True) -> SourceBody:
+    def load_source_body(self, name: str) -> SourceBody:
         """Fault in exactly one source's row data (the lazy hydration read).
 
         The content hash is re-fetched rather than trusted from the stub:
@@ -1490,7 +1321,7 @@ class SnapshotStore:
                     )
                 content_hash, raw_text = row
                 database, payload_bytes = self._load_tables(
-                    conn, name, content_hash, materialize=materialize
+                    conn, name, content_hash
                 )
             except (sqlite3.DatabaseError, json.JSONDecodeError, KeyError,
                     ValueError, TypeError) as exc:
@@ -1509,23 +1340,3 @@ class SnapshotStore:
             payload_bytes=payload_bytes,
             raw_text=raw_text,
         )
-
-    def _load_index(self, conn: sqlite3.Connection) -> InvertedIndex:
-        index = InvertedIndex()
-        postings_by_doc: Dict[int, List[Tuple[str, str, int]]] = {}
-        for doc, token, field_name, frequency in conn.execute(
-            "SELECT doc, token, field, frequency FROM index_postings ORDER BY rowid"
-        ):
-            postings_by_doc.setdefault(doc, []).append((token, field_name, frequency))
-        for doc_pk, source, accession, length, is_primary in conn.execute(
-            "SELECT id, source, accession, length, is_primary "
-            "FROM index_documents ORDER BY id"
-        ):
-            index.restore_document(
-                source,
-                accession,
-                length,
-                bool(is_primary),
-                postings_by_doc.get(doc_pk, []),
-            )
-        return index

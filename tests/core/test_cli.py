@@ -192,6 +192,34 @@ class TestCliPersistence:
         assert "warehouse (read-only): 2 sources" in text
         assert "search 'kinase':" in text
 
+    def test_open_eager_answers_like_lazy(self, source_files, tmp_path):
+        """``--eager`` only changes when sources are faulted in."""
+        _, sp_path, pdb_path = source_files
+        snapshot = tmp_path / "eager.snapshot"
+        assert run(
+            [
+                "save", str(snapshot),
+                f"swissprot=flatfile:{sp_path}", f"pdb=pdb:{pdb_path}",
+            ],
+            out=io.StringIO(),
+        ) == 0
+        outputs = []
+        for extra in ([], ["--eager"]):
+            out = io.StringIO()
+            code = run(
+                [
+                    "open", str(snapshot), "--read-only",
+                    "--search", "kinase",
+                    "--sql", "swissprot:SELECT accession FROM entry LIMIT 2",
+                    *extra,
+                ],
+                out=out,
+            )
+            assert code == 0
+            outputs.append(out.getvalue())
+        assert "warehouse (read-only): 2 sources" in outputs[1]
+        assert outputs[1] == outputs[0]
+
     def test_compact_subcommand(self, source_files, tmp_path):
         _, sp_path, pdb_path = source_files
         snapshot = tmp_path / "compactable.snapshot"

@@ -15,6 +15,9 @@ to one ``integrate_many`` batch over the same sources, on every
 execution backend and pool mode (per-fanout and resident).
 """
 
+import json
+import sqlite3
+
 import pytest
 
 from repro.core import Aladin, AladinConfig
@@ -174,16 +177,41 @@ class TestIncrementalEqualsBatch:
 
 
 class TestSessionScorerIsInvisible:
-    def test_shared_scorer_off_matches_reference(self, reference):
-        """The legacy per-pair path and the session scorer agree exactly."""
+    def test_retired_scorer_key_in_persisted_config_is_ignored(
+        self, reference, tmp_path
+    ):
+        """A snapshot whose persisted config still carries the removed
+        per-pair switch opens, and its next add_source runs the one
+        incremental path: the result is still the batch reference."""
         ref_web, ref_duplicates, _postings, _rankings = reference
-        config = AladinConfig()
-        config.incremental_shared_scorer = False
-        aladin = Aladin(config)
-        for name, format_name, text, options in source_specs(scenario()):
+        specs = source_specs(scenario())
+        aladin = Aladin(AladinConfig())
+        for name, format_name, text, options in specs[:-1]:
             aladin.add_source(name, format_name, text, **options)
-        assert link_web(aladin) == ref_web
-        assert duplicate_set(aladin) == ref_duplicates
+        path = tmp_path / "retired_key.snapshot"
+        aladin.save(path)
+        aladin.close()
+        conn = sqlite3.connect(path)
+        (config_json,) = conn.execute(
+            "SELECT value FROM manifest WHERE key = 'config'"
+        ).fetchone()
+        persisted = json.loads(config_json)
+        persisted["incremental_shared_scorer"] = False
+        conn.execute(
+            "UPDATE manifest SET value = ? WHERE key = 'config'",
+            (json.dumps(persisted),),
+        )
+        conn.commit()
+        conn.close()
+        warm = Aladin.open(path)
+        try:
+            assert not hasattr(warm.config, "incremental_shared_scorer")
+            name, format_name, text, options = specs[-1]
+            warm.add_source(name, format_name, text, **options)
+            assert link_web(warm) == ref_web
+            assert duplicate_set(warm) == ref_duplicates
+        finally:
+            warm.close()
 
     def test_session_cache_accumulates_across_adds(self):
         aladin = integrate_incrementally("serial", resident=False)

@@ -209,13 +209,13 @@ class TestCompactionVerification:
         assert fingerprint(Aladin.open(path, read_only=True)) == before
         assert not os.path.exists(str(path) + ".compact")
 
-    def test_legacy_nonfinite_rows_accepted_by_compaction(
+    def test_legacy_nonfinite_rows_refused_by_compaction(
         self, tmp_path, monkeypatch
     ):
-        """A pre-marker snapshot stores non-finite row cells as bare NaN
-        tokens; its untouched slices hash to that legacy encoding.
-        Compaction's memory verification must accept them (via the
-        legacy fallback) instead of refusing every swap."""
+        """An old build stored non-finite row cells as bare NaN tokens.
+        Such a file still opens, but its slice no longer hashes like the
+        in-memory state, so compaction refuses the swap and leaves the
+        original in place."""
         import json as json_module
         import math
 
@@ -251,16 +251,27 @@ class TestCompactionVerification:
             aladin.save(path)
         aladin.close()
 
-        warm = Aladin.open(path)
-        stats = warm.compact()  # must not refuse the untouched legacy slice
-        assert stats.sources_verified == 1
-        rows = sorted(
-            Aladin.open(path, read_only=True).database("legacy")
-            .table("m").raw_rows()
-        )
+        def legacy_rows():
+            reader = Aladin.open(path, read_only=True)
+            try:
+                return sorted(reader.database("legacy").table("m").raw_rows())
+            finally:
+                reader.close()
+
+        rows = legacy_rows()
         assert rows[0][0] == "A1" and math.isnan(rows[0][1])
-        assert rows[1] == ("A2", 2.0) or list(rows[1]) == ["A2", 2.0]
+        assert list(rows[1]) == ["A2", 2.0]
+        with open(path, "rb") as handle:
+            before = handle.read()
+        warm = Aladin.open(path)
+        with pytest.raises(SnapshotError, match="content hash differs"):
+            warm.compact()
         warm.close()
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        assert not os.path.exists(str(path) + ".compact")
+        rows = legacy_rows()
+        assert rows[0][0] == "A1" and math.isnan(rows[0][1])
 
     def test_foreign_sqlite_is_refused(self, tmp_path):
         path = tmp_path / "foreign.db"

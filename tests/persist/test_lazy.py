@@ -1,14 +1,15 @@
 """Lazy hydration is a when-to-load decision, never a what-you-see one.
 
-The differential contract of the lazy open (PR 6): a system opened with
-``Aladin.open(lazy=True)`` must be observably identical to an eager open
-of the same snapshot — rows, column profiles, link webs, duplicate sets,
-exported postings, and BM25 rankings byte for byte — while reading only
-the manifest up front and faulting each source in on first touch. The
-suite pins both halves:
+The differential contract of the lazy open: a system opened with
+``Aladin.open(lazy=True)`` must be observably identical to the freshly
+integrated in-memory system that wrote the snapshot — rows, column
+profiles, link webs, duplicate sets, exported postings, and BM25 rankings
+byte for byte — while reading only the manifest up front and faulting
+each source in on first touch. The suite pins both halves:
 
-* equality — every access path produces the eager answer, including
-  after maintenance (add/update) on serial, thread, and process
+* equality — every access path produces the writer's answer, and after
+  maintenance (add/update) a lazy open matches a ``lazy=False`` open
+  (every source faulted in at open) on serial, thread, and process
   backends, and
 * laziness — the open hydrates nothing, a BM25 search hydrates nothing
   (the lazy index serves postings from SQL), a single-table SELECT with
@@ -16,7 +17,7 @@ suite pins both halves:
   browse faults in exactly the one source it touches.
 
 Error shapes must not change either: bad SQL, unknown tables, and
-unknown sources raise exactly what the eager path raises.
+unknown sources raise exactly what the in-memory path raises.
 
 The final test is the writer/reader race: a parent checkpoints a source
 in a loop while a forked child lazily opens read-only and faults sources
@@ -43,7 +44,7 @@ QUERIES = ("kinase", "protein structure", "binding domain")
 
 
 # ----------------------------------------------------------------------
-# fixtures: one saved world, one eager reference, fresh lazy opens
+# fixtures: one saved world, its writer as the reference, fresh lazy opens
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def snapshot(integrated_world, tmp_path_factory):
@@ -55,10 +56,10 @@ def snapshot(integrated_world, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def eager(snapshot):
-    aladin = Aladin.open(snapshot, read_only=True, lazy=False)
-    yield aladin
-    aladin.close()
+def eager(integrated_world, snapshot):
+    """The in-memory system that wrote the snapshot (read, never mutated)."""
+    _scenario, aladin = integrated_world
+    return aladin
 
 
 @pytest.fixture()
@@ -79,7 +80,8 @@ def copy_snapshot(src, dst):
 
 # ----------------------------------------------------------------------
 # comparison helpers (the test_incremental_vs_batch shapes, made exact:
-# both systems load the same snapshot, so even doc ids must agree)
+# the lazy index restores the writer's documents in order, so even doc
+# ids must agree)
 # ----------------------------------------------------------------------
 def link_web(aladin):
     return (
@@ -149,29 +151,33 @@ class TestManifestOnlyOpen:
             assert lazy_record.sample_rows == eager_record.sample_rows
         assert lazy.hydration_stats()["hydrated"] == []
 
-    def test_eager_stats_shape(self, eager):
-        stats = eager.hydration_stats()
-        assert stats["lazy"] is False
-        assert stats["hydrated"] == eager.source_names()
-        assert stats["pushdown_hits"] == 0
+    def test_eager_stats_shape(self, snapshot, eager):
+        """``lazy=False`` is the lazy open with every source faulted in."""
+        full = Aladin.open(snapshot, read_only=True, lazy=False)
+        try:
+            stats = full.hydration_stats()
+            assert stats["hydrated"] == sorted(eager.source_names())
+            assert all(entry["hydrated"] for entry in stats["per_source"].values())
+            assert stats["resident_bytes"] > 0
+            assert stats["pushdown_hits"] == 0
+            assert all_rows(full) == all_rows(eager)
+        finally:
+            full.close()
 
     def test_env_and_flag_control(self, snapshot, monkeypatch):
+        # The retired REPRO_PERSIST_LAZY knob selects nothing any more:
+        # only the explicit argument decides what is faulted in at open.
         monkeypatch.setenv("REPRO_PERSIST_LAZY", "0")
-        eager_by_env = Aladin.open(snapshot, read_only=True)
-        assert eager_by_env.hydration_stats()["lazy"] is False
-        eager_by_env.close()
-        # The explicit argument beats the environment.
-        lazy_anyway = Aladin.open(snapshot, read_only=True, lazy=True)
-        assert lazy_anyway.hydration_stats()["lazy"] is True
-        lazy_anyway.close()
-        monkeypatch.delenv("REPRO_PERSIST_LAZY")
-        lazy_by_default = Aladin.open(snapshot, read_only=True)
-        assert lazy_by_default.hydration_stats()["lazy"] is True
-        lazy_by_default.close()
+        by_default = Aladin.open(snapshot, read_only=True)
+        assert by_default.hydration_stats()["hydrated"] == []
+        by_default.close()
+        full = Aladin.open(snapshot, read_only=True, lazy=False)
+        assert full.hydration_stats()["hydrated"] == sorted(full.source_names())
+        full.close()
 
 
 # ----------------------------------------------------------------------
-# differential equality: lazy == eager, byte for byte
+# differential equality: lazy == writer, byte for byte
 # ----------------------------------------------------------------------
 class TestDifferentialEquality:
     def test_rows_identical_after_full_hydration(self, lazy, eager):
@@ -330,12 +336,13 @@ class TestReleaseSource:
         assert lazy.release_source("no_such_source") is False
 
     def test_release_requires_lazy_open(self, eager):
+        # Never opened from a snapshot: memory is the only copy.
         with pytest.raises(SnapshotError):
             eager.release_source(eager.source_names()[0])
 
 
 # ----------------------------------------------------------------------
-# maintenance differential: mutate after a lazy open, match eager
+# maintenance differential: mutate after a lazy open, match lazy=False
 # ----------------------------------------------------------------------
 def extra_source():
     scenario = build_scenario(
@@ -378,6 +385,13 @@ class TestMaintenanceDifferential:
         systems = []
         for copy_name, lazy_flag in (("lazy.snap", True), ("eager.snap", False)):
             aladin = opened(copy_name, lazy_flag)
+            if not lazy_flag:
+                # lazy=False faults every source in at open, and a warm
+                # open never re-integrates.
+                assert (
+                    aladin.hydration_stats()["hydrated"] == aladin.source_names()
+                )
+                assert aladin._engine.registrations == 0
             first = aladin.source_names()[0]
             aladin.add_source(
                 "late_extra",

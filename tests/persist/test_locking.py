@@ -451,7 +451,7 @@ class TestAladinLocking:
         assert aladin._store.write_locked  # the parent's hold is untouched
 
     def test_failed_open_releases_the_lock(self, tmp_path):
-        # Regression: a failure *after* load_state (e.g. a malformed
+        # Regression: a failure *after* load_manifest (e.g. a malformed
         # persisted config) must not leak the writer lock — nothing
         # would survive to release it.
         _scenario, aladin = small_world(include=("swissprot",), seed=94)

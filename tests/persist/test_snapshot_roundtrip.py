@@ -14,7 +14,7 @@ import sqlite3
 import pytest
 
 from repro.core import Aladin, AladinConfig
-from repro.persist import FORMAT_VERSION, SnapshotError
+from repro.persist import FORMAT_VERSION, SnapshotError, SnapshotLock
 from repro.persist import codec
 from repro.synth import ScenarioConfig, UniverseConfig, build_scenario
 
@@ -348,51 +348,35 @@ class TestSnapshotValidation:
         assert conn.execute("SELECT x FROM precious").fetchall() == [(42,)]
         conn.close()
 
-    def test_version_mismatch_raises(self, integrated_world, tmp_path):
-        _, aladin = integrated_world
-        path = tmp_path / "versioned.snapshot"
+    @staticmethod
+    def _refused_version(aladin, path, version):
         aladin.save(path)
         aladin.detach_store()
         conn = sqlite3.connect(path)
         conn.execute(
             "UPDATE manifest SET value = ? WHERE key = 'format_version'",
-            (str(FORMAT_VERSION + 1),),
+            (str(version),),
         )
         conn.commit()
         conn.close()
         with pytest.raises(SnapshotError, match="format version"):
             Aladin.open(path)
+        assert not SnapshotLock(path).held
 
-    def test_previous_format_version_still_opens(self, integrated_world, tmp_path):
-        """The v1 layout is unchanged, so v1 snapshots stay readable —
-        only the persisted config gained a key (ignored when unknown,
-        defaulted when missing)."""
+    def test_version_mismatch_raises(self, integrated_world, tmp_path):
         _, aladin = integrated_world
-        path = tmp_path / "v1.snapshot"
-        aladin.save(path)
-        aladin.detach_store()
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "UPDATE manifest SET value = '1' WHERE key = 'format_version'"
+        self._refused_version(
+            aladin, tmp_path / "versioned.snapshot", FORMAT_VERSION + 1
         )
-        conn.commit()
-        conn.close()
-        reopened = Aladin.open(path)
-        assert reopened.source_names() == aladin.source_names()
-        # A checkpoint by this build writes this build's config schema, so
-        # the file must re-stamp itself as the current format version —
-        # an older build should refuse it cleanly rather than trip over
-        # config keys it does not know.
-        name = reopened.source_names()[0]
-        reopened.database(name)  # default open is lazy; fault the source in
-        _format, text, _options = reopened._raw_inputs[name]
-        reopened.update_source(name, text)  # below threshold: checkpoints
-        conn = sqlite3.connect(path)
-        version = conn.execute(
-            "SELECT value FROM manifest WHERE key = 'format_version'"
-        ).fetchone()[0]
-        conn.close()
-        assert version == str(FORMAT_VERSION)
+
+    # The pre-v3 layouts lack the pushdown value index: this build reads
+    # v3 only.
+    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+    def test_previous_format_version_refused(
+        self, integrated_world, tmp_path, version
+    ):
+        _, aladin = integrated_world
+        self._refused_version(aladin, tmp_path / "old.snapshot", version)
 
     def test_tampered_rows_fail_the_content_hash(self, integrated_world, tmp_path):
         _, aladin = integrated_world
@@ -408,6 +392,9 @@ class TestSnapshotValidation:
         conn.close()
         with pytest.raises(SnapshotError):
             Aladin.open(path, lazy=False)
+        # The faulting-in failed after the writer attach: the lock must
+        # not leak.
+        assert not SnapshotLock(path).held
         # A lazy open reads no rows up front, so the tampered slice is
         # caught at first touch instead of at open time.
         reopened = Aladin.open(path, read_only=True, lazy=True)
