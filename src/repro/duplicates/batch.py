@@ -1,10 +1,11 @@
 """Batch-scoped record scoring for the parallel duplicate pass.
 
-The incremental ``add_source`` path scores one source pair at a time with
-:func:`~repro.duplicates.record.record_similarity`. The bulk path
-(``Aladin.integrate_many``) hands the execution subsystem *chunks* of
-pairs that share a source, and this scorer exploits that shape twice —
-without changing a single result:
+Both integration paths score duplicate candidates with this scorer, in
+*chunks* of pairs that share a source: the bulk path
+(``Aladin.integrate_many``) gives each chunk its own chunk-scoped scorer,
+and the incremental ``add_source`` path runs the same chunk shape on one
+session-scoped scorer that persists across maintenance calls. It
+exploits that shape twice — without changing a single result:
 
 * **Value-pair cache.** Record values repeat heavily inside a source
   (shared GO terms, keywords, organism names), so the same value pair is
@@ -35,7 +36,12 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.duplicates.record import RecordView
-from repro.duplicates.similarity import jaro_winkler, token_cosine
+from repro.duplicates.similarity import (
+    TokenCounts,
+    counts_cosine,
+    jaro_winkler,
+    token_counts,
+)
 from repro.linking.editdistance import levenshtein_similarity
 
 _SHORT = 25  # same shape split as record._value_similarity
@@ -116,6 +122,7 @@ class BoundedRecordScorer:
         # the length-difference bound must use the lowercased lengths or
         # it stops being an upper bound.
         value_lower = value.lower()
+        value_counts: Optional[TokenCounts] = None  # built on first long pair
         best = -1.0
         deferred: List[Tuple[float, str, float, Tuple[str, str]]] = []
         bounded = self.max_entries
@@ -137,7 +144,9 @@ class BoundedRecordScorer:
                 if score > best:
                     best = score
             else:
-                cosine = token_cosine(value, other)
+                if value_counts is None:
+                    value_counts = token_counts(value)
+                cosine = counts_cosine(value_counts, token_counts(other))
                 other_lower = other.lower()
                 longest = max(len(value_lower), len(other_lower))
                 bound = 0.5 * cosine + 0.5 * (

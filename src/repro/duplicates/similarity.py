@@ -12,15 +12,18 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Callable, List, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 __all__ = [
+    "TokenCounts",
+    "counts_cosine",
     "damerau_levenshtein",
     "jaccard_ngrams",
     "jaro",
     "jaro_winkler",
     "monge_elkan",
     "token_cosine",
+    "token_counts",
 ]
 
 
@@ -122,19 +125,35 @@ def jaccard_ngrams(a: str, b: str, n: int = 3) -> float:
     return len(grams_a & grams_b) / len(grams_a | grams_b)
 
 
-def token_cosine(a: str, b: str) -> float:
-    """Cosine over whitespace-token count vectors."""
-    counts_a = Counter(a.lower().split())
-    counts_b = Counter(b.lower().split())
+TokenCounts = Tuple[Counter, float]
+
+
+def token_counts(text: str) -> TokenCounts:
+    """A value's lowercased whitespace-token counts and their L2 norm.
+
+    The operand of :func:`counts_cosine`; a caller comparing one value
+    against many builds this once for it.
+    """
+    counts = Counter(text.lower().split())
+    return counts, math.sqrt(sum(c * c for c in counts.values()))
+
+
+def counts_cosine(a: TokenCounts, b: TokenCounts) -> float:
+    """Cosine of two :func:`token_counts` vectors."""
+    counts_a, norm_a = a
+    counts_b, norm_b = b
     if not counts_a and not counts_b:
         return 1.0
     if not counts_a or not counts_b:
         return 0.0
     dot = sum(counts_a[t] * counts_b[t] for t in counts_a.keys() & counts_b.keys())
-    norm = math.sqrt(sum(c * c for c in counts_a.values())) * math.sqrt(
-        sum(c * c for c in counts_b.values())
-    )
+    norm = norm_a * norm_b
     return dot / norm if norm else 0.0
+
+
+def token_cosine(a: str, b: str) -> float:
+    """Cosine over whitespace-token count vectors."""
+    return counts_cosine(token_counts(a), token_counts(b))
 
 
 def monge_elkan(

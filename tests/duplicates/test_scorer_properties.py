@@ -11,13 +11,19 @@ approximations:
   pairs, the incremental ``add_source`` usage) never changes any result;
 * an LRU-*bounded* cache (``max_entries``, the week-long-session memory
   bound) evicts entries without moving a single score or duplicate set;
-* the bookkeeping counters account for exactly the work performed.
+* the bookkeeping counters account for exactly the work performed;
+* the anchor value's token counts, built once per best-match scan and
+  reused against every candidate, give the same cosine bit for bit as
+  rebuilding them per pair.
 """
 
+import math
 import random
+from collections import Counter
 
 from repro.duplicates.batch import BoundedRecordScorer
 from repro.duplicates.record import RecordView, record_similarity
+from repro.duplicates.similarity import counts_cosine, token_cosine, token_counts
 
 WORDS = [
     "kinase", "binding", "protein", "serine", "threonine", "domain",
@@ -244,3 +250,31 @@ class TestCounterAccounting:
         # Every exact computation lands in the cache (symmetric pairs
         # collapse onto one sorted key, so the cache can only be smaller).
         assert 0 < len(scorer.cache) <= scorer.exact_scores
+
+
+class TestHoistedTokenCountsAreExact:
+    @staticmethod
+    def per_pair_cosine(a, b):
+        # The cosine as written before the anchor's counts were hoisted:
+        # both count vectors and both norms rebuilt for every pair.
+        counts_a = Counter(a.lower().split())
+        counts_b = Counter(b.lower().split())
+        if not counts_a and not counts_b:
+            return 1.0
+        if not counts_a or not counts_b:
+            return 0.0
+        dot = sum(counts_a[t] * counts_b[t] for t in counts_a.keys() & counts_b.keys())
+        norm = math.sqrt(sum(c * c for c in counts_a.values())) * math.sqrt(
+            sum(c * c for c in counts_b.values())
+        )
+        return dot / norm if norm else 0.0
+
+    def test_one_anchor_against_many_candidates(self):
+        rng = random.Random(1212)
+        values = [random_value(rng) for _ in range(60)] + TRICKY + ["", "   "]
+        for anchor in values:
+            anchor_counts = token_counts(anchor)
+            for other in values:
+                expected = self.per_pair_cosine(anchor, other)
+                assert counts_cosine(anchor_counts, token_counts(other)) == expected
+                assert token_cosine(anchor, other) == expected
