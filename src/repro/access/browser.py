@@ -93,13 +93,18 @@ class Browser:
         if page is None:
             raise KeyError(f"no object {source}/{accession}")
         self._history.append((source, accession))
-        duplicates = self._web.duplicates(source, accession)
+        # One read of the object's links feeds both panels: on a lazy
+        # snapshot each read is a query against the file.
+        duplicates: List[ObjectLink] = []
+        linked: List[ObjectLink] = []
+        for link in self._web.repository.links_of(source, accession):
+            (duplicates if link.kind == "duplicate" else linked).append(link)
         conflicts = self._conflicts_for(page, duplicates)
         return BrowseView(
             page=page,
             same_relation=self._web.same_relation(source, accession),
             duplicates=duplicates,
-            linked=self._web.linked(source, accession),
+            linked=linked,
             conflicts=conflicts,
         )
 

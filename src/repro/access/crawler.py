@@ -38,6 +38,10 @@ class Crawler:
                     frontier.append((source, accession))
         else:
             frontier.extend(seeds)
+        if follow_links:
+            # One whole-web load beats a per-object link query for every
+            # page the frontier reaches.
+            self._web.repository.load_links()
         visited: Set[Tuple[str, str]] = set()
         emitted = 0
         while frontier:

@@ -111,6 +111,7 @@ class QueryEngine:
         ones.
         """
         repository = self._web.repository
+        repository.load_links()  # one load, not one link query per row
         out: List[RankedRow] = []
         seen: Set[Tuple[str, str, Tuple[str, ...]]] = set()
         allowed = set(kinds) if kinds is not None else None

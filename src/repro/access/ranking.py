@@ -61,6 +61,9 @@ class PathRanker:
     # ------------------------------------------------------------------
     def paths_between(self, a: Identity, b: Identity) -> List[LinkPath]:
         """All simple link paths a -> b up to the length bound (BFS order)."""
+        # The BFS can fan out to hundreds of positions: one whole-web
+        # load beats a per-object link query for each of them.
+        self._repository.load_links()
         results: List[LinkPath] = []
         frontier: List[Tuple[Identity, Tuple[ObjectLink, ...], Set[Identity]]] = [
             (a, (), {a})

@@ -374,7 +374,9 @@ def _hydration_line(stats: dict) -> str:
     return (
         f"hydration: {len(hydrated)}/{stats['sources']} sources hydrated "
         f"({names}); resident {resident_text}; "
-        f"pushdown hits {stats['pushdown_hits']}"
+        f"pushdown hits {stats['pushdown_hits']}; "
+        f"link lookups {stats['link_lookups']}; "
+        f"links {'loaded' if stats['links_loaded'] else 'deferred'}"
     )
 
 

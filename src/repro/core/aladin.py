@@ -1049,7 +1049,12 @@ class Aladin:
         return self._lazy.release(name)
 
     def hydration_stats(self) -> Dict[str, Any]:
-        """Which sources are resident, their bytes, and pushdown hits."""
+        """Which sources are resident, their bytes, and pushdown hits.
+
+        ``link_lookups`` counts per-object link reads answered from the
+        snapshot; ``links_loaded`` says whether the whole link web has
+        been replayed into memory.
+        """
         if self._lazy is not None:
             return self._lazy.stats()
         return {
@@ -1058,6 +1063,8 @@ class Aladin:
             "hydrated": sorted(self._databases),
             "resident_bytes": None,  # in-memory systems do not meter payloads
             "pushdown_hits": 0,
+            "link_lookups": 0,
+            "links_loaded": self.repository.links_loaded,
             "per_source": {
                 name: {
                     "hydrated": True,

@@ -78,6 +78,21 @@ class ObjectLink:
             self.evidence,
         )
 
+    def key(self) -> Tuple[str, str, str, str, str]:
+        """Undirected identity: normalized endpoints plus kind.
+
+        Two links with the same key are the same link for storage and
+        feedback purposes, whatever their direction, certainty or evidence.
+        """
+        normalized = self.normalized()
+        return (
+            normalized.source_a,
+            normalized.accession_a,
+            normalized.source_b,
+            normalized.accession_b,
+            normalized.kind,
+        )
+
 
 @dataclass
 class LinkSet:

@@ -41,8 +41,10 @@ class MetadataRepository:
         self._adjacency: Dict[Tuple[str, str], List[int]] = defaultdict(list)
         self._link_keys: Set[Tuple] = set()
         # A lazy open defers the whole-web link load behind this loader;
-        # the first link read or write replays it (see set_deferred_links).
+        # the first whole-web read or any write replays it, while
+        # per-object reads go through the lookup (see set_deferred_links).
         self._deferred_links = None
+        self._deferred_lookup = None
         # True once links are authoritative in memory. Eager repositories
         # are born loaded; set_deferred_links flips this off until the
         # one-shot replay completes, and _links_lock keeps a concurrent
@@ -53,18 +55,39 @@ class MetadataRepository:
     # ------------------------------------------------------------------
     # deferred link loading (lazy snapshot opens)
     # ------------------------------------------------------------------
-    def set_deferred_links(self, loader) -> None:
-        """Install a one-shot loader that populates the link web on demand.
+    def set_deferred_links(self, loader, lookup=None) -> None:
+        """Defer the link web behind a one-shot loader and a per-object lookup.
 
-        The loader is called with this repository exactly once, before the
-        first operation that reads or mutates links. Source registration
-        stays eager (stubs are O(columns)); only the link tables — which
-        grow with the corpus, not with the query — are deferred.
+        ``loader`` is called with this repository exactly once, before the
+        first operation that reads the whole web or mutates links, and
+        replays every link through the public mutators. ``lookup(source,
+        accession)`` answers :meth:`links_of` (and so :meth:`neighbors_of`)
+        while the web is still deferred: it must return exactly the links
+        the replay would file under that object, in the same order, or
+        ``None`` to decline — declining falls back to the replay, which is
+        always correct, just slower. Once the web is loaded, memory is
+        authoritative and the lookup is never consulted again.
+
+        Source registration stays eager (stubs are O(columns)); only the
+        link tables — which grow with the corpus, not with the query —
+        are deferred.
         """
         self._deferred_links = loader
+        self._deferred_lookup = lookup
         self._links_loaded = False
 
-    def _ensure_links(self) -> None:
+    @property
+    def links_loaded(self) -> bool:
+        """True once the link web is resident (always, unless deferred)."""
+        return self._links_loaded
+
+    def load_links(self) -> None:
+        """Replay a deferred link web now; a no-op once it is resident.
+
+        Callers about to walk many objects' links (crawls, path searches,
+        link joins) call this once up front: one replay is cheaper than a
+        per-object lookup for every visited position.
+        """
         if self._links_loaded:
             return
         with self._links_lock:
@@ -77,6 +100,7 @@ class MetadataRepository:
                 # the flag, so the replay cannot publish itself half-done.
                 return
             loader(self)
+            self._deferred_lookup = None
             self._links_loaded = True
 
     # ------------------------------------------------------------------
@@ -143,7 +167,7 @@ class MetadataRepository:
         """Drop a source and every link touching it (re-analysis support)."""
         if name not in self._sources:
             raise KeyError(f"source {name!r} not registered")
-        self._ensure_links()
+        self.load_links()
         del self._sources[name]
         self._attribute_links = [
             l for l in self._attribute_links if name not in (l.source, l.target)
@@ -155,26 +179,22 @@ class MetadataRepository:
         self._adjacency = defaultdict(list)
         self._link_keys = set()
         for link in kept:
-            self.add_object_link(link)
+            self._add_object_link(link)
 
     # ------------------------------------------------------------------
     # links
     # ------------------------------------------------------------------
     def add_attribute_link(self, link: AttributeLink) -> None:
-        self._ensure_links()
+        self.load_links()
         self._attribute_links.append(link)
 
     def add_object_link(self, link: ObjectLink) -> bool:
         """Store one link; duplicate (same endpoints + kind) links are ignored."""
-        self._ensure_links()
-        normalized = link.normalized()
-        key = (
-            normalized.source_a,
-            normalized.accession_a,
-            normalized.source_b,
-            normalized.accession_b,
-            normalized.kind,
-        )
+        self.load_links()
+        return self._add_object_link(link)
+
+    def _add_object_link(self, link: ObjectLink) -> bool:
+        key = link.key()
         if key in self._link_keys:
             return False
         self._link_keys.add(key)
@@ -185,21 +205,29 @@ class MetadataRepository:
         return True
 
     def add_object_links(self, links: Iterable[ObjectLink]) -> int:
-        return sum(1 for link in links if self.add_object_link(link))
+        self.load_links()
+        return sum(1 for link in links if self._add_object_link(link))
 
     def attribute_links(self) -> List[AttributeLink]:
-        self._ensure_links()
+        self.load_links()
         return list(self._attribute_links)
 
     def object_links(self, kind: Optional[str] = None) -> List[ObjectLink]:
-        self._ensure_links()
+        self.load_links()
         if kind is None:
             return list(self._object_links)
         return [l for l in self._object_links if l.kind == kind]
 
     def links_of(self, source: str, accession: str, kind: Optional[str] = None) -> List[ObjectLink]:
         """All links touching one object."""
-        self._ensure_links()
+        if not self._links_loaded:
+            lookup = self._deferred_lookup
+            links = None if lookup is None else lookup(source, accession)
+            if links is not None:
+                if kind is None:
+                    return links
+                return [link for link in links if link.kind == kind]
+            self.load_links()
         out = []
         for index in self._adjacency.get((source, accession), ()):
             link = self._object_links[index]
@@ -220,45 +248,30 @@ class MetadataRepository:
 
     def remove_object_link(self, link: ObjectLink) -> bool:
         """User feedback: drop one wrong link (Section 6.2)."""
-        self._ensure_links()
-        normalized = link.normalized()
-        key = (
-            normalized.source_a,
-            normalized.accession_a,
-            normalized.source_b,
-            normalized.accession_b,
-            normalized.kind,
-        )
+        self.load_links()
+        key = link.key()
         if key not in self._link_keys:
             return False
-        remaining = [
-            l
-            for l in self._object_links
-            if not (l.normalized().source_a == normalized.source_a
-                    and l.normalized().accession_a == normalized.accession_a
-                    and l.normalized().source_b == normalized.source_b
-                    and l.normalized().accession_b == normalized.accession_b
-                    and l.kind == normalized.kind)
-        ]
+        remaining = [l for l in self._object_links if l.key() != key]
         self._object_links = []
         self._adjacency = defaultdict(list)
         self._link_keys = set()
         for survivor in remaining:
-            self.add_object_link(survivor)
+            self._add_object_link(survivor)
         return True
 
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
     def link_counts_by_kind(self) -> Dict[str, int]:
-        self._ensure_links()
+        self.load_links()
         counts: Dict[str, int] = defaultdict(int)
         for link in self._object_links:
             counts[link.kind] += 1
         return dict(counts)
 
     def summary(self) -> str:
-        self._ensure_links()
+        self.load_links()
         parts = [f"{len(self._sources)} sources", f"{len(self._object_links)} object links"]
         kinds = self.link_counts_by_kind()
         if kinds:

@@ -8,10 +8,13 @@ three fault-in seams armed:
 * *sources*: the object web's hydrator callback loads exactly one source's
   tables (:meth:`SnapshotStore.load_source_body`) the first time a query,
   page visit, or crawl touches it;
-* *links*: the metadata repository's deferred-links loader replays the
-  whole link web on the first link read or write (links grow with the
-  corpus, not with a query, but one source's page visit never needs them
-  until a link walk happens);
+* *links*: the link web grows with the corpus, not with a query, so it
+  stays in SQLite. A per-object read (``links_of``, and so a page
+  visit) pushes down to one indexed statement that decodes only that
+  object's rows (:meth:`LazySnapshotSession.lookup_links`); whole-web
+  reads, link walks (crawls, path searches, link joins) and every link
+  write replay the web into memory once, and from then on memory is
+  authoritative;
 * *index*: :class:`LazyInvertedIndex` restores document metadata on first
   use and postings per token, so a BM25 query reads only its query tokens'
   posting lists from SQLite.
@@ -45,6 +48,7 @@ import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.access.index import InvertedIndex, PostingField
+from repro.linking.model import ObjectLink
 from repro.linking.stats import statistics_from_profile
 from repro.obs.events import HYDRATION_FAULTED
 from repro.persist import codec
@@ -82,6 +86,25 @@ def _probe_value(value: Any) -> Optional[Any]:
     if isinstance(value, str):
         return value
     return None
+
+
+def _decode_payloads(
+    conn: sqlite3.Connection, sql: str, params: Tuple = ()
+) -> List[Any]:
+    """Every canonical-JSON ``payload`` the statement yields, in order.
+
+    The rows are joined into one JSON array and parsed in a single call:
+    one parser entry for the whole result instead of one per row. A
+    payload that is not exactly one JSON value shifts the element count
+    (or fails the parse) and raises ValueError.
+    """
+    payloads = [payload for (payload,) in conn.execute(sql, params)]
+    decoded = codec.canonical_loads("[" + ",".join(payloads) + "]")
+    if len(decoded) != len(payloads):
+        raise ValueError(
+            f"{len(payloads)} payloads decoded to {len(decoded)} values"
+        )
+    return decoded
 
 
 def _simple_equality(where) -> Optional[Tuple[str, Any]]:
@@ -292,6 +315,7 @@ class LazySnapshotSession:
         self._stubs = {stub.name: stub for stub in manifest.sources}
         self._hydrated: Dict[str, int] = {}  # name -> resident payload bytes
         self._pushdown_counts: Dict[str, int] = {}
+        self._link_lookups = 0
         self._cells_cache: Dict[str, bool] = {}
         # One connection per reader thread: sqlite3 connections are not
         # safe for concurrent use (and by default refuse cross-thread use
@@ -330,7 +354,7 @@ class LazySnapshotSession:
                 stub.row_counts,
                 profiles=stub.profiles,
             )
-        aladin.repository.set_deferred_links(self._load_links)
+        aladin.repository.set_deferred_links(self._load_links, self.lookup_links)
         aladin.web.set_hydrator(self.hydrate)
         aladin.web.set_sql_pushdown(self.try_select)
         if self._manifest.index_built:
@@ -513,15 +537,15 @@ class LazySnapshotSession:
         conn = self._connection()
         try:
             attribute_links = [
-                codec.attribute_link_from_dict(codec.canonical_loads(payload))
-                for (payload,) in conn.execute(
-                    "SELECT payload FROM attribute_links ORDER BY rowid"
+                codec.attribute_link_from_dict(payload)
+                for payload in _decode_payloads(
+                    conn, "SELECT payload FROM attribute_links ORDER BY rowid"
                 )
             ]
             object_links = [
-                codec.object_link_from_dict(codec.canonical_loads(payload))
-                for (payload,) in conn.execute(
-                    "SELECT payload FROM object_links ORDER BY rowid"
+                codec.object_link_from_dict(payload)
+                for payload in _decode_payloads(
+                    conn, "SELECT payload FROM object_links ORDER BY rowid"
                 )
             ]
         except (sqlite3.DatabaseError, json.JSONDecodeError, KeyError,
@@ -532,6 +556,49 @@ class LazySnapshotSession:
         for link in attribute_links:
             repository.add_attribute_link(link)
         repository.add_object_links(object_links)
+
+    def lookup_links(self, source: str, accession: str) -> Optional[List[ObjectLink]]:
+        """One object's links straight from the snapshot, or None to decline.
+
+        Returns exactly the adjacency list a whole-web replay would build
+        for ``(source, accession)``: matching rows in rowid order, deduped
+        on :meth:`ObjectLink.key` with the first row winning, and a
+        self-link listed once per matching endpoint. Any SQLite or decode
+        error (e.g. no JSON1 support) declines; the caller then replays
+        the whole web, which reports a corrupted file as SnapshotError.
+        """
+        try:
+            candidates = [
+                codec.object_link_from_dict(payload)
+                for payload in _decode_payloads(
+                    self._connection(),
+                    "SELECT payload FROM object_links WHERE "
+                    "(source_a = ?1 AND json_extract(payload, '$.accession_a') = ?2) "
+                    "OR (source_b = ?1 AND json_extract(payload, '$.accession_b') = ?2) "
+                    "ORDER BY rowid",
+                    (source, accession),
+                )
+            ]
+        except (sqlite3.Error, json.JSONDecodeError, KeyError,
+                ValueError, TypeError):
+            self._count_decline("links")
+            return None
+        identity = (source, accession)
+        seen = set()
+        links = []
+        for link in candidates:
+            key = link.key()
+            if key not in seen:
+                seen.add(key)
+                links.extend(
+                    link for endpoint in link.endpoints() if endpoint == identity
+                )
+        # Not a per-source pushdown hit: links belong to no one source.
+        self._link_lookups += 1
+        metrics = self._metrics()
+        if metrics is not None:
+            metrics.counter("persist.pushdown.links.accepted").inc()
+        return links
 
     # ------------------------------------------------------------------
     # pushdown: point lookups
@@ -808,5 +875,7 @@ class LazySnapshotSession:
             "hydrated": sorted(resident),
             "resident_bytes": sum(self._hydrated.values()),
             "pushdown_hits": sum(self._pushdown_counts.values()),
+            "link_lookups": self._link_lookups,
+            "links_loaded": self._aladin.repository.links_loaded,
             "per_source": per_source,
         }

@@ -876,14 +876,7 @@ class SnapshotStore:
         kind — by scanning only the rows between the link's two endpoint
         sources (indexed columns), not the whole table.
         """
-        normalized = link.normalized()
-        key = (
-            normalized.source_a,
-            normalized.accession_a,
-            normalized.source_b,
-            normalized.accession_b,
-            normalized.kind,
-        )
+        key = link.key()
         conn = self._connect()
         try:
             with conn:
@@ -897,14 +890,8 @@ class SnapshotStore:
                 ):
                     candidate = codec.object_link_from_dict(
                         codec.canonical_loads(payload)
-                    ).normalized()
-                    if (
-                        candidate.source_a,
-                        candidate.accession_a,
-                        candidate.source_b,
-                        candidate.accession_b,
-                        candidate.kind,
-                    ) == key:
+                    )
+                    if candidate.key() == key:
                         doomed.append(rowid)
                 for rowid in doomed:
                     conn.execute(

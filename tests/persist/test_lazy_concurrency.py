@@ -288,7 +288,7 @@ def test_deferred_links_replay_exactly_once(snapshot_path):
 
     Attribute links are appended without dedup, so a doubled loader pass
     shows up as a doubled ``attribute_links()`` — the regression this
-    pins is the unlocked loader pop in ``_ensure_links``.
+    pins is the unlocked loader pop in ``load_links``.
     """
     reference = open_lazy(snapshot_path)
     try:
@@ -328,5 +328,78 @@ def test_deferred_links_replay_exactly_once(snapshot_path):
         assert not errors, errors
         assert len(repository.attribute_links()) == expected_attr
         assert len(repository.object_links()) == expected_obj
+    finally:
+        aladin.close()
+
+
+# ----------------------------------------------------------------------
+# pushed-down per-object link reads vs. the whole-web replay
+# ----------------------------------------------------------------------
+def test_pushed_down_links_race_the_replay(snapshot_path):
+    """Per-object reads stay exact while another thread replays the web.
+
+    Readers answer from SQLite until the replay publishes, then from
+    memory; either way every answer equals the fully loaded reference,
+    and the replay itself still runs exactly once.
+    """
+    reference = open_lazy(snapshot_path)
+    try:
+        reference.repository.load_links()
+        objects = sorted(
+            {e for l in reference.repository.object_links() for e in l.endpoints()}
+        )[:40]
+        expected = {o: reference.repository.links_of(*o) for o in objects}
+        expected_attr = len(reference.repository.attribute_links())
+    finally:
+        reference.close()
+
+    aladin = open_lazy(snapshot_path)
+    try:
+        session = aladin._lazy
+        repository = aladin.repository
+        replays = []
+        replay_started = threading.Event()
+
+        def slow_load(repo):
+            replays.append(threading.current_thread().name)
+            replay_started.set()
+            time.sleep(0.2)  # readers keep querying while the replay runs
+            return session._load_links(repo)
+
+        repository.set_deferred_links(slow_load, session.lookup_links)
+        barrier = threading.Barrier(N_THREADS + 1)
+        errors = []
+        mismatches = []
+
+        def reader():
+            try:
+                barrier.wait(timeout=10)
+                for _ in range(3):
+                    for obj in objects:
+                        if repository.links_of(*obj) != expected[obj]:
+                            mismatches.append(obj)
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        def replayer():
+            try:
+                barrier.wait(timeout=10)
+                repository.object_links()
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(N_THREADS)]
+        threads.append(threading.Thread(target=replayer))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+
+        assert not errors, errors
+        assert not mismatches, mismatches[:5]
+        assert replay_started.is_set() and len(replays) == 1
+        assert repository.links_loaded
+        assert aladin.hydration_stats()["link_lookups"] > 0
+        assert len(repository.attribute_links()) == expected_attr
     finally:
         aladin.close()

@@ -109,6 +109,37 @@ def test_search_browse_walk_crawl_are_byte_identical(
     assert crawled["count"] == len(crawled["pages"]) == 10
 
 
+def test_browse_pushes_links_down_and_walks_load_the_web(
+    snapshot_path, direct, client
+):
+    """A browse reads one object's links; /crawl and /walk never do."""
+    hits = direct.search_engine().search("protein", top_k=1)
+    source, accession = hits[0].source, hits[0].accession
+
+    async def body(service):
+        port = service.port
+        await client(
+            port, f"/browse?source={quote(source)}&accession={quote(accession)}"
+        )
+        after_browse = json.loads((await client(port, "/statz"))[1])
+        crawl = await client(
+            port, f"/crawl?seeds={quote(f'{source}:{accession}')}&max_pages=20"
+        )
+        statement = quote("SELECT * FROM entry")
+        walk = await client(
+            port, f"/walk?source=swissprot&statement={statement}&target=pdb"
+        )
+        after_walks = json.loads((await client(port, "/statz"))[1])
+        return after_browse, crawl, walk, after_walks
+
+    after_browse, crawl, walk, after_walks = run_service(body, snapshot_path)
+    assert crawl[0] == 200 and walk[0] == 200
+    assert after_browse["hydration"]["link_lookups"] == 1
+    assert after_browse["hydration"]["links_loaded"] is False
+    assert after_walks["hydration"]["link_lookups"] == 1
+    assert after_walks["hydration"]["links_loaded"] is True
+
+
 def test_error_shapes_and_health(snapshot_path, client):
     expected_fingerprint = SnapshotStore(snapshot_path).content_fingerprint()
 
