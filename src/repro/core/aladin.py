@@ -933,7 +933,7 @@ class Aladin:
             if self._index is not None:
                 self._index.remove_source(name)
                 self._index_add_source(name)
-            self._checkpoint(name)
+            self._checkpoint(name, links=False)
             self.obs.events.emit(
                 SOURCE_UPDATED,
                 source=name,
@@ -1277,22 +1277,26 @@ class Aladin:
         pool workers).
         """
         self._save_calibration()
-        self.detach_store()
+        # Readers first: the writer's close then finds itself the last
+        # connection, folds the WAL into the main file and removes it.
         if self._lazy is not None:
             self._lazy.close()
+        self.detach_store()
         self._executor.shutdown()
         # Flushes the final metrics line into the JSON-lines export sink
         # (if one is configured) and closes it; safe to call repeatedly.
         self.obs.close()
 
-    def _checkpoint(self, name: str) -> None:
+    def _checkpoint(self, name: str, links: bool = True) -> None:
         if self._store is not None:
             # The checkpoint's row encoding fans across the same (resident)
             # pool as the pipeline's other stages — no fresh pool spin-up
             # on the maintenance path.
             started = time.perf_counter()
             with self.obs.trace.span("persist.checkpoint", source=name, op="write"):
-                self._store.checkpoint_source(self, name, executor=self._executor)
+                self._store.checkpoint_source(
+                    self, name, executor=self._executor, links=links
+                )
             seconds = time.perf_counter() - started
             self.obs.metrics.histogram("persist.checkpoint_seconds").observe(seconds)
             self.obs.events.emit(

@@ -25,13 +25,26 @@ Layout (one SQLite file):
 
 Every per-source slice is keyed by source name, which is what makes the
 incremental checkpoints cheap: ``checkpoint_source`` deletes and rewrites
-exactly one source's rows, profiles, links, and postings in place.
+exactly one source's rows, profiles, and postings in place — plus the
+links touching it, except for a data-only checkpoint (a below-threshold
+``update_source`` swaps the data but keeps structure and links, so its
+link rows are left exactly as they are).
+
+An attached store writes through one long-lived connection, opened on
+the first write after :meth:`SnapshotStore.attach_writer` and closed by
+:meth:`SnapshotStore.detach_writer`; every serialized write runs on it
+under the per-file write mutex. It commits with ``synchronous=FULL`` (a
+checkpoint is durable when the call returns) and folds its WAL back into
+the main file every 256 pages, truncating the WAL to 1 MiB afterwards.
+While a writer is attached, the main file alone may lag the committed
+state: copy it together with its ``-wal``/``-shm`` sidecars. Detaching
+the last connection folds the WAL in and removes the sidecars.
 
 Lifecycle maintenance (the two long-run failure modes of an
 always-attached store):
 
-**Online compaction.** Checkpoints are DELETE-then-rewrite, so the file
-only ever grows — freed pages land on SQLite's freelist and removed
+**Online compaction.** Checkpoints are DELETE-then-rewrite, so freed
+pages land on SQLite's freelist and the WAL fills between folds; removed
 sources never shrink the file. :meth:`SnapshotStore.compact` rewrites the
 live content into a fresh file (``VACUUM INTO`` after folding the WAL
 back), re-verifies every per-source manifest content hash against the
@@ -70,6 +83,7 @@ sidecar lock file (``<snapshot>.lock``) through
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -101,6 +115,20 @@ from repro.relational.types import is_null
 FORMAT_VERSION = 3
 _READ_VERSIONS = (FORMAT_VERSION,)
 _MAGIC = "repro-aladin-snapshot"
+
+# The attached writer connection's settings. FULL syncs the WAL on every
+# commit, so a checkpoint is durable when the call returns (per-write
+# connections got that from the WAL fold on close). The WAL bound: a
+# commit that leaves more than 256 pages (1 MiB at the default page size)
+# in the WAL folds them back into the main file, and a WAL reset
+# truncates the file to 1 MiB — so the WAL stays far below the
+# auto-compaction size threshold, and compaction fires no more often
+# than with per-write connections, which folded the WAL on every close.
+_WRITER_PRAGMAS = (
+    "PRAGMA synchronous = FULL",
+    "PRAGMA wal_autocheckpoint = 256",
+    "PRAGMA journal_size_limit = 1048576",
+)
 
 
 def _encode_row_task(_state, tup) -> str:
@@ -140,6 +168,15 @@ def _encode_rows(rows: List[tuple], executor=None) -> List[str]:
     return executor.map_ordered(
         _encode_row_task, rows, chunksize=chunksize, stage="checkpoint_encode"
     )
+
+def _file_id(path: str) -> Optional[Tuple[int, int]]:
+    """(device, inode) of the file at ``path``, or None if there is none."""
+    try:
+        stat = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return stat.st_dev, stat.st_ino
+
 
 def _hash_stored_source(conn: sqlite3.Connection, name: str) -> str:
     """Recompute one stored source's content hash from its persisted slice.
@@ -329,8 +366,12 @@ class PersistConfig:
     Auto-compaction runs after checkpoints once the snapshot (main file
     plus WAL) exceeds ``compact_after_bytes`` *and* the reclaimable
     fraction — freed pages plus WAL over total bytes — exceeds
-    ``compact_churn_ratio``. ``auto_compact=False`` leaves compaction
-    fully manual (:meth:`SnapshotStore.compact`, ``repro compact``).
+    ``compact_churn_ratio``. An attached writer's WAL holds committed
+    pages that are live until folded back into the main file (every 256
+    pages, or by compaction); it counts as reclaimable because folding
+    it frees the WAL, not the data. ``auto_compact=False`` leaves
+    compaction fully manual (:meth:`SnapshotStore.compact`,
+    ``repro compact``).
     """
 
     lock_policy: str = "fail"  # "fail" | "block" | "readonly"
@@ -470,6 +511,15 @@ _ATTACHED_STORES: "weakref.WeakSet" = weakref.WeakSet()
 def _forget_attached_writers() -> None:
     for store in list(_ATTACHED_STORES):
         store._lock = None
+        conn, store._writer = store._writer, None
+        if conn is not None:
+            # The child's copy of the writer connection carries SQLite's
+            # lock and WAL-index state of the *parent's* connection:
+            # closing it could fold a stale WAL into the parent's file or
+            # unlink the parent's live -wal. So it is never closed — one
+            # reference that is never released keeps even interpreter
+            # shutdown from finalizing it.
+            ctypes.pythonapi.Py_IncRef(ctypes.py_object(conn))
     for store in list(_ATTACHED_STORES):
         _ATTACHED_STORES.discard(store)
 
@@ -484,6 +534,10 @@ class SnapshotStore:
     def __init__(self, path) -> None:
         self.path = os.fspath(path)
         self._lock = None  # SnapshotLock while attached as a writer
+        # The attached writer's connection (opened on first write) and
+        # the (device, inode) of the file it was opened on.
+        self._writer: Optional[sqlite3.Connection] = None
+        self._writer_file: Optional[Tuple[int, int]] = None
         #: Optional :class:`~repro.obs.trace.Tracer`; the owning
         #: ``Aladin`` sets it so full writes and compactions record
         #: ``persist.*`` spans.  ``None`` keeps the store span-free.
@@ -521,8 +575,10 @@ class SnapshotStore:
             self._lock = lock
             _ATTACHED_STORES.add(self)
 
+    @_serialized
     def detach_writer(self) -> None:
-        """Release this store's hold on the writer lock."""
+        """Close the writer connection; release this store's lock hold."""
+        self._close_writer()
         if self._lock is not None:
             self._lock.release()
             self._lock = None
@@ -577,6 +633,44 @@ class SnapshotStore:
             pass
         return conn
 
+    @contextmanager
+    def _write_connection(self):
+        """The connection one serialized write runs on.
+
+        Attached: the long-lived writer connection. Detached (a bare
+        store, or a forked child whose inherited attachment was dropped):
+        a connection of its own, closed when the write is done.
+        """
+        if self._lock is None:
+            conn = self._connect()
+            try:
+                yield conn
+            finally:
+                conn.close()
+            return
+        if self._writer is not None and self._writer_file != _file_id(self.path):
+            # A sibling store of this process compacted the file: this
+            # connection still writes to the replaced inode.
+            self._close_writer()
+        try:
+            if self._writer is None:
+                self._writer = self._connect(cross_thread=True)
+                self._writer_file = _file_id(self.path)
+                for pragma in _WRITER_PRAGMAS:
+                    self._writer.execute(pragma)
+            yield self._writer
+        except BaseException:
+            # A failed write may leave the connection in any state; the
+            # next write starts from a fresh one, as a detached store does.
+            self._close_writer()
+            raise
+
+    @_serialized
+    def _close_writer(self) -> None:
+        conn, self._writer, self._writer_file = self._writer, None, None
+        if conn is not None:
+            conn.close()
+
     def _read_manifest(self, conn: sqlite3.Connection) -> Dict[str, str]:
         try:
             rows = conn.execute("SELECT key, value FROM manifest").fetchall()
@@ -621,28 +715,24 @@ class SnapshotStore:
         with self._span(
             "persist.write_full", sources=len(aladin.source_names())
         ):
-            conn = self._connect()
-            try:
-                with conn:
-                    self._ensure_overwritable(conn)
-                    try:
-                        _ensure_schema(conn)
-                    except sqlite3.DatabaseError as exc:
-                        raise SnapshotError(
-                            f"cannot write snapshot {self.path!r}: {exc}"
-                        ) from exc
-                    for table in _TABLES:
-                        conn.execute(f"DELETE FROM {table}")
-                    self._set_manifest(conn, "magic", _MAGIC)
-                    self._set_manifest(conn, "format_version", str(FORMAT_VERSION))
-                    self._write_config(conn, aladin)
-                    executor = getattr(aladin, "_executor", None)
-                    for name in aladin.source_names():
-                        self._write_source(conn, aladin, name, executor=executor)
-                    self._write_all_links(conn, aladin.repository)
-                    self._write_index_full(conn, aladin._index)
-            finally:
-                conn.close()
+            with self._write_connection() as conn, conn:
+                self._ensure_overwritable(conn)
+                try:
+                    _ensure_schema(conn)
+                except sqlite3.DatabaseError as exc:
+                    raise SnapshotError(
+                        f"cannot write snapshot {self.path!r}: {exc}"
+                    ) from exc
+                for table in _TABLES:
+                    conn.execute(f"DELETE FROM {table}")
+                self._set_manifest(conn, "magic", _MAGIC)
+                self._set_manifest(conn, "format_version", str(FORMAT_VERSION))
+                self._write_config(conn, aladin, {})  # emptied above
+                executor = getattr(aladin, "_executor", None)
+                for name in aladin.source_names():
+                    self._write_source(conn, aladin, name, executor=executor)
+                self._write_all_links(conn, aladin.repository)
+                self._write_index_full(conn, aladin._index)
 
     def _ensure_overwritable(self, conn: sqlite3.Connection) -> None:
         """Refuse to clobber an SQLite file that is not ours.
@@ -829,44 +919,44 @@ class SnapshotStore:
     # per-source incremental checkpoints
     # ------------------------------------------------------------------
     @_serialized
-    def checkpoint_source(self, aladin, name: str, executor=None) -> None:
+    def checkpoint_source(
+        self, aladin, name: str, executor=None, links: bool = True
+    ) -> None:
         """Rewrite exactly one source's slice of the snapshot in place.
 
         Called after ``add_source`` / ``update_source``: the source's rows,
         profiles, structure record, links touching it, and index postings
         are replaced; every other source's slice stays byte-identical.
-        ``executor`` (the pipeline's worker pool, resident or per-call)
-        fans the row payload encoding when the backend has CPU
-        parallelism; the written bytes are identical either way.
+        ``links=False`` is the data-only checkpoint of a below-threshold
+        update, which keeps structure and links by contract: the link
+        rows touching the source are left untouched. ``executor`` (the
+        pipeline's worker pool, resident or per-call) fans the row
+        payload encoding when the backend has CPU parallelism; the
+        written bytes are identical either way.
         """
-        conn = self._connect()
-        try:
-            with conn:
-                self._read_manifest(conn)
-                self._write_config(conn, aladin)
-                self._delete_source_slice(conn, name)
-                self._write_source(conn, aladin, name, executor=executor)
+        with self._write_connection() as conn, conn:
+            manifest = self._read_manifest(conn)
+            self._write_config(conn, aladin, manifest)
+            self._delete_source_slice(conn, name, links=links)
+            self._write_source(conn, aladin, name, executor=executor)
+            if links:
                 self._write_source_links(conn, aladin.repository, name)
-                self._checkpoint_index(conn, aladin, name)
-        finally:
-            conn.close()
+            self._checkpoint_index(conn, aladin, name, manifest)
 
-    def _write_config(self, conn: sqlite3.Connection, aladin) -> None:
+    def _write_config(
+        self, conn: sqlite3.Connection, aladin, manifest: Dict[str, str]
+    ) -> None:
         # asdict keeps this layer ignorant of the core config classes.
-        self._set_manifest(
-            conn, "config", codec.canonical_json(dataclasses.asdict(aladin.config))
-        )
+        config = codec.canonical_json(dataclasses.asdict(aladin.config))
+        if manifest.get("config") != config:
+            self._set_manifest(conn, "config", config)
 
     @_serialized
     def checkpoint_remove(self, name: str) -> None:
         """Drop one source's slice (rows, profiles, links, postings)."""
-        conn = self._connect()
-        try:
-            with conn:
-                self._read_manifest(conn)
-                self._delete_source_slice(conn, name)
-        finally:
-            conn.close()
+        with self._write_connection() as conn, conn:
+            self._read_manifest(conn)
+            self._delete_source_slice(conn, name)
 
     @_serialized
     def remove_object_link(self, link: ObjectLink) -> int:
@@ -877,60 +967,53 @@ class SnapshotStore:
         sources (indexed columns), not the whole table.
         """
         key = link.key()
-        conn = self._connect()
-        try:
-            with conn:
-                self._read_manifest(conn)
-                doomed = []
-                for rowid, payload in conn.execute(
-                    "SELECT rowid, payload FROM object_links "
-                    "WHERE (source_a = ? AND source_b = ?) "
-                    "OR (source_a = ? AND source_b = ?)",
-                    (link.source_a, link.source_b, link.source_b, link.source_a),
-                ):
-                    candidate = codec.object_link_from_dict(
-                        codec.canonical_loads(payload)
-                    )
-                    if candidate.key() == key:
-                        doomed.append(rowid)
-                for rowid in doomed:
-                    conn.execute(
-                        "DELETE FROM object_links WHERE rowid = ?", (rowid,)
-                    )
-                return len(doomed)
-        finally:
-            conn.close()
+        with self._write_connection() as conn, conn:
+            self._read_manifest(conn)
+            doomed = []
+            for rowid, payload in conn.execute(
+                "SELECT rowid, payload FROM object_links "
+                "WHERE (source_a = ? AND source_b = ?) "
+                "OR (source_a = ? AND source_b = ?)",
+                (link.source_a, link.source_b, link.source_b, link.source_a),
+            ):
+                candidate = codec.object_link_from_dict(
+                    codec.canonical_loads(payload)
+                )
+                if candidate.key() == key:
+                    doomed.append(rowid)
+            for rowid in doomed:
+                conn.execute("DELETE FROM object_links WHERE rowid = ?", (rowid,))
+            return len(doomed)
 
     @_serialized
     def write_index(self, index: Optional[InvertedIndex]) -> None:
         """Persist the inverted index (first lazy build after a save)."""
-        conn = self._connect()
-        try:
-            with conn:
-                self._read_manifest(conn)
-                try:
-                    self._write_index_full(conn, index)
-                except sqlite3.DatabaseError as exc:
-                    raise SnapshotError(
-                        f"cannot write index to snapshot {self.path!r}: {exc}"
-                    ) from exc
-        finally:
-            conn.close()
+        with self._write_connection() as conn, conn:
+            self._read_manifest(conn)
+            try:
+                self._write_index_full(conn, index)
+            except sqlite3.DatabaseError as exc:
+                raise SnapshotError(
+                    f"cannot write index to snapshot {self.path!r}: {exc}"
+                ) from exc
 
-    def _delete_source_slice(self, conn: sqlite3.Connection, name: str) -> None:
+    def _delete_source_slice(
+        self, conn: sqlite3.Connection, name: str, links: bool = True
+    ) -> None:
         conn.execute("DELETE FROM sources WHERE name = ?", (name,))
         conn.execute("DELETE FROM table_schemas WHERE source = ?", (name,))
         conn.execute("DELETE FROM rows WHERE source = ?", (name,))
         conn.execute("DELETE FROM cells WHERE source = ?", (name,))
         conn.execute("DELETE FROM profiles WHERE source = ?", (name,))
-        conn.execute(
-            "DELETE FROM attribute_links WHERE source = ? OR target = ?",
-            (name, name),
-        )
-        conn.execute(
-            "DELETE FROM object_links WHERE source_a = ? OR source_b = ?",
-            (name, name),
-        )
+        if links:
+            conn.execute(
+                "DELETE FROM attribute_links WHERE source = ? OR target = ?",
+                (name, name),
+            )
+            conn.execute(
+                "DELETE FROM object_links WHERE source_a = ? OR source_b = ?",
+                (name, name),
+            )
         conn.execute("DELETE FROM index_postings WHERE source = ?", (name,))
         conn.execute("DELETE FROM index_documents WHERE source = ?", (name,))
 
@@ -962,11 +1045,12 @@ class SnapshotStore:
             ],
         )
 
-    def _checkpoint_index(self, conn: sqlite3.Connection, aladin, name: str) -> None:
+    def _checkpoint_index(
+        self, conn: sqlite3.Connection, aladin, name: str, manifest: Dict[str, str]
+    ) -> None:
         index = aladin._index
         if index is None:
             return
-        manifest = dict(conn.execute("SELECT key, value FROM manifest").fetchall())
         if manifest.get("index_built") != "1":
             # The index was built lazily after the last full save: persist
             # it whole once, then later checkpoints stay per-source.
@@ -982,14 +1066,17 @@ class SnapshotStore:
     # ------------------------------------------------------------------
     # online compaction
     # ------------------------------------------------------------------
+    @_serialized
     def file_stats(self) -> Dict[str, Any]:
         """Size and churn accounting of the snapshot on disk.
 
         ``reclaimable_bytes`` is what compaction would free: SQLite's
         freelist (pages dead since DELETE-then-rewrite checkpoints and
         removed sources) plus the WAL, which compaction folds back into
-        the main file. ``churn_ratio`` is the reclaimable fraction —
-        the auto-compaction trigger.
+        the main file. While a writer is attached its WAL holds live
+        committed pages until folded; they count here as WAL bytes.
+        ``churn_ratio`` is the reclaimable fraction — the auto-compaction
+        trigger.
         """
         size = os.path.getsize(self.path) if os.path.exists(self.path) else 0
         wal = 0
@@ -997,13 +1084,10 @@ class SnapshotStore:
             wal = os.path.getsize(self.path + "-wal")
         freelist_bytes = 0
         if size:
-            conn = self._connect()
-            try:
+            with self._write_connection() as conn:
                 page_size = conn.execute("PRAGMA page_size").fetchone()[0]
                 freelist = conn.execute("PRAGMA freelist_count").fetchone()[0]
                 freelist_bytes = page_size * freelist
-            finally:
-                conn.close()
         total = size + wal
         reclaimable = freelist_bytes + wal
         return {
@@ -1037,8 +1121,7 @@ class SnapshotStore:
             before = self.file_stats()
             tmp = self.path + ".compact"
             self._remove_file_set(tmp)
-            conn = self._connect()
-            try:
+            with self._write_connection() as conn:
                 self._read_manifest(conn)  # never "compact" a foreign database
                 # Fold the WAL into the main file so VACUUM INTO sees — and
                 # the leftover sidecar after the swap holds — nothing live.
@@ -1049,8 +1132,9 @@ class SnapshotStore:
                     raise SnapshotError(
                         f"cannot compact snapshot {self.path!r}: {exc}"
                     ) from exc
-            finally:
-                conn.close()
+            # A writer left on the replaced inode would lose every later
+            # checkpoint without a sign; the next write reopens it.
+            self._close_writer()
             try:
                 verified = self._verify_compacted(tmp, aladin)
                 os.replace(tmp, self.path)

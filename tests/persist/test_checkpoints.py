@@ -104,6 +104,25 @@ class TestCheckpointAfterMaintenance:
         assert report is None
         assert fingerprint(Aladin.open(path)) == fingerprint(aladin)
 
+    def test_below_threshold_update_keeps_link_rows_in_place(self, saved):
+        """A data-only checkpoint: the update keeps structure and links by
+        contract, so every link row keeps its rowid and payload while the
+        source's rows are rewritten."""
+        scenario, aladin, path = saved
+        # go's links land after pdb's, so a rewrite of pdb's links would
+        # move them to new rowids.
+        aladin.add_source(*source_args(scenario, "go"))
+        links_before = link_rows(path)
+        rows_before = row_slice(path, "pdb")
+        assert links_before["attribute_links"] and links_before["object_links"]
+        text = scenario.source("pdb").text
+        changed = text.replace("CRYSTAL STRUCTURE OF", "CRYSTAL STRUCTURE FOR")
+        assert changed != text
+        assert aladin.update_source("pdb", changed) is None
+        assert row_slice(path, "pdb") != rows_before
+        assert link_rows(path) == links_before
+        assert fingerprint(Aladin.open(path)) == fingerprint(aladin)
+
     def test_update_source_above_threshold_checkpoints(self, saved):
         scenario, aladin, path = saved
         # A much larger flat file pushes the row delta over the threshold:
@@ -178,5 +197,19 @@ def row_slice(path, source):
             "ORDER BY table_name, row_id",
             (source,),
         ).fetchall()
+    finally:
+        conn.close()
+
+
+def link_rows(path):
+    """Every persisted link row as (rowid, payload), per link table."""
+    conn = sqlite3.connect(path)
+    try:
+        return {
+            table: conn.execute(
+                f"SELECT rowid, payload FROM {table} ORDER BY rowid"
+            ).fetchall()
+            for table in ("attribute_links", "object_links")
+        }
     finally:
         conn.close()

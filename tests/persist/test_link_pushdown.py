@@ -44,7 +44,9 @@ def maintained_snapshot(snapshot, tmp_path_factory):
     for name in names:
         aladin.database(name)  # fault in: raw inputs come with the body
     aladin.update_source(names[0], aladin._raw_inputs[names[0]][1])
-    removed = names[-1]
+    # A below-threshold update keeps its link rows in place; cycling the
+    # first source moves its links to the end of the rowid order.
+    removed = names[0]
     fmt, text, options = aladin._raw_inputs[removed]
     aladin.remove_source(removed)
     aladin.add_source(removed, fmt, text, **options)
