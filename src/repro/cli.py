@@ -369,11 +369,14 @@ def _hydration_line(stats: dict) -> str:
     """One-line hydration report, e.g. for ``repro stats``."""
     hydrated = stats["hydrated"]
     names = ", ".join(hydrated) if hydrated else "none"
+    decoded = stats["decoded"]
+    decoded_names = ", ".join(decoded) if decoded else "none"
     resident = stats["resident_bytes"]
     resident_text = "untracked" if resident is None else f"~{resident} bytes"
     return (
         f"hydration: {len(hydrated)}/{stats['sources']} sources hydrated "
-        f"({names}); resident {resident_text}; "
+        f"({names}); {len(decoded)}/{stats['sources']} sources decoded "
+        f"({decoded_names}); resident {resident_text}; "
         f"pushdown hits {stats['pushdown_hits']}; "
         f"link lookups {stats['link_lookups']}; "
         f"links {'loaded' if stats['links_loaded'] else 'deferred'}"

@@ -1051,9 +1051,11 @@ class Aladin:
     def hydration_stats(self) -> Dict[str, Any]:
         """Which sources are resident, their bytes, and pushdown hits.
 
-        ``link_lookups`` counts per-object link reads answered from the
-        snapshot; ``links_loaded`` says whether the whole link web has
-        been replayed into memory.
+        ``decoded`` lists the snapshot sources whose metadata (structure,
+        profiles, samples) has been decoded so far; ``link_lookups``
+        counts per-object link reads answered from the snapshot;
+        ``links_loaded`` says whether the whole link web has been
+        replayed into memory.
         """
         if self._lazy is not None:
             return self._lazy.stats()
@@ -1061,6 +1063,7 @@ class Aladin:
             "lazy": False,
             "sources": len(self._databases),
             "hydrated": sorted(self._databases),
+            "decoded": [],  # nothing came from a snapshot
             "resident_bytes": None,  # in-memory systems do not meter payloads
             "pushdown_hits": 0,
             "link_lookups": 0,
@@ -1142,14 +1145,15 @@ class Aladin:
         index is restored posting by posting. The snapshot stays attached
         for incremental checkpoints, exactly as after :meth:`save`.
 
-        Only the manifest — version, per-source structure, profiles,
-        samples, row counts — is read up front (O(manifest), not O(rows)),
-        and each source's tables fault in on first touch; point lookups
-        and single-table SELECTs against untouched sources are pushed down
-        to SQL on the snapshot's value index. The reopened system is
-        observably identical to the one that wrote the snapshot — the
-        differential suite pins rows, links, postings, and BM25 rankings
-        byte-for-byte. ``lazy=False`` means "fault every source in at
+        Only the manifest — version, config, and per source its name,
+        content hash, format, and row counts — is read up front
+        (O(sources), not O(rows)). Each source's structure, profiles, and
+        samples are decoded on first touch, and its tables fault in on
+        first touch; point lookups and single-table SELECTs against
+        untouched sources are pushed down to SQL on the snapshot's value
+        index. The reopened system is observably identical to the one
+        that wrote the snapshot — the differential suite pins rows,
+        links, postings, and BM25 rankings byte-for-byte. ``lazy=False`` means "fault every source in at
         open": the same load, finished before this call returns.
         Maintenance faults all sources in first either way.
 
@@ -1187,15 +1191,16 @@ class Aladin:
                     raise
                 attach_writer = False
         aladin = None
+        session = None
         try:
             # Any failure from here to the end must release the writer
             # lock and the session's connections: nothing else would
             # survive to close them.
-            manifest = store.load_manifest()
+            session = LazySnapshotSession(store)
+            manifest = session.manifest
             if config is None and manifest.config is not None:
                 config = config_from_dict(manifest.config)
             aladin = cls(config)
-            session = LazySnapshotSession(store, manifest)
             session.install(aladin)
             aladin._lazy = session
             if not lazy:
@@ -1203,6 +1208,8 @@ class Aladin:
         except BaseException:
             if aladin is not None:
                 aladin.close()
+            if session is not None:
+                session.close()
             if attach_writer:
                 store.detach_writer()
             raise

@@ -5,7 +5,7 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.discovery.model import AttributeRef, SourceStructure
 from repro.linking.model import AttributeLink, ObjectLink
@@ -35,6 +35,11 @@ class MetadataRepository:
 
     def __init__(self) -> None:
         self._sources: Dict[str, SourceRecord] = {}
+        # A lazy open registers each source by name and defers its record
+        # behind a resolver (see register_deferred); _sources_lock makes
+        # concurrent first reads resolve a record exactly once.
+        self._deferred_sources: Dict[str, Callable[[], SourceRecord]] = {}
+        self._sources_lock = threading.Lock()
         self._attribute_links: List[AttributeLink] = []
         self._object_links: List[ObjectLink] = []
         # Adjacency: (source, accession) -> list of link indexes.
@@ -68,9 +73,9 @@ class MetadataRepository:
         always correct, just slower. Once the web is loaded, memory is
         authoritative and the lookup is never consulted again.
 
-        Source registration stays eager (stubs are O(columns)); only the
-        link tables — which grow with the corpus, not with the query —
-        are deferred.
+        Sources defer the same way, one record at a time
+        (:meth:`register_deferred`); the link tables defer here as a whole
+        because they belong to no one source.
         """
         self._deferred_links = loader
         self._deferred_lookup = lookup
@@ -115,7 +120,7 @@ class MetadataRepository:
         profiles: Optional[Dict[AttributeRef, ColumnProfile]] = None,
     ) -> None:
         name = structure.source_name
-        if name in self._sources:
+        if self.has_source(name):
             raise ValueError(f"source {name!r} already registered")
         self._sources[name] = SourceRecord(
             structure=structure,
@@ -124,6 +129,21 @@ class MetadataRepository:
             sample_rows=sample_rows or {},
             row_counts=row_counts or {},
         )
+
+    def register_deferred(
+        self, name: str, resolve: Callable[[], SourceRecord]
+    ) -> None:
+        """Register a source by name; build its record on first use.
+
+        ``resolve()`` is called at most once, by the first :meth:`source`
+        call for ``name`` (and so the first :meth:`structure` read), under
+        a lock so concurrent first reads share one record. If it raises,
+        the source stays deferred and the next read retries. Name-only
+        reads — :meth:`has_source`, :meth:`source_names` — never resolve.
+        """
+        if self.has_source(name):
+            raise ValueError(f"source {name!r} already registered")
+        self._deferred_sources[name] = resolve
 
     def refresh_source_data(
         self,
@@ -150,25 +170,39 @@ class MetadataRepository:
             record.row_counts = row_counts
 
     def has_source(self, name: str) -> bool:
-        return name in self._sources
+        return name in self._sources or name in self._deferred_sources
 
     def source(self, name: str) -> SourceRecord:
-        if name not in self._sources:
-            raise KeyError(f"source {name!r} not registered")
-        return self._sources[name]
+        record = self._sources.get(name)
+        if record is not None:
+            return record
+        with self._sources_lock:
+            record = self._sources.get(name)
+            if record is None:
+                resolve = self._deferred_sources.get(name)
+                if resolve is None:
+                    raise KeyError(f"source {name!r} not registered")
+                record = resolve()
+                # Published before the deferred entry goes, so has_source
+                # never sees the name in neither map.
+                self._sources[name] = record
+                del self._deferred_sources[name]
+        return record
 
     def source_names(self) -> List[str]:
-        return sorted(self._sources)
+        return sorted(set(self._sources) | set(self._deferred_sources))
 
     def structure(self, name: str) -> SourceStructure:
         return self.source(name).structure
 
     def remove_source(self, name: str) -> None:
         """Drop a source and every link touching it (re-analysis support)."""
-        if name not in self._sources:
+        if not self.has_source(name):
             raise KeyError(f"source {name!r} not registered")
         self.load_links()
-        del self._sources[name]
+        with self._sources_lock:
+            self._sources.pop(name, None)
+            self._deferred_sources.pop(name, None)
         self._attribute_links = [
             l for l in self._attribute_links if name not in (l.source, l.target)
         ]
@@ -272,7 +306,7 @@ class MetadataRepository:
 
     def summary(self) -> str:
         self.load_links()
-        parts = [f"{len(self._sources)} sources", f"{len(self._object_links)} object links"]
+        parts = [f"{len(self.source_names())} sources", f"{len(self._object_links)} object links"]
         kinds = self.link_counts_by_kind()
         if kinds:
             parts.append(

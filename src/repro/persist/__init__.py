@@ -13,10 +13,10 @@ sidecar lock (:class:`repro.persist.lock.SnapshotLock`) keeps two writer
 
 Every open goes through one loader,
 :class:`repro.persist.lazy.LazySnapshotSession`: it reads only the
-manifest (:meth:`SnapshotStore.load_manifest`) and faults each source's
-rows in on first touch, pushing point lookups and single-table SELECTs
-down to SQL on the snapshot's value index until then. ``lazy=False``
-means "fault every source in at open".
+manifest (:meth:`SnapshotStore.load_manifest`), then decodes each
+source's metadata and faults its rows in on first touch, pushing point
+lookups and single-table SELECTs down to SQL on the snapshot's value
+index until then. ``lazy=False`` means "fault every source in at open".
 """
 
 from repro.persist.snapshot import (

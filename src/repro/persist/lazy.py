@@ -1,13 +1,18 @@
 """Lazy snapshot sessions: manifest-only opens, fault-in hydration.
 
 A :class:`LazySnapshotSession` is the one loader of a snapshot. It
-installs the O(manifest) part of the file — per-source stubs carrying the
-discovered structure, ColumnProfiles, samples, and row counts — and leaves
-three fault-in seams armed:
+installs the O(manifest) part of the file — per-source stubs carrying
+name, content hash, format, import options, and row counts — and leaves
+four fault-in seams armed:
 
+* *metadata*: each source's repository record (structure, ColumnProfiles,
+  samples, and the statistics built from the profiles) is decoded on the
+  first read of it, with two keyed SQLite reads — a search or a
+  pushed-down SELECT decodes none, a browse decodes the browsed source;
 * *sources*: the object web's hydrator callback loads exactly one source's
   tables (:meth:`SnapshotStore.load_source_body`) the first time a query,
-  page visit, or crawl touches it;
+  page visit, or crawl touches it, decoding its metadata in the same read
+  transaction if nothing has yet;
 * *links*: the link web grows with the corpus, not with a query, so it
   stays in SQLite. A per-object read (``links_of``, and so a page
   visit) pushes down to one indexed statement that decodes only that
@@ -42,6 +47,7 @@ reload.
 
 from __future__ import annotations
 
+import functools
 import json
 import sqlite3
 import threading
@@ -50,9 +56,10 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.access.index import InvertedIndex, PostingField
 from repro.linking.model import ObjectLink
 from repro.linking.stats import statistics_from_profile
+from repro.metadata.repository import SourceRecord
 from repro.obs.events import HYDRATION_FAULTED
 from repro.persist import codec
-from repro.persist.snapshot import SnapshotError, SnapshotManifest, SnapshotStore
+from repro.persist.snapshot import SnapshotError, SnapshotStore, SourceStub
 from repro.relational.expressions import ColumnRef, Comparison, Literal
 # The pushdown executor must rank, project, and dedupe byte-identically
 # to the in-memory engine, so it runs the engine's own helpers instead of
@@ -306,13 +313,16 @@ class LazyInvertedIndex(InvertedIndex):
 
 
 class LazySnapshotSession:
-    """One lazily opened snapshot: stubs installed, bodies on first touch."""
+    """One lazily opened snapshot: stubs installed, bodies on first touch.
 
-    def __init__(self, store: SnapshotStore, manifest: SnapshotManifest):
+    Constructing a session reads the snapshot's manifest (``manifest``)
+    on the session's own reader connection; a failed read closes it
+    again before raising.
+    """
+
+    def __init__(self, store: SnapshotStore):
         self._store = store
-        self._manifest = manifest
         self._aladin = None
-        self._stubs = {stub.name: stub for stub in manifest.sources}
         self._hydrated: Dict[str, int] = {}  # name -> resident payload bytes
         self._pushdown_counts: Dict[str, int] = {}
         self._link_lookups = 0
@@ -322,7 +332,10 @@ class LazySnapshotSession:
         # outright), and a serving layer drives this session from a pool
         # of worker threads. Every connection is also tracked in
         # ``_conns`` so ``close`` can tear them all down from whichever
-        # thread the owner closes on.
+        # thread the owner closes on. The manifest, metadata decodes and
+        # hydrations read on these connections too: a cold session
+        # connects once, and SQLite rebuilds the WAL index only for the
+        # first connection to an otherwise unopened file.
         self._conn_local = threading.local()
         self._conns: List[sqlite3.Connection] = []
         self._conn_lock = threading.Lock()
@@ -330,35 +343,52 @@ class LazySnapshotSession:
         # Serializes fault-ins: two threads touching the same stub must
         # hydrate it (and emit HYDRATION_FAULTED) exactly once.
         self._hydrate_lock = threading.RLock()
+        try:
+            self.manifest = store.load_manifest(self._connection)
+        except BaseException:
+            self.close()
+            raise
+        self._stubs = {stub.name: stub for stub in self.manifest.sources}
 
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
     def install(self, aladin) -> None:
-        """Register every source as a stub and arm the fault-in seams.
+        """Register every source by name and arm the fault-in seams.
 
-        Each stub registers its structure, statistics rebuilt
-        arithmetically from the persisted profiles, samples, and row
-        counts; no database is attached until the source is faulted in.
+        Each stub registers as a deferred repository record: nothing is
+        decoded until the record is first read (:meth:`_source_record`),
+        and no database is attached until the source is faulted in.
         """
         self._aladin = aladin
-        for stub in self._manifest.sources:
-            statistics = {
-                attr: statistics_from_profile(attr, profile)
-                for attr, profile in stub.profiles.items()
-            }
-            aladin.repository.register_source(
-                stub.structure,
-                statistics,
-                stub.samples,
-                stub.row_counts,
-                profiles=stub.profiles,
+        for stub in self.manifest.sources:
+            aladin.repository.register_deferred(
+                stub.name, functools.partial(self._source_record, stub)
             )
         aladin.repository.set_deferred_links(self._load_links, self.lookup_links)
         aladin.web.set_hydrator(self.hydrate)
         aladin.web.set_sql_pushdown(self.try_select)
-        if self._manifest.index_built:
+        if self.manifest.index_built:
             aladin._index = LazyInvertedIndex(self)  # noqa: SLF001 - session owns wiring
+
+    def _source_record(self, stub: SourceStub) -> SourceRecord:
+        """One source's repository record, decoded from the snapshot.
+
+        Statistics are rebuilt arithmetically from the persisted
+        profiles; the record is the one copy hydration later hands the
+        linking engine too.
+        """
+        metadata = self._store.load_source_metadata(self._connection(), stub)
+        return SourceRecord(
+            structure=metadata.structure,
+            statistics={
+                attr: statistics_from_profile(attr, profile)
+                for attr, profile in metadata.profiles.items()
+            },
+            profiles=metadata.profiles,
+            sample_rows=metadata.samples,
+            row_counts=stub.row_counts,
+        )
 
     def _connection(self) -> sqlite3.Connection:
         local = self._conn_local
@@ -444,25 +474,25 @@ class LazySnapshotSession:
                     span.set(payload_bytes=self._hydrated.get(name, 0))
 
     def _hydrate_locked(self, name: str) -> None:
-        body = self._store.load_source_body(name)
         stub = self._stubs[name]
+        body = self._store.load_source_body(stub, self._connection())
+        aladin = self._aladin
+        # Resolved from the metadata the body load just decoded (or an
+        # earlier touch did): one statistics build per source, shared by
+        # the repository and the engine as on the eager path.
+        record = aladin.repository.source(name)
         database = body.database
-        for attr, profile in stub.profiles.items():
+        for attr, profile in record.profiles.items():
             database.table(attr.table).columns.restore_profile(attr.column, profile)
         if self._cells_available(name):
             for table in database.tables():
                 table.columns.attach_backing(
                     SnapshotColumnSource(self, name, table.name)
                 )
-        statistics = {
-            attr: statistics_from_profile(attr, profile)
-            for attr, profile in stub.profiles.items()
-        }
-        aladin = self._aladin
         self._hydrated[name] = body.payload_bytes
         try:
             aladin._engine.restore_source(  # noqa: SLF001 - session owns wiring
-                database, stub.structure, statistics
+                database, record.structure, record.statistics
             )
             aladin._databases[name] = database
             aladin.web.attach_database(name, database)
@@ -856,7 +886,9 @@ class LazySnapshotSession:
         "Hydrated" means resident in memory: stubs that were faulted in,
         plus any source added after the open — those never came from the
         snapshot, so their ``resident_bytes`` (snapshot payload faulted
-        in) is 0.
+        in) is 0. "Decoded" lists the stubs whose metadata (structure,
+        profiles, samples) has been decoded; a hydration decodes its
+        source, but so can a bare structure read.
         """
         resident = set(self._hydrated)
         if self._aladin is not None:
@@ -873,6 +905,9 @@ class LazySnapshotSession:
             "lazy": True,
             "sources": len(per_source),
             "hydrated": sorted(resident),
+            "decoded": sorted(
+                name for name, stub in self._stubs.items() if stub.decoded
+            ),
             "resident_bytes": sum(self._hydrated.values()),
             "pushdown_hits": sum(self._pushdown_counts.values()),
             "link_lookups": self._link_lookups,

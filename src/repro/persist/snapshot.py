@@ -96,7 +96,7 @@ import urllib.parse
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.access.index import InvertedIndex
 from repro.discovery.model import AttributeRef, SourceStructure
@@ -344,6 +344,26 @@ def _cell_value(value: Any) -> Optional[Any]:
     return None
 
 
+@contextmanager
+def _read_transaction(conn: sqlite3.Connection):
+    """Run the enclosed reads in one transaction: one WAL snapshot.
+
+    Read-only: the transaction is rolled back at the end. Inside an
+    already open transaction it joins that one.
+    """
+    if conn.in_transaction:
+        yield
+        return
+    conn.execute("BEGIN")
+    try:
+        yield
+    finally:
+        try:
+            conn.rollback()
+        except sqlite3.Error:
+            pass
+
+
 class SnapshotError(RuntimeError):
     """A snapshot file is missing, corrupted, or from another format version."""
 
@@ -401,24 +421,62 @@ class CompactionStats:
 
 
 @dataclass
-class SourceStub:
-    """One source's manifest slice: everything *but* its row data.
+class SourceMetadata:
+    """One source's decoded metadata: structure, profiles, samples.
 
-    What a lazy open registers per source — the discovered structure, the
-    persisted ColumnProfiles (the repository serves statistics from these
-    without touching rows), samples, and row counts are all
-    O(columns)-sized. The raw text and the row payloads stay on disk
-    until :meth:`SnapshotStore.load_source_body` faults them in.
+    ``profiles`` are in (table, column) order — the order every reader
+    of a snapshot has always restored them in.
+    """
+
+    structure: SourceStructure
+    profiles: Dict[AttributeRef, ColumnProfile]
+    samples: Dict[str, List[dict]]
+
+
+@dataclass
+class SourceStub:
+    """One source's manifest slice: what a lazy open needs, nothing more.
+
+    The open reads only the name, content hash, format, import options,
+    and row counts. The source's structure, ColumnProfiles and samples
+    stay encoded in the file until the first touch decodes them
+    (:meth:`metadata`, fed by :meth:`SnapshotStore.load_source_metadata`
+    or by a hydration's :meth:`SnapshotStore.load_source_body`); the raw
+    text and row payloads stay on disk until hydration.
     """
 
     name: str
     content_hash: str
-    structure: SourceStructure
-    profiles: Dict[AttributeRef, ColumnProfile]
-    samples: Dict[str, List[dict]]
     row_counts: Dict[str, int]
     format_name: Optional[str] = None
     import_options: Dict[str, Any] = field(default_factory=dict)
+    _metadata: Optional[SourceMetadata] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    # Concurrent first touches (serve threads) decode the source once.
+    # ``threading.Lock`` is looked up per stub, not bound at import, so
+    # the lock-order sanitizer can watch these locks too.
+    _lock: Any = field(
+        default_factory=lambda: threading.Lock(),
+        init=False, repr=False, compare=False,
+    )
+
+    @property
+    def decoded(self) -> bool:
+        """True once this source's metadata has been decoded."""
+        return self._metadata is not None
+
+    def metadata(self, read: Callable[[], SourceMetadata]) -> SourceMetadata:
+        """The decoded metadata; ``read()`` runs on the first call only.
+
+        A failed ``read`` leaves the stub undecoded, so the next touch
+        retries (and fails the same way on a corrupt file).
+        """
+        if self._metadata is None:
+            with self._lock:
+                if self._metadata is None:
+                    self._metadata = read()
+        return self._metadata
 
 
 @dataclass
@@ -1276,61 +1334,116 @@ class SnapshotStore:
             )
         return database, payload_bytes
 
-    def load_manifest(self) -> SnapshotManifest:
+    def load_manifest(
+        self, connect: Callable[[], sqlite3.Connection]
+    ) -> SnapshotManifest:
         """Read the O(manifest) slice: stubs, flags, config — no row data.
 
-        This is the lazy open's whole I/O bill: one row per source plus
-        the per-column profiles. Row payloads, raw inputs, links, and
-        postings stay on disk until :meth:`load_source_body` (or the
-        lazy session's link/index loaders) fault them in.
+        This is the lazy open's whole I/O bill: one short row per source
+        (name, content hash, format, import options, row counts). Each
+        source's structure, profiles, and samples are decoded on its
+        first touch (:meth:`load_source_metadata`); row payloads, raw
+        inputs, links, and postings stay on disk until
+        :meth:`load_source_body` (or the lazy session's link/index
+        loaders) fault them in.
+
+        ``connect()`` hands over the reader connection to read on — the
+        lazy session's own, so a cold open connects to the file once.
+        It is called only after the file is known to exist: a
+        connection's read-write fallback would otherwise create an
+        empty database at the path.
         """
         if not os.path.exists(self.path):
             raise SnapshotError(f"snapshot {self.path!r} does not exist")
-        conn = self._connect(read_only=True)
+        conn = connect()
+        manifest = self._read_manifest(conn)
         try:
-            manifest = self._read_manifest(conn)
-            try:
-                profiles_by_source: Dict[str, Dict[AttributeRef, ColumnProfile]] = {}
-                for source, table_name, column_name, profile_json in conn.execute(
-                    "SELECT source, table_name, column_name, profile "
-                    "FROM profiles ORDER BY source, table_name, column_name"
-                ):
-                    profiles_by_source.setdefault(source, {})[
-                        AttributeRef(table_name, column_name)
-                    ] = codec.profile_from_dict(codec.canonical_loads(profile_json))
-                stubs = []
-                for (name, content_hash, format_name, import_options,
-                     structure_json, samples_json, row_counts_json) in conn.execute(
+            stubs = [
+                SourceStub(
+                    name=name,
+                    content_hash=content_hash,
+                    row_counts=json.loads(row_counts_json),
+                    format_name=format_name,
+                    import_options=(
+                        json.loads(import_options) if import_options else {}
+                    ),
+                )
+                for name, content_hash, format_name, import_options,
+                row_counts_json in conn.execute(
                     "SELECT name, content_hash, format_name, import_options, "
-                    "structure, samples, row_counts FROM sources ORDER BY name"
-                ):
-                    stubs.append(SourceStub(
-                        name=name,
-                        content_hash=content_hash,
-                        structure=codec.structure_from_dict(
-                            codec.canonical_loads(structure_json)
-                        ),
-                        profiles=profiles_by_source.get(name, {}),
-                        samples=codec.canonical_loads(samples_json),
-                        row_counts=json.loads(row_counts_json),
-                        format_name=format_name,
-                        import_options=(
-                            json.loads(import_options) if import_options else {}
-                        ),
-                    ))
-            except (sqlite3.DatabaseError, json.JSONDecodeError, KeyError,
-                    ValueError, TypeError) as exc:
-                raise SnapshotError(
-                    f"snapshot {self.path!r} is corrupted: {exc}"
-                ) from exc
-        finally:
-            conn.close()
+                    "row_counts FROM sources ORDER BY name"
+                )
+            ]
+        except (sqlite3.DatabaseError, json.JSONDecodeError, KeyError,
+                ValueError, TypeError) as exc:
+            raise SnapshotError(
+                f"snapshot {self.path!r} is corrupted: {exc}"
+            ) from exc
         config_json = manifest.get("config")
         return SnapshotManifest(
             index_built=manifest.get("index_built") == "1",
             sources=stubs,
             config=json.loads(config_json) if config_json else None,
         )
+
+    def _read_source_metadata(
+        self, conn: sqlite3.Connection, name: str
+    ) -> SourceMetadata:
+        """Decode one source's structure, samples, and profiles.
+
+        Two keyed reads (``sources`` and ``profiles`` by primary key) in
+        the caller's transaction. A missing or undecodable row raises a
+        SnapshotError naming the file and the source.
+        """
+        try:
+            row = conn.execute(
+                "SELECT structure, samples FROM sources WHERE name = ?", (name,)
+            ).fetchone()
+            if row is None:
+                raise SnapshotError(
+                    f"snapshot {self.path!r} has no source {name!r}"
+                )
+            structure = codec.structure_from_dict(codec.canonical_loads(row[0]))
+            if structure.source_name != name:
+                raise ValueError(
+                    f"structure belongs to source {structure.source_name!r}"
+                )
+            samples = codec.canonical_loads(row[1])
+            if not isinstance(samples, dict):
+                raise ValueError("samples are not a JSON object")
+            profiles = {
+                AttributeRef(table_name, column_name): codec.profile_from_dict(
+                    codec.canonical_loads(profile_json)
+                )
+                for table_name, column_name, profile_json in conn.execute(
+                    "SELECT table_name, column_name, profile FROM profiles "
+                    "WHERE source = ? ORDER BY table_name, column_name",
+                    (name,),
+                )
+            }
+        except (sqlite3.DatabaseError, json.JSONDecodeError, KeyError,
+                ValueError, TypeError, AttributeError) as exc:
+            raise SnapshotError(
+                f"snapshot {self.path!r}: metadata of source {name!r} is "
+                f"corrupted: {exc}"
+            ) from exc
+        return SourceMetadata(structure=structure, profiles=profiles, samples=samples)
+
+    def load_source_metadata(
+        self, conn: sqlite3.Connection, stub: SourceStub
+    ) -> SourceMetadata:
+        """``stub``'s metadata, decoded in a read transaction of its own.
+
+        For a first touch that is not a hydration (e.g. a structure read);
+        a hydration decodes inside :meth:`load_source_body` instead, in
+        the same transaction as the rows.
+        """
+
+        def read() -> SourceMetadata:
+            with _read_transaction(conn):
+                return self._read_source_metadata(conn, stub.name)
+
+        return stub.metadata(read)
 
     def content_fingerprint(self) -> str:
         """One hash over the snapshot's per-source content hashes.
@@ -1363,24 +1476,21 @@ class SnapshotStore:
             hasher.update(b"\x01" + content_hash.encode("utf-8"))
         return hasher.hexdigest()
 
-    def load_source_body(self, name: str) -> SourceBody:
+    def load_source_body(
+        self, stub: SourceStub, conn: sqlite3.Connection
+    ) -> SourceBody:
         """Fault in exactly one source's row data (the lazy hydration read).
 
         The content hash is re-fetched rather than trusted from the stub:
         a writer may have checkpointed the source since the manifest was
         read, and the single read transaction below guarantees the hash
         and the rows it verifies come from one consistent WAL snapshot —
-        old or new, never torn.
+        old or new, never torn. An undecoded ``stub`` has its structure,
+        samples, and profiles decoded in that same transaction.
         """
-        if not os.path.exists(self.path):
-            raise SnapshotError(f"snapshot {self.path!r} does not exist")
-        conn = self._connect(read_only=True)
+        name = stub.name
         try:
-            try:
-                conn.execute("BEGIN")
-            except sqlite3.DatabaseError:
-                pass  # already in a transaction: still one snapshot
-            try:
+            with _read_transaction(conn):
                 self._read_manifest(conn)
                 row = conn.execute(
                     "SELECT content_hash, raw_text FROM sources WHERE name = ?",
@@ -1391,20 +1501,15 @@ class SnapshotStore:
                         f"snapshot {self.path!r} has no source {name!r}"
                     )
                 content_hash, raw_text = row
+                stub.metadata(lambda: self._read_source_metadata(conn, name))
                 database, payload_bytes = self._load_tables(
                     conn, name, content_hash
                 )
-            except (sqlite3.DatabaseError, json.JSONDecodeError, KeyError,
-                    ValueError, TypeError) as exc:
-                raise SnapshotError(
-                    f"snapshot {self.path!r} is corrupted: {exc}"
-                ) from exc
-        finally:
-            try:
-                conn.rollback()
-            except sqlite3.Error:
-                pass
-            conn.close()
+        except (sqlite3.DatabaseError, json.JSONDecodeError, KeyError,
+                ValueError, TypeError) as exc:
+            raise SnapshotError(
+                f"snapshot {self.path!r} is corrupted: {exc}"
+            ) from exc
         return SourceBody(
             name=name,
             database=database,
