@@ -128,9 +128,10 @@ def _run_dup_chunk(
     """Step 5 for one new source against an ordered list of counterparts.
 
     The shared unit of work of every duplicate pass: all pairs of the
-    chunk share one :class:`BoundedRecordScorer` (value-pair cache + exact
-    best-match pruning, chunk-local unless ``scorer`` is provided) and the
-    new source's record views are built once for the whole chunk — so a
+    chunk share one :class:`BoundedRecordScorer` (value-pair cache, exact
+    best-match pruning and the threshold cut; chunk-local unless
+    ``scorer`` is provided) and the new source's record views are built
+    once for the whole chunk — so a
     chunk does substantially less similarity work than the same pairs
     scored independently, with provably identical links. Both task
     adapters below delegate here, so the batch and incremental passes
@@ -138,9 +139,7 @@ def _run_dup_chunk(
     """
     name, others, config = spec
     started = time.perf_counter()
-    detector = DuplicateDetector(
-        config, scorer=scorer if scorer is not None else BoundedRecordScorer()
-    )
+    detector = DuplicateDetector(config, scorer=scorer)
     links = detector.detect_chunk(
         engine.database_for(name),
         engine.structure_for(name),
@@ -295,6 +294,9 @@ class Aladin:
         )
         reg.gauge("scorer.exact_scores", provider=lambda: self._dup_scorer.exact_scores)
         reg.gauge("scorer.pruned", provider=lambda: self._dup_scorer.pruned)
+        reg.gauge(
+            "scorer.early_exits", provider=lambda: self._dup_scorer.early_exits
+        )
         reg.gauge("scorer.cache_hits", provider=lambda: self._dup_scorer.cache_hits)
         reg.gauge("scorer.evictions", provider=lambda: self._dup_scorer.evictions)
         reg.gauge(

@@ -5,7 +5,8 @@ Both integration paths score duplicate candidates with this scorer, in
 (``Aladin.integrate_many``) gives each chunk its own chunk-scoped scorer,
 and the incremental ``add_source`` path runs the same chunk shape on one
 session-scoped scorer that persists across maintenance calls. It
-exploits that shape twice — without changing a single result:
+exploits that shape twice, and the detector's threshold once more —
+without changing a single result:
 
 * **Value-pair cache.** Record values repeat heavily inside a source
   (shared GO terms, keywords, organism names), so the same value pair is
@@ -23,17 +24,45 @@ exploits that shape twice — without changing a single result:
   is provably <= the running best, so the maximum — and therefore every
   emitted link — is byte-identical to the unbounded scorer.
 
-Exactness over the float domain: the bound and the real score share the
-subexpression ``0.5*cos + 0.5*(1 - x/max_len)`` with ``x`` only growing
-from the length difference to the true distance, and IEEE division and
-addition are monotone, so ``bound >= score`` holds for the computed
-floats, not just the real numbers.
+* **Threshold cut.** The detector drops every record pair scoring below
+  ``similarity_threshold``, and almost all blocked pairs do. Given that
+  ``floor``, the scorer takes the smaller record's values heaviest first
+  and, after each one, bounds the record score from above; once the
+  bound falls below the floor it returns the bound and the detector
+  drops the pair unscored. A pair that reaches the floor is scored in
+  full and summed in the original value order, so every emitted score is
+  byte-identical to the unbounded scorer.
+
+Exactness over the float domain: the best-match bound and the real score
+share the subexpression ``0.5*cos + 0.5*(1 - x/max_len)`` with ``x`` only
+growing from the length difference to the true distance, and IEEE
+division and addition are monotone, so ``bound >= score`` holds for the
+computed floats, not just the real numbers. The threshold cut rests on
+the same argument:
+
+* its bound is the same sequence of float additions as the real score,
+  in the original value order, with each value not yet scored
+  contributing ``_CEILING`` in place of its best match;
+* IEEE ``+``, ``*`` and ``/`` are monotone, so that bound is at least
+  the computed score, for floats and not only for real numbers;
+* ``_CEILING`` is at least anything ``_best_match`` returns, so ``1.0``
+  will not do. Jaro-Winkler never exceeds ``1.0``, but the long-value
+  blend's cosine can: ``counts_cosine`` of a value with itself may round
+  to ``1.0000000000000002``. Its dot product and squared norms are exact
+  integers, Cauchy-Schwarz bounds the real quotient by 1, and its two
+  square roots, one product and one division each err by at most
+  2**-53 relative, so the cosine stays below ``1 + 2**-50`` and the
+  blend ``0.5*cos + 0.5*lev`` at most ``1 + 2**-51`` — far under
+  ``_CEILING = 1 + 2**-30``;
+* the exit test is strictly ``bound < floor``, the complement of the
+  detector's ``similarity < threshold`` drop: a bound equal to the floor
+  keeps scoring.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.duplicates.record import RecordView
 from repro.duplicates.similarity import (
@@ -45,13 +74,17 @@ from repro.duplicates.similarity import (
 from repro.linking.editdistance import levenshtein_similarity
 
 _SHORT = 25  # same shape split as record._value_similarity
+# Proven upper bound on every _best_match result (module docstring).
+_CEILING = 1.0 + 2.0 ** -30
 
 
 class BoundedRecordScorer:
-    """Drop-in ``record_similarity`` with a shared cache and exact pruning.
+    """``record_similarity`` with a shared cache, exact pruning and a cut.
 
     One instance per batch chunk (or per maintenance session; pass it to
     :class:`~repro.duplicates.detector.DuplicateDetector` as ``scorer``).
+    Called without a ``floor`` it is a drop-in for ``record_similarity``;
+    the detector passes its threshold as the floor (module docstring).
 
     ``max_entries`` bounds the value-pair cache with LRU eviction: the
     cache is a pure accelerator keyed on value pairs, so evicting an
@@ -78,6 +111,7 @@ class BoundedRecordScorer:
         self.pruned = 0  # candidates skipped via the upper bound
         self.cache_hits = 0
         self.evictions = 0  # entries dropped by the LRU bound
+        self.early_exits = 0  # record pairs cut below their floor
 
     def stats(self) -> Dict[str, int]:
         """The scorer's counters as one JSON-safe dict — the shape the
@@ -87,6 +121,7 @@ class BoundedRecordScorer:
             "pruned": self.pruned,
             "cache_hits": self.cache_hits,
             "evictions": self.evictions,
+            "early_exits": self.early_exits,
             "cache_entries": len(self.cache),
         }
 
@@ -98,20 +133,36 @@ class BoundedRecordScorer:
             self.evictions += 1
 
     # ------------------------------------------------------------------
-    def __call__(self, a: RecordView, b: RecordView) -> float:
+    def __call__(
+        self, a: RecordView, b: RecordView, floor: Optional[float] = None
+    ) -> float:
+        """The record similarity of ``a`` and ``b``, bit for bit.
+
+        With a ``floor``, a pair that provably scores below it may return
+        an upper bound instead, itself below the floor; a pair scoring at
+        least ``floor`` always gets its exact score.
+        """
         if not a.values and not b.values:
             return 1.0
         if not a.values or not b.values:
             return 0.0
         smaller, larger = (a, b) if len(a.values) <= len(b.values) else (b, a)
-        total_weight = 0.0
-        total_score = 0.0
-        for value in smaller.values:
-            best = self._best_match(value, larger.values)
-            weight = float(len(value))
-            total_weight += weight
-            total_score += best * weight
-        return total_score / total_weight if total_weight else 0.0
+        values, candidates = smaller.values, larger.values
+        weights = [float(len(value)) for value in values]
+        bests = [_CEILING] * len(values)
+        if floor is None:
+            order: Sequence[int] = range(len(values))
+        else:
+            # Heaviest first: the bound drops fastest. Stable on ties.
+            order = sorted(range(len(values)), key=weights.__getitem__, reverse=True)
+        for step, index in enumerate(order, 1):
+            bests[index] = self._best_match(values[index], candidates)
+            if floor is not None and step < len(values):
+                bound = _weighted_mean(bests, weights)
+                if bound < floor:
+                    self.early_exits += 1
+                    return bound
+        return _weighted_mean(bests, weights)
 
     # ------------------------------------------------------------------
     def _best_match(self, value: str, candidates: List[str]) -> float:
@@ -168,3 +219,13 @@ class BoundedRecordScorer:
             if score > best:
                 best = score
         return best if best >= 0.0 else 0.0
+
+
+def _weighted_mean(bests: List[float], weights: List[float]) -> float:
+    """``record_similarity``'s length-weighted mean, summed in value order."""
+    total_weight = 0.0
+    total_score = 0.0
+    for best, weight in zip(bests, weights):
+        total_weight += weight
+        total_score += best * weight
+    return total_score / total_weight if total_weight else 0.0

@@ -10,7 +10,7 @@ structure-agnostic record similarity, and emits ``duplicate``-kind
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.discovery.model import SourceStructure
 from repro.duplicates.blocking import (
@@ -18,7 +18,8 @@ from repro.duplicates.blocking import (
     candidate_pairs_ngram,
     sorted_neighborhood_pairs,
 )
-from repro.duplicates.record import RecordView, record_similarity
+from repro.duplicates.batch import BoundedRecordScorer
+from repro.duplicates.record import RecordView
 from repro.linking.model import ObjectLink
 from repro.linking.resolve import ObjectResolver
 from repro.relational.database import Database
@@ -43,21 +44,24 @@ class DuplicateConfig:
 class DuplicateDetector:
     """Pairwise duplicate flagging between two sources' primary objects.
 
-    ``scorer`` swaps the record-pair similarity function; the default is
-    :func:`~repro.duplicates.record.record_similarity`. Both integration
-    paths pass a :class:`~repro.duplicates.batch.BoundedRecordScorer` —
+    Record pairs are scored by a
+    :class:`~repro.duplicates.batch.BoundedRecordScorer`, a fresh one
+    unless ``scorer`` is given: both integration paths pass theirs —
     chunk-scoped in ``integrate_many``, session-scoped in the incremental
-    ``add_source`` pass — which must (and does) return the identical
-    floats.
+    ``add_source`` pass. Every pair is scored with
+    ``similarity_threshold`` as the scorer's floor, so a pair that cannot
+    reach the threshold is cut off early and dropped; a pair that reaches
+    it gets exactly :func:`~repro.duplicates.record.record_similarity`'s
+    score, so links, certainties and evidence strings are unchanged.
     """
 
     def __init__(
         self,
         config: Optional[DuplicateConfig] = None,
-        scorer: Optional[Callable[[RecordView, RecordView], float]] = None,
+        scorer: Optional[BoundedRecordScorer] = None,
     ):
         self.config = config or DuplicateConfig()
-        self.scorer = scorer or record_similarity
+        self.scorer = scorer if scorer is not None else BoundedRecordScorer()
         self.pairs_compared = 0  # exposed for the blocking ablation (E6)
 
     # ------------------------------------------------------------------
@@ -184,11 +188,12 @@ class DuplicateDetector:
         if not records_a or not records_b:
             return []
         pairs = self._candidate_pairs(records_a, records_b)
+        threshold = self.config.similarity_threshold
         links: List[ObjectLink] = []
         for i, j in pairs:
             self.pairs_compared += 1
-            similarity = self.scorer(records_a[i], records_b[j])
-            if similarity < self.config.similarity_threshold:
+            similarity = self.scorer(records_a[i], records_b[j], threshold)
+            if similarity < threshold:
                 continue
             links.append(
                 ObjectLink(

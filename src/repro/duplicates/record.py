@@ -68,6 +68,10 @@ def record_similarity(
     For every value of the smaller record the best matching value of the
     other record is found; matches are averaged weighted by value length.
     Symmetric by construction (smaller side drives the pairing).
+
+    The exhaustive reference oracle: the detector scores with
+    :class:`~repro.duplicates.batch.BoundedRecordScorer`, whose scores
+    the tests pin bit for bit against this function.
     """
     if not a.values and not b.values:
         return 1.0

@@ -17,6 +17,7 @@ from repro.duplicates import (
     record_similarity,
     sorted_neighborhood_pairs,
 )
+from repro.linking.model import ObjectLink
 from repro.synth import CorruptionConfig, ScenarioConfig, UniverseConfig, build_scenario
 
 
@@ -178,6 +179,45 @@ class TestDetectorEndToEnd:
         DuplicateDetector().detect(*imported["swissprot"], *imported["pir"])
         after = {name: db.total_rows() for name, (db, _) in imported.items()}
         assert before == after
+
+    @pytest.mark.parametrize("blocking", ["none", "ngram"])
+    def test_threshold_cut_leaves_links_unchanged(self, protein_world, blocking):
+        # The detector scores with a floor, so most pairs are cut short;
+        # the links must equal those of the exhaustive reference scorer
+        # on the detector's own candidate pairs, formatted the same way.
+        scenario, imported = protein_world
+        database_a, structure_a = imported["swissprot"]
+        database_b, structure_b = imported["pir"]
+        config = DuplicateConfig(blocking=blocking)
+        detector = DuplicateDetector(config)
+        records_a = detector.build_record_views(database_a, structure_a)
+        records_b = detector.build_record_views(database_b, structure_b)
+        pairs = detector._candidate_pairs(records_a, records_b)
+        expected = []
+        for i, j in pairs:
+            similarity = record_similarity(records_a[i], records_b[j])
+            if similarity < config.similarity_threshold:
+                continue
+            expected.append(
+                ObjectLink(
+                    source_a=records_a[i].source,
+                    accession_a=records_a[i].accession,
+                    source_b=records_b[j].source,
+                    accession_b=records_b[j].accession,
+                    kind="duplicate",
+                    certainty=round(
+                        min(1.0, similarity * config.duplicate_certainty_scale), 4
+                    ),
+                    evidence=f"record similarity {similarity:.2f}",
+                )
+            )
+        expected.sort(key=lambda l: (-l.certainty, l.accession_a, l.accession_b))
+
+        links = detector.detect(database_a, structure_a, database_b, structure_b)
+        assert expected, "the scenario must produce duplicates"
+        assert links == expected
+        assert detector.pairs_compared == len(pairs)
+        assert detector.scorer.early_exits > 0, "the cut never fired"
 
     def test_unknown_blocking_rejected(self, protein_world):
         scenario, imported = protein_world

@@ -14,14 +14,17 @@ approximations:
 * the bookkeeping counters account for exactly the work performed;
 * the anchor value's token counts, built once per best-match scan and
   reused against every candidate, give the same cosine bit for bit as
-  rebuilding them per pair.
+  rebuilding them per pair;
+* the threshold cut (a ``floor``) never moves a pair across the floor,
+  returns the exact score for every pair that reaches it, and leaves the
+  cache exact for later unfloored calls.
 """
 
 import math
 import random
 from collections import Counter
 
-from repro.duplicates.batch import BoundedRecordScorer
+from repro.duplicates.batch import _CEILING, BoundedRecordScorer
 from repro.duplicates.record import RecordView, record_similarity
 from repro.duplicates.similarity import counts_cosine, token_cosine, token_counts
 
@@ -278,3 +281,109 @@ class TestHoistedTokenCountsAreExact:
                 expected = self.per_pair_cosine(anchor, other)
                 assert counts_cosine(anchor_counts, token_counts(other)) == expected
                 assert token_cosine(anchor, other) == expected
+
+
+def floors_for(reference, rng):
+    return [
+        0.0,
+        0.75,
+        1.0,
+        reference,
+        math.nextafter(reference, -math.inf),
+        math.nextafter(reference, math.inf),
+        rng.random(),
+        rng.uniform(0.5, 1.0),
+    ]
+
+
+class TestThresholdCutIsExact:
+    def test_floor_never_moves_a_pair_across_it(self):
+        # One session scorer for the whole stream, as the add_source path
+        # runs it; TRICKY values make the length-changing lowercase case.
+        rng = random.Random(1313)
+        scorer = BoundedRecordScorer()
+        for seed in (131, 262, 393):
+            for a, b in random_pairs(seed, 60):
+                reference = record_similarity(a, b)
+                for floor in floors_for(reference, rng):
+                    score = scorer(a, b, floor)
+                    assert (score >= floor) == (reference >= floor)
+                    if reference >= floor:
+                        assert score.hex() == reference.hex()
+        assert scorer.early_exits > 0, "the cut never fired"
+
+    def test_floored_calls_keep_unfloored_results_exact(self):
+        rng = random.Random(1414)
+        scorer = BoundedRecordScorer()
+        for a, b in random_pairs(1415, 80):
+            scorer(a, b, rng.choice([0.75, rng.random()]))
+            assert scorer(a, b).hex() == record_similarity(a, b).hex()
+            scorer(b, a, 0.75)
+            assert scorer(b, a).hex() == record_similarity(b, a).hex()
+        assert scorer.early_exits > 0
+
+    def test_cut_stops_after_the_heaviest_value(self):
+        # The heavy value matches nothing; once it is scored the bound is
+        # far below the floor, so the light value is never scored.
+        heavy = "mitochondrion phosphorylation transcription membrane"
+        light = "kinase"
+        a = RecordView("s", "a", values=[light, heavy])
+        b = RecordView("t", "b", values=["QWERTYQWERTYQWERTYQWERTYQWERTY", "kinase"])
+        scorer = BoundedRecordScorer()
+        score = scorer(a, b, 0.75)
+        assert score < 0.75 and record_similarity(a, b) < 0.75
+        assert scorer.early_exits == 1
+        assert scorer.exact_scores + scorer.pruned == len(b.values)
+        assert not any(light in key for key in scorer.cache)
+
+    def test_a_bound_equal_to_the_floor_keeps_scoring(self):
+        # Floor = the exact bound the scorer holds after the heavy value,
+        # with the light value still at the ceiling. The exit test is
+        # strict, so the pair is scored to the end and comes back exact
+        # (and below the floor).
+        heavy = "serine threonine kinase binding domain protein"
+        light = "kinase"
+        a = RecordView("s", "a", values=[light, heavy])
+        b = RecordView("t", "b", values=["serine kinase binding protein", "kinese"])
+        probe = BoundedRecordScorer()
+        heavy_best = probe._best_match(heavy, b.values)
+        w_light, w_heavy = float(len(light)), float(len(heavy))
+        floor = (0.0 + _CEILING * w_light + heavy_best * w_heavy) / (
+            0.0 + w_light + w_heavy
+        )
+        reference = record_similarity(a, b)
+        assert reference < floor
+        scorer = BoundedRecordScorer()
+        assert scorer(a, b, floor).hex() == reference.hex()
+        assert scorer.early_exits == 0
+
+
+class TestCeilingCoversEveryBestMatch:
+    def test_blend_error_bound_is_below_the_ceiling(self):
+        # The module docstring proves counts_cosine < 1 + 2**-50, so the
+        # long-value blend is at most 0.5*(1 + 2**-50) + 0.5; the ceiling
+        # must sit above that, which rules out a ceiling of exactly 1.0.
+        assert _CEILING >= 0.5 * (1.0 + 2.0 ** -50) + 0.5
+        for squares in range(1, 20000):
+            root = math.sqrt(squares)
+            assert squares / (root * root) < 1.0 + 2.0 ** -50
+
+    def test_long_values_against_themselves_and_near_copies(self):
+        rng = random.Random(1515)
+        scorer = BoundedRecordScorer()
+        above_one = 0
+        for _ in range(400):
+            tokens = rng.choices(WORDS + TRICKY, k=rng.randint(4, 40))
+            value = " ".join(tokens)
+            near = [
+                " ".join(tokens + [rng.choice(WORDS)]),
+                " ".join(tokens[1:]),
+                " ".join(reversed(tokens)),
+                value.upper(),
+            ]
+            assert scorer._best_match(value, [value]) <= _CEILING
+            for other in near:
+                assert scorer._best_match(value, [other]) <= _CEILING
+            counts = token_counts(value)
+            above_one += counts_cosine(counts, counts) > 1.0
+        assert above_one, "no self-cosine rounded above 1.0 on this corpus"
