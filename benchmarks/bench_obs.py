@@ -1,22 +1,17 @@
-"""Observability overhead + the measurement-driven backend's payoff.
+"""Observability overhead.
 
-Three claims, each measured:
+Two claims, each measured:
 
 1. **Disabled observability is free.** The instrumentation seam on the
    hot path is two attribute reads and ``is None`` checks per fan-out
    (metrics *and* tracer share the one short-circuit); the seam's cost
-   is measured directly against the raw uninstrumented inner path
-   (``_map_impl``) and must stay under 1% of a realistic fan-out's
-   runtime.
+   is measured directly against the raw uninstrumented inner loop
+   (``_run``) and must stay under 1% of a realistic fan-out's runtime.
 2. **Enabled observability is cheap.** A full ``integrate_many`` with
    the registry, event bus, tracer, and per-stage timing live is
    compared against the same run with observability off (min-of-N wall
    clock).  The traced run's span volume is recorded so the overhead
    number has a denominator.
-3. **The auto backend never loses badly.** A calibrated
-   ``backend="auto"`` run must not be slower than the *worst* fixed
-   backend — by construction it converges on the better arm, so landing
-   near the best and never at the worst is the acceptance bar.
 
 Full runs write ``BENCH_obs.json`` at the repo root;
 ``REPRO_BENCH_OBS_SMALL=1`` keeps the committed baseline untouched.
@@ -29,7 +24,7 @@ import time
 
 from repro.core import Aladin, AladinConfig
 from repro.eval import format_table
-from repro.exec import ExecConfig, SerialExecutor
+from repro.exec import Executor
 from repro.synth import ScenarioConfig, UniverseConfig, build_scenario
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -55,10 +50,8 @@ def source_specs(scenario):
     ]
 
 
-def integrate_once(specs, execution=None, observability=True):
+def integrate_once(specs, observability=True):
     config = AladinConfig()
-    if execution is not None:
-        config.execution = execution
     config.observability.enabled = observability
     aladin = Aladin(config)
     started = time.perf_counter()
@@ -98,7 +91,7 @@ def wrapper_overhead_pct():
         return sum(len(token) for token in text.split())
 
     items = [f"protein kinase domain structure {i} " * 8 for i in range(64)]
-    executor = SerialExecutor(1)
+    executor = Executor()
     # The disabled wiring: one short-circuit covers both handles.
     assert executor.metrics is None
     assert executor.tracer is None
@@ -106,7 +99,7 @@ def wrapper_overhead_pct():
     def run_raw():
         started = time.perf_counter()
         for _ in range(200):
-            executor._map_impl(work, items, None, None, 1)
+            executor._run(work, items, None, None)
         return time.perf_counter() - started
 
     def run_wrapped():
@@ -138,7 +131,7 @@ def wrapper_overhead_pct():
     return pct, min(raw_samples), min(wrapped_samples)
 
 
-def test_observability_overhead_and_auto_backend():
+def test_observability_overhead():
     specs = source_specs(corpus())
 
     # 1. The disabled seam, measured at the fan-out boundary.
@@ -156,55 +149,6 @@ def test_observability_overhead_and_auto_backend():
     enabled_pct = 100.0 * (enabled - disabled) / disabled
     tracing = trace_stats(specs)
 
-    # 3. Auto vs. the fixed backends, alternating for the same reason.
-    serial_samples, thread_samples = [], []
-    for _ in range(REPEATS):
-        serial_samples.append(
-            integrate_once(specs, ExecConfig(backend="serial"))
-        )
-        thread_samples.append(
-            integrate_once(specs, ExecConfig(backend="thread", workers=2))
-        )
-    serial_fixed, thread_fixed = min(serial_samples), min(thread_samples)
-
-    #    Calibrate across four exploration sessions (each integrate_many
-    #    contributes one fan-out per batch stage, and MIN_RUNS samples
-    #    per arm are needed), then measure fresh calibrated sessions.
-    auto_exec = ExecConfig(backend="auto", workers=2, auto_parallel="thread")
-    calibration_path = os.path.join(REPO_ROOT, ".bench_obs_calibration.json")
-    try:
-        for _ in range(4):
-            config = AladinConfig()
-            config.execution = auto_exec
-            warm = Aladin(config)
-            if os.path.exists(calibration_path):
-                warm.executor.load_calibration(calibration_path)
-            warm.integrate_many(specs)
-            warm.executor.save_calibration(calibration_path)
-            warm.close()
-
-        def calibrated_run():
-            run_config = AladinConfig()
-            run_config.execution = auto_exec
-            aladin = Aladin(run_config)
-            aladin.executor.load_calibration(calibration_path)
-            started = time.perf_counter()
-            aladin.integrate_many(specs)
-            seconds = time.perf_counter() - started
-            decisions = dict(aladin.executor.decisions)
-            aladin.close()
-            return seconds, decisions
-
-        timed = [calibrated_run() for _ in range(REPEATS)]
-        auto_seconds = min(seconds for seconds, _decisions in timed)
-        decisions = timed[0][1]
-    finally:
-        if os.path.exists(calibration_path):
-            os.remove(calibration_path)
-
-    worst_fixed = max(serial_fixed, thread_fixed)
-    best_fixed = min(serial_fixed, thread_fixed)
-
     rows = [
         ["fan-out seam, raw inner path", f"{seam_raw * 1000:.2f} ms", ""],
         ["fan-out seam, disabled wrapper", f"{seam_wrapped * 1000:.2f} ms",
@@ -214,15 +158,10 @@ def test_observability_overhead_and_auto_backend():
          f"{enabled_pct:+.2f}%"],
         ["  span trees recorded", str(tracing["traces"]),
          f"{tracing['spans']} spans"],
-        ["integrate_many, serial (fixed)", f"{serial_fixed:.3f} s", ""],
-        ["integrate_many, thread x2 (fixed)", f"{thread_fixed:.3f} s", ""],
-        ["integrate_many, auto (calibrated)", f"{auto_seconds:.3f} s",
-         f"vs worst {auto_seconds / worst_fixed:.2f}x"],
     ]
     print()
-    print(f"Observability + auto backend ({os.cpu_count()} core(s))")
+    print(f"Observability ({os.cpu_count()} core(s))")
     print(format_table(["phase", "time", "delta"], rows))
-    print(f"auto decisions: {decisions}")
 
     result = {
         "corpus": f"E6-small universe (seed 450), {len(specs)} sources",
@@ -243,32 +182,17 @@ def test_observability_overhead_and_auto_backend():
             "spans_per_integrate": tracing["spans"],
             "fanout_spans_per_integrate": tracing["fanout_spans"],
         },
-        "auto_backend_seconds": {
-            "serial_fixed": round(serial_fixed, 4),
-            "thread_fixed": round(thread_fixed, 4),
-            "auto_calibrated": round(auto_seconds, 4),
-            "decisions": decisions,
-        },
         "notes": (
-            "Seam = SerialExecutor.map_ordered with metrics AND tracer "
-            "wiring left at None vs. calling the raw _map_impl: median "
+            "Seam = Executor.map_ordered with metrics AND tracer "
+            "wiring left at None vs. calling the raw _run loop: median "
             "of 24 order-alternated paired ratios, 200 fan-outs of 64 "
             "items per sample. Integrate rows are min-of-"
-            f"{REPEATS} integrate_many wall clocks. The auto row runs a "
-            "fresh session on a calibration sidecar recorded by one "
-            "exploration run."
+            f"{REPEATS} integrate_many wall clocks."
         ),
     }
     if not SMALL:
         with open(RESULT_PATH, "w") as fh:
             json.dump(result, fh, indent=2)
             fh.write("\n")
-        # Acceptance bars. The seam must be in the noise (<1%); the
-        # calibrated auto run must never land at the worst fixed
-        # backend (10% margin for timer noise on a shared host).
+        # Acceptance bar: the seam must be in the noise (<1%).
         assert seam_pct < 1.0, f"disabled seam overhead {seam_pct:.3f}% >= 1%"
-        assert auto_seconds <= worst_fixed * 1.10, (
-            f"calibrated auto {auto_seconds:.3f}s slower than worst fixed "
-            f"backend {worst_fixed:.3f}s"
-        )
-        assert best_fixed == min(best_fixed, worst_fixed)

@@ -1,13 +1,10 @@
-"""The telemetry subsystem: metrics, lifecycle events, auto backend.
+"""The telemetry subsystem: metrics, lifecycle events, span trees.
 
 One warehouse session with observability live. A subscriber prints
 lifecycle events as the pipeline emits them (checkpoints commit before
 their ``source.added``, updates carry ``reanalyzed``), the metrics
-registry accumulates per-stage histograms and pool fan-out telemetry,
-and a ``backend="auto"`` executor explores serial vs. parallel arms per
-stage kind, freezes the measured winners, and persists them as a
-calibration sidecar next to the snapshot so the next session starts
-already decided.
+registry accumulates per-stage histograms and fan-out telemetry, and the
+batch's span tree shows each fan-out with one ``task`` span per item.
 
     python examples/observability.py
 """
@@ -17,7 +14,7 @@ import os
 import tempfile
 
 from repro.core import Aladin, AladinConfig
-from repro.exec import ExecConfig
+from repro.obs import render_spans
 from repro.synth import ScenarioConfig, UniverseConfig, build_scenario
 
 
@@ -31,9 +28,8 @@ def build_corpus():
     )
 
 
-def auto_config() -> AladinConfig:
+def obs_config() -> AladinConfig:
     config = AladinConfig()
-    config.execution = ExecConfig(backend="auto", workers=2, auto_parallel="thread")
     config.observability.enabled = True  # ignore REPRO_OBS for the demo
     return config
 
@@ -47,7 +43,7 @@ def main() -> None:
     snapshot_path = os.path.join(tempfile.mkdtemp(), "warehouse.snapshot")
 
     # --- session 1: integrate with a live event subscriber -------------
-    aladin = Aladin(auto_config())
+    aladin = Aladin(obs_config())
     aladin.obs.events.subscribe(
         lambda e: print(f"  [{e.seq:>2}] {e.kind:<22} {json.dumps(e.payload)}")
     )
@@ -71,24 +67,13 @@ def main() -> None:
     fanouts = counters.get("pool.fanouts", 0)
     tasks = counters.get("pool.tasks", 0)
     print(f"pool: {fanouts} fan-outs, {tasks} tasks dispatched")
-    explored = {k: v for k, v in sorted(counters.items())
-                if k.startswith("auto.")}
-    print(f"auto arm samples: {explored}")
-    aladin.close()
 
-    # --- session 2: the calibration sidecar decides up front ------------
-    sidecar = snapshot_path + ".calibration.json"
+    # --- the batch's span tree -----------------------------------------
+    batch = next(t for t in aladin.traces() if t["root"] == "op.integrate_many")
     print()
-    print(f"calibration sidecar: {os.path.basename(sidecar)} "
-          f"({os.path.getsize(sidecar)} bytes)")
-    reopened = Aladin.open(snapshot_path, config=auto_config())
-    decisions = reopened.executor.calibration.decisions()
-    for stage, record in sorted(decisions.items()):
-        marker = "calibrated" if record["calibrated"] else "exploring"
-        print(f"  {stage:<16} -> {record['choice']:<8} ({marker}; "
-              f"serial {record['serial']['runs']} runs, "
-              f"parallel {record['parallel']['runs']} runs)")
-    reopened.close()
+    print("span tree of integrate_many:")
+    print(render_spans(batch["spans"]))
+    aladin.close()
 
 
 if __name__ == "__main__":

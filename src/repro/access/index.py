@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.access.objects import ObjectPage
 from repro.linking.textlinks import tokenize
@@ -29,10 +29,9 @@ class PostingField:
 def tokenize_page(page: ObjectPage) -> Tuple[int, Dict[str, Dict[str, int]]]:
     """Tokenize one page into ``(total tokens, field -> token -> count)``.
 
-    A pure function of the page (plain dicts, picklable), so the execution
-    subsystem can fan page tokenization across workers; applying the
-    results in page order rebuilds the exact index a serial
-    :meth:`InvertedIndex.add_page` loop would produce.
+    A pure function of the page (plain dicts);
+    :meth:`InvertedIndex.add_tokenized` applies the result as the next
+    document.
     """
     field_tokens: Dict[str, Dict[str, int]] = {}
     total = 0
@@ -58,11 +57,6 @@ def tokenize_page(page: ObjectPage) -> Tuple[int, Dict[str, Dict[str, int]]]:
                 if isinstance(value, str):
                     total += count(f"{table}.{column}", value)
     return total, field_tokens
-
-
-def _tokenize_task(_state: Any, page: ObjectPage):
-    """Worker entry point: identity plus the tokenization payload."""
-    return page.identity, tokenize_page(page)
 
 
 class InvertedIndex:
@@ -117,8 +111,8 @@ class InvertedIndex:
     ) -> int:
         """Apply one :func:`tokenize_page` result as the next document.
 
-        The split lets tokenization (the CPU work) run on worker pools
-        while document numbering stays a strictly ordered append here.
+        Every added page lands here: document numbering is a strictly
+        ordered append (the lazy index faults its postings in first).
         """
         self.pages_indexed += 1
         total, field_tokens = tokenized
@@ -133,34 +127,11 @@ class InvertedIndex:
         self._primary_flags.append(True)
         return doc_id
 
-    def add_pages(self, pages: Iterable[ObjectPage], executor=None) -> int:
-        """Index many pages; tokenization fans across ``executor`` workers.
-
-        Documents are applied in page order whatever the backend, so the
-        index is byte-identical to a serial :meth:`add_page` loop.
-        """
+    def add_pages(self, pages: Iterable[ObjectPage]) -> int:
+        """Index many pages, in page order."""
         pages = list(pages)
-        # Tokenization is pure-Python CPU work: fan out only on a backend
-        # with real CPU parallelism (process), and only when the crawl is
-        # large enough to amortize pool dispatch.
-        if (
-            executor is None
-            or not executor.cpu_parallel
-            or executor.workers <= 1
-            or len(pages) < 4 * executor.workers
-        ):
-            for page in pages:
-                self.add_page(page)
-            return len(pages)
-        chunksize = max(1, len(pages) // (executor.workers * 4))
-        tokenized = executor.map_ordered(
-            _tokenize_task,
-            pages,
-            labels=[f"tokenize:{page.source}/{page.accession}" for page in pages],
-            chunksize=chunksize,
-        )
-        for identity, payload in tokenized:
-            self.add_tokenized(identity, payload)
+        for page in pages:
+            self.add_page(page)
         return len(pages)
 
     def remove_source(self, source: str) -> int:

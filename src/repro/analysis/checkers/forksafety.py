@@ -11,8 +11,7 @@ Two rules for the two concurrency substrates the pipeline mixes:
     its own serialization.
 
 ``lock-across-fork``
-    ``os.fork()`` (or ``multiprocessing`` fork-context pool creation)
-    while a lock is held copies the *held* lock into the child, where no
+    ``os.fork()`` while a lock is held copies the *held* lock into the child, where no
     thread will ever release it.  Any fork reached lexically inside a
     ``with <lock>:`` block is flagged unless the site is annotated —
     the one legitimate shape (a dedicated fork guard with

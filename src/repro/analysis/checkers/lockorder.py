@@ -9,7 +9,7 @@ defined inside a critical section does not count as held-across-call)
 and reports each cycle once, at the location of the edge that closes it.
 
 Lock identity is the attribute path qualified by module and enclosing
-class — ``repro.exec.pool.ResidentPool._lock`` — so ``self._lock`` in
+class — ``repro.obs.trace.Tracer._lock`` — so ``self._lock`` in
 two different classes stays two different locks.  Only names that look
 like locks (``lock``/``guard``/``mutex`` substrings) participate;
 arbitrary context managers (files, connections) are ignored.

@@ -39,8 +39,7 @@ Prometheus text exposition format::
     python -m repro metrics warehouse.snapshot --search "kinase" --prometheus
 
 ``trace`` renders the session's hierarchical span trees — one tree per
-top-level operation, worker task spans re-parented under their fan-out —
-with ``--slow SECONDS`` keeping only the slow offenders (plus their
+top-level operation, per-task spans under their fan-out — with ``--slow SECONDS`` keeping only the slow offenders (plus their
 ancestor chains)::
 
     python -m repro trace warehouse.snapshot --search "kinase" --slow 0.5
@@ -77,31 +76,6 @@ def _parse_source(spec: str) -> Tuple[str, str, str]:
     return name, format_name, path
 
 
-def _add_exec_flags(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--backend",
-        choices=("serial", "thread", "process", "auto"),
-        default=None,
-        help="execution backend for the pipeline's fan-outs; 'auto' "
-        "measures serial vs parallel per stage kind and picks from the "
-        "data (default: REPRO_EXEC_BACKEND or serial)",
-    )
-    subparser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker count for the thread/process backends "
-        "(default: REPRO_EXEC_WORKERS or 4)",
-    )
-    subparser.add_argument(
-        "--resident-pool",
-        action="store_true",
-        help="keep the worker pool alive across pipeline fan-outs instead "
-        "of re-creating it per step (default: REPRO_EXEC_RESIDENT)",
-    )
-
-
 def _add_access_flags(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--search", metavar="QUERY", help="ranked full-text search after integration"
@@ -134,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="one or more name=format:path source specifications",
     )
     _add_access_flags(integrate)
-    _add_exec_flags(integrate)
     integrate.add_argument(
         "--declare-constraints",
         action="store_true",
@@ -151,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="one or more name=format:path source specifications",
     )
     _add_access_flags(save)
-    _add_exec_flags(save)
     save.add_argument(
         "--declare-constraints",
         action="store_true",
@@ -188,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         "only and fault each source in on first touch)",
     )
     _add_access_flags(open_cmd)
-    _add_exec_flags(open_cmd)
     stats_cmd = subparsers.add_parser(
         "stats",
         help="open a snapshot lazily (read-only), optionally exercise the "
@@ -203,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metrics_cmd.add_argument("snapshot", help="path of the snapshot file to read")
     _add_access_flags(metrics_cmd)
-    _add_exec_flags(metrics_cmd)
     metrics_cmd.add_argument(
         "--events",
         action="store_true",
@@ -227,12 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd = subparsers.add_parser(
         "trace",
         help="open a snapshot read-only, optionally exercise the access "
-        "modes, and render the session's span trees (hierarchical "
-        "tracing across pools and processes)",
+        "modes, and render the session's span trees (one tree per "
+        "operation)",
     )
     trace_cmd.add_argument("snapshot", help="path of the snapshot file to read")
     _add_access_flags(trace_cmd)
-    _add_exec_flags(trace_cmd)
     trace_cmd.add_argument(
         "--slow",
         type=float,
@@ -282,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         metavar="N",
-        help="queries executing on the pool at once (default: 64)",
+        help="cache-missing queries handed to the one-thread query pool "
+        "at once: one runs, the rest wait in its queue (default: 64)",
     )
     serve_cmd.add_argument(
         "--max-pending",
@@ -315,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="how long shutdown waits for in-flight requests (default: 10)",
     )
-    _add_exec_flags(serve_cmd)
     lint_cmd = subparsers.add_parser(
         "lint",
         help="run the project's static-analysis battery (layering, "
@@ -456,12 +425,6 @@ def _run_serve(args, out) -> int:
         drain_deadline=args.drain_deadline,
     )
     aladin_config = AladinConfig()
-    if args.backend is not None:
-        aladin_config.execution.backend = args.backend
-    if args.workers is not None:
-        aladin_config.execution.workers = max(1, args.workers)
-    if args.resident_pool:
-        aladin_config.execution.resident = True
 
     async def serve_main() -> int:
         service = AsyncQueryService(
@@ -607,12 +570,6 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
             print(f"error: {exc}", file=out)
             return 2
         try:
-            if args.backend is not None or args.workers is not None or args.resident_pool:
-                aladin.configure_execution(
-                    backend=args.backend,
-                    workers=args.workers,
-                    resident=True if args.resident_pool else None,
-                )
             # Under --prometheus the exposition must be the *only*
             # output (scrapers read stdout), so the access modes run
             # against a discarded stream.
@@ -642,12 +599,6 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
             print(f"error: {exc}", file=out)
             return 2
         try:
-            if args.backend is not None or args.workers is not None or args.resident_pool:
-                aladin.configure_execution(
-                    backend=args.backend,
-                    workers=args.workers,
-                    resident=True if args.resident_pool else None,
-                )
             code = _run_access_modes(aladin, args, out)
             spans = aladin.obs.trace.spans()
             if args.slow is not None:
@@ -676,28 +627,15 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
         except SnapshotError as exc:
             print(f"error: {exc}", file=out)
             return 2
-        if args.backend is not None or args.workers is not None or args.resident_pool:
-            aladin.configure_execution(
-                backend=args.backend,
-                workers=args.workers,
-                resident=True if args.resident_pool else None,
-            )
         mode = "read-only" if aladin.read_only else "warm-start"
         print(f"warehouse ({mode}): {aladin.summary()}", file=out)
         try:
             return _run_access_modes(aladin, args, out)
         finally:
-            # Releases the writer lock, saves the auto backend's
-            # calibration sidecar, and flushes any telemetry export.
+            # Releases the writer lock and flushes any telemetry export.
             aladin.close()
     config = AladinConfig()
     config.declare_constraints = args.declare_constraints
-    if args.backend is not None:
-        config.execution.backend = args.backend
-    if args.workers is not None:
-        config.execution.workers = max(1, args.workers)
-    if args.resident_pool:
-        config.execution.resident = True
     aladin = Aladin(config)
     code = _integrate_sources(aladin, args.sources, out)
     if code:
@@ -713,8 +651,7 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
     try:
         return _run_access_modes(aladin, args, out)
     finally:
-        # Releases any writer lock, saves the auto backend's calibration
-        # sidecar, and flushes any telemetry export.
+        # Releases any writer lock and flushes any telemetry export.
         aladin.close()
 
 

@@ -16,27 +16,21 @@ searching, and querying run on top of it.
 Orchestration runs on the execution subsystem (:mod:`repro.exec`): each
 ``add_source`` is a task graph (structure discovery → registration →
 {link fan-out, duplicate fan-out, index update} → checkpoint) whose
-fan-outs dispatch to the configured worker pool, and
+fan-outs run through the in-process executor, and
 :meth:`Aladin.integrate_many` pipelines whole batches of independent
-sources through the same stages. Results are byte-identical across
-backends: fan-out results merge in fixed source order, and repository
-writes happen in the exact order of the sequential loop.
+sources through the same stages. Fan-out results merge in fixed source
+order, and repository writes happen in the exact order of the
+sequential loop, so both paths build byte-identical systems.
 
 The incremental path is engineered to the same cost profile as the batch
 path, so the Nth ``add_source`` stays cheap as sources keep arriving:
 duplicate detection runs as one chunk per new source on a *session-wide*
 :class:`~repro.duplicates.batch.BoundedRecordScorer` whose value-pair
-cache persists across maintenance calls, and under a resident executor
-(``ExecConfig.resident``) every fan-out — link pair scans, the
-``discover_for`` sweep, index tokenization, checkpoint row encoding —
-reuses one long-lived worker pool instead of paying per-fan-out pool
-spin-up. The engine calls ``refresh_state()`` whenever its registry
-mutates, so resident fork workers never scan a stale snapshot.
+cache persists across maintenance calls.
 """
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -56,7 +50,7 @@ from repro.discovery.pipeline import discover_structure
 from repro.duplicates.batch import BoundedRecordScorer
 from repro.duplicates.detector import DuplicateConfig, DuplicateDetector
 from repro.exec.graph import TaskGraph
-from repro.exec.pool import AutoExecutor, Executor, create_executor
+from repro.exec.pool import Executor
 from repro.linking.engine import LinkDiscoveryEngine, _pair_task
 from repro.linking.model import ObjectLink
 from repro.linking.stats import collect_profiles, collect_statistics
@@ -77,17 +71,14 @@ from repro.relational.database import Database
 
 
 # ----------------------------------------------------------------------
-# worker task bodies (module level: the process backend ships them by
-# reference; shared state arrives via fork inheritance, results are the
-# only thing pickled back)
+# fan-out task bodies: fn(state, item), run by Executor.map_ordered
 # ----------------------------------------------------------------------
 def _import_task(_state: Any, spec: Tuple) -> Tuple:
     """Step 1-3 for one source: import raw text, discover its structure.
 
-    Pure per source — nothing here touches another source — which is what
-    makes the bulk import stage embarrassingly parallel. Statistics are
-    collected in the worker so the database's ColumnStore caches travel
-    back warm; the parent's registration then runs entirely on cache hits.
+    Pure per source — nothing here touches another source. Statistics
+    are collected here so the database's ColumnStore caches come out
+    warm; registration then runs entirely on cache hits.
     """
     name, format_name, text, options, discovery_config, declare_constraints = spec
     started = time.perf_counter()
@@ -113,13 +104,6 @@ def _import_task(_state: Any, spec: Tuple) -> Tuple:
     )
 
 
-def _contiguous_groups(items: List[str], groups: int) -> List[List[str]]:
-    """Split into at most ``groups`` contiguous runs; flattening restores order."""
-    count = min(groups, len(items))
-    size = -(-len(items) // count)  # ceil division
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
 def _run_dup_chunk(
     engine: LinkDiscoveryEngine,
     scorer: Optional[BoundedRecordScorer],
@@ -133,9 +117,9 @@ def _run_dup_chunk(
     ``scorer`` is provided) and the new source's record views are built
     once for the whole chunk — so a
     chunk does substantially less similarity work than the same pairs
-    scored independently, with provably identical links. Both task
-    adapters below delegate here, so the batch and incremental passes
-    cannot diverge in shape.
+    scored independently, with provably identical links. Both the batch
+    and the incremental pass run through here, so they cannot diverge in
+    shape.
     """
     name, others, config = spec
     started = time.perf_counter()
@@ -148,18 +132,6 @@ def _run_dup_chunk(
     return links, time.perf_counter() - started
 
 
-def _dup_chunk_task(
-    engine: LinkDiscoveryEngine, spec: Tuple[str, Tuple[str, ...], DuplicateConfig]
-):
-    """Chunk task on engine state alone: a fresh chunk-local scorer.
-
-    Used by the batch pipeline's combined fan-out and by the incremental
-    pass's multi-core fan-out — the state is the engine itself, the same
-    object the link pair scans share, so one resident fork serves both.
-    """
-    return _run_dup_chunk(engine, None, spec)
-
-
 def _dup_session_task(
     state: Tuple[LinkDiscoveryEngine, BoundedRecordScorer],
     spec: Tuple[str, Tuple[str, ...], DuplicateConfig],
@@ -168,8 +140,7 @@ def _dup_session_task(
 
     Its value-pair cache survives across successive ``add_source`` calls,
     so the Nth incremental addition reuses every similarity the first N-1
-    already paid for. Dispatched as a single task, which the executor
-    runs inline — cache growth therefore lands in the parent.
+    already paid for.
     """
     engine, scorer = state
     return _run_dup_chunk(engine, scorer, spec)
@@ -178,14 +149,14 @@ def _dup_session_task(
 def _batch_scan_task(engine: LinkDiscoveryEngine, tagged: Tuple[str, Tuple]):
     """Dispatcher for the batch pipeline's single combined fan-out.
 
-    Link pair scans and duplicate chunks only *read* engine state, so one
-    pool serves both — one fork instead of two, and no barrier where
-    workers idle between the stages.
+    Link pair scans and duplicate chunks only *read* engine state, so
+    one fan-out runs both; each duplicate chunk gets a fresh chunk-local
+    scorer.
     """
     tag, payload = tagged
     if tag == "link":
         return _pair_task(engine, payload)
-    return _dup_chunk_task(engine, payload)
+    return _run_dup_chunk(engine, None, payload)
 
 
 class Aladin:
@@ -198,8 +169,11 @@ class Aladin:
         self.obs = Observability(self.config.observability)
         self.repository = MetadataRepository()
         self.web = ObjectWeb(self.repository)
-        self._executor: Executor = create_executor(self.config.execution)
-        self._wire_executor_obs()
+        self._executor = Executor()
+        # Telemetry handles: None when disabled, so the fan-out wrapper
+        # short-circuits at one identity check.
+        self._executor.metrics = self.obs.metrics_or_none
+        self._executor.tracer = self.obs.trace_or_none
         self._engine = LinkDiscoveryEngine(
             config=self.config.linking,
             channels=self.config.channels,
@@ -215,13 +189,10 @@ class Aladin:
         # The maintenance session's duplicate scorer: one value-pair cache
         # shared by every incremental add_source of this system's
         # lifetime — LRU-bounded (config.scorer_cache_entries) so a
-        # week-long maintenance session holds steady memory. The
-        # (engine, scorer) pair is built once so resident fork pools see
-        # a stable state identity across fan-outs.
+        # week-long maintenance session holds steady memory.
         self._dup_scorer = BoundedRecordScorer(
             max_entries=self.config.scorer_cache_entries
         )
-        self._dup_state = (self._engine, self._dup_scorer)
         self.reports: List[IntegrationReport] = []
         if self.obs.enabled:
             self._register_gauges()
@@ -230,43 +201,9 @@ class Aladin:
     def executor(self) -> Executor:
         return self._executor
 
-    def configure_execution(
-        self,
-        backend: Optional[str] = None,
-        workers: Optional[int] = None,
-        resident: Optional[bool] = None,
-    ) -> None:
-        """Re-point the system at another execution backend at runtime.
-
-        Used by the CLI's ``--backend``/``--workers``/``--resident-pool``
-        flags (including on warm-started systems, whose snapshot carried
-        the writing system's configuration).
-        """
-        if backend is not None:
-            self.config.execution.backend = backend
-        if workers is not None:
-            self.config.execution.workers = max(1, int(workers))
-        if resident is not None:
-            self.config.execution.resident = bool(resident)
-        previous = self._executor
-        self._executor = create_executor(self.config.execution)
-        self._wire_executor_obs()
-        self._engine.executor = self._executor
-        previous.shutdown()  # release any resident workers of the old pool
-        # A warm-started system switching to auto inherits the snapshot's
-        # measured workload record.
-        self._load_calibration()
-
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    def _wire_executor_obs(self) -> None:
-        """Hand the executor the telemetry handles (None when disabled,
-        so the fan-out wrapper short-circuits at one identity check)."""
-        self._executor.metrics = self.obs.metrics_or_none
-        self._executor.events = self.obs.events_or_none
-        self._executor.tracer = self.obs.trace_or_none
-
     def _register_gauges(self) -> None:
         """Registry views over the pre-existing ad-hoc counters.
 
@@ -315,24 +252,16 @@ class Aladin:
             "hydration.pushdown_hits",
             provider=lambda: self.hydration_stats()["pushdown_hits"],
         )
-        reg.gauge(
-            "pool.resident_spins",
-            provider=lambda: getattr(self._executor, "pools_started", 0),
-        )
-        reg.gauge(
-            "pool.resident_forks",
-            provider=lambda: getattr(self._executor, "pools_forked", 0),
-        )
 
     def metrics(self) -> Dict[str, Any]:
         """One structured snapshot of every counter, gauge, and histogram.
 
         ``{"counters": ..., "gauges": ..., "histograms": ...}`` — stage
-        durations (``stage.*``), graph node timings (``graph.*``), pool
-        fan-out/utilization (``pool.*``), persistence latencies
-        (``persist.*``), cache/scorer/hydration views, and the auto
-        backend's routing counters (``auto.*``). Empty when observability
-        is disabled. JSON-safe; the README documents the catalog.
+        durations (``stage.*``), graph node timings (``graph.*``), fan-out
+        counts and timings (``pool.*``), persistence latencies
+        (``persist.*``), and cache/scorer/hydration views. Empty when
+        observability is disabled. JSON-safe; the README documents the
+        catalog.
         """
         return self.obs.metrics.snapshot()
 
@@ -342,8 +271,7 @@ class Aladin:
         ``[{"trace_id": ..., "root": op-name, "spans": [span dicts]}]``
         in operation order — every ``add_source``/``integrate_many``/
         ``open``/search/checkpoint of this session as a connected tree
-        of ``graph.*``/``fanout.*``/``task`` spans (worker task spans
-        included, re-parented from thread and fork pools).  Empty when
+        of ``graph.*``/``fanout.*``/``task`` spans.  Empty when
         observability is disabled.  ``repro trace`` renders this via
         :func:`repro.obs.trace.render_spans`.
         """
@@ -369,43 +297,6 @@ class Aladin:
             ],
             seconds=report.total_seconds,
         )
-
-    # -- workload calibration sidecar ----------------------------------
-    def _calibration_path(self) -> Optional[str]:
-        if self._store is None or not isinstance(self._executor, AutoExecutor):
-            return None
-        return f"{self._store.path}.calibration.json"
-
-    def _load_calibration(self) -> None:
-        """Adopt the snapshot's measured workload record (auto backend).
-
-        Missing sidecar -> the executor keeps (or starts) an in-memory
-        record and explores; corrupt sidecar -> same, by
-        :meth:`WorkloadCalibration.load`'s contract.
-        """
-        path = self._calibration_path()
-        if path is None:
-            return
-        if os.path.exists(path):
-            self._executor.load_calibration(path)
-
-    def _save_calibration(self) -> None:
-        """Persist the measured workload record next to the snapshot.
-
-        An empty record is never written: a session that measured nothing
-        must not clobber the sidecar a previous session earned.
-        """
-        path = self._calibration_path()
-        if path is None or self.read_only or self._executor.calibration.empty:
-            return
-        try:
-            self._executor.save_calibration(path)
-        except OSError as exc:
-            warnings.warn(
-                f"could not write calibration sidecar {path!r}: {exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
 
     # ------------------------------------------------------------------
     # the five-step pipeline
@@ -471,11 +362,11 @@ class Aladin:
         ``(name, format_name, text, import_options)`` tuples. The batch
         runs in four scheduled stages:
 
-        1. *import + structure discovery* — per-source and pure, fanned
-           across the worker pool;
+        1. *import + structure discovery* — per-source and pure, one
+           fan-out;
         2. *registration* — ordered and sequential (shared state);
         3. *link scans and duplicate chunks* — every pair of the batch in
-           two pool fan-outs; duplicate chunks share a
+           one combined fan-out; duplicate chunks share a
            :class:`BoundedRecordScorer` per new source;
         4. *stores, index updates, checkpoints* — applied strictly in
            batch order.
@@ -484,22 +375,18 @@ class Aladin:
         to calling :meth:`add_source` once per tuple in the same order —
         that is the contract the determinism tests pin down.
 
-        The batch is atomic: if any stage fails (a worker dying mid
+        The batch is atomic: if any stage fails (a task raising mid
         fan-out included), every source of the batch is unwound via
         :meth:`remove_source` before the error propagates, so the system
         is left exactly as before the call and the batch can be retried.
 
         Report semantics: per-source ``StepTiming`` values in batch
-        reports are seconds spent *inside the worker tasks* (work time).
-        Under parallel execution they overlap, so their sum can exceed —
-        and the batch wall clock can undercut — the equivalent sequential
-        run; compare wall clock via ``BENCH_parallel.json``, not by
-        summing report steps.
+        reports are seconds spent inside that source's fan-out tasks;
+        registration and the ordered merges are not attributed to any
+        source, so compare batch wall clock, not summed report steps.
         """
         sources = list(sources)
-        with self.obs.trace.span(
-            "op.integrate_many", sources=len(sources), backend=self._executor.name
-        ):
+        with self.obs.trace.span("op.integrate_many", sources=len(sources)):
             return self._integrate_many_impl(sources)
 
     def _integrate_many_impl(
@@ -525,7 +412,7 @@ class Aladin:
             return []
         existing = self._engine.source_names()  # sorted, pre-batch
 
-        # Stage 1: parallel import + discovery (pure per source).
+        # Stage 1: import + discovery (pure per source), one fan-out.
         import_items = [
             (name, format_name, text, options,
              self.config.discovery, self.config.declare_constraints)
@@ -580,8 +467,7 @@ class Aladin:
             reports.append(report)
 
         # Stage 3: every link-discovery pair scan and duplicate chunk of
-        # the batch in ONE fan-out — both only read engine state, so one
-        # pool serves both (a single fork, no inter-stage barrier).
+        # the batch in ONE fan-out — both only read engine state.
         # Source k targets exactly what a sequential loop would have
         # registered before it: the pre-batch sources plus the batch
         # sources ahead of it, in sorted order.
@@ -738,13 +624,11 @@ class Aladin:
         return samples, row_counts
 
     def _integrate_database(self, database: Database, report: IntegrationReport) -> None:
-        """Steps 2-5 as a task graph on the configured executor.
+        """Steps 2-5 as a task graph.
 
         Stage order (and therefore every repository write) is fixed by the
-        dependency edges; under the thread backend independent stages
-        overlap — the index update runs off the link/duplicate critical
-        path — and under any backend the two fan-outs (pair scans,
-        duplicate pairs) dispatch to the worker pool.
+        dependency edges; the two fan-outs (pair scans, the duplicate
+        chunk) run through the executor.
         """
         name = database.name
         graph = TaskGraph()
@@ -761,8 +645,8 @@ class Aladin:
             self._register_source_state(database, structure)
 
         def run_links(_results):
-            # Step 4: link discovery against all existing sources, fanned
-            # across the worker pool in fixed pair order.
+            # Step 4: link discovery against all existing sources, one
+            # fan-out in fixed pair order.
             started = time.perf_counter()
             links = self._engine.discover_for(name)
             return links, time.perf_counter() - started
@@ -775,7 +659,7 @@ class Aladin:
 
         def run_duplicates(_results):
             # Step 5: duplicate detection against every existing source,
-            # one worker task per source pair.
+            # one chunk on the session scorer.
             started = time.perf_counter()
             link_lists = self._detect_duplicates_for(name)
             return link_lists, time.perf_counter() - started
@@ -800,8 +684,8 @@ class Aladin:
         graph.add("link_discovery", run_links, deps=("register",))
         graph.add("store_links", run_store_links, deps=("link_discovery",))
         graph.add("duplicate_detection", run_duplicates, deps=("register",))
-        # Duplicates land after the discovered links, as in the serial
-        # loop, so repository ordering is backend-independent.
+        # Duplicates land after the discovered links, as in the batch
+        # pipeline, so both paths order the repository alike.
         graph.add(
             "store_duplicates",
             run_store_duplicates,
@@ -812,7 +696,6 @@ class Aladin:
             "checkpoint", run_checkpoint, deps=("store_duplicates", "index_update")
         )
         results = graph.run(
-            self._executor,
             metrics=self.obs.metrics_or_none,
             tracer=self.obs.trace_or_none,
         )
@@ -859,27 +742,11 @@ class Aladin:
         others = [o for o in self.repository.source_names() if o != name]
         if not others:
             return []
-        if self._executor.cpu_parallel and self._executor.workers > 1 and len(others) > 1:
-            # A backend with real CPU parallelism: worker parallelism
-            # beats the session cache (whose growth could not cross fork
-            # boundaries from workers anyway), so fan contiguous
-            # counterpart chunks across the pool, each with a chunk-local
-            # scorer — the exact shape of the batch pipeline's duplicate
-            # stage, byte-identical results in counterpart order.
-            groups = _contiguous_groups(others, self._executor.workers)
-            specs = [(name, tuple(group), self.config.duplicates) for group in groups]
-            labels = [
-                f"duplicates:{name}:{group[0]}..{group[-1]}" for group in groups
-            ]
-            results = self._executor.map_ordered(
-                _dup_chunk_task, specs, state=self._engine, labels=labels
-            )
-            return [links for link_lists, _seconds in results for links in link_lists]
         spec = (name, tuple(others), self.config.duplicates)
         results = self._executor.map_ordered(
             _dup_session_task,
             [spec],
-            state=self._dup_state,
+            state=(self._engine, self._dup_scorer),
             labels=[f"duplicates:{name}"],
         )
         link_lists, _seconds = results[0]
@@ -1006,10 +873,7 @@ class Aladin:
     def search_engine(self) -> SearchEngine:
         if self._index is None:
             index = InvertedIndex()
-            index.add_pages(
-                Crawler(self.web).crawl(follow_links=False),
-                executor=self._executor,
-            )
+            index.add_pages(Crawler(self.web).crawl(follow_links=False))
             self._index = index
             if self._store is not None:
                 try:
@@ -1086,8 +950,7 @@ class Aladin:
             return  # never built: the first search_engine() call will
         seeds = [(name, accession) for accession in self.web.accessions(name)]
         self._index.add_pages(
-            Crawler(self.web).crawl(seeds=seeds, follow_links=False),
-            executor=self._executor,
+            Crawler(self.web).crawl(seeds=seeds, follow_links=False)
         )
 
     # ------------------------------------------------------------------
@@ -1122,9 +985,6 @@ class Aladin:
                 self._store.detach_writer()
             self._store = store
             self.read_only = False
-            # Auto backend: park the session's measured workload record
-            # next to the snapshot so the next open starts calibrated.
-            self._save_calibration()
 
     @classmethod
     def open(
@@ -1218,7 +1078,6 @@ class Aladin:
         aladin._store = store if attach_writer else None
         store.tracer = aladin.obs.trace_or_none
         aladin.read_only = not attach_writer
-        aladin._load_calibration()
         aladin.obs.events.emit(
             SNAPSHOT_OPENED,
             path=str(path),
@@ -1279,13 +1138,12 @@ class Aladin:
         )
 
     def close(self) -> None:
-        """Release lifecycle resources: the writer lock, resident workers.
+        """Release lifecycle resources: the writer lock, the query thread.
 
         Safe to call more than once; the system stays usable in memory
-        (a later :meth:`save` re-attaches, a later fan-out re-creates
-        pool workers).
+        (a later :meth:`save` re-attaches, a later ``submit`` re-creates
+        the query thread).
         """
-        self._save_calibration()
         # Readers first: the writer's close then finds itself the last
         # connection, folds the WAL into the main file and removes it.
         if self._lazy is not None:
@@ -1298,14 +1156,9 @@ class Aladin:
 
     def _checkpoint(self, name: str, links: bool = True) -> None:
         if self._store is not None:
-            # The checkpoint's row encoding fans across the same (resident)
-            # pool as the pipeline's other stages — no fresh pool spin-up
-            # on the maintenance path.
             started = time.perf_counter()
             with self.obs.trace.span("persist.checkpoint", source=name, op="write"):
-                self._store.checkpoint_source(
-                    self, name, executor=self._executor, links=links
-                )
+                self._store.checkpoint_source(self, name, links=links)
             seconds = time.perf_counter() - started
             self.obs.metrics.histogram("persist.checkpoint_seconds").observe(seconds)
             self.obs.events.emit(

@@ -7,7 +7,6 @@ from typing import Any, Dict
 
 from repro.discovery.model import DiscoveryConfig
 from repro.duplicates.detector import DuplicateConfig
-from repro.exec.pool import ExecConfig
 from repro.linking.engine import LinkChannels
 from repro.linking.model import LinkConfig
 from repro.obs import ObsConfig
@@ -26,18 +25,13 @@ class AladinConfig:
     linking: LinkConfig = field(default_factory=LinkConfig)
     channels: LinkChannels = field(default_factory=LinkChannels)
     duplicates: DuplicateConfig = field(default_factory=DuplicateConfig)
-    # Execution backend for pair fan-outs and the pipelined add_source
-    # graph: "serial" (default), "thread", or "process"; defaults honor
-    # REPRO_EXEC_BACKEND / REPRO_EXEC_WORKERS so a whole run can switch
-    # backends from the environment.
-    execution: ExecConfig = field(default_factory=ExecConfig)
     # Snapshot lifecycle: advisory writer-lock policy and the online
-    # auto-compaction thresholds. A host property like `execution` — it
-    # is never restored from snapshots.
+    # auto-compaction thresholds. A host property — it is never restored
+    # from snapshots.
     persist: PersistConfig = field(default_factory=PersistConfig)
     # Telemetry: the metrics registry + lifecycle event bus (default on,
     # REPRO_OBS=0 disables; REPRO_OBS_EXPORT names a JSON-lines sink).
-    # A host property like `execution` — never restored from snapshots.
+    # A host property like `persist` — never restored from snapshots.
     observability: ObsConfig = field(default_factory=ObsConfig)
     # Step 5 runs between every source pair by default; it can be disabled
     # for ablations.
@@ -73,11 +67,9 @@ def config_from_dict(payload: Dict[str, Any]) -> AladinConfig:
     under the same knobs as the system that wrote them.
     """
     payload = dict(payload)
-    # The execution backend is a property of the *host*, not of the
-    # integrated data: a snapshot written on a 16-core build box must not
-    # fork 16 workers on the laptop that opens it. Any persisted
-    # "execution" entry is dropped and the reading environment's defaults
-    # (REPRO_EXEC_BACKEND/REPRO_EXEC_WORKERS, or the CLI flags) apply.
+    # Snapshots written before execution became serial-only carry an
+    # "execution" entry (backend, workers, pool mode); there is nothing
+    # left for it to set, so it is dropped.
     payload.pop("execution", None)
     # Likewise the persist policy (lock handling, auto-compaction
     # thresholds) belongs to the process opening the snapshot, not to the
@@ -96,7 +88,6 @@ def config_from_dict(payload: Dict[str, Any]) -> AladinConfig:
         linking=_tolerant(LinkConfig, payload.pop("linking")),
         channels=_tolerant(LinkChannels, payload.pop("channels")),
         duplicates=_tolerant(DuplicateConfig, payload.pop("duplicates")),
-        execution=ExecConfig(),
     )
     # Apply whatever scalar knobs the payload carries and ignore unknown
     # keys, so a snapshot written by a build with *newer* config fields —

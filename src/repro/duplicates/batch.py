@@ -1,4 +1,4 @@
-"""Batch-scoped record scoring for the parallel duplicate pass.
+"""Batch-scoped record scoring for the chunked duplicate pass.
 
 Both integration paths score duplicate candidates with this scorer, in
 *chunks* of pairs that share a source: the bulk path
@@ -12,8 +12,7 @@ without changing a single result:
   (shared GO terms, keywords, organism names), so the same value pair is
   scored again and again across the records of a chunk. The cache is
   keyed on the sorted value pair (every measure used is symmetric) and
-  shared across all pairs of the chunk — on worker pools it lives in the
-  worker process, so it needs no locking.
+  shared across all pairs of the chunk.
 * **Best-match bound.** ``record_similarity`` needs, per value, only the
   *maximum* similarity against the other record's values. For the
   expensive long-value path (token cosine blended with Levenshtein) the
@@ -115,7 +114,7 @@ class BoundedRecordScorer:
 
     def stats(self) -> Dict[str, int]:
         """The scorer's counters as one JSON-safe dict — the shape the
-        ``scorer.*`` gauges and worker span attributes report."""
+        ``scorer.*`` gauges report."""
         return {
             "exact_scores": self.exact_scores,
             "pruned": self.pruned,

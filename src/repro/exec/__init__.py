@@ -1,40 +1,18 @@
-"""Parallel execution subsystem: task graphs over pluggable worker pools.
+"""Execution subsystem: task graphs over one in-process executor.
 
-Two halves: :mod:`repro.exec.pool` provides the ``Executor`` API with
-serial, thread, and fork-process backends behind one ordered fan-out
-contract; :mod:`repro.exec.graph` schedules named task DAGs onto it.
-Everything above (link discovery fan-out, the pipelined ``add_source``
-graph, bulk ``integrate_many``) is written against these two and is
-byte-identical across backends by construction.
+Two halves: :mod:`repro.exec.pool` provides the ``Executor`` with its
+ordered fan-out contract; :mod:`repro.exec.graph` schedules named task
+DAGs in dependency order. Everything above (link discovery fan-out, the
+``add_source`` graph, bulk ``integrate_many``) is written against these
+two.
 """
 
 from repro.exec.graph import Task, TaskGraph
-from repro.exec.pool import (
-    BACKENDS,
-    AutoExecutor,
-    ExecConfig,
-    ExecError,
-    Executor,
-    ProcessExecutor,
-    ResidentProcessExecutor,
-    ResidentThreadExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    create_executor,
-)
+from repro.exec.pool import ExecError, Executor
 
 __all__ = [
-    "AutoExecutor",
-    "BACKENDS",
-    "ExecConfig",
     "ExecError",
     "Executor",
-    "ProcessExecutor",
-    "ResidentProcessExecutor",
-    "ResidentThreadExecutor",
-    "SerialExecutor",
     "Task",
     "TaskGraph",
-    "ThreadExecutor",
-    "create_executor",
 ]

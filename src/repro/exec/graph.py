@@ -2,28 +2,20 @@
 
 The execution subsystem's upper half. A :class:`TaskGraph` names the
 stages of one pipeline run (``import -> statistics -> linking -> ...``),
-declares who waits on whom, and dispatches ready tasks onto an
-:class:`~repro.exec.pool.Executor`. Task bodies are closures over shared
-in-process state, so graph concurrency is thread-based and only enabled
-when the executor's :attr:`parallel_graph` says the backend can overlap
-stages safely; otherwise tasks run inline in deterministic topological
-order (insertion order among ready tasks). Either way the *results* are
-identical — only wall-clock overlap differs.
+declares who waits on whom, and runs the tasks inline in deterministic
+topological order (insertion order among ready tasks).
 
-Failures are captured per task. After the in-flight tasks drain, the
-scheduler raises :class:`~repro.exec.pool.ExecError` for the first failed
-task in insertion order, naming it; tasks downstream of a failure are
-never started.
+A failing task raises :class:`~repro.exec.pool.ExecError` naming it;
+tasks downstream of a failure are never started.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
-from repro.exec.pool import ExecError, Executor
+from repro.exec.pool import ExecError
 
 # A task body receives the results-so-far dict; its declared dependencies
 # are guaranteed to be present, nothing else may be read.
@@ -60,37 +52,57 @@ class TaskGraph:
         return [task.name for task in self._tasks]
 
     # ------------------------------------------------------------------
-    def run(
-        self, executor: Optional[Executor] = None, metrics=None, tracer=None
-    ) -> Dict[str, Any]:
+    def run(self, metrics=None, tracer=None) -> Dict[str, Any]:
         """Execute every task; returns ``{task name: result}``.
-
-        With a thread-capable executor, independent tasks overlap (the
-        pipelining that takes index updates and snapshot checkpoints off
-        the critical path); otherwise execution is inline topological.
 
         ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`, or
         ``None`` for the zero-cost disabled path) records per-node wall
-        time and queue wait — the gap between a node's dependencies
-        completing and the node starting — plus which dispatch mode ran
-        the graph.
+        time and queue wait — the time a ready node sat behind earlier
+        ready siblings.
 
         ``tracer`` (a :class:`~repro.obs.trace.Tracer`, or ``None``)
         opens one ``graph.{node}`` span per task under the caller's
-        active span.  Thread dispatch captures that context *here*, on
-        the submitting thread, and re-activates it inside each worker —
-        ``ThreadPoolExecutor`` does not carry contextvars into reused
-        worker threads on its own — so fan-out spans opened inside a
-        node body still hang off the right node.
+        active span, so fan-out spans opened inside a node body hang off
+        that node.
         """
         self._validate()
-        if executor is not None and executor.parallel_graph and executor.workers > 1:
-            if metrics is not None:
-                metrics.counter("graph.dispatch.threaded").inc()
-            return self._run_threaded(executor, metrics, tracer)
-        if metrics is not None:
-            metrics.counter("graph.dispatch.serial").inc()
-        return self._run_serial(metrics, tracer)
+        results: Dict[str, Any] = {}
+        remaining = list(self._tasks)
+        ready_at: Dict[str, float] = {}
+        children = self._children() if metrics is not None else {}
+        while remaining:
+            progressed = False
+            for task in list(remaining):
+                if any(dep not in results for dep in task.deps):
+                    continue
+                if metrics is None and tracer is None:
+                    results[task.name] = self._invoke(task, results)
+                else:
+                    started = perf_counter()
+                    became_ready = ready_at.setdefault(task.name, started)
+                    if tracer is None:
+                        results[task.name] = self._invoke(task, results)
+                    else:
+                        with tracer.span(f"graph.{task.name}"):
+                            results[task.name] = self._invoke(task, results)
+                    finished = perf_counter()
+                    if metrics is not None:
+                        metrics.histogram(f"graph.{task.name}.seconds").observe(
+                            finished - started
+                        )
+                        metrics.histogram(f"graph.{task.name}.queue_wait").observe(
+                            started - became_ready
+                        )
+                        for child in children.get(task.name, ()):
+                            ready_at.setdefault(child, finished)
+                remaining.remove(task)
+                progressed = True
+            if not progressed:  # pragma: no cover - _validate rules this out
+                raise ExecError(
+                    "task graph stalled (cycle?) with "
+                    + ", ".join(t.name for t in remaining)
+                )
+        return results
 
     # ------------------------------------------------------------------
     def _validate(self) -> None:
@@ -123,137 +135,12 @@ class TaskGraph:
                 children.setdefault(dep, []).append(task.name)
         return children
 
-    # ------------------------------------------------------------------
-    def _run_serial(self, metrics=None, tracer=None) -> Dict[str, Any]:
-        results: Dict[str, Any] = {}
-        remaining = list(self._tasks)
-        ready_at: Dict[str, float] = {}
-        children = self._children() if metrics is not None else {}
-        while remaining:
-            progressed = False
-            for task in list(remaining):
-                if any(dep not in results for dep in task.deps):
-                    continue
-                if metrics is None and tracer is None:
-                    results[task.name] = self._invoke(task, results)
-                else:
-                    # Inline dispatch: "queue wait" is the time a ready
-                    # task sat behind earlier ready siblings this sweep.
-                    started = perf_counter()
-                    became_ready = ready_at.setdefault(task.name, started)
-                    if tracer is None:
-                        results[task.name] = self._invoke(task, results)
-                    else:
-                        with tracer.span(f"graph.{task.name}"):
-                            results[task.name] = self._invoke(task, results)
-                    finished = perf_counter()
-                    if metrics is not None:
-                        metrics.histogram(f"graph.{task.name}.seconds").observe(
-                            finished - started
-                        )
-                        metrics.histogram(f"graph.{task.name}.queue_wait").observe(
-                            started - became_ready
-                        )
-                        for child in children.get(task.name, ()):
-                            ready_at.setdefault(child, finished)
-                remaining.remove(task)
-                progressed = True
-            if not progressed:  # pragma: no cover - _validate rules this out
-                raise ExecError(
-                    "task graph stalled (cycle?) with "
-                    + ", ".join(t.name for t in remaining)
-                )
-        return results
-
-    def _run_threaded(
-        self, executor: Executor, metrics=None, tracer=None
-    ) -> Dict[str, Any]:
-        results: Dict[str, Any] = {}
-        failures: Dict[str, BaseException] = {}
-        children = self._children()
-        pending = {task.name: len(task.deps) for task in self._tasks}
-        order = {task.name: position for position, task in enumerate(self._tasks)}
-        running: Dict[concurrent.futures.Future, str] = {}
-        ready_at: Dict[str, float] = {}
-        # The graph's parent span context, captured on the submitting
-        # thread; worker threads re-activate it around each node body.
-        parent_context = tracer.current() if tracer is not None else None
-
-        def timed(task: Task) -> Callable[[Dict[str, Any]], Any]:
-            # Wrap the body on the worker thread so wall time excludes
-            # pool queueing — that gap is the queue_wait histogram.
-            def body(results_in: Dict[str, Any]) -> Any:
-                started = perf_counter()
-                value = task.fn(results_in)
-                metrics.histogram(f"graph.{task.name}.seconds").observe(
-                    perf_counter() - started
-                )
-                metrics.histogram(f"graph.{task.name}.queue_wait").observe(
-                    started - ready_at.get(task.name, started)
-                )
-                return value
-
-            return body
-
-        def traced(task: Task, inner) -> Callable[[Dict[str, Any]], Any]:
-            def body(results_in: Dict[str, Any]) -> Any:
-                with tracer.activate(parent_context):
-                    with tracer.span(f"graph.{task.name}"):
-                        return inner(results_in)
-
-            return body
-
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=executor.workers
-        ) as pool:
-
-            def submit_ready(names):
-                now = perf_counter() if metrics is not None else 0.0
-                for name in sorted(names, key=order.__getitem__):
-                    task = self._by_name[name]
-                    if metrics is None:
-                        body = task.fn
-                    else:
-                        ready_at[name] = now
-                        body = timed(task)
-                    if tracer is not None:
-                        body = traced(task, body)
-                    running[pool.submit(body, results)] = name
-
-            submit_ready([t.name for t in self._tasks if not t.deps])
-            while running:
-                done, _ = concurrent.futures.wait(
-                    running, return_when=concurrent.futures.FIRST_COMPLETED
-                )
-                newly_ready = []
-                for future in done:
-                    name = running.pop(future)
-                    try:
-                        results[name] = future.result()
-                    except BaseException as exc:  # noqa: BLE001 - captured per task
-                        failures[name] = exc
-                        continue
-                    for child in children.get(name, ()):
-                        pending[child] -= 1
-                        if pending[child] == 0 and not failures:
-                            newly_ready.append(child)
-                if newly_ready and not failures:
-                    submit_ready(newly_ready)
-
-        if failures:
-            name = min(failures, key=order.__getitem__)
-            exc = failures[name]
-            if isinstance(exc, ExecError):
-                raise exc
-            raise ExecError(f"task {name!r} failed: {exc!r}", task=name) from exc
-        return results
-
     def _invoke(self, task: Task, results: Dict[str, Any]) -> Any:
         try:
             return task.fn(results)
         except ExecError:
             raise
-        except BaseException as exc:
+        except Exception as exc:
             raise ExecError(
                 f"task {task.name!r} failed: {exc!r}", task=task.name
             ) from exc

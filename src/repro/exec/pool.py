@@ -1,232 +1,49 @@
-"""Pluggable worker pools behind one ``Executor`` API.
+"""The in-process ``Executor``: ordered fan-out, one query thread.
 
-The execution subsystem's lower half: three interchangeable backends run
-the same *ordered fan-out* contract, so every caller (link discovery,
-duplicate detection, bulk import, index tokenization) is written once and
-parallelizes by configuration:
+The execution subsystem's lower half. Every caller (link discovery,
+duplicate detection, bulk import) hands its work to one *ordered
+fan-out*: :meth:`Executor.map_ordered` calls ``fn(state, item)`` for
+every item, inline and in item order, and returns the results in that
+order. A failing item raises :class:`ExecError` naming it (its label);
+later items never run.
 
-* ``serial`` — everything inline, zero concurrency. The reference
-  backend: parallel results are required to be byte-identical to it.
-* ``thread`` — a per-call :class:`ThreadPoolExecutor`. Threads share the
-  interpreter, so coordination tasks (the task graph) can overlap and
-  I/O-bound work (snapshot checkpoints) leaves the critical path; pure
-  Python CPU work stays GIL-bound.
-* ``process`` — a per-call fork-based :class:`ProcessPoolExecutor`.
-  Workers inherit the parent's memory at fork time, so large shared
-  read-only state (the link engine with every registered source) crosses
-  into workers without being pickled; only task specs and results travel.
-* ``auto`` — :class:`AutoExecutor`: serial or the configured pool *per
-  stage kind*, decided from measured per-fanout timings (the
-  :class:`~repro.obs.timing.WorkloadCalibration` record). Results are
-  byte-identical either way, so calibration only moves time.
+Everything runs inline: thread and fork-process pools lost to inline
+execution on every benchmark workload. The fan-out seam stays because it
+names each stage for the telemetry below.
 
-Determinism contract: :meth:`Executor.map_ordered` returns results in
-*item order*, never in completion order, and a failing item raises
-:class:`ExecError` for the first failed item in item order — regardless
-of backend and scheduling. Callers merge results in a fixed order, which
-is what makes parallel runs byte-identical to serial ones.
-
-Resident mode (``ExecConfig.resident`` / ``REPRO_EXEC_RESIDENT``): the
-thread and process pools above are created *per fan-out*, which is simple
-and always-fresh but makes every small scan pay pool spin-up — for the
-process backend a whole round of forks. :class:`ResidentThreadExecutor`
-and :class:`ResidentProcessExecutor` keep one long-lived pool across
-fan-outs instead, with two extra contract points:
-
-* ``refresh_state()`` — shared state crossed into process workers by fork
-  inheritance, so a resident fork pool holds a *snapshot*. Callers that
-  mutate the shared state (registering, removing, or refreshing a source)
-  must call ``refresh_state()`` so the next fan-out re-forks from current
-  memory. Thread workers read the live heap, so for them it is a no-op.
-* idle teardown — a resident pool that has not run a fan-out for
-  ``idle_seconds`` releases its workers; the next fan-out transparently
-  re-creates them. Long-lived systems do not hold worker processes
-  hostage between maintenance bursts.
-
-The determinism contract is unchanged in resident mode: results arrive in
-item order and a failure raises :class:`ExecError` for the first failed
-task in submission order, even when pool-level errors (a dead worker, an
-unpicklable result) strike a later chunk first.
-
-Observability: every executor carries optional ``metrics`` / ``events``
-/ ``tracer`` handles (all ``None`` by default — the owning ``Aladin``
-wires them).  The public :meth:`Executor.map_ordered` is an instrumented
-wrapper around the per-backend ``_map_impl``: it derives the fan-out's
-*stage kind* from its labels (``link:...`` -> ``link``), times the whole
-fan-out with ``perf_counter``, and records per-stage fan-out histograms,
-worker utilization (summed in-worker busy seconds over ``wall x
-slots``), and dispatch/merge overhead. Resident pools additionally emit
-``pool.spawned`` / ``pool.teardown`` lifecycle events.
-
-Tracing: with a ``tracer`` wired, each fan-out opens a ``fanout.{stage}``
-span under the caller's active span, and the picklable parent context
-``(trace_id, span_id)`` travels *inside the task spec* to the chunk
-runners.  Workers — inline, thread, or forked process — record one
-``task`` span per item with a :class:`~repro.obs.trace.WorkerSpanRecorder`
-(plain dicts) and ship them back as the last element of the existing
-outcome tuples; ``_collect`` gathers them in deterministic submission
-order and the wrapper re-parents them under the fan-out span via
-``Tracer.adopt``.  With ``metrics``/``tracer`` unset the wrapper is two
-``is None`` checks — the disabled path stays zero-cost.
+Observability: an executor carries optional ``metrics`` / ``tracer``
+handles (both ``None`` by default — the owning ``Aladin`` wires them).
+With either set, a fan-out derives its *stage kind* from its labels
+(``link:...`` -> ``link``) and records the ``pool.fanouts`` /
+``pool.tasks`` counters, a ``pool.fanout.{stage}`` histogram and, on
+failure, ``pool.failures`` / ``pool.failures.{stage}``. The tracer gets
+one ``fanout.{stage}`` span and, under it, one ``task`` span per
+attempted item (``index`` and, when labelled, ``label`` attributes), the
+failing one included. With both unset the wrapper is two ``is None``
+checks — the disabled path stays zero-cost.
 """
 
 from __future__ import annotations
 
-import atexit
 import concurrent.futures
-import multiprocessing
-import os
 import threading
-import weakref
-from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence
 
-from repro.obs.events import POOL_SPAWNED, POOL_TEARDOWN
-from repro.obs.timing import PARALLEL, SERIAL, WorkloadCalibration
-from repro.obs.trace import WorkerSpanRecorder
-
-BACKENDS = ("serial", "thread", "process", "auto")
-
-_DEFAULT_WORKERS = 4
-
-
-def _env_backend() -> str:
-    backend = os.environ.get("REPRO_EXEC_BACKEND", "serial").strip().lower()
-    return backend if backend in BACKENDS else "serial"
-
-
-def _env_workers() -> int:
-    raw = os.environ.get("REPRO_EXEC_WORKERS", "")
-    try:
-        workers = int(raw)
-    except ValueError:
-        return _DEFAULT_WORKERS
-    return max(1, workers) if workers else _DEFAULT_WORKERS
-
-
-_DEFAULT_IDLE_SECONDS = 30.0
-
-
-def _env_resident() -> bool:
-    raw = os.environ.get("REPRO_EXEC_RESIDENT", "").strip().lower()
-    return raw in ("1", "true", "yes", "on")
-
-
-def _env_idle_seconds() -> float:
-    raw = os.environ.get("REPRO_EXEC_IDLE_SECONDS", "").strip()
-    if not raw:
-        return _DEFAULT_IDLE_SECONDS
-    try:
-        return float(raw)
-    except ValueError:
-        return _DEFAULT_IDLE_SECONDS
-
-
-def _env_auto_parallel() -> str:
-    raw = os.environ.get("REPRO_EXEC_AUTO_PARALLEL", "process").strip().lower()
-    return raw if raw in ("thread", "process") else "process"
-
-
-@dataclass
-class ExecConfig:
-    """The execution knob: which backend, how many workers.
-
-    Defaults come from ``REPRO_EXEC_BACKEND`` / ``REPRO_EXEC_WORKERS`` so
-    an entire test suite (or CI job) can be rerun under another backend
-    without touching code. ``serial`` remains the default default: the
-    system behaves exactly as before unless parallelism is asked for.
-
-    ``resident`` (``REPRO_EXEC_RESIDENT``) keeps the thread/process pool
-    alive across fan-outs instead of creating one per call;
-    ``idle_seconds`` (``REPRO_EXEC_IDLE_SECONDS``) is how long a resident
-    pool may sit unused before its workers are released.
-
-    ``backend="auto"`` picks serial or a pool per stage kind from
-    measured timings; ``auto_parallel`` (``REPRO_EXEC_AUTO_PARALLEL``)
-    names the pool backend the auto executor's parallel arm uses.
-    """
-
-    backend: str = field(default_factory=_env_backend)
-    workers: int = field(default_factory=_env_workers)
-    resident: bool = field(default_factory=_env_resident)
-    idle_seconds: float = field(default_factory=_env_idle_seconds)
-    auto_parallel: str = field(default_factory=_env_auto_parallel)
+#: Threads behind :meth:`Executor.submit`: serve runs one query at a time.
+SUBMIT_THREADS = 1
 
 
 class ExecError(RuntimeError):
     """One task of a fan-out or task graph failed.
 
     ``task`` names the failed unit (its label); the original exception is
-    chained as ``__cause__``. Schedulers capture per-task failures and
-    re-raise the *first failed task in submission order*, so the surfaced
-    error does not depend on completion timing.
+    chained as ``__cause__``.
     """
 
     def __init__(self, message: str, task: Optional[str] = None):
         super().__init__(message)
         self.task = task
-
-
-# ----------------------------------------------------------------------
-# worker-side trampoline (module level: picklable by reference)
-# ----------------------------------------------------------------------
-
-# Fork-inherited state: set in the parent immediately before the worker
-# processes fork, read by every task in the children. Guarded by a lock so
-# two concurrent fan-outs cannot clobber each other's state mid-fork.
-_FORK_STATE: Any = None
-_FORK_LOCK = threading.Lock()
-
-
-def _run_chunk_with_state(
-    fn: Callable[[Any, Any], Any],
-    state: Any,
-    chunk: Sequence[Any],
-    offset: int,
-    trace: Optional[Tuple[str, str]] = None,
-) -> Tuple[Any, ...]:
-    """Run one chunk of items; never raise — failures become values.
-
-    Capturing the exception (instead of letting the pool surface it in
-    completion order) is what lets the coordinator raise deterministically
-    for the first failed *item*, and lets sibling tasks finish cleanly.
-
-    Successful outcomes ``("ok", results, busy, spans)`` carry the
-    chunk's in-worker wall seconds (``perf_counter``), which the
-    coordinator sums into the fan-out's busy time for the utilization
-    metric, plus the worker-recorded ``task`` spans (``None`` when
-    untraced): ``trace`` is the fan-out span's picklable
-    ``(trace_id, span_id)`` context, serialized into the task spec, and
-    the spans travel home on this same result channel for the
-    coordinator to re-parent.  Failures are
-    ``("err", index, rendered, exc, spans)``.
-    """
-    recorder = None if trace is None else WorkerSpanRecorder(trace)
-    started = perf_counter()
-    results = []
-    for position, item in enumerate(chunk):
-        try:
-            if recorder is None:
-                results.append(fn(state, item))
-            else:
-                with recorder.task(offset + position):
-                    results.append(fn(state, item))
-        except BaseException as exc:  # noqa: BLE001 - transported, not hidden
-            spans = None if recorder is None else recorder.spans
-            return ("err", offset + position, repr(exc), exc, spans)
-    spans = None if recorder is None else recorder.spans
-    return ("ok", results, perf_counter() - started, spans)
-
-
-def _run_chunk_forked(
-    fn: Callable[[Any, Any], Any],
-    chunk: Sequence[Any],
-    offset: int,
-    trace: Optional[Tuple[str, str]] = None,
-) -> Tuple[Any, ...]:
-    """Process-pool entry point: state comes from the forked snapshot."""
-    return _run_chunk_with_state(fn, _FORK_STATE, chunk, offset, trace)
 
 
 def _stage_kind(fn: Callable, labels: Optional[Sequence[str]]) -> str:
@@ -241,79 +58,32 @@ def _stage_kind(fn: Callable, labels: Optional[Sequence[str]]) -> str:
     return getattr(fn, "__name__", "task").strip("_") or "task"
 
 
-# ----------------------------------------------------------------------
-# executors
-# ----------------------------------------------------------------------
+def _label(labels: Optional[Sequence[str]], index: int) -> str:
+    if labels is not None and index < len(labels):
+        return labels[index]
+    return f"task[{index}]"
+
+
 class Executor:
-    """Ordered fan-out over a worker pool.
+    """Inline ordered fan-out plus the serving layer's query thread."""
 
-    ``map_ordered(fn, items, state=...)`` calls ``fn(state, item)`` for
-    every item and returns the results in item order. ``fn`` must be a
-    module-level function when the process backend may run it (it crosses
-    the pool pickled by reference); ``state`` is shared worker state —
-    passed directly under serial/thread, inherited via fork under process.
-
-    Subclasses implement ``_map_impl`` (returning ``(results, busy,
-    worker_spans)``); the public ``map_ordered`` wraps it with the
-    optional per-stage instrumentation described in the module
-    docstring.
-    """
-
-    name = "serial"
-    resident = False
     # Observability handles, wired by the owning Aladin. None means the
-    # instrumented wrapper short-circuits to the raw implementation.
+    # instrumented wrapper short-circuits to the raw loop.
     metrics = None
-    events = None
     tracer = None
 
-    def __init__(self, workers: int = 1):
-        self.workers = max(1, int(workers))
+    def __init__(self) -> None:
         self._submit_pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._submit_lock = threading.Lock()
 
-    @property
-    def parallel_graph(self) -> bool:
-        """May the task graph overlap independent coordination tasks?
-
-        Only the thread backend says yes: coordination tasks are closures
-        over shared state (no process can run them), and forking *while*
-        sibling threads mutate the heap would hand workers a torn memory
-        snapshot — so the process backend keeps the graph sequential and
-        parallelizes inside each fan-out instead.
-        """
-        return False
-
-    @property
-    def cpu_parallel(self) -> bool:
-        """Do fan-outs actually run pure-Python CPU work concurrently?
-
-        Only the process backend: threads share the GIL, so purely
-        CPU-bound fan-outs (e.g. index tokenization) should stay inline
-        rather than pay dispatch overhead for no speedup.
-        """
-        return False
-
-    def refresh_state(self) -> None:
-        """Invalidate worker-held shared state.
-
-        Callers must invoke this after mutating state they previously
-        shipped into a fan-out. Per-call pools always re-capture state, so
-        this is a no-op everywhere except the resident process pool, which
-        holds a fork-time snapshot until told otherwise.
-        """
-
     def submit(self, fn: Callable[..., Any], *args: Any) -> "concurrent.futures.Future":
-        """Run one callable on a pool thread; returns a real Future.
+        """Run one callable on the query thread; returns a real Future.
 
         The serving layer's bridge into asyncio: ``loop.run_in_executor``
         accepts any object with a ``submit`` returning a
-        :class:`concurrent.futures.Future`. Every backend answers from
-        one lazily created thread pool sized to ``workers`` — per-request
-        query work is SQLite faults plus list scans (I/O and C calls,
-        which threads serve well), and forked pools could not see the
-        live warehouse heap anyway. Released by :meth:`shutdown`; a
-        later submit transparently re-creates the pool.
+        :class:`concurrent.futures.Future`. The pool is created lazily
+        with :data:`SUBMIT_THREADS` threads and released by
+        :meth:`shutdown`; a later submit transparently re-creates it.
         """
         pool = self._submit_pool
         if pool is None:
@@ -321,21 +91,18 @@ class Executor:
                 pool = self._submit_pool
                 if pool is None:
                     pool = concurrent.futures.ThreadPoolExecutor(
-                        max_workers=self.workers,
-                        thread_name_prefix=f"repro-{self.name}-submit",
+                        max_workers=SUBMIT_THREADS,
+                        thread_name_prefix="repro-submit",
                     )
                     self._submit_pool = pool
         return pool.submit(fn, *args)
 
-    def _release_submit_pool(self) -> None:
+    def shutdown(self) -> None:
+        """Release the query thread, if one was started."""
         with self._submit_lock:
             pool, self._submit_pool = self._submit_pool, None
         if pool is not None:
             pool.shutdown(wait=False)
-
-    def shutdown(self) -> None:
-        """Release any long-lived workers. No-op for per-call pools."""
-        self._release_submit_pool()
 
     def map_ordered(
         self,
@@ -343,781 +110,66 @@ class Executor:
         items: Iterable[Any],
         state: Any = None,
         labels: Optional[Sequence[str]] = None,
-        chunksize: int = 1,
         stage: Optional[str] = None,
     ) -> List[Any]:
+        """``[fn(state, item) for item in items]``, instrumented.
+
+        ``stage`` overrides the stage kind derived from ``labels``.
+        """
         items = list(items)
         metrics = self.metrics
         tracer = self.tracer
         if metrics is None and tracer is None:
-            results, _busy, _spans = self._map_impl(fn, items, state, labels, chunksize)
-            return results
+            return self._run(fn, items, state, labels)
         stage = stage or _stage_kind(fn, labels)
         handle = None
         if tracer is not None:
-            handle = tracer.start_span(
-                f"fanout.{stage}", backend=self.name, items=len(items)
-            )
+            handle = tracer.start_span(f"fanout.{stage}", items=len(items))
         started = perf_counter()
         try:
-            results, busy, spans = self._map_impl(
-                fn, items, state, labels, chunksize,
-                trace=None if handle is None else handle.context(),
-            )
-        except ExecError as exc:
+            results = self._run(fn, items, state, labels, tracer)
+        except BaseException as exc:  # counted and traced, then re-raised
             if metrics is not None:
                 metrics.counter("pool.failures").inc()
                 metrics.counter(f"pool.failures.{stage}").inc()
             if handle is not None:
                 tracer.finish(handle, error=exc)
             raise
-        wall = perf_counter() - started
         if metrics is not None:
-            self._record_fanout(metrics, stage, len(items), wall, busy)
+            metrics.counter("pool.fanouts").inc()
+            metrics.counter("pool.tasks").inc(len(items))
+            metrics.histogram(f"pool.fanout.{stage}").observe(
+                perf_counter() - started
+            )
         if handle is not None:
-            if spans:
-                tracer.adopt(spans, handle, labels=list(labels) if labels else None)
             tracer.finish(handle)
         return results
 
-    def _record_fanout(
-        self, metrics, stage: str, item_count: int, wall: float, busy: float
-    ) -> None:
-        metrics.counter("pool.fanouts").inc()
-        metrics.counter("pool.tasks").inc(item_count)
-        metrics.histogram(f"pool.fanout.{stage}").observe(wall)
-        # Slots actually available to this fan-out: 1 when it ran inline.
-        slots = 1 if item_count <= 1 or self.workers <= 1 else self.workers
-        if wall > 0:
-            metrics.histogram("pool.utilization").observe(
-                min(1.0, busy / (wall * slots))
-            )
-        # Time not spent inside workers, assuming perfect packing:
-        # dispatch, pickling, and ordered merge.
-        metrics.histogram("pool.overhead_seconds").observe(
-            max(0.0, wall - busy / slots)
-        )
-
-    def _map_impl(
-        self,
+    @staticmethod
+    def _run(
         fn: Callable[[Any, Any], Any],
         items: List[Any],
-        state: Any = None,
-        labels: Optional[Sequence[str]] = None,
-        chunksize: int = 1,
-        trace: Optional[Tuple[str, str]] = None,
-    ) -> Tuple[List[Any], float, Optional[List[Dict[str, Any]]]]:
-        recorder = None if trace is None else WorkerSpanRecorder(trace)
-        started = perf_counter()
+        state: Any,
+        labels: Optional[Sequence[str]],
+        tracer=None,
+    ) -> List[Any]:
+        """The raw loop; with a tracer, one ``task`` span per item."""
         results: List[Any] = []
         for index, item in enumerate(items):
             try:
-                if recorder is None:
+                if tracer is None:
                     results.append(fn(state, item))
                 else:
-                    with recorder.task(index):
+                    attributes = {"index": index}
+                    if labels is not None and index < len(labels):
+                        attributes["label"] = labels[index]
+                    with tracer.span("task", **attributes):
                         results.append(fn(state, item))
             except ExecError:
                 raise
-            except BaseException as exc:
+            except Exception as exc:
+                label = _label(labels, index)
                 raise ExecError(
-                    f"task {_label(labels, index)!r} failed: {exc!r}",
-                    task=_label(labels, index),
+                    f"task {label!r} failed: {exc!r}", task=label
                 ) from exc
-        return (
-            results,
-            perf_counter() - started,
-            None if recorder is None else recorder.spans,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{type(self).__name__} workers={self.workers}>"
-
-
-class SerialExecutor(Executor):
-    """Inline execution; the determinism reference."""
-
-
-class ThreadExecutor(Executor):
-    """Per-call thread pool: overlapping stages and I/O off the critical path."""
-
-    name = "thread"
-
-    @property
-    def parallel_graph(self) -> bool:
-        return True
-
-    def _map_impl(self, fn, items, state=None, labels=None, chunksize=1, trace=None):
-        if len(items) <= 1 or self.workers <= 1:
-            return Executor._map_impl(self, fn, items, state, labels, trace=trace)
-        chunks = _chunk(items, chunksize)
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(self.workers, len(chunks))
-        ) as pool:
-            futures = [
-                pool.submit(_run_chunk_with_state, fn, state, chunk, offset, trace)
-                for chunk, offset in chunks
-            ]
-            outcomes = [future.result() for future in futures]
-        return _collect(outcomes, chunks, labels)
-
-
-class ProcessExecutor(Executor):
-    """Per-call fork pool: CPU-bound fan-outs across real processes.
-
-    The pool is created *per fan-out* so the children always fork from the
-    caller's current state — no staleness tracking, no leaked processes.
-    Fork is required (state crosses by memory inheritance, not pickling);
-    where fork is unavailable the executor degrades to inline execution
-    rather than failing.
-    """
-
-    name = "process"
-
-    @property
-    def cpu_parallel(self) -> bool:
-        return True
-
-    def _map_impl(self, fn, items, state=None, labels=None, chunksize=1, trace=None):
-        if len(items) <= 1 or self.workers <= 1:
-            return Executor._map_impl(self, fn, items, state, labels, trace=trace)
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            return Executor._map_impl(self, fn, items, state, labels, trace=trace)
-        chunks = _chunk(items, chunksize)
-        global _FORK_STATE
-        with _FORK_LOCK:
-            _FORK_STATE = state
-            try:
-                with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=min(self.workers, len(chunks)), mp_context=context
-                ) as pool:
-                    futures = [
-                        pool.submit(_run_chunk_forked, fn, chunk, offset, trace)
-                        for chunk, offset in chunks
-                    ]
-                    outcomes = []
-                    for index, future in enumerate(futures):
-                        try:
-                            outcomes.append(future.result())
-                        except BaseException as exc:  # noqa: BLE001 - transported, not hidden
-                            # The pool itself failed for this chunk
-                            # (unpicklable result, dead worker): record it
-                            # as a transported failure at the chunk's first
-                            # item, so _collect surfaces the first failed
-                            # task in submission order even when an earlier
-                            # chunk carried a transported error.
-                            offset = chunks[index][1]
-                            outcomes.append(("err", offset, repr(exc), exc, None))
-            finally:
-                _FORK_STATE = None
-        return _collect(outcomes, chunks, labels)
-
-
-# ----------------------------------------------------------------------
-# resident pools: one long-lived pool across fan-outs
-# ----------------------------------------------------------------------
-
-_WARMUP_TIMEOUT = 30.0  # seconds a fork warm-up may take before degrading
-
-# Every live resident executor, so interpreter exit can release their
-# workers: without this, a resident pool that was simply abandoned (no
-# explicit shutdown) leaks its processes/threads past the parent's exit
-# handlers. WeakSet: the registry must never keep an executor alive.
-_LIVE_RESIDENT: "weakref.WeakSet" = weakref.WeakSet()
-
-
-def _atexit_shutdown_all() -> None:
-    """Tear down every still-live resident pool at interpreter exit.
-
-    Failures are swallowed: at this point the interpreter is dismantling
-    itself and a pool that already half-died must not mask the process's
-    real exit status.
-    """
-    for executor in list(_LIVE_RESIDENT):
-        try:
-            executor.shutdown()
-        except Exception:  # noqa: BLE001 - exit path, nothing to recover
-            pass
-
-
-atexit.register(_atexit_shutdown_all)
-
-
-def _warmup_barrier_init(barrier, timeout: float) -> None:
-    """Worker initializer: hold every worker at a barrier until all forked.
-
-    The point is *when* workers fork, not what they run: a resident fork
-    pool must spawn every worker while the parent's ``_FORK_STATE`` is
-    set, or a worker forked later (after the parent cleared it) would run
-    tasks against the wrong state. Blocking each newly spawned worker here
-    keeps it from going idle, which forces the pool to spawn a fresh
-    process for every warm-up task — all inside the fork window.
-    """
-    try:
-        barrier.wait(timeout)
-    except Exception:  # noqa: BLE001 - a broken barrier only delays, fork is done
-        pass
-
-
-def _warmup_noop() -> None:
-    return None
-
-
-class _ResidencyUnavailable(RuntimeError):
-    """The resident fork pool could not spawn all workers deterministically."""
-
-
-class _IdleTimerMixin:
-    """Idle teardown shared by the resident pools.
-
-    Hosts provide ``self._lock``, ``self.idle_seconds``, ``self._pool``,
-    and ``self._teardown()``; ``_idle_blocked()`` lets a host veto a
-    firing timer (the thread pool does, while fan-outs are in flight).
-    The generation counter invalidates a timer that fired but lost the
-    lock race against new work, so a fresh burst is never torn down.
-    """
-
-    def _init_idle_timer(self) -> None:
-        self._timer: Optional[threading.Timer] = None
-        self._timer_generation = 0
-
-    def _idle_blocked(self) -> bool:
-        return False
-
-    def _arm_timer(self) -> None:
-        if self.idle_seconds <= 0 or self._pool is None:
-            return
-        self._timer_generation += 1
-        generation = self._timer_generation
-        self._timer = threading.Timer(
-            self.idle_seconds, self._idle_teardown, args=(generation,)
-        )
-        self._timer.daemon = True
-        self._timer.start()
-
-    def _cancel_timer(self) -> None:
-        self._timer_generation += 1  # invalidate any timer already firing
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def _idle_teardown(self, generation: int) -> None:
-        # Runs on the timer's thread, possibly racing shutdown() or the
-        # interpreter's own exit sequence. The generation check makes a
-        # timer that lost the race a no-op, and the blanket except keeps
-        # a teardown that fires *during* interpreter shutdown (daemon
-        # timer threads may still run while modules are being torn down)
-        # from propagating into the timer thread. Idempotent by
-        # construction: _teardown on an already-released pool is a no-op.
-        try:
-            with self._lock:
-                if generation != self._timer_generation or self._idle_blocked():
-                    return
-                self._teardown(reason="idle")
-        except Exception:  # noqa: BLE001 - timer thread, nothing to recover
-            pass
-
-    def _emit_pool_event(self, kind: str, **payload: Any) -> None:
-        """Resident pool lifecycle onto the owning system's bus.
-
-        May run on a timer thread; the bus serializes emission, and a
-        missing bus (observability disabled, or a bare executor) is one
-        attribute check.
-        """
-        events = self.events
-        if events is not None:
-            events.emit(kind, backend=self.name, workers=self.workers, **payload)
-
-
-class ResidentThreadExecutor(_IdleTimerMixin, ThreadExecutor):
-    """A thread pool kept alive across fan-outs.
-
-    Threads read the ``state`` argument passed to each call directly from
-    the live heap, so there is no staleness to manage — residency here
-    only removes per-call pool construction and thread spawn. Concurrent
-    fan-outs (the task graph overlaps link and duplicate stages) share the
-    one pool; an idle timer releases the threads between bursts.
-    """
-
-    resident = True
-
-    def __init__(self, workers: int, idle_seconds: float = _DEFAULT_IDLE_SECONDS):
-        super().__init__(workers)
-        self.idle_seconds = idle_seconds
-        self.pools_started = 0  # observability: how often workers spun up
-        self._lock = threading.Lock()
-        self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
-        self._active = 0
-        self._init_idle_timer()
-        _LIVE_RESIDENT.add(self)  # released at interpreter exit if leaked
-
-    @property
-    def pool_alive(self) -> bool:
-        return self._pool is not None
-
-    def _map_impl(self, fn, items, state=None, labels=None, chunksize=1, trace=None):
-        if len(items) <= 1 or self.workers <= 1:
-            return Executor._map_impl(self, fn, items, state, labels, trace=trace)
-        chunks = _chunk(items, chunksize)
-        with self._lock:
-            self._cancel_timer()
-            if self._pool is None:
-                self._pool = concurrent.futures.ThreadPoolExecutor(
-                    max_workers=self.workers
-                )
-                self.pools_started += 1
-                self._emit_pool_event(POOL_SPAWNED, spins=self.pools_started)
-            pool = self._pool
-            self._active += 1
-        try:
-            futures = []
-            for chunk, offset in chunks:
-                try:
-                    futures.append(
-                        pool.submit(
-                            _run_chunk_with_state, fn, state, chunk, offset, trace
-                        )
-                    )
-                except RuntimeError:
-                    # shutdown() closed the pool under an in-flight
-                    # overlap: the contract still holds — finish the
-                    # remaining chunks inline, same results, same order.
-                    break
-            outcomes = [future.result() for future in futures]
-            for chunk, offset in chunks[len(futures):]:
-                outcomes.append(_run_chunk_with_state(fn, state, chunk, offset, trace))
-        finally:
-            with self._lock:
-                self._active -= 1
-                if self._active == 0:
-                    self._arm_timer()
-        return _collect(outcomes, chunks, labels)
-
-    def shutdown(self) -> None:
-        with self._lock:
-            self._cancel_timer()
-            self._teardown(reason="shutdown")
-        self._release_submit_pool()
-
-    def _idle_blocked(self) -> bool:
-        return bool(self._active)
-
-    def _teardown(self, reason: str = "shutdown") -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
-            self._emit_pool_event(POOL_TEARDOWN, reason=reason)
-
-
-class ResidentProcessExecutor(_IdleTimerMixin, ProcessExecutor):
-    """A fork pool kept alive across fan-outs — one fork per state change.
-
-    Workers hold the shared state they inherited when the pool forked, so
-    the pool is reusable for every fan-out that passes the *same* state
-    object (``state is`` identity) and for stateless fan-outs (``state
-    None`` travels pickled per task). A fan-out with a different state, or
-    any call after :meth:`refresh_state`, tears the pool down and re-forks
-    from current memory. This is what turns N fan-outs of an incremental
-    maintenance session from N rounds of forks into one.
-
-    Calls are serialized on an internal lock: the process backend never
-    overlaps coordination stages anyway (``parallel_graph`` is False), and
-    serializing keeps teardown/re-fork atomic with respect to in-flight
-    work.
-    """
-
-    resident = True
-
-    def __init__(self, workers: int, idle_seconds: float = _DEFAULT_IDLE_SECONDS):
-        super().__init__(workers)
-        self.idle_seconds = idle_seconds
-        self.pools_forked = 0  # observability: how often workers re-forked
-        self._lock = threading.RLock()
-        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
-        self._state: Any = None  # strong ref: the state the pool forked with
-        self._degraded = False  # could not pre-spawn: fall back to per-call
-        self._init_idle_timer()
-        _LIVE_RESIDENT.add(self)  # released at interpreter exit if leaked
-
-    @property
-    def pool_alive(self) -> bool:
-        return self._pool is not None
-
-    def refresh_state(self) -> None:
-        with self._lock:
-            self._cancel_timer()
-            self._teardown(reason="refresh_state")
-
-    def shutdown(self) -> None:
-        with self._lock:
-            self._cancel_timer()
-            self._teardown(reason="shutdown")
-        self._release_submit_pool()
-
-    def _map_impl(self, fn, items, state=None, labels=None, chunksize=1, trace=None):
-        if len(items) <= 1 or self.workers <= 1:
-            return Executor._map_impl(self, fn, items, state, labels, trace=trace)
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            return Executor._map_impl(self, fn, items, state, labels, trace=trace)
-        if self._degraded:
-            # Deterministic pre-spawn failed once on this host: behave as
-            # the per-call executor from here on rather than risk a
-            # wrong-state worker.
-            return super()._map_impl(
-                fn, items, state=state, labels=labels, chunksize=chunksize,
-                trace=trace,
-            )
-        with self._lock:
-            self._cancel_timer()
-            try:
-                pool = self._ensure_pool(context, state)
-            except _ResidencyUnavailable:
-                self._degraded = True
-                self._teardown(reason="degraded")
-                return super()._map_impl(
-                    fn, items, state=state, labels=labels, chunksize=chunksize,
-                    trace=trace,
-                )
-            chunks = _chunk(items, chunksize)
-            if state is not None and state is self._state:
-                # The workers inherited this exact state at fork time.
-                futures = [
-                    pool.submit(_run_chunk_forked, fn, chunk, offset, trace)
-                    for chunk, offset in chunks
-                ]
-            else:
-                # Stateless fan-out on a pool forked for something else:
-                # ship the (trivial) state pickled per task instead of
-                # paying a re-fork.
-                futures = [
-                    pool.submit(
-                        _run_chunk_with_state, fn, state, chunk, offset, trace
-                    )
-                    for chunk, offset in chunks
-                ]
-            outcomes = []
-            pool_failure = False
-            for index, future in enumerate(futures):
-                try:
-                    outcomes.append(future.result())
-                except BaseException as exc:  # noqa: BLE001 - transported, not hidden
-                    # Pool-level failure (dead worker, unpicklable result):
-                    # record it as a transported failure at the chunk's
-                    # first item, so _collect still surfaces the first
-                    # failed task in *submission order* even when a later
-                    # chunk's pool error completes before an earlier
-                    # chunk's transported one.
-                    offset = chunks[index][1]
-                    outcomes.append(("err", offset, repr(exc), exc, None))
-                    pool_failure = True
-            if pool_failure:
-                # The pool may be broken; re-fork next call.
-                self._teardown(reason="pool_failure")
-            else:
-                self._arm_timer()
-        return _collect(outcomes, chunks, labels)
-
-    # -- pool lifecycle -------------------------------------------------
-    def _ensure_pool(self, context, state: Any):
-        if self._pool is not None and (state is None or state is self._state):
-            return self._pool
-        self._teardown(reason="state_change")
-        self._pool = self._fork_pool(context, state)
-        self._state = state
-        self.pools_forked += 1
-        self._emit_pool_event(POOL_SPAWNED, forks=self.pools_forked)
-        return self._pool
-
-    def _fork_pool(self, context, state: Any):
-        """Fork a full complement of workers while the state is visible.
-
-        Every worker must fork inside the window where ``_FORK_STATE`` is
-        set — a worker spawned lazily on some later submit would inherit
-        nothing. The barrier initializer keeps each warm-up worker busy so
-        the pool's on-demand spawner starts a new process for every
-        warm-up task; after the warm-ups drain we verify the full worker
-        count actually exists and refuse residency otherwise.
-        """
-        global _FORK_STATE
-        with _FORK_LOCK:
-            _FORK_STATE = state
-            try:
-                barrier = context.Barrier(self.workers)
-                pool = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=context,
-                    initializer=_warmup_barrier_init,
-                    initargs=(barrier, _WARMUP_TIMEOUT),
-                )
-                try:
-                    warmups = [
-                        pool.submit(_warmup_noop) for _ in range(self.workers)
-                    ]
-                    for future in warmups:
-                        future.result(timeout=_WARMUP_TIMEOUT)
-                except BaseException as exc:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise _ResidencyUnavailable(repr(exc)) from exc
-                processes = getattr(pool, "_processes", None)
-                if processes is None or len(processes) < self.workers:
-                    # Could not prove every worker forked in the window.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise _ResidencyUnavailable(
-                        f"spawned {0 if processes is None else len(processes)}"
-                        f"/{self.workers} workers inside the fork window"
-                    )
-            finally:
-                _FORK_STATE = None
-        return pool
-
-    def _teardown(self, reason: str = "shutdown") -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-            self._emit_pool_event(POOL_TEARDOWN, reason=reason)
-        self._state = None
-
-
-class AutoExecutor(Executor):
-    """Measurement-driven backend selection, per stage kind.
-
-    Holds two arms — an inline :class:`SerialExecutor` and the configured
-    pool (``auto_parallel`` backend, same workers/residency) — and routes
-    each fan-out to one of them based on the owning system's
-    :class:`~repro.obs.timing.WorkloadCalibration`:
-
-    * single-item fan-outs always run inline (no pool could help);
-    * while a stage kind is uncalibrated the arms are explored in a fixed
-      order (serial first, then parallel, :data:`~repro.obs.timing.MIN_RUNS`
-      fan-outs each);
-    * once calibrated, the faster arm is chosen and **cached for the
-      session** — a stage kind never flip-flops mid-run, and given the
-      same calibration sidecar the choices are fully deterministic.
-
-    Every routed fan-out's wall time feeds back into the calibration, so
-    the record sharpens as the warehouse works. Results are byte-identical
-    across arms by the executor determinism contract; only wall-clock
-    changes. Capability properties (``cpu_parallel``, ``parallel_graph``,
-    ``resident``) mirror the parallel arm so fan-out *shape* gates
-    upstream behave as if the pool were always on — auto then decides
-    whether the shape actually fans out.
-    """
-
-    name = "auto"
-
-    def __init__(self, config: ExecConfig):
-        self._metrics = None
-        self._events = None
-        self._tracer = None
-        super().__init__(config.workers)
-        parallel_backend = config.auto_parallel
-        if parallel_backend not in ("thread", "process"):
-            parallel_backend = "process"
-        self._serial = SerialExecutor(1)
-        self._parallel = create_executor(
-            ExecConfig(
-                backend=parallel_backend,
-                workers=config.workers,
-                resident=config.resident,
-                idle_seconds=config.idle_seconds,
-                auto_parallel=parallel_backend,
-            )
-        )
-        self.calibration = WorkloadCalibration()
-        #: Stage kind -> arm, frozen at first calibrated choice.
-        self.decisions: Dict[str, str] = {}
-
-    # -- observability handles propagate to both arms -------------------
-    @property
-    def metrics(self):
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, value):
-        self._metrics = value
-        self._serial.metrics = value
-        self._parallel.metrics = value
-
-    @property
-    def events(self):
-        return self._events
-
-    @events.setter
-    def events(self, value):
-        self._events = value
-        self._serial.events = value
-        self._parallel.events = value
-
-    @property
-    def tracer(self):
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, value):
-        self._tracer = value
-        self._serial.tracer = value
-        self._parallel.tracer = value
-
-    # -- capabilities mirror the parallel arm ----------------------------
-    @property
-    def parallel_graph(self) -> bool:
-        return self._parallel.parallel_graph
-
-    @property
-    def cpu_parallel(self) -> bool:
-        return self._parallel.cpu_parallel
-
-    @property
-    def resident(self) -> bool:
-        return self._parallel.resident
-
-    @property
-    def pool_alive(self) -> bool:
-        return bool(getattr(self._parallel, "pool_alive", False))
-
-    @property
-    def pools_started(self) -> int:
-        return getattr(self._parallel, "pools_started", 0)
-
-    @property
-    def pools_forked(self) -> int:
-        return getattr(self._parallel, "pools_forked", 0)
-
-    @property
-    def parallel_backend(self) -> str:
-        return self._parallel.name
-
-    def refresh_state(self) -> None:
-        self._parallel.refresh_state()
-
-    def shutdown(self) -> None:
-        self._parallel.shutdown()
-        self._serial.shutdown()
-        self._release_submit_pool()
-
-    # -- calibration persistence ----------------------------------------
-    def load_calibration(self, path: str) -> None:
-        """Replace the in-memory record with the sidecar's (missing or
-        corrupt file -> empty record) and forget cached decisions."""
-        self.calibration = WorkloadCalibration.load(path)
-        self.decisions = {}
-
-    def save_calibration(self, path: str) -> None:
-        self.calibration.save(path)
-
-    # -- routing ---------------------------------------------------------
-    def _choose(self, stage: str) -> str:
-        arm = self.decisions.get(stage)
-        if arm is not None:
-            return arm
-        arm, calibrated = self.calibration.choose(stage)
-        if calibrated:
-            self.decisions[stage] = arm
-        return arm
-
-    def map_ordered(self, fn, items, state=None, labels=None, chunksize=1, stage=None):
-        items = list(items)
-        if len(items) <= 1:
-            # Inline, and unrecorded: neither arm could differ here.
-            return self._serial.map_ordered(
-                fn, items, state=state, labels=labels, chunksize=chunksize,
-                stage=stage,
-            )
-        stage = stage or _stage_kind(fn, labels)
-        arm = self._choose(stage)
-        delegate = self._parallel if arm == PARALLEL else self._serial
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.counter(f"auto.{stage}.{arm}").inc()
-        started = perf_counter()
-        results = delegate.map_ordered(
-            fn, items, state=state, labels=labels, chunksize=chunksize, stage=stage
-        )
-        self.calibration.record(stage, arm, len(items), perf_counter() - started)
         return results
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<AutoExecutor workers={self.workers} "
-            f"parallel={self._parallel!r} decisions={self.decisions}>"
-        )
-
-
-def _chunk(items: List[Any], chunksize: int) -> List[Tuple[List[Any], int]]:
-    chunksize = max(1, int(chunksize))
-    return [
-        (items[start : start + chunksize], start)
-        for start in range(0, len(items), chunksize)
-    ]
-
-
-def _label(labels: Optional[Sequence[str]], index: int) -> str:
-    if labels is not None and index < len(labels):
-        return labels[index]
-    return f"task[{index}]"
-
-
-def _collect(
-    outcomes, chunks, labels
-) -> Tuple[List[Any], float, Optional[List[Dict[str, Any]]]]:
-    """Flatten chunk outcomes in item order; raise for the first failure.
-
-    Returns ``(results, busy_seconds, worker_spans)`` where busy is the
-    sum of the chunks' in-worker wall times — the numerator of pool
-    utilization — and worker_spans gathers the chunks' recorded ``task``
-    spans in deterministic *submission* order (chunks were submitted in
-    item order and are iterated here in that same order), ready for
-    ``Tracer.adopt``.  ``None`` when the fan-out was untraced.
-    """
-    failure: Optional[Tuple[int, str, BaseException]] = None
-    results: List[Any] = []
-    busy = 0.0
-    spans: Optional[List[Dict[str, Any]]] = None
-    for outcome in outcomes:
-        chunk_spans = outcome[3] if outcome[0] == "ok" else outcome[4]
-        if chunk_spans:
-            spans = chunk_spans if spans is None else spans + chunk_spans
-        if outcome[0] == "ok":
-            results.extend(outcome[1])
-            busy += outcome[2]
-            continue
-        _, index, rendered, exc, _spans = outcome
-        if failure is None or index < failure[0]:
-            failure = (index, rendered, exc)
-    if failure is not None:
-        index, rendered, exc = failure
-        raise ExecError(
-            f"task {_label(labels, index)!r} failed: {rendered}",
-            task=_label(labels, index),
-        ) from exc
-    return results, busy, spans
-
-
-def create_executor(config: Optional[ExecConfig] = None) -> Executor:
-    """Build the executor a configuration asks for."""
-    config = config or ExecConfig()
-    backend = (config.backend or "serial").lower()
-    resident = bool(getattr(config, "resident", False))
-    idle_seconds = getattr(config, "idle_seconds", _DEFAULT_IDLE_SECONDS)
-    if backend == "thread":
-        if resident:
-            return ResidentThreadExecutor(config.workers, idle_seconds=idle_seconds)
-        return ThreadExecutor(config.workers)
-    if backend == "process":
-        if resident:
-            return ResidentProcessExecutor(config.workers, idle_seconds=idle_seconds)
-        return ProcessExecutor(config.workers)
-    if backend == "auto":
-        return AutoExecutor(config)
-    if backend != "serial":
-        raise ValueError(
-            f"unknown execution backend {config.backend!r}; known: {', '.join(BACKENDS)}"
-        )
-    # Always 1: ``workers`` doubles as the "is this parallel" signal for
-    # fan-out gates (e.g. InvertedIndex.add_pages), and a serial executor
-    # must never make them take the fan-out path.
-    return SerialExecutor(1)

@@ -8,10 +8,9 @@ statistics. Channels can be toggled for the pruning/ablation experiments
 
 Pair scans are *pure*: a ``(mode, source, target)`` spec reads only the
 two sources' cached entries and returns a fresh ``LinkSet`` plus its
-comparison count. ``discover_for`` therefore fans specs across an
-:class:`~repro.exec.pool.Executor` (thread or fork-process workers) and
-merges the results in a fixed source/channel order, so parallel link webs
-are byte-identical to serial ones.
+comparison count. ``discover_for`` therefore fans specs through an
+:class:`~repro.exec.pool.Executor` and merges the results in a fixed
+source/channel order.
 """
 
 from __future__ import annotations
@@ -37,12 +36,10 @@ PairSpec = Tuple[str, str, str]
 
 
 def _pair_task(engine: "LinkDiscoveryEngine", spec: PairSpec):
-    """Worker entry point for one pair scan.
+    """Fan-out task for one pair scan.
 
-    Module-level so the process backend can ship it by reference; the
-    engine itself reaches workers through fork inheritance, never pickled.
     Returns ``(links, comparisons, seconds)`` — counters travel back as
-    data because a forked worker's increments would otherwise be lost.
+    data, so the engine books them in one ordered merge.
     """
     mode, source_name, target_name = spec
     source = engine._sources[source_name]
@@ -86,27 +83,16 @@ class LinkDiscoveryEngine:
     ):
         self.config = config or LinkConfig()
         self.channels = channels or LinkChannels()
-        self.executor = executor  # None = inline (serial) pair scans
+        self.executor = executor  # None = a plain loop, no fan-out seam
         #: Optional :class:`~repro.obs.trace.Tracer` (``None`` when
-        #: observability is off).  Inline pair scans open one span per
-        #: spec; executor fan-outs get per-task spans from the pool.
+        #: observability is off).  Plain-loop pair scans open one span
+        #: per spec; executor fan-outs get per-task spans from the executor.
         self.tracer = None
         self._sources: Dict[str, _SourceEntry] = {}
         self.comparisons_made = 0  # attribute-pair scans, for E6
         self.registrations = 0  # register_source calls, for maintenance tests
 
     # ------------------------------------------------------------------
-    def _workers_stale(self) -> None:
-        """Tell a resident executor the engine's shared state changed.
-
-        Process workers hold the engine as a fork-time snapshot; any
-        mutation of the registry must invalidate it or later fan-outs
-        would scan stale sources. Per-call and thread executors treat
-        this as a no-op.
-        """
-        if self.executor is not None:
-            self.executor.refresh_state()
-
     def register_source(
         self, database: Database, structure: SourceStructure
     ) -> Dict[AttributeRef, AttributeStatistics]:
@@ -116,7 +102,6 @@ class LinkDiscoveryEngine:
         self._sources[structure.source_name] = _SourceEntry(
             database=database, structure=structure, statistics=statistics
         )
-        self._workers_stale()
         return statistics
 
     def restore_source(
@@ -135,7 +120,6 @@ class LinkDiscoveryEngine:
         self._sources[structure.source_name] = _SourceEntry(
             database=database, structure=structure, statistics=dict(statistics)
         )
-        self._workers_stale()
 
     def deregister_source(self, name: str) -> None:
         """Forget one source; every other registration stays untouched.
@@ -147,7 +131,6 @@ class LinkDiscoveryEngine:
         if name not in self._sources:
             raise KeyError(f"source {name!r} is not registered")
         del self._sources[name]
-        self._workers_stale()
 
     def refresh_source(
         self, database: Database
@@ -165,7 +148,6 @@ class LinkDiscoveryEngine:
         self._sources[database.name] = _SourceEntry(
             database=database, structure=entry.structure, statistics=statistics
         )
-        self._workers_stale()
         return statistics
 
     def source_names(self) -> List[str]:
@@ -202,9 +184,9 @@ class LinkDiscoveryEngine:
         return specs
 
     def run_pair_specs(self, specs: Sequence[PairSpec]) -> List[Tuple[LinkSet, int, float]]:
-        """Execute pair scans — fanned across workers when an executor is set.
+        """Execute pair scans — as one fan-out when an executor is set.
 
-        Results come back in spec order regardless of backend; nothing is
+        Results come back in spec order; nothing is
         merged or counted here, so callers control ordering end to end.
         """
         specs = list(specs)
@@ -238,7 +220,7 @@ class LinkDiscoveryEngine:
         sources and vice versa — Section 5's PDB→Swiss-Prot and
         Swiss-Prot→PDB cases both exist). The pair scans run on the
         configured executor; the merge order is fixed, so the result is
-        identical whichever backend ran them.
+        independent of scan timing.
         """
         if source_name not in self._sources:
             raise KeyError(f"source {source_name!r} is not registered")
@@ -251,7 +233,7 @@ class LinkDiscoveryEngine:
 
         Pure with respect to the engine: returns the links and the number
         of attribute-pair comparisons instead of bumping shared counters,
-        so the scan can run in any worker and merge deterministically.
+        so the scans can merge deterministically.
         """
         result, comparisons = self._directional_links(source, target)
         if self.channels.sequence:

@@ -2,7 +2,7 @@
 
 A deliberate leaf package: it imports nothing from the rest of
 ``repro``, so every other layer (exec, persist, relational, core, CLI)
-can depend on it without cycles.  Four modules:
+can depend on it without cycles.  Three modules:
 
 ``metrics``
     Thread-safe registry of counters, gauges, and duration histograms,
@@ -12,11 +12,8 @@ can depend on it without cycles.  Four modules:
     Synchronous lifecycle event bus with typed constants and a
     JSON-lines exporter (events, spans, and a final metrics line).
 ``trace``
-    Hierarchical span trees per top-level operation, propagated across
-    thread and fork-process pools, with a bounded slow-span log.
-``timing``
-    ``perf_counter`` helpers plus :class:`WorkloadCalibration`, the
-    persisted record behind ``backend="auto"``.
+    Hierarchical span trees per top-level operation, with a bounded
+    slow-span log.
 
 :class:`Observability` bundles one registry + one bus + one tracer per
 ``Aladin`` and owns the optional export sinks.  Enablement is decided
@@ -41,7 +38,6 @@ from repro.obs.events import (
     LIFECYCLE_EVENTS,
 )
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
-from repro.obs.timing import WorkloadCalibration
 from repro.obs.trace import NULL_TRACER, SLOW_SPAN_SECONDS, Tracer, render_spans
 
 __all__ = [
@@ -50,7 +46,6 @@ __all__ = [
     "MetricsRegistry",
     "EventBus",
     "Tracer",
-    "WorkloadCalibration",
     "LIFECYCLE_EVENTS",
     "render_spans",
 ]

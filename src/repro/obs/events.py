@@ -16,8 +16,6 @@ constant                  emitted when
 ``COMPACTION_RAN``        online compaction rewrote the snapshot
 ``SNAPSHOT_OPENED``       ``Aladin.open`` produced a warm-started system
 ``HYDRATION_FAULTED``     a lazy stub's rows were materialized on first touch
-``POOL_SPAWNED``          a resident worker pool was built (or re-forked)
-``POOL_TEARDOWN``         a resident worker pool was torn down (idle or close)
 ========================  =====================================================
 
 The bus is synchronous and thread-safe: ``emit`` assigns a monotonically
@@ -49,8 +47,6 @@ __all__ = [
     "COMPACTION_RAN",
     "SNAPSHOT_OPENED",
     "HYDRATION_FAULTED",
-    "POOL_SPAWNED",
-    "POOL_TEARDOWN",
     "SERVE_STARTED",
     "SERVE_GENERATION_SWAPPED",
     "SERVE_DRAINED",
@@ -69,8 +65,6 @@ CHECKPOINT_COMMITTED = "checkpoint.committed"
 COMPACTION_RAN = "compaction.ran"
 SNAPSHOT_OPENED = "snapshot.opened"
 HYDRATION_FAULTED = "hydration.faulted"
-POOL_SPAWNED = "pool.spawned"
-POOL_TEARDOWN = "pool.teardown"
 SERVE_STARTED = "serve.started"
 SERVE_GENERATION_SWAPPED = "serve.generation_swapped"
 SERVE_DRAINED = "serve.drained"
@@ -83,8 +77,6 @@ LIFECYCLE_EVENTS = (
     COMPACTION_RAN,
     SNAPSHOT_OPENED,
     HYDRATION_FAULTED,
-    POOL_SPAWNED,
-    POOL_TEARDOWN,
     SERVE_STARTED,
     SERVE_GENERATION_SWAPPED,
     SERVE_DRAINED,
@@ -153,8 +145,8 @@ class EventBus:
         """Record one event and deliver it to subscribers synchronously.
 
         Emission order *is* lifecycle order: the sequence number is
-        assigned under the bus lock, so concurrent emitters (resident
-        pool teardown timers, overlapped graph nodes) serialize here.
+        assigned under the bus lock, so concurrent emitters (hydrating
+        reader threads, serve's watcher) serialize here.
         """
         with self._lock:
             self._seq += 1

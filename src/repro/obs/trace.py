@@ -1,10 +1,10 @@
-"""Hierarchical tracing: span trees across serial, thread, and fork pools.
+"""Hierarchical tracing: one span tree per top-level operation.
 
 Metrics say *what* happened and events say *when*; spans say *why it
 took that long and under which operation*.  Every top-level operation
 (``integrate_many``, ``add_source``, ``Aladin.open``, a search, a
 checkpoint, a compaction) opens a **root span**; the layers below it —
-task-graph nodes, executor fan-outs, per-task worker bodies, hydration
+task-graph nodes, executor fan-outs, per-task bodies, hydration
 faults, pushdown decisions — open child spans, producing one connected
 tree per operation:
 
@@ -14,7 +14,7 @@ tree per operation:
     Tree edges.  Root spans have ``parent_id = None``.
 ``name`` + ``attributes``
     ``op.integrate_many``, ``fanout.link``, ``task``, … with structured
-    attributes (source, stage kind, backend arm, chunk index).
+    attributes (source, stage kind, task index and label).
 ``wall_time`` + ``duration``
     Start is wall-clock for humans; the duration is measured with
     ``perf_counter`` per the repo's timing policy.
@@ -22,18 +22,10 @@ tree per operation:
     ``"ok"`` or ``"error"`` (with the exception type name).
 
 **Context propagation.**  A module-level :data:`contextvars.ContextVar`
-carries the active span through serial code and — via
-:meth:`Tracer.activate` — across thread-pool submission boundaries
-(``ThreadPoolExecutor`` does *not* copy context into reused worker
-threads, so the task-graph scheduler captures the context at submit
-time and re-activates it in the worker).  Fork-process pools cannot
-share a contextvar at all: the parent span context is serialized into
-the task spec as a plain ``(trace_id, parent_span_id)`` tuple, workers
-record their subspans locally with :class:`WorkerSpanRecorder` (plain
-picklable dicts), ship them back on the existing ``map_ordered``
-result channel, and :meth:`Tracer.adopt` re-parents them under the
-fan-out span in deterministic submission order with freshly assigned
-span ids.
+carries the active span through the calling thread.  Another thread
+joins a tree with :meth:`Tracer.activate` on a context captured by
+:meth:`Tracer.current` (``ThreadPoolExecutor`` does *not* copy context
+into reused worker threads).
 
 **Zero-cost when disabled.**  :data:`NULL_TRACER` is the twin for
 cool paths (top-level operations); hot paths (fan-outs, graph nodes,
@@ -60,7 +52,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "WorkerSpanRecorder",
     "render_spans",
 ]
 
@@ -74,7 +65,7 @@ SLOW_SPAN_SECONDS = 1.0
 
 #: The active span, as ``(tracer, trace_id, span_id)``.  One module-level
 #: contextvar (per the contextvars documentation) — the tracer identity
-#: is part of the value so two live ``Aladin`` instances never adopt
+#: is part of the value so two live ``Aladin`` instances never take
 #: each other's spans as parents.
 _ACTIVE: ContextVar[Optional[Tuple["Tracer", str, str]]] = ContextVar(
     "repro_obs_active_span", default=None
@@ -120,8 +111,7 @@ class Span:
         self.status = status
         self.error = error
         #: Ring insertion index; renderers use it to order siblings
-        #: deterministically (adopted worker spans enter in submission
-        #: order, inline children in completion order).
+        #: deterministically (children in completion order).
         self.order = order
 
     def to_dict(self) -> Dict[str, Any]:
@@ -171,10 +161,6 @@ class _SpanHandle:
     def set(self, **attributes: Any) -> None:
         self.attributes.update(attributes)
 
-    def context(self) -> Tuple[str, str]:
-        """Picklable span context for shipping into fork workers."""
-        return (self.trace_id, self.span_id)
-
 
 class _NullSpanHandle:
     """Shared no-op handle yielded by the null tracer's ``span()``."""
@@ -186,9 +172,6 @@ class _NullSpanHandle:
 
     def set(self, **attributes: Any) -> None:
         pass
-
-    def context(self) -> None:
-        return None
 
 
 _NULL_HANDLE = _NullSpanHandle()
@@ -291,46 +274,6 @@ class Tracer:
             self.finish(handle, error=exc)
             raise
         self.finish(handle)
-
-    def adopt(
-        self,
-        records: List[Dict[str, Any]],
-        parent: _SpanHandle,
-        labels: Optional[List[str]] = None,
-    ) -> None:
-        """Re-parent worker-recorded span dicts under ``parent``.
-
-        ``records`` arrive in deterministic submission order (the
-        ``map_ordered`` collection order); worker-local ids are mapped
-        to fresh global ids, worker-root spans become children of the
-        fan-out span, and per-task ``index`` attributes are resolved to
-        their labels when the caller has them.
-        """
-        if not records:
-            return
-        id_map: Dict[str, str] = {}
-        for record in records:
-            id_map[record["span_id"]] = self._new_id("s")
-        for record in records:
-            local_parent = record.get("parent_id")
-            attributes = dict(record.get("attributes") or {})
-            if labels is not None:
-                index = attributes.get("index")
-                if isinstance(index, int) and 0 <= index < len(labels):
-                    attributes["label"] = labels[index]
-            self._record(
-                Span(
-                    parent.trace_id,
-                    id_map[record["span_id"]],
-                    id_map.get(local_parent, parent.span_id),
-                    record["name"],
-                    record["wall_time"],
-                    record["duration"],
-                    attributes,
-                    status=record.get("status", "ok"),
-                    error=record.get("error"),
-                )
-            )
 
     def record_complete(
         self,
@@ -442,9 +385,6 @@ class NullTracer:
     def span(self, name: str, **attributes: Any) -> Iterator[_NullSpanHandle]:
         yield _NULL_HANDLE
 
-    def adopt(self, records, parent, labels=None) -> None:
-        pass
-
     def record_complete(self, name, wall_time, duration, error=None, **attributes):
         pass
 
@@ -467,70 +407,6 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
-class WorkerSpanRecorder:
-    """Worker-side span recorder: plain dicts, no tracer, picklable.
-
-    Built inside pool workers (threads or forked processes) from the
-    ``(trace_id, parent_span_id)`` tuple serialized into the task spec.
-    Span ids are worker-local (``w1``, ``w2``, …); :meth:`Tracer.adopt`
-    re-assigns them on the coordinator.  A ``parent_id`` of ``None``
-    marks a worker-root span, re-parented under the fan-out span.
-    """
-
-    __slots__ = ("trace_id", "parent_id", "spans", "_next")
-
-    def __init__(self, context: Tuple[str, str]) -> None:
-        self.trace_id, self.parent_id = context
-        self.spans: List[Dict[str, Any]] = []
-        self._next = 0
-
-    def record(
-        self,
-        name: str,
-        wall_time: float,
-        duration: float,
-        status: str = "ok",
-        error: Optional[str] = None,
-        **attributes: Any,
-    ) -> None:
-        self._next += 1
-        record = {
-            "span_id": f"w{self._next}",
-            "parent_id": None,
-            "name": name,
-            "wall_time": wall_time,
-            "duration": duration,
-            "attributes": attributes,
-            "status": status,
-        }
-        if error is not None:
-            record["error"] = error
-        self.spans.append(record)
-
-    @contextmanager
-    def task(self, index: int, **attributes: Any) -> Iterator[None]:
-        """Record one per-task span (name ``task``, the fan-out item
-        index as an attribute — the coordinator maps it to a label)."""
-        wall = wall_clock()
-        started = perf_counter()
-        try:
-            yield
-        except BaseException as exc:
-            self.record(
-                "task",
-                wall,
-                perf_counter() - started,
-                status="error",
-                error=type(exc).__name__,
-                index=index,
-                **attributes,
-            )
-            raise
-        self.record(
-            "task", wall, perf_counter() - started, index=index, **attributes
-        )
-
-
 def render_spans(
     spans: List[Any], slow_threshold: Optional[float] = None
 ) -> str:
@@ -538,8 +414,8 @@ def render_spans(
 
     Accepts :class:`Span` objects or their ``to_dict`` form.  Spans are
     grouped by ``trace_id``; within a trace, children render under
-    their parent ordered by ring insertion (deterministic: submission
-    order for adopted worker spans).  ``slow_threshold`` prunes spans
+    their parent ordered by ring insertion (deterministic: completion
+    order).  ``slow_threshold`` prunes spans
     (and their subtrees) faster than the given seconds, keeping any
     ancestor chain that leads to a slow span.
     """

@@ -131,8 +131,8 @@ _WRITER_PRAGMAS = (
 )
 
 
-def _encode_row_task(_state, tup) -> str:
-    """Encode one raw row tuple; pure, so it can fan across worker pools.
+def _encode_row(tup) -> str:
+    """Encode one raw row tuple as its ``rows.data`` payload.
 
     ``canonical_json`` rather than bare ``json.dumps``: a REAL cell can
     hold a non-finite float (hostile input parsed with ``float``), which
@@ -141,33 +141,6 @@ def _encode_row_task(_state, tup) -> str:
     """
     return codec.canonical_json(list(tup))
 
-
-def _encode_rows(rows: List[tuple], executor=None) -> List[str]:
-    """JSON-encode raw rows, fanning across ``executor`` when it pays.
-
-    Row payload encoding is the checkpoint's CPU half (the SQLite writes
-    are the I/O half). The gate is stricter than the index's tokenization
-    fan-out: per-row encoding is so cheap that only a backend with real
-    CPU parallelism *and a resident pool* (the fan-out rides workers the
-    pipeline already forked, paying no pool spin-up) on a large enough
-    batch comes out ahead — a per-call process pool would fork just for
-    this and lose. The output is byte-identical to the inline loop in row
-    order.
-    """
-    if (
-        executor is None
-        or not executor.cpu_parallel
-        or not executor.resident
-        or not getattr(executor, "pool_alive", False)  # dead pool: a fork
-        # round just for row encoding would cost more than it saves
-        or executor.workers <= 1
-        or len(rows) < 64 * executor.workers
-    ):
-        return [_encode_row_task(None, tup) for tup in rows]
-    chunksize = max(1, len(rows) // (executor.workers * 4))
-    return executor.map_ordered(
-        _encode_row_task, rows, chunksize=chunksize, stage="checkpoint_encode"
-    )
 
 def _file_id(path: str) -> Optional[Tuple[int, int]]:
     """(device, inode) of the file at ``path``, or None if there is none."""
@@ -213,7 +186,7 @@ def _hash_memory_source(database) -> str:
         schema_json = codec.canonical_json(codec.schema_to_dict(table.schema))
         hasher.update(schema_json.encode("utf-8"))
         for tup in table.raw_rows():
-            hasher.update(_encode_row_task(None, tup).encode("utf-8"))
+            hasher.update(_encode_row(tup).encode("utf-8"))
     return hasher.hexdigest()
 
 
@@ -372,9 +345,9 @@ class SnapshotError(RuntimeError):
 class PersistConfig:
     """Snapshot lifecycle knobs: writer locking and online compaction.
 
-    A *host* property like :class:`~repro.exec.pool.ExecConfig` — it
-    governs how this process treats snapshot files, not what the
-    integrated data means — so it is not restored from snapshots.
+    A *host* property — it governs how this process treats snapshot
+    files, not what the integrated data means — so it is not restored
+    from snapshots.
 
     ``lock_policy`` decides what a writer attach does when another
     process holds the lock: ``"fail"`` raises
@@ -786,9 +759,8 @@ class SnapshotStore:
                 self._set_manifest(conn, "magic", _MAGIC)
                 self._set_manifest(conn, "format_version", str(FORMAT_VERSION))
                 self._write_config(conn, aladin, {})  # emptied above
-                executor = getattr(aladin, "_executor", None)
                 for name in aladin.source_names():
-                    self._write_source(conn, aladin, name, executor=executor)
+                    self._write_source(conn, aladin, name)
                 self._write_all_links(conn, aladin.repository)
                 self._write_index_full(conn, aladin._index)
 
@@ -824,9 +796,7 @@ class SnapshotStore:
                 "database but not an ALADIN snapshot"
             )
 
-    def _write_source(
-        self, conn: sqlite3.Connection, aladin, name: str, executor=None
-    ) -> None:
+    def _write_source(self, conn: sqlite3.Connection, aladin, name: str) -> None:
         # The hash walk below (per table sorted by name: schema JSON,
         # then row payloads in row-id order) is the content-hash
         # definition; ``_load_tables``, ``_hash_stored_source``, and
@@ -845,9 +815,8 @@ class SnapshotStore:
                 (name, table_name, schema_json),
             )
             raw_rows = list(table.raw_rows())
-            encoded = _encode_rows(raw_rows, executor)
             payloads = []
-            for row_id, data in enumerate(encoded):
+            for row_id, data in enumerate(_encode_row(tup) for tup in raw_rows):
                 hasher.update(data.encode("utf-8"))
                 payloads.append((name, table_name, row_id, data))
             conn.executemany(
@@ -977,9 +946,7 @@ class SnapshotStore:
     # per-source incremental checkpoints
     # ------------------------------------------------------------------
     @_serialized
-    def checkpoint_source(
-        self, aladin, name: str, executor=None, links: bool = True
-    ) -> None:
+    def checkpoint_source(self, aladin, name: str, links: bool = True) -> None:
         """Rewrite exactly one source's slice of the snapshot in place.
 
         Called after ``add_source`` / ``update_source``: the source's rows,
@@ -987,16 +954,13 @@ class SnapshotStore:
         are replaced; every other source's slice stays byte-identical.
         ``links=False`` is the data-only checkpoint of a below-threshold
         update, which keeps structure and links by contract: the link
-        rows touching the source are left untouched. ``executor`` (the
-        pipeline's worker pool, resident or per-call) fans the row
-        payload encoding when the backend has CPU parallelism; the
-        written bytes are identical either way.
+        rows touching the source are left untouched.
         """
         with self._write_connection() as conn, conn:
             manifest = self._read_manifest(conn)
             self._write_config(conn, aladin, manifest)
             self._delete_source_slice(conn, name, links=links)
-            self._write_source(conn, aladin, name, executor=executor)
+            self._write_source(conn, aladin, name)
             if links:
                 self._write_source_links(conn, aladin.repository, name)
             self._checkpoint_index(conn, aladin, name, manifest)

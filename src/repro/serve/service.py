@@ -16,9 +16,11 @@ built on the stdlib ``asyncio`` server:
   (request counters, cache stats, hydration, the obs metrics snapshot).
 
 Concurrency model: the event loop only parses requests and shuttles
-bytes. Every query executes on the owning system's exec pool via
-``loop.run_in_executor`` (the pool's ``submit`` seam), gated by a
-``max_concurrency`` semaphore; admission itself is bounded by
+bytes. Every cache-missing query executes on the owning system's
+one-thread query pool via ``loop.run_in_executor`` (the executor's
+``submit`` seam), so queries run one at a time; a ``max_concurrency``
+semaphore bounds how many are handed to that pool at once (one running,
+the rest queued inside it). Admission itself is bounded by
 ``max_pending`` — beyond it the service answers 503 immediately instead
 of queueing without limit.
 
@@ -84,10 +86,12 @@ class ServeError(Exception):
 class ServeConfig:
     """The serving knobs.
 
-    ``max_concurrency`` bounds queries executing on the pool at once;
-    ``max_pending`` bounds *admitted* requests (executing + waiting on
-    the semaphore) — beyond it the accept path answers 503 instead of
-    queueing unboundedly. ``refresh_interval`` is how often the content
+    ``max_concurrency`` bounds cache-missing queries handed to the
+    system's query pool at once. That pool has one thread, so one query
+    executes while the others wait in its queue: the semaphore bounds
+    that queue, not parallelism. ``max_pending`` bounds *admitted*
+    requests (in the pool + waiting on the semaphore) — beyond it the
+    accept path answers 503 instead of queueing unboundedly. ``refresh_interval`` is how often the content
     fingerprint is re-read to notice a writer's checkpoint;
     ``drain_deadline`` is how long :meth:`AsyncQueryService.stop` waits
     for in-flight requests before giving up on a clean drain.

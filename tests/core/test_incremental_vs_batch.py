@@ -11,8 +11,7 @@ add exercises the *incremental* index update — produces byte-identical
 * search postings (every document's ``(token, field, frequency)``
   triples, in doc-id order)
 
-to one ``integrate_many`` batch over the same sources, on every
-execution backend and pool mode (per-fanout and resident).
+to one ``integrate_many`` batch over the same sources.
 """
 
 import json
@@ -21,23 +20,7 @@ import sqlite3
 import pytest
 
 from repro.core import Aladin, AladinConfig
-from repro.exec import ExecConfig
 from repro.synth import ScenarioConfig, UniverseConfig, build_scenario
-
-# (backend, resident): the full backend x pool-mode matrix. "auto"
-# measures serial vs parallel per stage kind and picks from the data —
-# whatever it picks, results must stay byte-identical (the arms merge in
-# fixed order, so routing is invisible to the output by construction).
-MODES = [
-    ("serial", False),
-    ("thread", False),
-    ("thread", True),
-    ("process", False),
-    ("process", True),
-    ("auto", False),
-    ("auto", True),
-]
-
 
 def scenario():
     return build_scenario(
@@ -58,15 +41,9 @@ def source_specs(scenario):
     ]
 
 
-def make_aladin(backend, resident):
-    config = AladinConfig()
-    config.execution = ExecConfig(backend=backend, workers=4, resident=resident)
-    return Aladin(config)
-
-
-def integrate_incrementally(backend, resident):
+def integrate_incrementally():
     """N x add_source with the index maintained incrementally throughout."""
-    aladin = make_aladin(backend, resident)
+    aladin = Aladin(AladinConfig())
     specs = source_specs(scenario())
     first = True
     for name, format_name, text, options in specs:
@@ -79,8 +56,8 @@ def integrate_incrementally(backend, resident):
     return aladin
 
 
-def integrate_batch(backend, resident):
-    aladin = make_aladin(backend, resident)
+def integrate_batch():
+    aladin = Aladin(AladinConfig())
     aladin.integrate_many(source_specs(scenario()))
     aladin.search_engine()
     return aladin
@@ -141,8 +118,8 @@ def rankings(aladin):
 
 @pytest.fixture(scope="module")
 def reference():
-    """The serial batch run every mode must reproduce to the byte."""
-    aladin = integrate_batch("serial", resident=False)
+    """The batch run the incremental path must reproduce to the byte."""
+    aladin = integrate_batch()
     web = link_web(aladin)
     assert web[0], "reference corpus produced no object links"
     assert duplicate_set(aladin), "reference corpus produced no duplicates"
@@ -150,26 +127,9 @@ def reference():
 
 
 class TestIncrementalEqualsBatch:
-    @pytest.mark.parametrize(
-        "backend,resident", MODES, ids=[f"{b}{'-resident' if r else ''}" for b, r in MODES]
-    )
-    def test_incremental_matches_batch_reference(self, backend, resident, reference):
+    def test_incremental_matches_batch_reference(self, reference):
         ref_web, ref_duplicates, ref_postings, ref_rankings = reference
-        aladin = integrate_incrementally(backend, resident)
-        assert link_web(aladin) == ref_web
-        assert duplicate_set(aladin) == ref_duplicates
-        assert postings(aladin) == ref_postings
-        assert rankings(aladin) == ref_rankings
-
-    @pytest.mark.parametrize(
-        "backend,resident",
-        [("thread", True), ("process", True)],
-        ids=["thread-resident", "process-resident"],
-    )
-    def test_batch_matches_batch_reference(self, backend, resident, reference):
-        """integrate_many itself is mode-invariant under resident pools."""
-        ref_web, ref_duplicates, ref_postings, ref_rankings = reference
-        aladin = integrate_batch(backend, resident)
+        aladin = integrate_incrementally()
         assert link_web(aladin) == ref_web
         assert duplicate_set(aladin) == ref_duplicates
         assert postings(aladin) == ref_postings
@@ -214,7 +174,7 @@ class TestSessionScorerIsInvisible:
             warm.close()
 
     def test_session_cache_accumulates_across_adds(self):
-        aladin = integrate_incrementally("serial", resident=False)
+        aladin = integrate_incrementally()
         scorer = aladin._dup_scorer
         assert scorer.exact_scores > 0
         assert len(scorer.cache) > 0

@@ -1,25 +1,14 @@
-"""Unit tests for the execution subsystem: pools, ordering, graphs, errors."""
+"""Unit tests for the execution subsystem: ordering, graphs, errors."""
 
+import concurrent.futures
 import threading
-import time
 
 import pytest
 
-from repro.exec import (
-    ExecConfig,
-    ExecError,
-    ProcessExecutor,
-    ResidentProcessExecutor,
-    ResidentThreadExecutor,
-    SerialExecutor,
-    TaskGraph,
-    ThreadExecutor,
-    create_executor,
-)
+from repro.exec import ExecError, Executor, TaskGraph
+from repro.exec import pool as pool_module
 
 
-# Module-level task bodies: the process backend ships them by reference,
-# and fork children resolve them from the inherited module table.
 def _double(state, item):
     base = state or 0
     return (item + base) * 2
@@ -31,358 +20,62 @@ def _boom_on_three(state, item):
     return item
 
 
-def _slow_identity(state, item):
-    time.sleep(0.01 * (5 - item))  # later items finish first
-    return item
-
-
-def _read_state_item(state, item):
-    return (state["generation"], item)
-
-
-def _boom_two_slow_five_fast(state, item):
-    # Two failures in different chunks; the *later* submitted one (item 5)
-    # completes first, the earlier one (item 2) only after a delay.
-    if item == 5:
-        raise ValueError("later failure, finishes first")
-    if item == 2:
-        time.sleep(0.2)
-        raise ValueError("earlier failure, finishes last")
-    return item
-
-
-def _unpicklable_result(state, item):
-    if item >= 2:
-        return lambda: item  # cannot cross the pool back
-    return item
-
-
-def _boom_zero_unpicklable_two(state, item):
-    if item == 0:
-        raise ValueError("transported failure in the first chunk")
-    if item == 2:
-        return lambda: item  # pool-level failure in the second chunk
-    return item
-
-
-ALL_EXECUTORS = [
-    SerialExecutor(1),
-    ThreadExecutor(4),
-    ProcessExecutor(4),
-    ResidentThreadExecutor(4),
-    ResidentProcessExecutor(4),
-]
-
-
 class TestMapOrdered:
-    @pytest.mark.parametrize("executor", ALL_EXECUTORS, ids=lambda e: type(e).__name__)
-    def test_results_in_item_order(self, executor):
-        assert executor.map_ordered(_double, range(10)) == [i * 2 for i in range(10)]
+    def test_results_in_item_order(self):
+        assert Executor().map_ordered(_double, range(10)) == [i * 2 for i in range(10)]
 
-    @pytest.mark.parametrize("executor", ALL_EXECUTORS, ids=lambda e: type(e).__name__)
-    def test_state_reaches_workers(self, executor):
-        assert executor.map_ordered(_double, [1, 2], state=100) == [202, 204]
+    def test_state_reaches_tasks(self):
+        assert Executor().map_ordered(_double, [1, 2], state=100) == [202, 204]
 
-    @pytest.mark.parametrize("executor", ALL_EXECUTORS, ids=lambda e: type(e).__name__)
-    def test_completion_order_does_not_leak(self, executor):
-        assert executor.map_ordered(_slow_identity, range(5)) == list(range(5))
-
-    @pytest.mark.parametrize("executor", ALL_EXECUTORS, ids=lambda e: type(e).__name__)
-    def test_chunking_preserves_order(self, executor):
-        assert executor.map_ordered(_double, range(17), chunksize=4) == [
-            i * 2 for i in range(17)
-        ]
-
-    @pytest.mark.parametrize("executor", ALL_EXECUTORS, ids=lambda e: type(e).__name__)
-    def test_failure_raises_exec_error_naming_the_task(self, executor):
+    def test_failure_raises_exec_error_naming_the_task(self):
         with pytest.raises(ExecError) as excinfo:
-            executor.map_ordered(
+            Executor().map_ordered(
                 _boom_on_three,
                 range(6),
                 labels=[f"scan:{i}" for i in range(6)],
             )
         assert excinfo.value.task == "scan:3"
         assert "scan:3" in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, ValueError)
+
+    def test_items_after_a_failure_never_run(self):
+        ran = []
+
+        def record(state, item):
+            ran.append(item)
+            return _boom_on_three(state, item)
+
+        with pytest.raises(ExecError):
+            Executor().map_ordered(record, range(6))
+        assert ran == [0, 1, 2, 3]
 
     def test_default_labels(self):
         with pytest.raises(ExecError) as excinfo:
-            SerialExecutor().map_ordered(_boom_on_three, [3])
+            Executor().map_ordered(_boom_on_three, [3])
         assert excinfo.value.task == "task[0]"
 
 
-class TestResidentPools:
-    def test_process_pool_is_reused_and_refreshed(self):
-        executor = ResidentProcessExecutor(2)
-        state = {"generation": 1}
+class TestSubmit:
+    def test_submit_runs_on_one_query_thread(self):
+        executor = Executor()
         try:
-            assert executor.map_ordered(_read_state_item, [1, 2], state=state) == [
-                (1, 1), (1, 2),
+            futures = [
+                executor.submit(lambda: threading.current_thread().name)
+                for _ in range(8)
             ]
-            assert executor.pools_forked == 1
-            # Same state object: the pool must not re-fork.
-            executor.map_ordered(_read_state_item, [3, 4], state=state)
-            assert executor.pools_forked == 1
-            # Stateless fan-outs ride the existing pool too.
-            executor.map_ordered(_double, [1, 2])
-            assert executor.pools_forked == 1
-            state["generation"] = 2
-            # Single-item fan-outs run inline in the parent: live state.
-            assert executor.map_ordered(_read_state_item, [1], state=state) == [(2, 1)]
-            # Multi-item fan-outs hit the workers' fork snapshot, which is
-            # stale until refresh_state() — the documented contract...
-            assert executor.map_ordered(_read_state_item, [1, 2], state=state) == [
-                (1, 1), (1, 2),
-            ]
-            # ...and refresh_state() re-forks from current memory.
-            executor.refresh_state()
-            assert executor.map_ordered(_read_state_item, [1, 2], state=state) == [
-                (2, 1), (2, 2),
-            ]
-            assert executor.pools_forked == 2
-        finally:
-            executor.shutdown()
-        assert not executor.pool_alive
-
-    def test_thread_pool_reads_live_state(self):
-        executor = ResidentThreadExecutor(2)
-        state = {"generation": 1}
-        try:
-            assert executor.map_ordered(_read_state_item, [1, 2], state=state) == [
-                (1, 1), (1, 2),
-            ]
-            state["generation"] = 2  # threads share the heap: no refresh needed
-            assert executor.map_ordered(_read_state_item, [1, 2], state=state) == [
-                (2, 1), (2, 2),
-            ]
-            assert executor.pools_started == 1
+            names = {future.result(timeout=10) for future in futures}
+            assert len(names) == pool_module.SUBMIT_THREADS == 1
+            assert isinstance(futures[0], concurrent.futures.Future)
         finally:
             executor.shutdown()
 
-    @pytest.mark.parametrize(
-        "executor_factory",
-        [lambda: ResidentThreadExecutor(4), lambda: ResidentProcessExecutor(4)],
-        ids=["ResidentThreadExecutor", "ResidentProcessExecutor"],
-    )
-    def test_error_names_first_failed_task_in_submission_order(self, executor_factory):
-        """Regression: completion order must not pick the surfaced task.
-
-        Items 2 and 5 both fail, in different chunks; the later-submitted
-        chunk's failure completes first. The raised ExecError must still
-        name item 2 — the first failure in submission order.
-        """
-        executor = executor_factory()
-        try:
-            with pytest.raises(ExecError) as excinfo:
-                executor.map_ordered(
-                    _boom_two_slow_five_fast,
-                    range(6),
-                    labels=[f"scan:{i}" for i in range(6)],
-                    chunksize=2,
-                )
-            assert excinfo.value.task == "scan:2"
-        finally:
-            executor.shutdown()
-
-    @pytest.mark.parametrize(
-        "executor_factory",
-        [lambda: ProcessExecutor(2), lambda: ResidentProcessExecutor(2)],
-        ids=["ProcessExecutor", "ResidentProcessExecutor"],
-    )
-    def test_transported_failure_beats_later_pool_level_failure(
-        self, executor_factory
-    ):
-        """A transported error in an earlier chunk must win over a
-        pool-level error (unpicklable result) in a later chunk — the
-        contract names the first failed task in *submission order* on the
-        per-call and resident process pools alike."""
-        executor = executor_factory()
-        try:
-            with pytest.raises(ExecError) as excinfo:
-                executor.map_ordered(
-                    _boom_zero_unpicklable_two,
-                    range(4),
-                    labels=[f"t:{i}" for i in range(4)],
-                    chunksize=2,
-                )
-            assert excinfo.value.task == "t:0"
-        finally:
-            executor.shutdown()
-
-    def test_pool_level_failure_names_first_chunk_and_recovers(self):
-        """An unpicklable result is a pool-level error, not a transported
-        one; it must be attributed to its chunk deterministically and the
-        pool must re-fork cleanly on the next call."""
-        executor = ResidentProcessExecutor(2)
-        try:
-            with pytest.raises(ExecError) as excinfo:
-                executor.map_ordered(
-                    _unpicklable_result,
-                    range(6),
-                    labels=[f"enc:{i}" for i in range(6)],
-                    chunksize=2,
-                )
-            assert excinfo.value.task == "enc:2"
-            forked_before = executor.pools_forked
-            # The possibly poisoned pool was dropped; the next fan-out
-            # transparently re-forks and works.
-            assert executor.map_ordered(_double, [1, 2]) == [2, 4]
-            assert executor.pools_forked == forked_before + 1
-        finally:
-            executor.shutdown()
-
-    @pytest.mark.parametrize(
-        "executor_factory",
-        [
-            lambda: ResidentThreadExecutor(2, idle_seconds=0.2),
-            lambda: ResidentProcessExecutor(2, idle_seconds=0.2),
-        ],
-        ids=["ResidentThreadExecutor", "ResidentProcessExecutor"],
-    )
-    def test_idle_teardown_releases_and_recreates_workers(self, executor_factory):
-        executor = executor_factory()
-        try:
-            executor.map_ordered(_double, [1, 2])
-            deadline = time.monotonic() + 5.0
-            while executor.pool_alive and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert not executor.pool_alive
-            # The next fan-out just works again.
-            assert executor.map_ordered(_double, [1, 2]) == [2, 4]
-            assert executor.pool_alive
-        finally:
-            executor.shutdown()
-
-    def test_thread_shutdown_during_inflight_fanout_keeps_contract(self):
-        """shutdown() racing an overlapped fan-out (the thread backend
-        overlaps graph stages) must not leak a raw RuntimeError out of
-        map_ordered — remaining chunks finish inline, results intact."""
-        executor = ResidentThreadExecutor(2)
-        results = {}
-
-        def fanout():
-            results["out"] = executor.map_ordered(
-                _slow_identity, range(5), chunksize=1
-            )
-
-        worker = threading.Thread(target=fanout)
-        worker.start()
-        time.sleep(0.02)  # let the first submits land
+    def test_shutdown_is_idempotent_and_submit_recreates_the_thread(self):
+        executor = Executor()
+        assert executor.submit(lambda: 41 + 1).result(timeout=10) == 42
         executor.shutdown()
-        worker.join(timeout=10)
-        assert results["out"] == list(range(5))
-
-    @pytest.mark.parametrize(
-        "executor_factory",
-        [
-            lambda: ResidentThreadExecutor(2, idle_seconds=3600.0),
-            lambda: ResidentProcessExecutor(2, idle_seconds=3600.0),
-        ],
-        ids=["ResidentThreadExecutor", "ResidentProcessExecutor"],
-    )
-    def test_shutdown_with_timer_armed_is_idempotent(self, executor_factory):
-        """Regression: the idle Timer can fire during/after shutdown (and
-        during interpreter teardown). A late firing must be a silent
-        no-op, and repeated shutdowns must not raise."""
-        executor = executor_factory()
-        executor.map_ordered(_double, [1, 2])  # arms the idle timer
-        assert executor._timer is not None
-        armed_generation = executor._timer_generation
         executor.shutdown()
-        assert not executor.pool_alive
-        # The armed timer firing late — after shutdown cancelled it but
-        # before its thread observed the cancel — must change nothing.
-        executor._idle_teardown(armed_generation)
-        executor.shutdown()  # idempotent
-        assert not executor.pool_alive
-        # The executor is still usable: the next fan-out re-creates workers.
-        assert executor.map_ordered(_double, [1, 2]) == [2, 4]
+        assert executor.submit(lambda: 7).result(timeout=10) == 7
         executor.shutdown()
-
-    def test_idle_teardown_never_propagates_into_the_timer_thread(self):
-        """A teardown racing interpreter shutdown can find half-dismantled
-        state; the timer callback must swallow it rather than spew into
-        the daemon thread."""
-        executor = ResidentThreadExecutor(2, idle_seconds=3600.0)
-        try:
-            executor.map_ordered(_double, [1, 2])
-            generation = executor._timer_generation
-
-            def exploding_teardown():
-                raise RuntimeError("interpreter is shutting down")
-
-            executor._teardown = exploding_teardown
-            executor._idle_teardown(generation)  # must not raise
-        finally:
-            del executor._teardown  # restore the class implementation
-            executor.shutdown()
-
-    def test_atexit_hook_tears_down_live_resident_pools(self):
-        """Regression: resident pools leaked workers at interpreter exit.
-        Live executors register in the module's weak registry and the
-        atexit hook releases every one of them, swallowing stragglers."""
-        from repro.exec import pool as pool_module
-
-        thread_executor = ResidentThreadExecutor(2, idle_seconds=3600.0)
-        process_executor = ResidentProcessExecutor(2, idle_seconds=3600.0)
-        try:
-            assert thread_executor in pool_module._LIVE_RESIDENT
-            assert process_executor in pool_module._LIVE_RESIDENT
-            thread_executor.map_ordered(_double, [1, 2])
-            process_executor.map_ordered(_double, [1, 2])
-            assert thread_executor.pool_alive and process_executor.pool_alive
-
-            broken = ResidentThreadExecutor(2, idle_seconds=3600.0)
-            broken.shutdown = lambda: (_ for _ in ()).throw(
-                RuntimeError("already dismantled")
-            )
-            pool_module._atexit_shutdown_all()  # must not raise
-            assert not thread_executor.pool_alive
-            assert not process_executor.pool_alive
-        finally:
-            thread_executor.shutdown()
-            process_executor.shutdown()
-
-    def test_create_executor_builds_resident_variants(self):
-        thread = create_executor(ExecConfig("thread", 2, resident=True))
-        process = create_executor(ExecConfig("process", 2, resident=True))
-        serial = create_executor(ExecConfig("serial", 1, resident=True))
-        assert isinstance(thread, ResidentThreadExecutor)
-        assert isinstance(process, ResidentProcessExecutor)
-        assert isinstance(serial, SerialExecutor)  # residency is meaningless
-        assert thread.resident and process.resident and not serial.resident
-        thread.shutdown()
-        process.shutdown()
-
-    def test_resident_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_RESIDENT", "1")
-        assert ExecConfig().resident is True
-        monkeypatch.setenv("REPRO_EXEC_RESIDENT", "no")
-        assert ExecConfig().resident is False
-
-
-class TestCreateExecutor:
-    def test_backends(self):
-        assert isinstance(create_executor(ExecConfig("serial", 1)), SerialExecutor)
-        assert isinstance(create_executor(ExecConfig("thread", 2)), ThreadExecutor)
-        assert isinstance(create_executor(ExecConfig("process", 2)), ProcessExecutor)
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            create_executor(ExecConfig("gpu", 2))
-
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "thread")
-        monkeypatch.setenv("REPRO_EXEC_WORKERS", "7")
-        config = ExecConfig()
-        assert config.backend == "thread"
-        assert config.workers == 7
-
-    def test_bad_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "quantum")
-        monkeypatch.setenv("REPRO_EXEC_WORKERS", "many")
-        config = ExecConfig()
-        assert config.backend == "serial"
-        assert config.workers == 4
 
 
 class TestTaskGraph:
@@ -393,36 +86,33 @@ class TestTaskGraph:
         graph.add("c", lambda results: log.append("c") or results["b"] + 1, deps=("b",))
         return graph
 
-    def test_serial_topological_order(self):
+    def test_topological_order(self):
         log = []
-        results = self._linear_graph(log).run(SerialExecutor())
+        results = self._linear_graph(log).run()
         assert log == ["a", "b", "c"]
         assert results == {"a": 1, "b": 2, "c": 3}
 
-    def test_threaded_results_match_serial(self):
-        results = self._linear_graph([]).run(ThreadExecutor(4))
-        assert results == {"a": 1, "b": 2, "c": 3}
-
-    def test_independent_tasks_overlap_under_threads(self):
-        barrier = threading.Barrier(2, timeout=5)
+    def test_insertion_order_among_ready_tasks(self):
+        log = []
         graph = TaskGraph()
-        graph.add("left", lambda results: barrier.wait())
-        graph.add("right", lambda results: barrier.wait())
-        # If left and right were serialized the barrier would time out.
-        graph.run(ThreadExecutor(2))
+        graph.add("root", lambda results: log.append("root"))
+        for name in ("z", "m", "a"):
+            graph.add(name, lambda results, n=name: log.append(n), deps=("root",))
+        graph.run()
+        assert log == ["root", "z", "m", "a"]
 
     def test_unknown_dependency(self):
         graph = TaskGraph()
         graph.add("a", lambda results: 1, deps=("ghost",))
         with pytest.raises(ValueError, match="unknown task"):
-            graph.run(SerialExecutor())
+            graph.run()
 
     def test_cycle_detection(self):
         graph = TaskGraph()
         graph.add("a", lambda results: 1, deps=("b",))
         graph.add("b", lambda results: 1, deps=("a",))
         with pytest.raises(ValueError, match="cycle"):
-            graph.run(SerialExecutor())
+            graph.run()
 
     def test_duplicate_task_name(self):
         graph = TaskGraph()
@@ -430,16 +120,13 @@ class TestTaskGraph:
         with pytest.raises(ValueError, match="already"):
             graph.add("a", lambda results: 2)
 
-    @pytest.mark.parametrize(
-        "executor", [SerialExecutor(), ThreadExecutor(4)], ids=lambda e: type(e).__name__
-    )
-    def test_failure_names_task_and_skips_dependents(self, executor):
+    def test_failure_names_task_and_skips_dependents(self):
         ran = []
         graph = TaskGraph()
         graph.add("ok", lambda results: ran.append("ok"))
         graph.add("bad", lambda results: 1 / 0, deps=("ok",))
         graph.add("downstream", lambda results: ran.append("downstream"), deps=("bad",))
         with pytest.raises(ExecError) as excinfo:
-            graph.run(executor)
+            graph.run()
         assert excinfo.value.task == "bad"
         assert "downstream" not in ran

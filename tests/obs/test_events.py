@@ -152,8 +152,8 @@ class TestEventShape:
         assert record["payload"] == {"source": "sp", "links": 3}
 
     def test_lifecycle_catalog_is_complete(self):
-        assert len(LIFECYCLE_EVENTS) == 12  # 9 core + 3 serve.*
-        assert len(set(LIFECYCLE_EVENTS)) == 12
+        assert len(LIFECYCLE_EVENTS) == 10  # 7 core + 3 serve.*
+        assert len(set(LIFECYCLE_EVENTS)) == 10
         for kind in LIFECYCLE_EVENTS:
             assert "." in kind  # family.transition naming
 

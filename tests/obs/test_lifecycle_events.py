@@ -1,40 +1,22 @@
-"""Lifecycle events fire exactly once per transition, on every backend.
+"""Lifecycle events fire exactly once per transition.
 
 One full maintenance story — adds, a snapshot save, a checkpointed add,
 a below-threshold update, an above-threshold update, a removal — is
-replayed on the whole backend x pool-mode matrix, and the event counts
-must match the documented lifecycle exactly: no backend and no pool mode
-may emit an extra (or swallow a) transition.
+replayed, and the event counts must match the documented lifecycle
+exactly: no operation may emit an extra (or swallow a) transition.
 """
 
 import threading
 
-import pytest
-
 from repro.core import Aladin, AladinConfig
-from repro.exec import ExecConfig
 from repro.obs.events import (
     CHECKPOINT_COMMITTED,
     HYDRATION_FAULTED,
-    POOL_SPAWNED,
-    POOL_TEARDOWN,
     SNAPSHOT_OPENED,
     SOURCE_ADDED,
     SOURCE_REMOVED,
     SOURCE_UPDATED,
 )
-
-MODES = [
-    ("serial", False),
-    ("thread", False),
-    ("thread", True),
-    ("process", False),
-    ("process", True),
-    ("auto", False),
-    ("auto", True),
-]
-MODE_IDS = [f"{b}{'-resident' if r else ''}" for b, r in MODES]
-
 
 def tsv(rows, tag=""):
     body = "\n".join(f"ACC{tag}{i:03d}\tname{i}\tdescription {tag} {i}"
@@ -42,18 +24,16 @@ def tsv(rows, tag=""):
     return "accession\tname\tdescription\n" + body
 
 
-def make_aladin(backend, resident):
+def make_aladin():
     config = AladinConfig()
-    config.execution = ExecConfig(backend=backend, workers=2, resident=resident)
     # Pin enablement: this suite tests the *enabled* semantics and must
     # pass under REPRO_OBS=0 too (CI runs tier-1 both ways).
     config.observability.enabled = True
     return Aladin(config)
 
 
-@pytest.mark.parametrize("backend,resident", MODES, ids=MODE_IDS)
-def test_exactly_one_event_per_transition(backend, resident, tmp_path):
-    aladin = make_aladin(backend, resident)
+def test_exactly_one_event_per_transition(tmp_path):
+    aladin = make_aladin()
     try:
         aladin.add_source("s1", "delimited", tsv(10, "a"))
         aladin.add_source("s2", "delimited", tsv(10, "b"))
@@ -98,17 +78,6 @@ def test_exactly_one_event_per_transition(backend, resident, tmp_path):
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
     finally:
         aladin.close()
-
-    if resident:
-        spawned = aladin.obs.events.history(POOL_SPAWNED)
-        torn_down = aladin.obs.events.history(POOL_TEARDOWN)
-        assert spawned, "resident mode never spawned a pool"
-        # Every spawned pool is torn down by close time (fork pools also
-        # tear down on registry state changes, then respawn on demand).
-        assert len(torn_down) == len(spawned)
-        known = {"idle", "shutdown", "refresh_state", "state_change",
-                 "degraded", "pool_failure"}
-        assert {e.payload["reason"] for e in torn_down} <= known
 
 
 def test_open_and_hydration_events(tmp_path):
@@ -186,7 +155,7 @@ def test_disabled_observability_is_a_noop():
         assert aladin.obs.events.history() == []
         # Hot paths get None, not even the null registry.
         assert aladin.executor.metrics is None
-        assert aladin.executor.events is None
+        assert aladin.executor.tracer is None
         # The legacy ad-hoc counters keep working regardless.
         assert aladin.hydration_stats()["sources"] == 2
     finally:

@@ -1,17 +1,19 @@
-"""Unit tests for the tracing core: spans, context, adoption, rendering.
+"""Unit tests for the tracing core: spans, context, fan-outs, rendering.
 
-The integration story (span trees over real pipelines on every backend)
-lives in ``test_trace_pipeline.py``; this file pins the building blocks:
-id allocation, contextvar propagation, worker-record adoption, the slow
-log, the null twin, and the text renderer.
+The integration story (span trees over real pipelines) lives in
+``test_trace_pipeline.py``; this file pins the building blocks: id
+allocation, contextvar propagation, the executor's per-task spans, the
+slow log, the null twin, and the text renderer.
 """
 
 import threading
 
+import pytest
+
+from repro.exec import ExecError, Executor
 from repro.obs.trace import (
     NULL_TRACER,
     Tracer,
-    WorkerSpanRecorder,
     render_spans,
 )
 
@@ -128,48 +130,62 @@ class TestThreadPropagation:
         assert tracer.spans()[0].parent_id is None
 
 
-class TestWorkerAdoption:
-    def test_adopt_reparents_in_submission_order_with_labels(self):
-        tracer = Tracer()
-        with tracer.span("op.root"):
-            handle = tracer.start_span("fanout.link", backend="process")
-            recorder = WorkerSpanRecorder(handle.context())
-            with recorder.task(0):
-                pass
-            with recorder.task(1):
-                pass
-            tracer.adopt(recorder.spans, handle, labels=["link:a->b", "link:b->a"])
-            tracer.finish(handle)
-        spans = tracer.spans()
-        tasks = [s for s in spans if s.name == "task"]
+def _boom_on_two(_state, item):
+    if item == 2:
+        raise KeyError(f"item {item}")
+    return item
+
+
+class TestFanoutSpans:
+    def traced_executor(self):
+        executor = Executor()
+        executor.tracer = Tracer()
+        return executor
+
+    def test_tasks_hang_under_the_fanout_in_item_order_with_labels(self):
+        executor = self.traced_executor()
+        labels = ["link:a->b", "link:b->a"]
+        with executor.tracer.span("op.root"):
+            assert executor.map_ordered(_boom_on_two, [0, 1], labels=labels) == [0, 1]
+        spans = executor.tracer.spans()
         fanout = next(s for s in spans if s.name == "fanout.link")
-        assert len(tasks) == 2
+        tasks = [s for s in spans if s.name == "task"]
+        assert fanout.attributes == {"items": 2}
         assert all(s.parent_id == fanout.span_id for s in tasks)
         assert all(s.trace_id == fanout.trace_id for s in tasks)
-        assert [s.attributes["label"] for s in tasks] == ["link:a->b", "link:b->a"]
-        # Worker-local ids were re-assigned on adoption.
-        assert not any(s.span_id.startswith("w") for s in tasks)
-        # Submission order is preserved through the ring.
+        assert [s.attributes for s in tasks] == [
+            {"index": 0, "label": "link:a->b"},
+            {"index": 1, "label": "link:b->a"},
+        ]
         assert tasks[0].order < tasks[1].order
 
-    def test_worker_task_error_is_recorded_and_reraised(self):
-        recorder = WorkerSpanRecorder(("t1", "s1"))
-        try:
-            with recorder.task(3):
-                raise KeyError("boom")
-        except KeyError:
-            pass
-        (record,) = recorder.spans
-        assert record["status"] == "error"
-        assert record["error"] == "KeyError"
-        assert record["attributes"]["index"] == 3
+    def test_unlabelled_tasks_carry_their_index(self):
+        executor = self.traced_executor()
+        executor.map_ordered(_boom_on_two, [0, 1], stage="scan")
+        tasks = [s for s in executor.tracer.spans() if s.name == "task"]
+        assert [s.attributes for s in tasks] == [{"index": 0}, {"index": 1}]
 
-    def test_adopt_empty_records_is_a_noop(self):
-        tracer = Tracer()
-        handle = tracer.start_span("fanout.x")
-        tracer.adopt([], handle)
-        tracer.finish(handle)
-        assert [s.name for s in tracer.spans()] == ["fanout.x"]
+    def test_failed_fanout_keeps_every_attempted_task(self):
+        """The finished tasks and the failing one all stay in the trace;
+        the task after the failure never ran, so it has no span."""
+        executor = self.traced_executor()
+        labels = [f"a:{i}" for i in range(4)]
+        with pytest.raises(ExecError) as excinfo:
+            executor.map_ordered(_boom_on_two, range(4), labels=labels)
+        assert excinfo.value.task == "a:2"
+        spans = executor.tracer.spans()
+        fanout = next(s for s in spans if s.name == "fanout.a")
+        assert (fanout.status, fanout.error) == ("error", "ExecError")
+        tasks = [s for s in spans if s.name == "task"]
+        assert all(s.parent_id == fanout.span_id for s in tasks)
+        assert [
+            (s.attributes["index"], s.attributes["label"], s.status, s.error)
+            for s in tasks
+        ] == [
+            (0, "a:0", "ok", None),
+            (1, "a:1", "ok", None),
+            (2, "a:2", "error", "KeyError"),
+        ]
 
 
 class TestSlowLog:
@@ -201,14 +217,12 @@ class TestNullTracer:
     def test_everything_is_a_noop(self):
         with NULL_TRACER.span("op.x", a=1) as handle:
             handle.set(b=2)
-            assert handle.context() is None
         assert NULL_TRACER.current() is None
         assert NULL_TRACER.spans() == []
         assert NULL_TRACER.traces() == []
         assert NULL_TRACER.slow_spans() == []
         assert not NULL_TRACER.enabled
         NULL_TRACER.record_complete("op.y", 0.0, 0.0)
-        NULL_TRACER.adopt([], NULL_TRACER.start_span("z"))
         NULL_TRACER.finish(NULL_TRACER.start_span("z"))
         NULL_TRACER.clear()
 
@@ -218,7 +232,7 @@ class TestRenderSpans:
         tracer = Tracer()
         with tracer.span("op.add_source", source="s1"):
             with tracer.span("graph.link_discovery"):
-                with tracer.span("fanout.link", backend="thread"):
+                with tracer.span("fanout.link", items=2):
                     pass
         text = render_spans(tracer.spans())
         lines = text.splitlines()

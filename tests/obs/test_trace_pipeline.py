@@ -1,30 +1,17 @@
-"""Span trees over real pipelines, on every backend.
+"""Span trees over real pipelines.
 
 The acceptance story for hierarchical tracing: one *connected* span tree
-per top-level operation on the full backend x pool-mode matrix — worker
-task spans shipped home from thread and fork pools and re-parented under
-their fan-out span in submission order — plus the differential guarantee
-that tracing never changes a result: the traced system's link web,
-object web, and BM25 rankings are byte-identical to the untraced one.
+per top-level operation — per-task spans under their fan-out span in
+item order — plus the differential guarantee that tracing never changes
+a result: the traced system's link web, object web, and BM25 rankings
+are byte-identical to the untraced one.
 """
 
 import json
 import re
 
-import pytest
-
 from repro.cli import run as cli_run
 from repro.core import Aladin, AladinConfig
-from repro.exec import ExecConfig
-
-MODES = [
-    ("serial", False),
-    ("thread", False),
-    ("thread", True),
-    ("process", False),
-    ("process", True),
-]
-MODE_IDS = [f"{b}{'-resident' if r else ''}" for b, r in MODES]
 
 QUERIES = ("name3", "description b", "name1")
 
@@ -39,9 +26,8 @@ def specs():
     return [(f"s{n}", "delimited", tsv(12, chr(ord("a") + n))) for n in range(4)]
 
 
-def make_aladin(backend, resident, enabled=True):
+def make_aladin(enabled=True):
     config = AladinConfig()
-    config.execution = ExecConfig(backend=backend, workers=2, resident=resident)
     config.observability.enabled = enabled
     return Aladin(config)
 
@@ -64,9 +50,8 @@ def assert_connected(spans):
     assert len({span["trace_id"] for span in spans}) == 1
 
 
-@pytest.mark.parametrize("backend,resident", MODES, ids=MODE_IDS)
-def test_integrate_many_yields_one_connected_tree(backend, resident):
-    aladin = make_aladin(backend, resident)
+def test_integrate_many_yields_one_connected_tree():
+    aladin = make_aladin()
     try:
         aladin.integrate_many(specs())
         trees = spans_by_trace(aladin)
@@ -77,8 +62,8 @@ def test_integrate_many_yields_one_connected_tree(backend, resident):
         assert root["status"] == "ok"
         assert all(span["status"] == "ok" for span in spans)
 
-        # The batch stages fan out; each fan-out span carries its backend
-        # arm and its per-task worker spans as direct children.
+        # The batch stages fan out; each fan-out span carries its
+        # per-task spans as direct children.
         fanouts = [s for s in spans if s["name"].startswith("fanout.")]
         assert fanouts, "no fan-out spans under the batch"
         for fanout in fanouts:
@@ -90,20 +75,16 @@ def test_integrate_many_yields_one_connected_tree(backend, resident):
             for task in tasks:
                 assert task["duration"] > 0.0
                 assert "index" in task["attributes"]
-            # Submission (item) order, not completion order.
+            # Item order.
             assert [t["attributes"]["index"] for t in tasks] == sorted(
                 t["attributes"]["index"] for t in tasks
             )
-        if backend != "serial":
-            arms = {f["attributes"]["backend"] for f in fanouts}
-            assert arms <= {backend, "serial"}
     finally:
         aladin.close()
 
 
-@pytest.mark.parametrize("backend,resident", MODES, ids=MODE_IDS)
-def test_add_source_tree_spans_graph_nodes(backend, resident):
-    aladin = make_aladin(backend, resident)
+def test_add_source_tree_spans_graph_nodes():
+    aladin = make_aladin()
     try:
         aladin.add_source("s1", "delimited", tsv(10, "a"))
         aladin.add_source("s2", "delimited", tsv(10, "b"))
@@ -112,8 +93,7 @@ def test_add_source_tree_spans_graph_nodes(backend, resident):
         spans = trees[1]["spans"]  # s2: links + duplicates against s1
         assert_connected(spans)
         names = {span["name"] for span in spans}
-        # The five-step graph's nodes hang under the op span whatever
-        # dispatch mode ran them (inline or thread-overlapped).
+        # The five-step graph's nodes hang under the op span.
         assert {"graph.link_discovery", "graph.register",
                 "graph.checkpoint"} <= names
         root = next(s for s in spans if s["parent_id"] is None)
@@ -122,8 +102,8 @@ def test_add_source_tree_spans_graph_nodes(backend, resident):
         aladin.close()
 
 
-def test_worker_task_spans_carry_labels_from_fanout():
-    aladin = make_aladin("process", False)
+def test_task_spans_carry_labels_from_fanout():
+    aladin = make_aladin()
     try:
         aladin.add_source("s1", "delimited", tsv(10, "a"))
         aladin.add_source("s2", "delimited", tsv(10, "b"))
@@ -142,7 +122,7 @@ def test_worker_task_spans_carry_labels_from_fanout():
 
 
 def test_operations_get_separate_traces():
-    aladin = make_aladin("serial", False)
+    aladin = make_aladin()
     try:
         aladin.add_source("s1", "delimited", tsv(8, "a"))
         aladin.add_source("s2", "delimited", tsv(8, "b"))
@@ -156,7 +136,7 @@ def test_operations_get_separate_traces():
 
 
 def test_search_and_browse_record_root_spans():
-    aladin = make_aladin("serial", False)
+    aladin = make_aladin()
     try:
         aladin.add_source("s1", "delimited", tsv(8, "a"))
         hits = aladin.search_engine().search("name1")
@@ -175,7 +155,7 @@ def test_search_and_browse_record_root_spans():
 
 def test_open_records_a_root_span(tmp_path):
     snap = tmp_path / "wh.snap"
-    writer = make_aladin("serial", False)
+    writer = make_aladin()
     writer.add_source("s1", "delimited", tsv(8, "a"))
     writer.save(str(snap))
     # With a store attached, the add's checkpoint is a span of the op.
@@ -231,10 +211,9 @@ def fingerprint(aladin):
     return links, attribute_links, rankings, pages
 
 
-@pytest.mark.parametrize("backend,resident", MODES, ids=MODE_IDS)
-def test_traced_run_is_byte_identical_to_untraced(backend, resident):
-    traced = make_aladin(backend, resident, enabled=True)
-    untraced = make_aladin(backend, resident, enabled=False)
+def test_traced_run_is_byte_identical_to_untraced():
+    traced = make_aladin(enabled=True)
+    untraced = make_aladin(enabled=False)
     try:
         traced.integrate_many(specs())
         untraced.integrate_many(specs())
@@ -251,7 +230,7 @@ def test_traced_run_is_byte_identical_to_untraced(backend, resident):
 # ----------------------------------------------------------------------
 def test_cli_trace_renders_span_trees(tmp_path, capsys):
     snap = tmp_path / "wh.snap"
-    writer = make_aladin("serial", False)
+    writer = make_aladin()
     writer.add_source("s1", "delimited", tsv(8, "a"))
     writer.save(str(snap))
     writer.close()
@@ -273,7 +252,7 @@ def test_cli_metrics_prometheus_is_pure_and_parses(tmp_path, capsys):
     well-formed TYPE comment or sample, families unique, so a scraper
     can consume stdout directly even with access flags on."""
     snap = tmp_path / "wh.snap"
-    writer = make_aladin("serial", False)
+    writer = make_aladin()
     writer.add_source("s1", "delimited", tsv(8, "a"))
     writer.save(str(snap))
     writer.close()
@@ -321,7 +300,6 @@ def test_jsonl_export_interleaves_spans(tmp_path):
     the final metrics line that close() flushes."""
     export = tmp_path / "obs.jsonl"
     config = AladinConfig()
-    config.execution = ExecConfig(backend="serial", workers=1)
     config.observability.enabled = True
     config.observability.export_path = str(export)
     aladin = Aladin(config)

@@ -243,8 +243,8 @@ class TestCompactionVerification:
             # Write exactly what an old build wrote: bare-NaN row tokens.
             patched.setattr(
                 snapshot_module,
-                "_encode_row_task",
-                lambda _state, tup: json_module.dumps(
+                "_encode_row",
+                lambda tup: json_module.dumps(
                     list(tup), separators=(",", ":")
                 ),
             )

@@ -9,8 +9,7 @@ each source in on first touch. The suite pins both halves:
 
 * equality — every access path produces the writer's answer, and after
   maintenance (add/update) a lazy open matches a ``lazy=False`` open
-  (every source faulted in at open) on serial, thread, and process
-  backends, and
+  (every source faulted in at open), and
 * laziness — the open hydrates nothing, a BM25 search hydrates nothing
   (the lazy index serves postings from SQL), a single-table SELECT with
   an equality filter is answered by pushdown without hydration, and a
@@ -30,11 +29,12 @@ designed "changed under a lazy reader" error, never as corruption.
 import json
 import os
 import shutil
+import sqlite3
 
 import pytest
 
 from repro.core import Aladin, AladinConfig
-from repro.exec import ExecConfig
+from repro.core.config import config_from_dict, config_to_dict
 from repro.persist import SnapshotError
 from repro.relational.schema import SchemaError
 from repro.relational.sql import SqlError
@@ -358,28 +358,11 @@ def extra_source():
     return scenario.sources[0]
 
 
-BACKENDS = [
-    "serial",
-    "thread",
-    pytest.param(
-        "process",
-        marks=pytest.mark.skipif(
-            not hasattr(os, "fork"), reason="process backend needs os.fork"
-        ),
-    ),
-]
-
-
 class TestMaintenanceDifferential:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_maintenance_after_lazy_open_matches_eager(
-        self, snapshot, tmp_path, backend
-    ):
+    def test_maintenance_after_lazy_open_matches_eager(self, snapshot, tmp_path):
         def opened(copy_name, lazy_flag):
-            config = AladinConfig()
-            config.execution = ExecConfig(backend=backend, workers=2)
             path = copy_snapshot(snapshot, tmp_path / copy_name)
-            return Aladin.open(path, config=config, lazy=lazy_flag)
+            return Aladin.open(path, config=AladinConfig(), lazy=lazy_flag)
 
         extra = extra_source()
         systems = []
@@ -437,6 +420,81 @@ class TestMaintenanceDifferential:
 # ----------------------------------------------------------------------
 # the writer/reader race: checkpoints land while a lazy reader faults
 # ----------------------------------------------------------------------
+def config_row(path):
+    conn = sqlite3.connect(path)
+    try:
+        (config_json,) = conn.execute(
+            "SELECT value FROM manifest WHERE key = 'config'"
+        ).fetchone()
+    finally:
+        conn.close()
+    return json.loads(config_json)
+
+
+class TestSnapshotsWithAnExecutionEntry:
+    """Snapshots written while the execution backend was configurable
+    carry an ``"execution"`` entry in their config row. They still open,
+    answer like the writer, and lose the entry at the next checkpoint."""
+
+    OLD_ENTRY = {
+        "backend": "process",
+        "workers": 16,
+        "resident": True,
+        "idle_seconds": 30.0,
+        "auto_parallel": "process",
+    }
+
+    def old_snapshot(self, snapshot, path):
+        path = copy_snapshot(snapshot, path)
+        persisted = config_row(path)
+        assert "execution" not in persisted
+        persisted["execution"] = dict(self.OLD_ENTRY)
+        conn = sqlite3.connect(path)
+        try:
+            conn.execute(
+                "UPDATE manifest SET value = ? WHERE key = 'config'",
+                (json.dumps(persisted),),
+            )
+            conn.commit()
+        finally:
+            conn.close()
+        return path
+
+    @pytest.mark.parametrize("lazy_flag", [True, False], ids=["lazy", "eager"])
+    def test_opens_and_answers_like_the_writer(
+        self, snapshot, eager, tmp_path, lazy_flag
+    ):
+        path = self.old_snapshot(snapshot, tmp_path / "old.snapshot")
+        aladin = Aladin.open(path, read_only=True, lazy=lazy_flag)
+        try:
+            assert not hasattr(aladin.config, "execution")
+            assert aladin.source_names() == eager.source_names()
+            assert rankings(aladin) == rankings(eager)
+            assert link_web(aladin) == link_web(eager)
+            assert duplicate_set(aladin) == duplicate_set(eager)
+            assert all_rows(aladin) == all_rows(eager)
+        finally:
+            aladin.close()
+
+    def test_next_checkpoint_drops_the_entry(self, snapshot, eager, tmp_path):
+        written = config_row(snapshot)
+        path = self.old_snapshot(snapshot, tmp_path / "old.snapshot")
+        aladin = Aladin.open(path)
+        try:
+            first = aladin.source_names()[0]
+            aladin.update_source(first, eager._raw_inputs[first][1])
+        finally:
+            aladin.close()
+        assert config_row(path) == written
+
+    def test_config_from_dict_drops_the_entry(self):
+        payload = config_to_dict(AladinConfig())
+        payload["execution"] = dict(self.OLD_ENTRY)
+        restored = config_from_dict(payload)
+        assert not hasattr(restored, "execution")
+        assert config_to_dict(restored) == config_to_dict(AladinConfig())
+
+
 def _reader_rounds(path, expected_sources, rounds):
     """Child body: lazily open, fault, search, release — repeatedly.
 

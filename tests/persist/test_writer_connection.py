@@ -4,9 +4,7 @@ An attached store writes every checkpoint through one SQLite connection
 that lives from ``attach_writer`` to ``detach_writer``. These tests pin
 what that connection must not change: a compaction swaps the file under
 it, readers see every commit, detaching folds the WAL away, and a forked
-child never closes the parent's connection. Each runs on the serial and
-the resident-process backend, whose workers fork while the writer is
-attached.
+child never closes the parent's connection.
 """
 
 import json
@@ -20,23 +18,10 @@ import textwrap
 import pytest
 
 from repro.core import Aladin, AladinConfig
-from repro.exec.pool import ExecConfig
 from repro.persist.snapshot import _hash_stored_source
 from repro.synth import ScenarioConfig, UniverseConfig, build_scenario
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
-
-MODES = {
-    "serial": dict(backend="serial", workers=1, resident=False),
-    "process-resident": dict(backend="process", workers=2, resident=True),
-}
-
-
-def config_for(mode):
-    config = AladinConfig()
-    config.execution = ExecConfig(**MODES[mode])
-    return config
-
 
 def revised(text):
     """A below-threshold change: one phrase reworded, row counts kept."""
@@ -121,23 +106,23 @@ def template(tmp_path_factory):
     return scenario, path
 
 
-@pytest.fixture(params=sorted(MODES))
-def world(request, template, tmp_path):
-    """A fresh copy of the template snapshot plus the backend to use."""
+@pytest.fixture()
+def world(template, tmp_path):
+    """A fresh copy of the template snapshot."""
     scenario, source = template
     path = tmp_path / "world.snap"
     shutil.copy(source, path)
-    return scenario, str(path), request.param
+    return scenario, str(path)
 
 
-def open_writer(path, mode):
-    writer = Aladin.open(path, config=config_for(mode))
+def open_writer(path):
+    writer = Aladin.open(path, config=AladinConfig())
     writer.database("swissprot")  # fault in: the raw inputs come with it
     return writer
 
 
 def cycle(writer, scenario, name="go"):
-    """Remove and re-add a source: link fan-outs fork resident workers."""
+    """Remove and re-add a source: a removal and a full-link checkpoint."""
     source = scenario.source(name)
     writer.remove_source(name)
     writer.add_source(
@@ -146,8 +131,8 @@ def cycle(writer, scenario, name="go"):
 
 
 def test_update_compact_update_close_reopens_both_updates(world):
-    scenario, path, mode = world
-    writer = open_writer(path, mode)
+    scenario, path = world
+    writer = open_writer(path)
     try:
         text = revised(scenario.source("swissprot").text)
         assert writer.update_source("swissprot", text) is None
@@ -165,9 +150,9 @@ def test_update_compact_update_close_reopens_both_updates(world):
 
 
 def test_reader_opened_while_attached_sees_each_checkpoint(world):
-    scenario, path, mode = world
+    scenario, path = world
     original = scenario.source("swissprot").text
-    writer = open_writer(path, mode)
+    writer = open_writer(path)
     try:
         for step, text in enumerate(
             [revised(original), original, revised(original), original]
@@ -188,8 +173,8 @@ def test_reader_opened_while_attached_sees_each_checkpoint(world):
 
 
 def test_close_folds_the_wal_into_the_main_file(world, tmp_path):
-    scenario, path, mode = world
-    writer = open_writer(path, mode)
+    scenario, path = world
+    writer = open_writer(path)
     try:
         writer.update_source("swissprot", revised(scenario.source("swissprot").text))
         cycle(writer, scenario)
@@ -214,11 +199,9 @@ FORK_SCRIPT = textwrap.dedent(
     import json, os, sys
 
     from repro.core import Aladin, AladinConfig
-    from repro.exec.pool import ExecConfig
 
-    path, mode = sys.argv[1], sys.argv[2]
+    path = sys.argv[1]
     config = AladinConfig()
-    config.execution = ExecConfig(**json.loads(mode))
 
 
     def fingerprint(aladin):
@@ -279,14 +262,14 @@ FORK_SCRIPT = textwrap.dedent(
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_exit_leaves_the_parent_writer_intact(world, tmp_path):
-    _scenario, path, mode = world
+    _scenario, path = world
     script = tmp_path / "fork_writer.py"
     script.write_text(FORK_SCRIPT, encoding="utf-8")
     env = {key: value for key, value in os.environ.items()
            if not key.startswith("REPRO_")}
     env["PYTHONPATH"] = SRC
     done = subprocess.run(
-        [sys.executable, str(script), path, json.dumps(MODES[mode])],
+        [sys.executable, str(script), path],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -297,8 +280,8 @@ def test_forked_child_exit_leaves_the_parent_writer_intact(world, tmp_path):
 def test_sibling_writer_follows_a_compaction(world):
     """Two attached stores of one process share the file: when one
     compacts, the other's next checkpoint must land in the new file."""
-    scenario, path, mode = world
-    first, second = open_writer(path, mode), open_writer(path, mode)
+    scenario, path = world
+    first, second = open_writer(path), open_writer(path)
     try:
         second.database("pdb")
         assert second.update_source("pdb", scenario.source("pdb").text) is None
