@@ -11,9 +11,11 @@ add exercises the *incremental* index update — produces byte-identical
 * search postings (every document's ``(token, field, frequency)``
   triples, in doc-id order)
 
-to one ``integrate_many`` batch over the same sources.
+to one ``integrate_many`` batch over the same sources — in the
+scenario's order, and in every other order of its four sources.
 """
 
+import itertools
 import json
 import sqlite3
 
@@ -41,10 +43,10 @@ def source_specs(scenario):
     ]
 
 
-def integrate_incrementally():
+def integrate_incrementally(specs=None):
     """N x add_source with the index maintained incrementally throughout."""
     aladin = Aladin(AladinConfig())
-    specs = source_specs(scenario())
+    specs = source_specs(scenario()) if specs is None else specs
     first = True
     for name, format_name, text, options in specs:
         aladin.add_source(name, format_name, text, **options)
@@ -56,9 +58,9 @@ def integrate_incrementally():
     return aladin
 
 
-def integrate_batch():
+def integrate_batch(specs=None):
     aladin = Aladin(AladinConfig())
-    aladin.integrate_many(source_specs(scenario()))
+    aladin.integrate_many(source_specs(scenario()) if specs is None else specs)
     aladin.search_engine()
     return aladin
 
@@ -134,6 +136,29 @@ class TestIncrementalEqualsBatch:
         assert duplicate_set(aladin) == ref_duplicates
         assert postings(aladin) == ref_postings
         assert rankings(aladin) == ref_rankings
+
+    @pytest.mark.parametrize(
+        "order",
+        list(itertools.permutations(range(4))),
+        ids=lambda order: "".join(map(str, order)),
+    )
+    def test_every_source_order(self, order, specs_by_position):
+        """Link direction and doc ids depend on the add order, so each
+        order is checked against the batch over that same order."""
+        specs = [specs_by_position[i] for i in order]
+        batch = integrate_batch(specs)
+        incremental = integrate_incrementally(specs)
+        assert link_web(incremental) == link_web(batch)
+        assert duplicate_set(incremental) == duplicate_set(batch)
+        assert postings(incremental) == postings(batch)
+        assert rankings(incremental) == rankings(batch)
+
+
+@pytest.fixture(scope="module")
+def specs_by_position():
+    specs = source_specs(scenario())
+    assert len(specs) == 4
+    return specs
 
 
 class TestSessionScorerIsInvisible:

@@ -1,0 +1,189 @@
+"""The executor's and the task graph's telemetry.
+
+A fan-out with a metrics registry records ``pool.fanouts`` /
+``pool.tasks`` and a ``pool.fanout.{stage}`` histogram, or on failure
+``pool.failures`` / ``pool.failures.{stage}``; with a tracer it records
+one ``fanout.{stage}`` span. A task graph records per-node wall time and
+queue wait, and one ``graph.{node}`` span per node it runs.
+"""
+
+import threading
+
+import pytest
+
+from repro.exec import ExecError, Executor, TaskGraph
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
+
+
+def _identity(state, item):
+    return item
+
+
+def _boom_on_two(state, item):
+    if item == 2:
+        raise KeyError(f"item {item}")
+    return item
+
+
+def instrumented(metrics=True, tracer=True):
+    executor = Executor()
+    if metrics:
+        executor.metrics = MetricsRegistry()
+    if tracer:
+        executor.tracer = Tracer()
+    return executor
+
+
+def counters(registry):
+    return registry.snapshot()["counters"]
+
+
+def histogram_counts(registry):
+    return {
+        name: stats["count"]
+        for name, stats in registry.snapshot()["histograms"].items()
+    }
+
+
+class TestFanoutMetrics:
+    @pytest.mark.parametrize(
+        "kwargs,stage",
+        [
+            ({"labels": ["link:a->b", "link:b->a", "link:a->c"]}, "link"),
+            ({"labels": ["link:a->b", "link:b->a", "link:a->c"], "stage": "scan"},
+             "scan"),
+            ({}, "identity"),
+        ],
+        ids=["from-labels", "explicit-stage", "from-function-name"],
+    )
+    def test_success_records_counts_and_one_timing(self, kwargs, stage):
+        executor = instrumented(tracer=False)
+        assert executor.map_ordered(_identity, [0, 1, 2], **kwargs) == [0, 1, 2]
+        assert counters(executor.metrics) == {"pool.fanouts": 1, "pool.tasks": 3}
+        assert histogram_counts(executor.metrics) == {f"pool.fanout.{stage}": 1}
+
+    def test_counts_accumulate_over_fanouts(self):
+        executor = instrumented(tracer=False)
+        executor.map_ordered(_identity, range(4), stage="scan")
+        executor.map_ordered(_identity, range(3), stage="scan")
+        executor.map_ordered(_identity, range(2), stage="dup")
+        assert counters(executor.metrics) == {"pool.fanouts": 3, "pool.tasks": 9}
+        assert histogram_counts(executor.metrics) == {
+            "pool.fanout.dup": 1,
+            "pool.fanout.scan": 2,
+        }
+
+    def test_failure_counts_per_stage_and_no_fanout(self):
+        executor = instrumented(tracer=False)
+        with pytest.raises(ExecError):
+            executor.map_ordered(_boom_on_two, range(4), labels=[f"dup:{i}" for i in range(4)])
+        assert counters(executor.metrics) == {
+            "pool.failures": 1,
+            "pool.failures.dup": 1,
+        }
+        assert histogram_counts(executor.metrics) == {}
+
+    def test_interrupt_is_counted_and_traced(self):
+        executor = instrumented()
+
+        def interrupt(state, item):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            executor.map_ordered(interrupt, [0], stage="scan")
+        assert counters(executor.metrics)["pool.failures.scan"] == 1
+        (fanout,) = [s for s in executor.tracer.spans() if s.name == "fanout.scan"]
+        assert (fanout.status, fanout.error) == ("error", "KeyboardInterrupt")
+        # The active span context was restored: the next span is a root.
+        with executor.tracer.span("op.after") as handle:
+            assert handle.parent_id is None
+
+    def test_empty_fanout(self):
+        executor = instrumented()
+        assert executor.map_ordered(_identity, [], stage="scan") == []
+        assert counters(executor.metrics) == {"pool.fanouts": 1, "pool.tasks": 0}
+        spans = executor.tracer.spans()
+        assert [(s.name, s.attributes) for s in spans] == [("fanout.scan", {"items": 0})]
+
+    def test_metrics_only_records_no_spans(self):
+        executor = instrumented(tracer=False)
+        executor.map_ordered(_identity, range(3))
+        assert executor.tracer is None
+        assert counters(executor.metrics)["pool.tasks"] == 3
+
+    def test_tracer_only_records_spans(self):
+        executor = instrumented(metrics=False)
+        executor.map_ordered(_identity, range(3), stage="scan")
+        names = [s.name for s in executor.tracer.spans()]
+        assert names == ["task", "task", "task", "fanout.scan"]
+
+    def test_results_are_the_same_with_and_without_telemetry(self):
+        items = list(range(20))
+        labels = [f"link:{i}" for i in items]
+        plain = Executor().map_ordered(_identity, items, labels=labels)
+        assert instrumented().map_ordered(_identity, items, labels=labels) == plain
+
+
+class TestGraphTelemetry:
+    def test_every_node_records_its_time_and_queue_wait(self):
+        registry = MetricsRegistry()
+        graph = TaskGraph()
+        graph.add("import", lambda results: 1)
+        graph.add("statistics", lambda results: 2, deps=("import",))
+        graph.add("linking", lambda results: 3, deps=("import",))
+        graph.run(metrics=registry)
+        counts = histogram_counts(registry)
+        assert counts == {
+            f"graph.{node}.{what}": 1
+            for node in ("import", "statistics", "linking")
+            for what in ("seconds", "queue_wait")
+        }
+
+    def test_queue_wait_covers_the_earlier_ready_sibling(self):
+        registry = MetricsRegistry()
+        graph = TaskGraph()
+        graph.add("root", lambda results: None)
+        graph.add("slow", lambda results: threading.Event().wait(0.03),
+                  deps=("root",))
+        graph.add("waiting", lambda results: None, deps=("root",))
+        graph.run(metrics=registry)
+        stats = registry.snapshot()["histograms"]
+        slow_seconds = stats["graph.slow.seconds"]["max"]
+        assert slow_seconds >= 0.025
+        assert stats["graph.waiting.queue_wait"]["max"] >= slow_seconds
+
+    def test_node_spans_hang_under_the_caller_and_fanouts_under_nodes(self):
+        tracer = Tracer()
+        executor = Executor()
+        executor.tracer = tracer
+        graph = TaskGraph()
+        graph.add("link_discovery",
+                  lambda results: executor.map_ordered(_identity, [0, 1], stage="link"))
+        graph.add("register", lambda results: None, deps=("link_discovery",))
+        with tracer.span("op.add_source"):
+            graph.run(tracer=tracer)
+        by_name = {}
+        for span in tracer.spans():
+            by_name.setdefault(span.name, []).append(span)
+        (root,) = by_name["op.add_source"]
+        (link,) = by_name["graph.link_discovery"]
+        (register,) = by_name["graph.register"]
+        (fanout,) = by_name["fanout.link"]
+        assert link.parent_id == root.span_id
+        assert register.parent_id == root.span_id
+        assert fanout.parent_id == link.span_id
+        assert all(task.parent_id == fanout.span_id for task in by_name["task"])
+
+    def test_failed_node_span_and_no_downstream_spans(self):
+        tracer = Tracer()
+        graph = TaskGraph()
+        graph.add("ok", lambda results: None)
+        graph.add("bad", lambda results: 1 / 0, deps=("ok",))
+        graph.add("downstream", lambda results: None, deps=("bad",))
+        with pytest.raises(ExecError):
+            graph.run(tracer=tracer)
+        assert [(s.name, s.status, s.error) for s in tracer.spans()] == [
+            ("graph.ok", "ok", None),
+            ("graph.bad", "error", "ExecError"),
+        ]

@@ -2,8 +2,12 @@
 
 ``integrate_many`` either integrates the whole batch or leaves the system
 exactly as before the call, and a failing pair scan surfaces as a clean
-:class:`ExecError` naming the failed task.
+:class:`ExecError` naming the failed task. The execution variables that
+once chose a worker pool are ignored: every pipeline runs inline.
 """
+
+import os
+import threading
 
 import pytest
 
@@ -119,3 +123,61 @@ class TestTaskErrors:
         assert excinfo.value.task is not None
         assert excinfo.value.task.startswith("link:")
         assert "channel blew up" in str(excinfo.value)
+
+
+def _batch_scenario():
+    return build_scenario(
+        ScenarioConfig(
+            seed=12, include=("swissprot", "pdb", "go"),
+            universe=UniverseConfig(n_families=2, members_per_family=2, seed=12),
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def inline_reference():
+    aladin = Aladin(AladinConfig())
+    try:
+        aladin.integrate_many(source_specs(_batch_scenario()))
+        web = link_web(aladin)
+    finally:
+        aladin.close()
+    assert web[0], "reference batch produced no object links"
+    return web
+
+
+class TestRetiredExecutionVariables:
+    """Each variable is set to a value the removed backends acted on."""
+
+    @pytest.mark.parametrize(
+        "variable,value",
+        [
+            ("REPRO_EXEC_BACKEND", "process"),
+            ("REPRO_EXEC_WORKERS", "4"),
+            ("REPRO_EXEC_RESIDENT", "1"),
+            ("REPRO_EXEC_IDLE_SECONDS", "0.01"),
+            ("REPRO_EXEC_AUTO_PARALLEL", "thread"),
+        ],
+    )
+    def test_variable_is_ignored(self, monkeypatch, inline_reference, variable, value):
+        monkeypatch.setenv(variable, value)
+
+        def no_fork():
+            raise AssertionError("the pipeline forked a worker")
+
+        started = []
+        original_start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            return original_start(thread)
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        aladin = Aladin(AladinConfig())
+        try:
+            aladin.integrate_many(source_specs(_batch_scenario()))
+            assert link_web(aladin) == inline_reference
+        finally:
+            aladin.close()
+        assert started == []

@@ -10,6 +10,8 @@ are byte-identical to the untraced one.
 import json
 import re
 
+import pytest
+
 from repro.cli import run as cli_run
 from repro.core import Aladin, AladinConfig
 
@@ -218,6 +220,44 @@ def test_traced_run_is_byte_identical_to_untraced():
         traced.integrate_many(specs())
         untraced.integrate_many(specs())
         assert traced.traces(), "traced run recorded no spans"
+        assert untraced.traces() == []
+        assert fingerprint(traced) == fingerprint(untraced)
+    finally:
+        traced.close()
+        untraced.close()
+
+
+def add_one_by_one(aladin):
+    for name, format_name, text in specs():
+        aladin.add_source(name, format_name, text)
+
+
+def maintain(aladin):
+    add_one_by_one(aladin)
+    aladin.update_source("s0", tsv(12, "a2"))  # below threshold: in place
+    aladin.update_source("s1", tsv(24, "b2"))  # above: re-analysed
+    aladin.remove_source("s3")
+
+
+def batch_then_add(aladin):
+    aladin.integrate_many(specs()[:3])
+    name, format_name, text = specs()[3]
+    aladin.add_source(name, format_name, text)
+
+
+@pytest.mark.parametrize(
+    "pipeline",
+    [add_one_by_one, maintain, batch_then_add],
+    ids=["add_source", "maintenance", "batch-then-add"],
+)
+def test_traced_pipeline_is_byte_identical_to_untraced(pipeline):
+    traced = make_aladin(enabled=True)
+    untraced = make_aladin(enabled=False)
+    try:
+        pipeline(traced)
+        pipeline(untraced)
+        roots = {trace["root"] for trace in traced.traces()}
+        assert "op.add_source" in roots
         assert untraced.traces() == []
         assert fingerprint(traced) == fingerprint(untraced)
     finally:

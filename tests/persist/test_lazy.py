@@ -434,21 +434,46 @@ def config_row(path):
 class TestSnapshotsWithAnExecutionEntry:
     """Snapshots written while the execution backend was configurable
     carry an ``"execution"`` entry in their config row. They still open,
-    answer like the writer, and lose the entry at the next checkpoint."""
+    answer like the writer, and lose the entry at the next checkpoint.
 
-    OLD_ENTRY = {
-        "backend": "process",
-        "workers": 16,
-        "resident": True,
-        "idle_seconds": 30.0,
-        "auto_parallel": "process",
+    The entry grew over time: ``backend``/``workers`` first, then the
+    resident-pool fields, then the auto backend's parallel arm. Every
+    shape that was ever written is checked."""
+
+    OLD_ENTRIES = {
+        "serial": {"backend": "serial", "workers": 1},
+        "process": {"backend": "process", "workers": 4},
+        "thread-resident": {
+            "backend": "thread",
+            "workers": 8,
+            "resident": True,
+            "idle_seconds": 30.0,
+        },
+        "process-resident": {
+            "backend": "process",
+            "workers": 16,
+            "resident": True,
+            "idle_seconds": 30.0,
+            "auto_parallel": "process",
+        },
+        "auto": {
+            "backend": "auto",
+            "workers": 2,
+            "resident": False,
+            "idle_seconds": 5.0,
+            "auto_parallel": "thread",
+        },
     }
 
-    def old_snapshot(self, snapshot, path):
+    @pytest.fixture(params=sorted(OLD_ENTRIES))
+    def old_entry(self, request):
+        return dict(self.OLD_ENTRIES[request.param])
+
+    def old_snapshot(self, snapshot, path, entry):
         path = copy_snapshot(snapshot, path)
         persisted = config_row(path)
         assert "execution" not in persisted
-        persisted["execution"] = dict(self.OLD_ENTRY)
+        persisted["execution"] = entry
         conn = sqlite3.connect(path)
         try:
             conn.execute(
@@ -462,9 +487,9 @@ class TestSnapshotsWithAnExecutionEntry:
 
     @pytest.mark.parametrize("lazy_flag", [True, False], ids=["lazy", "eager"])
     def test_opens_and_answers_like_the_writer(
-        self, snapshot, eager, tmp_path, lazy_flag
+        self, snapshot, eager, tmp_path, lazy_flag, old_entry
     ):
-        path = self.old_snapshot(snapshot, tmp_path / "old.snapshot")
+        path = self.old_snapshot(snapshot, tmp_path / "old.snapshot", old_entry)
         aladin = Aladin.open(path, read_only=True, lazy=lazy_flag)
         try:
             assert not hasattr(aladin.config, "execution")
@@ -476,9 +501,11 @@ class TestSnapshotsWithAnExecutionEntry:
         finally:
             aladin.close()
 
-    def test_next_checkpoint_drops_the_entry(self, snapshot, eager, tmp_path):
+    def test_next_checkpoint_drops_the_entry(
+        self, snapshot, eager, tmp_path, old_entry
+    ):
         written = config_row(snapshot)
-        path = self.old_snapshot(snapshot, tmp_path / "old.snapshot")
+        path = self.old_snapshot(snapshot, tmp_path / "old.snapshot", old_entry)
         aladin = Aladin.open(path)
         try:
             first = aladin.source_names()[0]
@@ -487,9 +514,9 @@ class TestSnapshotsWithAnExecutionEntry:
             aladin.close()
         assert config_row(path) == written
 
-    def test_config_from_dict_drops_the_entry(self):
+    def test_config_from_dict_drops_the_entry(self, old_entry):
         payload = config_to_dict(AladinConfig())
-        payload["execution"] = dict(self.OLD_ENTRY)
+        payload["execution"] = old_entry
         restored = config_from_dict(payload)
         assert not hasattr(restored, "execution")
         assert config_to_dict(restored) == config_to_dict(AladinConfig())
