@@ -50,7 +50,7 @@ from repro.discovery.pipeline import discover_structure
 from repro.duplicates.batch import BoundedRecordScorer
 from repro.duplicates.detector import DuplicateConfig, DuplicateDetector
 from repro.exec.graph import TaskGraph
-from repro.exec.pool import Executor
+from repro.exec.pool import Executor, Results
 from repro.linking.engine import LinkDiscoveryEngine, _pair_task
 from repro.linking.model import ObjectLink
 from repro.linking.stats import collect_profiles, collect_statistics
@@ -73,42 +73,34 @@ from repro.relational.database import Database
 # ----------------------------------------------------------------------
 # fan-out task bodies: fn(state, item), run by Executor.map_ordered
 # ----------------------------------------------------------------------
-def _import_task(_state: Any, spec: Tuple) -> Tuple:
-    """Step 1-3 for one source: import raw text, discover its structure.
-
-    Pure per source — nothing here touches another source. Statistics
-    are collected here so the database's ColumnStore caches come out
-    warm; registration then runs entirely on cache hits.
-    """
-    name, format_name, text, options, discovery_config, declare_constraints = spec
-    started = time.perf_counter()
+def _import_task(declare_constraints: bool, spec: Tuple) -> ImportResult:
+    """Step 1 for one source: a registered parser shreds the raw text."""
+    name, format_name, text, options = spec
     importer = registry.create(
         format_name, name, declare_constraints=declare_constraints
     )
     for key, value in options.items():
         setattr(importer, key, value)
-    result: ImportResult = importer.import_text(text)
-    import_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    structure = discover_structure(result.database, discovery_config)
-    collect_statistics(result.database)  # warm the profile caches for the trip home
-    discover_seconds = time.perf_counter() - started
-    return (
-        result.database,
-        structure,
-        list(result.warnings),
-        result.tables_created,
-        result.records_read,
-        import_seconds,
-        discover_seconds,
-    )
+    return importer.import_text(text)
+
+
+def _discover_task(discovery_config, database: Database):
+    """Steps 2-3 for one imported source: discover its structure.
+
+    Pure per source — nothing here touches another source. Statistics
+    are collected here so the database's ColumnStore caches come out
+    warm; registration then runs entirely on cache hits.
+    """
+    structure = discover_structure(database, discovery_config)
+    collect_statistics(database)
+    return structure
 
 
 def _run_dup_chunk(
     engine: LinkDiscoveryEngine,
     scorer: Optional[BoundedRecordScorer],
     spec: Tuple[str, Tuple[str, ...], DuplicateConfig],
-):
+) -> List[List[ObjectLink]]:
     """Step 5 for one new source against an ordered list of counterparts.
 
     The shared unit of work of every duplicate pass: all pairs of the
@@ -122,14 +114,12 @@ def _run_dup_chunk(
     shape.
     """
     name, others, config = spec
-    started = time.perf_counter()
     detector = DuplicateDetector(config, scorer=scorer)
-    links = detector.detect_chunk(
+    return detector.detect_chunk(
         engine.database_for(name),
         engine.structure_for(name),
         [(engine.database_for(other), engine.structure_for(other)) for other in others],
     )
-    return links, time.perf_counter() - started
 
 
 def _dup_session_task(
@@ -179,7 +169,6 @@ class Aladin:
             channels=self.config.channels,
             executor=self._executor,
         )
-        self._engine.tracer = self.obs.trace_or_none
         self._databases: Dict[str, Database] = {}
         self._raw_inputs: Dict[str, tuple] = {}  # name -> (format, text, options)
         self._index: Optional[InvertedIndex] = None
@@ -319,12 +308,9 @@ class Aladin:
         report = IntegrationReport(source_name=name)
         # Step 1: data import.
         started = time.perf_counter()
-        importer = registry.create(
-            format_name, name, declare_constraints=self.config.declare_constraints
+        result = _import_task(
+            self.config.declare_constraints, (name, format_name, text, import_options)
         )
-        for key, value in import_options.items():
-            setattr(importer, key, value)
-        result: ImportResult = importer.import_text(text)
         report.warnings.extend(result.warnings)
         report.steps.append(
             StepTiming(
@@ -362,8 +348,8 @@ class Aladin:
         ``(name, format_name, text, import_options)`` tuples. The batch
         runs in four scheduled stages:
 
-        1. *import + structure discovery* — per-source and pure, one
-           fan-out;
+        1. *import, then structure discovery* — per-source and pure, one
+           fan-out each;
         2. *registration* — ordered and sequential (shared state);
         3. *link scans and duplicate chunks* — every pair of the batch in
            one combined fan-out; duplicate chunks share a
@@ -380,9 +366,11 @@ class Aladin:
         :meth:`remove_source` before the error propagates, so the system
         is left exactly as before the call and the batch can be retried.
 
-        Report semantics: per-source ``StepTiming`` values in batch
-        reports are seconds spent inside that source's fan-out tasks;
-        registration and the ordered merges are not attributed to any
+        Report semantics: per-source ``StepTiming`` seconds in batch
+        reports are that source's ``task`` span durations — its import,
+        discover and duplicate tasks, and the in-order sum of its
+        ``link:`` tasks (``0.0`` when it has no counterpart yet).
+        Registration and the ordered merges are not attributed to any
         source, so compare batch wall clock, not summed report steps.
         """
         sources = list(sources)
@@ -412,21 +400,25 @@ class Aladin:
             return []
         existing = self._engine.source_names()  # sorted, pre-batch
 
-        # Stage 1: import + discovery (pure per source), one fan-out.
-        import_items = [
-            (name, format_name, text, options,
-             self.config.discovery, self.config.declare_constraints)
-            for name, format_name, text, options in specs
-        ]
+        # Stage 1: import, then discovery (pure per source), one fan-out each.
         imported = self._executor.map_ordered(
             _import_task,
-            import_items,
+            specs,
+            state=self.config.declare_constraints,
             labels=[f"import:{name}" for name in names],
+        )
+        structures = self._executor.map_ordered(
+            _discover_task,
+            [result.database for result in imported],
+            state=self.config.discovery,
+            labels=[f"discover:{name}" for name in names],
         )
 
         registered: List[str] = []
         try:
-            return self._integrate_batch(specs, names, existing, imported, registered)
+            return self._integrate_batch(
+                specs, names, existing, imported, structures, registered
+            )
         except BaseException:
             # Unwind every batch source that made it into shared state —
             # half-registered ones included — so the failure leaves the
@@ -443,26 +435,26 @@ class Aladin:
         specs: List[Tuple[str, str, str, Dict[str, Any]]],
         names: List[str],
         existing: List[str],
-        imported: List[Tuple],
+        imported: Results,
+        structures: Results,
         registered: List[str],
     ) -> List[IntegrationReport]:
         # Stage 2: ordered registration (engine, repository, object web).
         reports: List[IntegrationReport] = []
-        for (name, format_name, text, options), result in zip(specs, imported):
-            (database, structure, warnings, tables_created, records_read,
-             import_seconds, discover_seconds) = result
+        for position, (name, format_name, text, options) in enumerate(specs):
+            result, structure = imported[position], structures[position]
             report = IntegrationReport(source_name=name)
-            report.warnings.extend(warnings)
+            report.warnings.extend(result.warnings)
             report.steps.append(
                 StepTiming(
                     "import",
-                    import_seconds,
-                    {"tables": tables_created, "records": records_read},
+                    imported.seconds[position],
+                    {"tables": result.tables_created, "records": result.records_read},
                 )
             )
-            self._describe_structure(report, structure, discover_seconds)
+            self._describe_structure(report, structure, structures.seconds[position])
             registered.append(name)  # before: a partial registration must unwind too
-            self._register_source_state(database, structure)
+            self._register_source_state(result.database, structure)
             self._raw_inputs[name] = (format_name, text, options)
             reports.append(report)
 
@@ -499,28 +491,22 @@ class Aladin:
             # than whichever label happens to come first.
             stage="batch_scan",
         )
-        link_results = scan_results[: len(link_specs)]
-        dup_results: List[Optional[Tuple[List[List[ObjectLink]], float]]]
-        if self.config.detect_duplicates:
-            dup_results = scan_results[len(link_specs):]
-        else:
-            dup_results = [None] * len(names)
 
         # Stage 4: ordered stores, index updates, and checkpoints — the
         # exact write order of the sequential loop.
         offset = 0
         for position, (name, report) in enumerate(zip(names, reports)):
-            source_specs = per_source_specs[position]
-            source_results = link_results[offset:offset + len(source_specs)]
-            offset += len(source_specs)
-            links = self._engine.merge_pair_results(source_results)
+            end = offset + len(per_source_specs[position])
+            links = self._engine.merge_pair_results(scan_results[offset:end])
+            link_seconds = sum(scan_results.seconds[offset:end], 0.0)
+            offset = end
             for attribute_link in links.attribute_links:
                 self.repository.add_attribute_link(attribute_link)
             stored = self.repository.add_object_links(links.object_links)
             report.steps.append(
                 StepTiming(
                     "link_discovery",
-                    sum(seconds for _links, _count, seconds in source_results),
+                    link_seconds,
                     {
                         "attribute_links": len(links.attribute_links),
                         "object_links": stored,
@@ -529,11 +515,12 @@ class Aladin:
             )
             flagged = 0
             duplicate_seconds = 0.0
-            if dup_results[position] is not None:
-                link_lists, duplicate_seconds = dup_results[position]
+            if self.config.detect_duplicates:
+                chunk = len(link_specs) + position
+                duplicate_seconds = scan_results.seconds[chunk]
                 flagged = sum(
                     self.repository.add_object_links(link_list)
-                    for link_list in link_lists
+                    for link_list in scan_results[chunk]
                 )
             report.steps.append(
                 StepTiming(
@@ -636,23 +623,18 @@ class Aladin:
         def run_discover(_results):
             # Steps 2+3: primary and secondary discovery (single
             # processing step, Section 3); per-source, nothing else read.
-            started = time.perf_counter()
-            structure = discover_structure(database, self.config.discovery)
-            return structure, time.perf_counter() - started
+            return discover_structure(database, self.config.discovery)
 
         def run_register(results):
-            structure, _seconds = results["discover_structure"]
-            self._register_source_state(database, structure)
+            self._register_source_state(database, results["discover_structure"])
 
         def run_links(_results):
             # Step 4: link discovery against all existing sources, one
             # fan-out in fixed pair order.
-            started = time.perf_counter()
-            links = self._engine.discover_for(name)
-            return links, time.perf_counter() - started
+            return self._engine.discover_for(name)
 
         def run_store_links(results):
-            links, _seconds = results["link_discovery"]
+            links = results["link_discovery"]
             for attribute_link in links.attribute_links:
                 self.repository.add_attribute_link(attribute_link)
             return self.repository.add_object_links(links.object_links)
@@ -660,14 +642,12 @@ class Aladin:
         def run_duplicates(_results):
             # Step 5: duplicate detection against every existing source,
             # one chunk on the session scorer.
-            started = time.perf_counter()
-            link_lists = self._detect_duplicates_for(name)
-            return link_lists, time.perf_counter() - started
+            return self._detect_duplicates_for(name)
 
         def run_store_duplicates(results):
-            link_lists, _seconds = results["duplicate_detection"]
             return sum(
-                self.repository.add_object_links(links) for links in link_lists
+                self.repository.add_object_links(links)
+                for links in results["duplicate_detection"]
             )
 
         def run_index(_results):
@@ -700,24 +680,25 @@ class Aladin:
             tracer=self.obs.trace_or_none,
         )
 
-        structure, discover_seconds = results["discover_structure"]
-        self._describe_structure(report, structure, discover_seconds)
-        links, link_seconds = results["link_discovery"]
+        # Report steps read the graph-node spans' durations.
+        seconds = graph.seconds
+        self._describe_structure(
+            report, results["discover_structure"], seconds["discover_structure"]
+        )
         report.steps.append(
             StepTiming(
                 "link_discovery",
-                link_seconds,
+                seconds["link_discovery"],
                 {
-                    "attribute_links": len(links.attribute_links),
+                    "attribute_links": len(results["link_discovery"].attribute_links),
                     "object_links": results["store_links"],
                 },
             )
         )
-        _link_lists, duplicate_seconds = results["duplicate_detection"]
         report.steps.append(
             StepTiming(
                 "duplicate_detection",
-                duplicate_seconds,
+                seconds["duplicate_detection"],
                 {"duplicates_flagged": results["store_duplicates"]},
             )
         )
@@ -743,14 +724,12 @@ class Aladin:
         if not others:
             return []
         spec = (name, tuple(others), self.config.duplicates)
-        results = self._executor.map_ordered(
+        return self._executor.map_ordered(
             _dup_session_task,
             [spec],
             state=(self._engine, self._dup_scorer),
             labels=[f"duplicates:{name}"],
-        )
-        link_lists, _seconds = results[0]
-        return link_lists
+        )[0]
 
     # ------------------------------------------------------------------
     # data changes and feedback (Section 6.2)
@@ -772,12 +751,9 @@ class Aladin:
         if name not in self._raw_inputs:
             raise KeyError(f"source {name!r} was not added from raw text")
         format_name, _old_text, options = self._raw_inputs[name]
-        importer = registry.create(
-            format_name, name, declare_constraints=self.config.declare_constraints
+        new_result = _import_task(
+            self.config.declare_constraints, (name, format_name, text, options)
         )
-        for key, value in options.items():
-            setattr(importer, key, value)
-        new_result = importer.import_text(text)
         old_rows = self._databases[name].total_rows()
         new_rows = new_result.database.total_rows()
         change_fraction = abs(new_rows - old_rows) / max(old_rows, 1)
@@ -844,17 +820,9 @@ class Aladin:
         if self._index is not None:
             self._index.remove_source(name)
         if self._store is not None:
-            started = time.perf_counter()
-            with self.obs.trace.span("persist.checkpoint", source=name, op="remove"):
-                self._store.checkpoint_remove(name)
-            seconds = time.perf_counter() - started
-            self.obs.metrics.histogram("persist.checkpoint_seconds").observe(seconds)
-            self.obs.events.emit(
-                CHECKPOINT_COMMITTED, source=name, op="remove", seconds=seconds
+            self._commit_checkpoint(
+                name, "remove", lambda: self._store.checkpoint_remove(name)
             )
-            # Removal is the churn-heaviest maintenance op: the dropped
-            # slice's pages are all dead weight until a compaction.
-            self._auto_compact()
         self.obs.events.emit(SOURCE_REMOVED, source=name)
 
     def remove_link(self, link: ObjectLink) -> bool:
@@ -1156,17 +1124,24 @@ class Aladin:
 
     def _checkpoint(self, name: str, links: bool = True) -> None:
         if self._store is not None:
-            started = time.perf_counter()
-            with self.obs.trace.span("persist.checkpoint", source=name, op="write"):
-                self._store.checkpoint_source(self, name, links=links)
-            seconds = time.perf_counter() - started
-            self.obs.metrics.histogram("persist.checkpoint_seconds").observe(seconds)
-            self.obs.events.emit(
-                CHECKPOINT_COMMITTED, source=name, op="write", seconds=seconds
+            self._commit_checkpoint(
+                name,
+                "write",
+                lambda: self._store.checkpoint_source(self, name, links=links),
             )
-            # Hands-off lifecycle: reclaim checkpoint churn once the
-            # policy thresholds say the file carries more dead than live.
-            self._auto_compact()
+
+    def _commit_checkpoint(self, name: str, op: str, write) -> None:
+        """Run one checkpoint ``write`` under its ``persist.checkpoint``
+        span; the histogram and the event read that span's duration."""
+        with self.obs.trace.span("persist.checkpoint", source=name, op=op) as span:
+            write()
+        self.obs.metrics.histogram("persist.checkpoint_seconds").observe(span.duration)
+        self.obs.events.emit(
+            CHECKPOINT_COMMITTED, source=name, op=op, seconds=span.duration
+        )
+        # Hands-off lifecycle: reclaim checkpoint churn once the policy
+        # thresholds say the file carries more dead than live.
+        self._auto_compact()
 
     def _auto_compact(self) -> None:
         """Policy compaction behind a committed maintenance op.
@@ -1188,7 +1163,7 @@ class Aladin:
                 f"auto-compaction of snapshot {self._store.path!r} failed "
                 f"(the checkpoint itself committed): {exc}",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
 
     def query_engine(self) -> QueryEngine:

@@ -12,10 +12,10 @@ tasks downstream of a failure are never started.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.exec.pool import ExecError
+from repro.obs.trace import NULL_TRACER
 
 # A task body receives the results-so-far dict; its declared dependencies
 # are guaranteed to be present, nothing else may be read.
@@ -37,6 +37,9 @@ class TaskGraph:
     def __init__(self) -> None:
         self._tasks: List[Task] = []
         self._by_name: Dict[str, Task] = {}
+        #: ``{task name: seconds}`` of the last :meth:`run` — each node's
+        #: ``graph.{node}`` span duration.
+        self.seconds: Dict[str, float] = {}
 
     def add(self, name: str, fn: TaskFn, deps: Sequence[str] = ()) -> None:
         if name in self._by_name:
@@ -55,46 +58,41 @@ class TaskGraph:
     def run(self, metrics=None, tracer=None) -> Dict[str, Any]:
         """Execute every task; returns ``{task name: result}``.
 
-        ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`, or
-        ``None`` for the zero-cost disabled path) records per-node wall
-        time and queue wait — the time a ready node sat behind earlier
-        ready siblings.
-
-        ``tracer`` (a :class:`~repro.obs.trace.Tracer`, or ``None``)
-        opens one ``graph.{node}`` span per task under the caller's
-        active span, so fan-out spans opened inside a node body hang off
-        that node.
+        Each node runs under one ``graph.{node}`` span of ``tracer`` (a
+        :class:`~repro.obs.trace.Tracer`, or ``None`` for the
+        durations-only :data:`~repro.obs.trace.NULL_TRACER`), opened
+        under the caller's active span so fan-out spans opened inside a
+        node body hang off that node. The span's duration becomes
+        :attr:`seconds` and, with a ``metrics`` registry, the
+        ``graph.{node}.seconds`` observation; ``graph.{node}.queue_wait``
+        is the time from the last dependency's span finish to the node's
+        span start — the time a ready node sat behind earlier siblings.
         """
         self._validate()
+        tracer = tracer or NULL_TRACER
         results: Dict[str, Any] = {}
+        self.seconds = {}
         remaining = list(self._tasks)
         ready_at: Dict[str, float] = {}
-        children = self._children() if metrics is not None else {}
+        children = self._children()
         while remaining:
             progressed = False
             for task in list(remaining):
                 if any(dep not in results for dep in task.deps):
                     continue
-                if metrics is None and tracer is None:
+                with tracer.span(f"graph.{task.name}") as handle:
                     results[task.name] = self._invoke(task, results)
-                else:
-                    started = perf_counter()
-                    became_ready = ready_at.setdefault(task.name, started)
-                    if tracer is None:
-                        results[task.name] = self._invoke(task, results)
-                    else:
-                        with tracer.span(f"graph.{task.name}"):
-                            results[task.name] = self._invoke(task, results)
-                    finished = perf_counter()
-                    if metrics is not None:
-                        metrics.histogram(f"graph.{task.name}.seconds").observe(
-                            finished - started
-                        )
-                        metrics.histogram(f"graph.{task.name}.queue_wait").observe(
-                            started - became_ready
-                        )
-                        for child in children.get(task.name, ()):
-                            ready_at.setdefault(child, finished)
+                self.seconds[task.name] = handle.duration
+                if metrics is not None:
+                    became_ready = ready_at.get(task.name, handle.started)
+                    metrics.histogram(f"graph.{task.name}.seconds").observe(
+                        handle.duration
+                    )
+                    metrics.histogram(f"graph.{task.name}.queue_wait").observe(
+                        handle.started - became_ready
+                    )
+                for child in children.get(task.name, ()):
+                    ready_at[child] = handle.started + handle.duration
                 remaining.remove(task)
                 progressed = True
             if not progressed:  # pragma: no cover - _validate rules this out

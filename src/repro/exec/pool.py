@@ -13,22 +13,24 @@ names each stage for the telemetry below.
 
 Observability: an executor carries optional ``metrics`` / ``tracer``
 handles (both ``None`` by default — the owning ``Aladin`` wires them).
-With either set, a fan-out derives its *stage kind* from its labels
-(``link:...`` -> ``link``) and records the ``pool.fanouts`` /
-``pool.tasks`` counters, a ``pool.fanout.{stage}`` histogram and, on
-failure, ``pool.failures`` / ``pool.failures.{stage}``. The tracer gets
+Every fan-out is timed on one path, through ``tracer or NULL_TRACER``:
 one ``fanout.{stage}`` span and, under it, one ``task`` span per
-attempted item (``index`` and, when labelled, ``label`` attributes), the
-failing one included. With both unset the wrapper is two ``is None``
-checks — the disabled path stays zero-cost.
+attempted item (``index`` and, when labelled, ``label`` attributes),
+the failing one included. The stage kind comes from the labels
+(``link:...`` -> ``link``). The results carry each item's task-span
+duration (:class:`Results`), and with a registry the fan-out records
+the ``pool.fanouts`` / ``pool.tasks`` counters and the fan-out span's
+duration as ``pool.fanout.{stage}``, or on failure ``pool.failures`` /
+``pool.failures.{stage}``.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import threading
-from time import perf_counter
 from typing import Any, Callable, Iterable, List, Optional, Sequence
+
+from repro.obs.trace import NULL_TRACER
 
 #: Threads behind :meth:`Executor.submit`: serve runs one query at a time.
 SUBMIT_THREADS = 1
@@ -58,6 +60,17 @@ def _stage_kind(fn: Callable, labels: Optional[Sequence[str]]) -> str:
     return getattr(fn, "__name__", "task").strip("_") or "task"
 
 
+class Results(list):
+    """A fan-out's results in item order, plus ``seconds``: each item's
+    task-span duration, in the same order."""
+
+    __slots__ = ("seconds",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.seconds: List[float] = []
+
+
 def _label(labels: Optional[Sequence[str]], index: int) -> str:
     if labels is not None and index < len(labels):
         return labels[index]
@@ -67,8 +80,8 @@ def _label(labels: Optional[Sequence[str]], index: int) -> str:
 class Executor:
     """Inline ordered fan-out plus the serving layer's query thread."""
 
-    # Observability handles, wired by the owning Aladin. None means the
-    # instrumented wrapper short-circuits to the raw loop.
+    # Observability handles, wired by the owning Aladin; None when
+    # observability is off.
     metrics = None
     tracer = None
 
@@ -111,38 +124,29 @@ class Executor:
         state: Any = None,
         labels: Optional[Sequence[str]] = None,
         stage: Optional[str] = None,
-    ) -> List[Any]:
-        """``[fn(state, item) for item in items]``, instrumented.
+    ) -> Results:
+        """``[fn(state, item) for item in items]``, timed per item.
 
         ``stage`` overrides the stage kind derived from ``labels``.
         """
         items = list(items)
         metrics = self.metrics
-        tracer = self.tracer
-        if metrics is None and tracer is None:
-            return self._run(fn, items, state, labels)
+        tracer = self.tracer or NULL_TRACER
         stage = stage or _stage_kind(fn, labels)
-        handle = None
-        if tracer is not None:
-            handle = tracer.start_span(f"fanout.{stage}", items=len(items))
-        started = perf_counter()
+        handle = tracer.start_span(f"fanout.{stage}", items=len(items))
         try:
             results = self._run(fn, items, state, labels, tracer)
         except BaseException as exc:  # counted and traced, then re-raised
+            tracer.finish(handle, error=exc)
             if metrics is not None:
                 metrics.counter("pool.failures").inc()
                 metrics.counter(f"pool.failures.{stage}").inc()
-            if handle is not None:
-                tracer.finish(handle, error=exc)
             raise
+        tracer.finish(handle)
         if metrics is not None:
             metrics.counter("pool.fanouts").inc()
             metrics.counter("pool.tasks").inc(len(items))
-            metrics.histogram(f"pool.fanout.{stage}").observe(
-                perf_counter() - started
-            )
-        if handle is not None:
-            tracer.finish(handle)
+            metrics.histogram(f"pool.fanout.{stage}").observe(handle.duration)
         return results
 
     @staticmethod
@@ -151,25 +155,26 @@ class Executor:
         items: List[Any],
         state: Any,
         labels: Optional[Sequence[str]],
-        tracer=None,
-    ) -> List[Any]:
-        """The raw loop; with a tracer, one ``task`` span per item."""
-        results: List[Any] = []
+        tracer=NULL_TRACER,
+    ) -> Results:
+        """The loop: one ``task`` span per item, its duration kept."""
+        results = Results()
         for index, item in enumerate(items):
+            attributes = {"index": index}
+            if labels is not None and index < len(labels):
+                attributes["label"] = labels[index]
+            handle = tracer.start_span("task", **attributes)
             try:
-                if tracer is None:
-                    results.append(fn(state, item))
-                else:
-                    attributes = {"index": index}
-                    if labels is not None and index < len(labels):
-                        attributes["label"] = labels[index]
-                    with tracer.span("task", **attributes):
-                        results.append(fn(state, item))
-            except ExecError:
-                raise
-            except Exception as exc:
+                result = fn(state, item)
+            except BaseException as exc:
+                tracer.finish(handle, error=exc)
+                if isinstance(exc, ExecError) or not isinstance(exc, Exception):
+                    raise
                 label = _label(labels, index)
                 raise ExecError(
                     f"task {label!r} failed: {exc!r}", task=label
                 ) from exc
+            tracer.finish(handle)
+            results.append(result)
+            results.seconds.append(handle.duration)
         return results

@@ -9,18 +9,17 @@ statistics. Channels can be toggled for the pruning/ablation experiments
 Pair scans are *pure*: a ``(mode, source, target)`` spec reads only the
 two sources' cached entries and returns a fresh ``LinkSet`` plus its
 comparison count. ``discover_for`` therefore fans specs through an
-:class:`~repro.exec.pool.Executor` and merges the results in a fixed
-source/channel order.
+:class:`~repro.exec.pool.Executor` (an inline one unless the caller
+passes its own) and merges the results in a fixed source/channel order.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.discovery.model import AttributeRef, SourceStructure
-from repro.exec.pool import Executor
+from repro.exec.pool import Executor, Results
 from repro.linking.crossref import discover_crossref_links
 from repro.linking.model import LinkConfig, LinkSet
 from repro.linking.ner import discover_name_links
@@ -38,20 +37,17 @@ PairSpec = Tuple[str, str, str]
 def _pair_task(engine: "LinkDiscoveryEngine", spec: PairSpec):
     """Fan-out task for one pair scan.
 
-    Returns ``(links, comparisons, seconds)`` — counters travel back as
-    data, so the engine books them in one ordered merge.
+    Returns ``(links, comparisons)`` — counters travel back as data, so
+    the engine books them in one ordered merge.
     """
     mode, source_name, target_name = spec
     source = engine._sources[source_name]
     target = engine._sources[target_name]
-    started = time.perf_counter()
     if mode == "pair":
-        links, comparisons = engine._pair_links(source, target)
-    elif mode == "directional":
-        links, comparisons = engine._directional_links(source, target)
-    else:
-        raise ValueError(f"unknown pair-scan mode {mode!r}")
-    return links, comparisons, time.perf_counter() - started
+        return engine._pair_links(source, target)
+    if mode == "directional":
+        return engine._directional_links(source, target)
+    raise ValueError(f"unknown pair-scan mode {mode!r}")
 
 
 @dataclass
@@ -83,11 +79,7 @@ class LinkDiscoveryEngine:
     ):
         self.config = config or LinkConfig()
         self.channels = channels or LinkChannels()
-        self.executor = executor  # None = a plain loop, no fan-out seam
-        #: Optional :class:`~repro.obs.trace.Tracer` (``None`` when
-        #: observability is off).  Plain-loop pair scans open one span
-        #: per spec; executor fan-outs get per-task spans from the executor.
-        self.tracer = None
+        self.executor = executor if executor is not None else Executor()
         self._sources: Dict[str, _SourceEntry] = {}
         self.comparisons_made = 0  # attribute-pair scans, for E6
         self.registrations = 0  # register_source calls, for maintenance tests
@@ -183,32 +175,20 @@ class LinkDiscoveryEngine:
             specs.append(("directional", other_name, source_name))
         return specs
 
-    def run_pair_specs(self, specs: Sequence[PairSpec]) -> List[Tuple[LinkSet, int, float]]:
-        """Execute pair scans — as one fan-out when an executor is set.
+    def run_pair_specs(self, specs: Sequence[PairSpec]) -> Results:
+        """Execute pair scans as one fan-out of ``(links, comparisons)``.
 
         Results come back in spec order; nothing is
         merged or counted here, so callers control ordering end to end.
         """
         specs = list(specs)
-        if self.executor is None:
-            if self.tracer is None:
-                return [_pair_task(self, spec) for spec in specs]
-            results = []
-            for mode, a, b in specs:
-                with self.tracer.span(
-                    "link.scan", mode=mode, source=a, target=b
-                ):
-                    results.append(_pair_task(self, (mode, a, b)))
-            return results
         labels = [f"link:{mode}:{a}->{b}" for mode, a, b in specs]
         return self.executor.map_ordered(_pair_task, specs, state=self, labels=labels)
 
-    def merge_pair_results(
-        self, results: Iterable[Tuple[LinkSet, int, float]]
-    ) -> LinkSet:
+    def merge_pair_results(self, results: Iterable[Tuple[LinkSet, int]]) -> LinkSet:
         """Fold ordered scan results into one LinkSet; book the comparisons."""
         merged = LinkSet()
-        for links, comparisons, _seconds in results:
+        for links, comparisons in results:
             merged.extend(links)
             self.comparisons_made += comparisons
         return merged
@@ -219,7 +199,7 @@ class LinkDiscoveryEngine:
         Both directions are explored (the new source may reference old
         sources and vice versa — Section 5's PDB→Swiss-Prot and
         Swiss-Prot→PDB cases both exist). The pair scans run on the
-        configured executor; the merge order is fixed, so the result is
+        engine's executor; the merge order is fixed, so the result is
         independent of scan timing.
         """
         if source_name not in self._sources:

@@ -21,8 +21,8 @@ once at construction from :class:`ObsConfig` — default **on**, switched
 off by ``REPRO_OBS=0`` (or ``false``/``no``/``off``) or per-instance
 via ``AladinConfig.observability.enabled = False``.  Disabled, all
 three handles are the shared null singletons and hot paths receive
-``None`` instead, so the instrumented code compiles down to a handful
-of ``is None`` checks.
+``None`` instead; stages are still timed, once each, through the
+durations-only null tracer, so reports carry real seconds either way.
 """
 
 from __future__ import annotations

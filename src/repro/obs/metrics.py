@@ -22,8 +22,9 @@ methods are empty and whose ``snapshot()`` is ``{}``.  Hot paths
 (executor fan-outs, graph nodes) skip even that by receiving ``None``
 instead of a registry.
 
-All durations recorded here are measured with ``time.perf_counter()`` —
-never wall-clock — per the repo's timing policy.
+Durations observed here are ``perf_counter`` seconds — never
+wall-clock — per the repo's timing policy; a stage's is read from the
+span handle that timed it (see :mod:`repro.obs.trace`).
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ import json
 import math
 import threading
 from collections import deque
-from contextlib import contextmanager
-from time import perf_counter
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Optional
 
 __all__ = [
     "Counter",
@@ -127,14 +126,6 @@ class Histogram:
             if value > self._max:
                 self._max = value
             self._recent.append(value)
-
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        started = perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(perf_counter() - started)
 
     @property
     def count(self) -> int:
@@ -239,10 +230,6 @@ class MetricsRegistry:
                 metric = self._histograms[name] = Histogram(self._lock)
             return metric
 
-    def timer(self, name: str):
-        """``with registry.timer("stage.link"): ...`` sugar."""
-        return self.histogram(name).time()
-
     def snapshot(self) -> Dict[str, Any]:
         """One coherent dict of everything: counters, resolved gauges,
         histogram stats.  Safe to ``json.dumps`` directly."""
@@ -336,10 +323,6 @@ class _NullHistogram:
     def observe(self, value: float) -> None:
         pass
 
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        yield
-
     def stats(self) -> Dict[str, float]:
         return {"count": 0, "sum": 0.0}
 
@@ -367,9 +350,6 @@ class NullMetricsRegistry:
 
     def histogram(self, name: str) -> _NullHistogram:
         return _NULL_HISTOGRAM
-
-    def timer(self, name: str):
-        return _NULL_HISTOGRAM.time()
 
     def snapshot(self) -> Dict[str, Any]:
         return {}

@@ -17,7 +17,9 @@ tree per operation:
     attributes (source, stage kind, task index and label).
 ``wall_time`` + ``duration``
     Start is wall-clock for humans; the duration is measured with
-    ``perf_counter`` per the repo's timing policy.
+    ``perf_counter`` per the repo's timing policy.  ``finish`` leaves
+    ``started`` and ``duration`` on the handle, so the code that opened
+    the span reads the very value the span records.
 ``status``
     ``"ok"`` or ``"error"`` (with the exception type name).
 
@@ -27,10 +29,13 @@ joins a tree with :meth:`Tracer.activate` on a context captured by
 :meth:`Tracer.current` (``ThreadPoolExecutor`` does *not* copy context
 into reused worker threads).
 
-**Zero-cost when disabled.**  :data:`NULL_TRACER` is the twin for
-cool paths (top-level operations); hot paths (fan-outs, graph nodes,
-chunk runners) receive literally ``None`` and pay one identity check —
-the seam is held under 1% by ``benchmarks/bench_obs.py``.
+**One clock per stage.**  A stage is timed once, by its span handle:
+report step seconds, histograms and event payloads all read the
+handle's ``duration``.  With tracing disabled :data:`NULL_TRACER` is
+the durations-only recorder — its handles keep a start and a duration
+and nothing else (no ids, ring, context or sinks).  Hot paths receive
+``None`` and substitute it (``tracer or NULL_TRACER``); the seam is
+held under 1% by ``benchmarks/bench_obs.py``.
 
 Finished spans land in a bounded ring plus a separate bounded
 **slow-span log** (spans whose duration crosses
@@ -143,7 +148,8 @@ class _SpanHandle:
         "name",
         "attributes",
         "wall_time",
-        "_started",
+        "started",
+        "duration",
         "_token",
     )
 
@@ -155,26 +161,28 @@ class _SpanHandle:
         self.name = name
         self.attributes = attributes
         self.wall_time = wall_clock()
-        self._started = perf_counter()
+        self.started = perf_counter()
+        self.duration = 0.0  # set by Tracer.finish
         self._token = None
 
     def set(self, **attributes: Any) -> None:
         self.attributes.update(attributes)
 
 
-class _NullSpanHandle:
-    """Shared no-op handle yielded by the null tracer's ``span()``."""
+class _TimedHandle:
+    """The null tracer's handle: a start and, once finished, a duration."""
 
-    __slots__ = ()
+    __slots__ = ("started", "duration")
     trace_id = ""
     span_id = ""
     parent_id = None
 
+    def __init__(self) -> None:
+        self.started = perf_counter()
+        self.duration = 0.0
+
     def set(self, **attributes: Any) -> None:
         pass
-
-
-_NULL_HANDLE = _NullSpanHandle()
 
 
 class Tracer:
@@ -244,7 +252,7 @@ class Tracer:
         return handle
 
     def finish(self, handle: _SpanHandle, error: Optional[BaseException] = None) -> None:
-        duration = perf_counter() - handle._started
+        handle.duration = perf_counter() - handle.started
         if handle._token is not None:
             try:
                 _ACTIVE.reset(handle._token)
@@ -258,7 +266,7 @@ class Tracer:
                 handle.parent_id,
                 handle.name,
                 handle.wall_time,
-                duration,
+                handle.duration,
                 handle.attributes,
                 status="ok" if error is None else "error",
                 error=None if error is None else type(error).__name__,
@@ -362,7 +370,11 @@ class Tracer:
 
 
 class NullTracer:
-    """The disabled tracer: spans vanish, context never propagates."""
+    """The disabled tracer: the durations-only recorder.
+
+    Its handles time the span and nothing else — spans are never
+    recorded, context never propagates.
+    """
 
     __slots__ = ()
     enabled = False
@@ -375,15 +387,13 @@ class NullTracer:
     def activate(self, context) -> Iterator[None]:
         yield
 
-    def start_span(self, name: str, **attributes: Any) -> _NullSpanHandle:
-        return _NULL_HANDLE
+    def start_span(self, name: str, **attributes: Any) -> _TimedHandle:
+        return _TimedHandle()
 
-    def finish(self, handle, error: Optional[BaseException] = None) -> None:
-        pass
+    def finish(self, handle: _TimedHandle, error: Optional[BaseException] = None) -> None:
+        handle.duration = perf_counter() - handle.started
 
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[_NullSpanHandle]:
-        yield _NULL_HANDLE
+    span = Tracer.span
 
     def record_complete(self, name, wall_time, duration, error=None, **attributes):
         pass

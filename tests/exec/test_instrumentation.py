@@ -4,14 +4,19 @@ A fan-out with a metrics registry records ``pool.fanouts`` /
 ``pool.tasks`` and a ``pool.fanout.{stage}`` histogram, or on failure
 ``pool.failures`` / ``pool.failures.{stage}``; with a tracer it records
 one ``fanout.{stage}`` span. A task graph records per-node wall time and
-queue wait, and one ``graph.{node}`` span per node it runs.
+queue wait, and one ``graph.{node}`` span per node it runs. Each of
+these reads the one duration its span handle measured, with or without
+telemetry.
 """
 
 import threading
 
 import pytest
 
+from repro.dataimport import registry
+from repro.discovery import discover_structure
 from repro.exec import ExecError, Executor, TaskGraph
+from repro.linking.engine import LinkDiscoveryEngine, _pair_task
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
@@ -33,6 +38,10 @@ def instrumented(metrics=True, tracer=True):
     if tracer:
         executor.tracer = Tracer()
     return executor
+
+
+def observations(registry, name):
+    return list(registry.histogram(name)._recent)
 
 
 def counters(registry):
@@ -187,3 +196,92 @@ class TestGraphTelemetry:
             ("graph.ok", "ok", None),
             ("graph.bad", "error", "ExecError"),
         ]
+
+
+class TestOneClock:
+    def test_results_carry_each_task_span_duration(self):
+        executor = instrumented()
+        results = executor.map_ordered(_identity, range(3), stage="scan")
+        assert results == [0, 1, 2]
+        spans = executor.tracer.spans()
+        assert results.seconds == [s.duration for s in spans if s.name == "task"]
+        (fanout,) = [s for s in spans if s.name == "fanout.scan"]
+        assert observations(executor.metrics, "pool.fanout.scan") == [fanout.duration]
+
+    @pytest.mark.parametrize(
+        "metrics,tracer",
+        [(False, False), (True, False), (False, True)],
+        ids=["no-telemetry", "metrics-only", "tracer-only"],
+    )
+    def test_every_item_is_timed_on_every_wiring(self, metrics, tracer):
+        results = instrumented(metrics, tracer).map_ordered(_identity, range(5))
+        assert results == list(range(5))
+        assert len(results.seconds) == 5
+        assert all(type(s) is float and s > 0.0 for s in results.seconds)
+
+    def test_the_inner_loop_keeps_its_four_argument_call(self):
+        results = Executor._run(_identity, [1, 2], None, None)
+        assert results == [1, 2]
+        assert len(results.seconds) == 2
+
+    def test_graph_seconds_are_the_node_span_durations(self):
+        tracer, registry = Tracer(), MetricsRegistry()
+        graph = TaskGraph()
+        graph.add("import", lambda results: 1)
+        graph.add("linking", lambda results: 2, deps=("import",))
+        graph.run(metrics=registry, tracer=tracer)
+        spans = {s.name: s.duration for s in tracer.spans()}
+        for node in ("import", "linking"):
+            assert graph.seconds[node] == spans[f"graph.{node}"]
+            assert observations(registry, f"graph.{node}.seconds") == [
+                graph.seconds[node]
+            ]
+
+    def test_graph_seconds_without_telemetry(self):
+        graph = TaskGraph()
+        graph.add("a", lambda results: 1)
+        graph.add("b", lambda results: 2, deps=("a",))
+        graph.run()
+        assert sorted(graph.seconds) == ["a", "b"]
+        assert all(type(s) is float and s > 0.0 for s in graph.seconds.values())
+
+    def test_queue_wait_starts_at_the_last_dependency(self):
+        """A node is ready once its last dependency finished, so a join
+        behind a slow dependency does not count that dependency's run."""
+        registry = MetricsRegistry()
+        graph = TaskGraph()
+        graph.add("fast", lambda results: None)
+        graph.add("slow", lambda results: threading.Event().wait(0.03))
+        graph.add("join", lambda results: None, deps=("fast", "slow"))
+        graph.run(metrics=registry)
+        (slow_seconds,) = observations(registry, "graph.slow.seconds")
+        assert slow_seconds >= 0.025
+        (join_wait,) = observations(registry, "graph.join.queue_wait")
+        assert 0.0 <= join_wait < slow_seconds
+
+
+def _source(name, tag):
+    rows = "\n".join(f"ACC{tag}{i:03d}\tname{i}" for i in range(8))
+    database = registry.create("delimited", name).import_text(
+        "accession\tname\n" + rows
+    ).database
+    return database, discover_structure(database)
+
+
+class TestPairScans:
+    def test_an_engine_without_an_executor_fans_out_inline(self):
+        engine = LinkDiscoveryEngine()
+        assert isinstance(engine.executor, Executor)
+        for name, tag in (("a", "x"), ("b", "y")):
+            engine.register_source(*_source(name, tag))
+        specs = engine.pair_specs("b")
+        results = engine.run_pair_specs(specs)
+        assert len(results) == len(results.seconds) == len(specs)
+        assert results == [_pair_task(engine, spec) for spec in specs]
+
+    def test_pair_task_returns_links_and_comparisons(self):
+        engine = LinkDiscoveryEngine()
+        for name, tag in (("a", "x"), ("b", "y")):
+            engine.register_source(*_source(name, tag))
+        links, comparisons = _pair_task(engine, ("pair", "b", "a"))
+        assert type(comparisons) is int and comparisons > 0

@@ -37,6 +37,14 @@ class TestTracerBasics:
         assert a.span_id != b.span_id
         assert by_name["op.outer"].attributes == {"source": "s1"}
 
+    def test_finish_leaves_start_and_duration_on_the_handle(self):
+        tracer = Tracer()
+        with tracer.span("op.x") as handle:
+            pass
+        (span,) = tracer.spans()
+        assert handle.duration == span.duration > 0.0
+        assert handle.started > 0.0
+
     def test_sequential_roots_get_distinct_traces(self):
         tracer = Tracer()
         with tracer.span("op.first"):
@@ -225,6 +233,25 @@ class TestNullTracer:
         NULL_TRACER.record_complete("op.y", 0.0, 0.0)
         NULL_TRACER.finish(NULL_TRACER.start_span("z"))
         NULL_TRACER.clear()
+
+    def test_handles_record_only_a_start_and_a_duration(self):
+        with NULL_TRACER.span("op.outer") as outer:
+            with NULL_TRACER.span("op.inner") as inner:
+                pass
+        assert outer is not inner
+        assert outer.started <= inner.started
+        assert outer.duration >= inner.duration > 0.0
+        handle = NULL_TRACER.start_span("task", index=0)
+        NULL_TRACER.finish(handle)
+        assert handle.duration > 0.0
+        assert (handle.trace_id, handle.span_id, handle.parent_id) == ("", "", None)
+        assert NULL_TRACER.spans() == []
+
+    def test_a_failing_span_is_timed_and_reraised(self):
+        with pytest.raises(ValueError):
+            with NULL_TRACER.span("op.boom") as handle:
+                raise ValueError("no")
+        assert handle.duration > 0.0
 
 
 class TestRenderSpans:

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.core import Aladin
+from repro.core import Aladin, AladinConfig
 from repro.obs.events import HYDRATION_FAULTED
 from repro.persist import SnapshotError, SnapshotStore
 from repro.persist import snapshot as snapshot_module
@@ -256,7 +256,11 @@ class TestOneDecode:
         sys.setswitchinterval(1e-6)
         try:
             for round_index in range(rounds):
-                lazy = open_lazy(snapshot)
+                # The fault count is read off the event bus: pin it on,
+                # whatever REPRO_OBS says.
+                config = AladinConfig()
+                config.observability.enabled = True
+                lazy = Aladin.open(snapshot, config=config, read_only=True, lazy=True)
                 try:
                     faults = []
                     lazy.obs.events.subscribe(faults.append, kind=HYDRATION_FAULTED)
