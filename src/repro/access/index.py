@@ -9,8 +9,9 @@ be restricted to vertical partitions (fields) and horizontal partitions
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.access.objects import ObjectPage
@@ -57,6 +58,51 @@ def tokenize_page(page: ObjectPage) -> Tuple[int, Dict[str, Dict[str, int]]]:
                 if isinstance(value, str):
                     total += count(f"{table}.{column}", value)
     return total, field_tokens
+
+
+def _page_content(page: ObjectPage):
+    """Everything :func:`tokenize_page` reads, in the order it reads it."""
+    return (
+        page.accession,
+        list(page.fields.items()),
+        [
+            (table, [list(row.items()) for row in rows])
+            for table, rows in page.annotations.items()
+        ],
+    )
+
+
+def _doc_of(posting: PostingField) -> int:
+    return posting.doc_id
+
+
+#: One document as the checkpoint writes it: ``(accession, length,
+#: is_primary, postings)``, postings as in :meth:`InvertedIndex.export_documents`.
+Document = Tuple[str, int, bool, List[Tuple[str, str, int]]]
+
+
+@dataclass
+class DocumentDelta:
+    """The documents one source's re-crawl changed (a checkpoint input).
+
+    ``replaced`` are surviving documents re-tokenized under their doc id,
+    ``added`` new documents appended in crawl order, ``dropped`` the
+    accessions whose documents were removed.
+    """
+
+    replaced: List[Document] = field(default_factory=list)
+    added: List[Document] = field(default_factory=list)
+    dropped: List[str] = field(default_factory=list)
+
+
+def _document(accession: str, tokenized) -> Document:
+    total, field_tokens = tokenized
+    postings = [
+        (token, field_name, frequency)
+        for field_name, counts in field_tokens.items()
+        for token, frequency in counts.items()
+    ]
+    return accession, total, True, postings
 
 
 class InvertedIndex:
@@ -139,18 +185,25 @@ class InvertedIndex:
 
         Surviving documents are renumbered densely and postings remapped —
         one pass over the postings lists, no page re-crawling or
-        re-tokenization. This is what keeps ``remove_source`` /
-        ``update_source`` from rebuilding the search index from scratch.
+        re-tokenization. This is what keeps ``remove_source`` from
+        rebuilding the search index from scratch.
         """
+        doomed = {
+            doc_id
+            for doc_id, (doc_source, _) in enumerate(self._documents)
+            if doc_source == source
+        }
+        self._drop_documents(doomed)
+        return len(doomed)
+
+    def _drop_documents(self, doomed: Set[int]) -> None:
+        """Remove documents by id; the survivors are renumbered densely."""
+        if not doomed:
+            return
         keep: Dict[int, int] = {}
-        removed = 0
-        for doc_id, (doc_source, _) in enumerate(self._documents):
-            if doc_source == source:
-                removed += 1
-            else:
+        for doc_id in range(len(self._documents)):
+            if doc_id not in doomed:
                 keep[doc_id] = len(keep)
-        if not removed:
-            return 0
         self._documents = [
             d for doc_id, d in enumerate(self._documents) if doc_id in keep
         ]
@@ -172,7 +225,72 @@ class InvertedIndex:
             if survivors:
                 remapped[token] = survivors
         self._postings = remapped
-        return removed
+
+    def update_source(
+        self,
+        source: str,
+        old_pages: Iterable[ObjectPage],
+        new_pages: Iterable[ObjectPage],
+    ) -> DocumentDelta:
+        """Re-index the pages of ``source`` that differ between two crawls.
+
+        ``old_pages`` must be the pages this index holds for ``source``.
+        A surviving page whose content changed keeps its doc id: its
+        postings are removed using the old page's tokens and the new
+        ones inserted in doc-id order. Unchanged pages are not
+        re-tokenized. Documents of pages that disappeared are dropped,
+        then new pages append in crawl order.
+        """
+        old = {page.accession: page for page in old_pages}
+        doc_ids = {
+            accession: doc_id
+            for doc_id, (doc_source, accession) in enumerate(self._documents)
+            if doc_source == source
+        }
+        delta = DocumentDelta()
+        added = []
+        for page in new_pages:
+            before = old.pop(page.accession, None)
+            if before is None:
+                added.append(page)
+            elif _page_content(before) != _page_content(page):
+                tokenized = tokenize_page(page)
+                self._replace_document(
+                    doc_ids[page.accession], tokenize_page(before)[1], tokenized
+                )
+                delta.replaced.append(_document(page.accession, tokenized))
+        delta.dropped = list(old)
+        self._drop_documents({doc_ids[accession] for accession in delta.dropped})
+        for page in added:
+            tokenized = tokenize_page(page)
+            self.add_tokenized(page.identity, tokenized)
+            delta.added.append(_document(page.accession, tokenized))
+        return delta
+
+    def _replace_document(
+        self,
+        doc_id: int,
+        old_field_tokens: Dict[str, Dict[str, int]],
+        tokenized: Tuple[int, Dict[str, Dict[str, int]]],
+    ) -> None:
+        """Swap one document's postings; every posting list stays in
+        doc-id order (field order within the document)."""
+        self.pages_indexed += 1
+        for token in {t for counts in old_field_tokens.values() for t in counts}:
+            postings = self._postings[token]
+            start = bisect_left(postings, doc_id, key=_doc_of)
+            del postings[start:bisect_right(postings, doc_id, lo=start, key=_doc_of)]
+            if not postings:
+                del self._postings[token]
+        total, field_tokens = tokenized
+        for field_name, counts in field_tokens.items():
+            for token, frequency in counts.items():
+                postings = self._postings[token]
+                postings.insert(
+                    bisect_right(postings, doc_id, key=_doc_of),
+                    PostingField(doc_id=doc_id, field=field_name, frequency=frequency),
+                )
+        self._doc_lengths[doc_id] = total
 
     def vocabulary_size(self) -> int:
         return len(self._postings)

@@ -38,7 +38,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.access.browser import Browser
 from repro.access.crawler import Crawler
 from repro.access.index import InvertedIndex
-from repro.access.objects import ObjectWeb
+from repro.access.objects import ObjectPage, ObjectWeb
 from repro.access.queries import QueryEngine
 from repro.access.ranking import PathRanker
 from repro.access.search import SearchEngine
@@ -66,7 +66,12 @@ from repro.obs.events import (
 )
 from repro.persist.lazy import LazySnapshotSession
 from repro.persist.lock import SnapshotLockedError
-from repro.persist.snapshot import CompactionStats, SnapshotError, SnapshotStore
+from repro.persist.snapshot import (
+    CompactionStats,
+    SnapshotError,
+    SnapshotStore,
+    SourceDelta,
+)
 from repro.relational.database import Database
 
 
@@ -740,8 +745,19 @@ class Aladin:
         "In principle, all links must be recomputed even if only a small
         fraction of the data ... changes. This re-computation is clearly
         infeasible. We envisage a threshold on the number of changes."
-        Below the threshold the raw data is swapped in place and existing
+        Below the threshold the data is swapped in place and existing
         links are kept; above it the source is dropped and re-integrated.
+
+        A below-threshold update diffs the re-import against the live
+        source table by table and applies only the delta: an unchanged
+        table keeps its Table object (and its warm caches and profiles),
+        a changed, added, or dropped one is swapped for the re-import's.
+        Ordering rule: every table then holds exactly the re-import's rows
+        in the re-import's order, so a row id is still the row's position.
+        Profiles, statistics, samples, and the object web refresh only
+        when some table changed; only pages that differ are re-indexed (a
+        surviving page keeps its doc id, new pages append in crawl
+        order); the checkpoint writes only the delta.
         """
         with self.obs.trace.span("op.update_source", source=name):
             return self._update_source_impl(name, text)
@@ -750,7 +766,7 @@ class Aladin:
         self._fault_all_sources()
         if name not in self._raw_inputs:
             raise KeyError(f"source {name!r} was not added from raw text")
-        format_name, _old_text, options = self._raw_inputs[name]
+        format_name, old_text, options = self._raw_inputs[name]
         new_result = _import_task(
             self.config.declare_constraints, (name, format_name, text, options)
         )
@@ -758,27 +774,16 @@ class Aladin:
         new_rows = new_result.database.total_rows()
         change_fraction = abs(new_rows - old_rows) / max(old_rows, 1)
         if change_fraction <= self.config.reanalysis_change_threshold:
-            # Swap data, keep structure and links (documented
-            # approximation) — but refresh every cached view of the data:
-            # the engine's statistics, the repository's profiles/samples,
-            # and the swapped source's slice of the search index.
-            database = new_result.database
-            self._databases[name] = database
-            self.web.attach_database(name, database)
+            # Swap data, keep structure and links (documented approximation).
             self._raw_inputs[name] = (format_name, text, options)
-            statistics = self._engine.refresh_source(database)
-            samples, row_counts = self._data_snapshot(database)
-            self.repository.refresh_source_data(
-                name,
-                statistics=statistics,
-                sample_rows=samples,
-                row_counts=row_counts,
-                profiles=collect_profiles(database),
-            )
-            if self._index is not None:
-                self._index.remove_source(name)
-                self._index_add_source(name)
-            self._checkpoint(name, links=False)
+            delta = self._swap_data(name, new_result.database)
+            delta.text_changed = text != old_text
+            if self._store is not None:
+                self._commit_checkpoint(
+                    name,
+                    "write",
+                    lambda: self._store.checkpoint_source(self, name, delta=delta),
+                )
             self.obs.events.emit(
                 SOURCE_UPDATED,
                 source=name,
@@ -795,6 +800,48 @@ class Aladin:
             reanalyzed=True,
         )
         return report
+
+    def _swap_data(self, name: str, fresh: Database) -> SourceDelta:
+        """Swap ``fresh``'s changed tables into the live source in place.
+
+        Only when some table changed are the cached views of the data
+        refreshed: the engine's statistics and the repository's profiles,
+        samples, and row counts (one profile walk; unchanged tables answer
+        from their cached profiles), the object web, and the pages of the
+        search index that differ between a crawl before and after the
+        swap.
+        """
+        database = self._databases[name]
+        changed = database.changed_tables(fresh)
+        delta = SourceDelta(
+            tables={
+                table: (
+                    database.table(table) if database.has_table(table) else None,
+                    fresh.table(table) if fresh.has_table(table) else None,
+                )
+                for table in changed
+            }
+        )
+        if not changed:
+            return delta
+        old_pages = self._crawl_source(name) if self._index is not None else None
+        database.take_tables(fresh, changed)
+        profiles = collect_profiles(database)
+        statistics = self._engine.refresh_source(database, profiles)
+        samples, row_counts = self._data_snapshot(database)
+        self.repository.refresh_source_data(
+            name,
+            statistics=statistics,
+            sample_rows=samples,
+            row_counts=row_counts,
+            profiles=profiles,
+        )
+        self.web.attach_database(name, database)
+        if old_pages is not None:
+            delta.documents = self._index.update_source(
+                name, old_pages, self._crawl_source(name)
+            )
+        return delta
 
     def remove_source(self, name: str) -> None:
         """Drop one source incrementally: nothing else is re-analyzed.
@@ -916,10 +963,12 @@ class Aladin:
         """Crawl and index only ``name``'s pages into the existing index."""
         if self._index is None:
             return  # never built: the first search_engine() call will
+        self._index.add_pages(self._crawl_source(name))
+
+    def _crawl_source(self, name: str) -> List[ObjectPage]:
+        """Every page of one source, in accession (crawl) order."""
         seeds = [(name, accession) for accession in self.web.accessions(name)]
-        self._index.add_pages(
-            Crawler(self.web).crawl(seeds=seeds, follow_links=False)
-        )
+        return list(Crawler(self.web).crawl(seeds=seeds, follow_links=False))
 
     # ------------------------------------------------------------------
     # persistence (snapshot save / warm-start open)
@@ -1122,12 +1171,10 @@ class Aladin:
         # (if one is configured) and closes it; safe to call repeatedly.
         self.obs.close()
 
-    def _checkpoint(self, name: str, links: bool = True) -> None:
+    def _checkpoint(self, name: str) -> None:
         if self._store is not None:
             self._commit_checkpoint(
-                name,
-                "write",
-                lambda: self._store.checkpoint_source(self, name, links=links),
+                name, "write", lambda: self._store.checkpoint_source(self, name)
             )
 
     def _commit_checkpoint(self, name: str, op: str, write) -> None:

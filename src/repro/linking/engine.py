@@ -26,8 +26,13 @@ from repro.linking.ner import discover_name_links
 from repro.linking.ontologylinks import discover_ontology_links
 from repro.linking.seqfields import detect_sequence_fields
 from repro.linking.seqlinks import discover_sequence_links
-from repro.linking.stats import AttributeStatistics, collect_statistics
+from repro.linking.stats import (
+    AttributeStatistics,
+    collect_statistics,
+    statistics_from_profile,
+)
 from repro.linking.textlinks import discover_text_links
+from repro.relational.columns import ColumnProfile
 from repro.relational.database import Database
 
 # One unit of fan-out work: ("pair" | "directional", source, target).
@@ -125,18 +130,23 @@ class LinkDiscoveryEngine:
         del self._sources[name]
 
     def refresh_source(
-        self, database: Database
+        self, database: Database, profiles: Dict[AttributeRef, ColumnProfile]
     ) -> Dict[AttributeRef, AttributeStatistics]:
-        """Swap a registered source's database and recompute its statistics.
+        """Re-derive a registered source's statistics from ``profiles``.
 
         Below-threshold updates swap the data but keep the discovered
         structure; the cached statistics must describe the *new* data or
         every later ``discover_for`` would link against stale profiles.
+        ``profiles`` is the caller's one walk of the database's column
+        profiles (:func:`collect_profiles`).
         """
         entry = self._sources.get(database.name)
         if entry is None:
             raise KeyError(f"source {database.name!r} is not registered")
-        statistics = collect_statistics(database)
+        statistics = {
+            attr: statistics_from_profile(attr, profile)
+            for attr, profile in profiles.items()
+        }
         self._sources[database.name] = _SourceEntry(
             database=database, structure=entry.structure, statistics=statistics
         )

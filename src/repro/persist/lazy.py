@@ -53,7 +53,7 @@ import sqlite3
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.access.index import InvertedIndex, PostingField
+from repro.access.index import DocumentDelta, InvertedIndex, PostingField
 from repro.linking.model import ObjectLink
 from repro.linking.stats import statistics_from_profile
 from repro.metadata.repository import SourceRecord
@@ -302,6 +302,10 @@ class LazyInvertedIndex(InvertedIndex):
     def remove_source(self, source: str) -> int:
         self._ensure_all()
         return super().remove_source(source)
+
+    def update_source(self, source, old_pages, new_pages) -> DocumentDelta:
+        self._ensure_all()
+        return super().update_source(source, old_pages, new_pages)
 
     def vocabulary_size(self) -> int:
         self._ensure_all()

@@ -25,10 +25,11 @@ Layout (one SQLite file):
 
 Every per-source slice is keyed by source name, which is what makes the
 incremental checkpoints cheap: ``checkpoint_source`` deletes and rewrites
-exactly one source's rows, profiles, and postings in place — plus the
-links touching it, except for a data-only checkpoint (a below-threshold
-``update_source`` swaps the data but keeps structure and links, so its
-link rows are left exactly as they are).
+exactly one source's rows, profiles, links, and postings in place. A
+below-threshold ``update_source`` keeps structure and links, so its
+data-only checkpoint writes just the delta (:class:`SourceDelta`): the
+changed rows and their cells, the changed tables' schemas and profiles,
+and the changed documents' postings; everything else keeps its rowid.
 
 An attached store writes through one long-lived connection, opened on
 the first write after :meth:`SnapshotStore.attach_writer` and closed by
@@ -83,6 +84,7 @@ sidecar lock file (``<snapshot>.lock``) through
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import dataclasses
 import functools
@@ -98,13 +100,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.access.index import InvertedIndex
+from repro.access.index import DocumentDelta, InvertedIndex
 from repro.discovery.model import AttributeRef, SourceStructure
 from repro.linking.model import ObjectLink
 from repro.metadata.repository import MetadataRepository
 from repro.persist import codec
 from repro.relational.columns import ColumnProfile
 from repro.relational.database import Database
+from repro.relational.table import Table
 from repro.relational.types import is_null
 
 # Version 3: snapshots carry the `cells` value index (the SQL-pushdown
@@ -303,11 +306,13 @@ def _ensure_schema(conn: sqlite3.Connection) -> None:
 def _cell_value(value: Any) -> Optional[Any]:
     """The bindable cells representation of one cell, or None to skip.
 
-    NULL/NaN cells are excluded by the caller (``is_null`` — matching the
-    row_ids index, which is non-null only). Out-of-64-bit ints overflow
-    the SQLite bind; anything non-scalar has no exact SQL equality.
-    ±inf is representable (SQLite REAL) and kept.
+    NULL/NaN cells are skipped (``is_null`` — matching the row_ids index,
+    which is non-null only). Out-of-64-bit ints overflow the SQLite bind;
+    anything non-scalar has no exact SQL equality. ±inf is representable
+    (SQLite REAL) and kept.
     """
+    if is_null(value):
+        return None
     if isinstance(value, bool):
         return int(value)
     if isinstance(value, int):
@@ -404,6 +409,22 @@ class SourceMetadata:
     structure: SourceStructure
     profiles: Dict[AttributeRef, ColumnProfile]
     samples: Dict[str, List[dict]]
+
+
+@dataclass
+class SourceDelta:
+    """What one below-threshold ``update_source`` changed in a source.
+
+    The input of a data-only :meth:`SnapshotStore.checkpoint_source`.
+    ``tables`` maps each changed table to its ``(old, new)`` Table objects
+    (``None`` on the side that lacks the table); ``documents`` is the
+    search index's delta, or ``None`` when the index was not touched;
+    ``text_changed`` says whether the raw input text differs.
+    """
+
+    tables: Dict[str, Tuple[Optional[Table], Optional[Table]]]
+    documents: Optional[DocumentDelta] = None
+    text_changed: bool = False
 
 
 @dataclass
@@ -569,6 +590,10 @@ class SnapshotStore:
         # the (device, inode) of the file it was opened on.
         self._writer: Optional[sqlite3.Connection] = None
         self._writer_file: Optional[Tuple[int, int]] = None
+        # A copy of the config this store last wrote or found in the
+        # manifest, with that manifest JSON: an unchanged config skips
+        # re-encoding (see _write_config).
+        self._config_written: Optional[Tuple[Any, str]] = None
         #: Optional :class:`~repro.obs.trace.Tracer`; the owning
         #: ``Aladin`` sets it so full writes and compactions record
         #: ``persist.*`` spans.  ``None`` keeps the store span-free.
@@ -604,6 +629,7 @@ class SnapshotStore:
             lock = SnapshotLock(self.path)
             lock.acquire(timeout=timeout, force=force)
             self._lock = lock
+            self._config_written = None
             _ATTACHED_STORES.add(self)
 
     @_serialized
@@ -806,61 +832,13 @@ class SnapshotStore:
         record = aladin.repository.source(name)
         hasher = hashlib.sha256()
         for table_name in database.table_names():
-            table = database.table(table_name)
-            schema_json = codec.canonical_json(codec.schema_to_dict(table.schema))
+            schema_json, payloads = self._write_table(
+                conn, name, database.table(table_name)
+            )
             hasher.update(schema_json.encode("utf-8"))
-            conn.execute(
-                "INSERT INTO table_schemas (source, table_name, schema) "
-                "VALUES (?, ?, ?)",
-                (name, table_name, schema_json),
-            )
-            raw_rows = list(table.raw_rows())
-            payloads = []
-            for row_id, data in enumerate(_encode_row(tup) for tup in raw_rows):
+            for data in payloads:
                 hasher.update(data.encode("utf-8"))
-                payloads.append((name, table_name, row_id, data))
-            conn.executemany(
-                "INSERT INTO rows (source, table_name, row_id, data) "
-                "VALUES (?, ?, ?, ?)",
-                payloads,
-            )
-            # The pushdown value index: one cells row per non-null scalar
-            # cell, mirroring the ColumnStore's row_ids index so a lazy
-            # reader's point lookups are answered by SQL instead of
-            # hydration. Unrepresentable values are skipped — the reader
-            # rejects such probes and falls back (see ``_cell_value``).
-            column_names = table.schema.column_names
-            cells = []
-            for row_id, tup in enumerate(raw_rows):
-                for position, value in enumerate(tup):
-                    if is_null(value):
-                        continue
-                    stored = _cell_value(value)
-                    if stored is None:
-                        continue
-                    cells.append(
-                        (name, table_name, column_names[position], row_id, stored)
-                    )
-            conn.executemany(
-                "INSERT INTO cells (source, table_name, column_name, row_id, value) "
-                "VALUES (?, ?, ?, ?, ?)",
-                cells,
-            )
-        conn.executemany(
-            "INSERT INTO profiles (source, table_name, column_name, profile) "
-            "VALUES (?, ?, ?, ?)",
-            [
-                (
-                    name,
-                    attr.table,
-                    attr.column,
-                    codec.canonical_json(codec.profile_to_dict(profile)),
-                )
-                for attr, profile in sorted(
-                    record.profiles.items(), key=lambda item: item[0].qualified
-                )
-            ],
-        )
+        self._write_profiles(conn, name, record.profiles)
         raw = aladin._raw_inputs.get(name)
         conn.execute(
             "INSERT INTO sources (name, content_hash, format_name, raw_text, "
@@ -876,6 +854,70 @@ class SnapshotStore:
                 codec.canonical_json(record.sample_rows),
                 codec.canonical_json(record.row_counts),
             ),
+        )
+
+    def _write_table(
+        self, conn: sqlite3.Connection, name: str, table: Table
+    ) -> Tuple[str, List[str]]:
+        """Insert one table's schema, rows, and cells; return the schema
+        JSON and the row payloads in row-id order."""
+        schema_json = codec.canonical_json(codec.schema_to_dict(table.schema))
+        conn.execute(
+            "INSERT INTO table_schemas (source, table_name, schema) "
+            "VALUES (?, ?, ?)",
+            (name, table.name, schema_json),
+        )
+        raw_rows = table.raw_rows()
+        payloads = [_encode_row(tup) for tup in raw_rows]
+        conn.executemany(
+            "INSERT INTO rows (source, table_name, row_id, data) "
+            "VALUES (?, ?, ?, ?)",
+            [
+                (name, table.name, row_id, data)
+                for row_id, data in enumerate(payloads)
+            ],
+        )
+        # The pushdown value index: one cells row per non-null scalar
+        # cell, mirroring the ColumnStore's row_ids index so a lazy
+        # reader's point lookups are answered by SQL instead of
+        # hydration. Unrepresentable values are skipped — the reader
+        # rejects such probes and falls back (see ``_cell_value``).
+        column_names = table.schema.column_names
+        cells = []
+        for row_id, tup in enumerate(raw_rows):
+            for position, value in enumerate(tup):
+                stored = _cell_value(value)
+                if stored is not None:
+                    cells.append(
+                        (name, table.name, column_names[position], row_id, stored)
+                    )
+        conn.executemany(
+            "INSERT INTO cells (source, table_name, column_name, row_id, value) "
+            "VALUES (?, ?, ?, ?, ?)",
+            cells,
+        )
+        return schema_json, payloads
+
+    def _write_profiles(
+        self,
+        conn: sqlite3.Connection,
+        name: str,
+        profiles: Dict[AttributeRef, ColumnProfile],
+    ) -> None:
+        conn.executemany(
+            "INSERT INTO profiles (source, table_name, column_name, profile) "
+            "VALUES (?, ?, ?, ?)",
+            [
+                (
+                    name,
+                    attr.table,
+                    attr.column,
+                    codec.canonical_json(codec.profile_to_dict(profile)),
+                )
+                for attr, profile in sorted(
+                    profiles.items(), key=lambda item: item[0].qualified
+                )
+            ],
         )
 
     def _write_all_links(
@@ -932,7 +974,11 @@ class SnapshotStore:
             "VALUES (?, ?, ?, ?)",
             (source, accession, length, int(is_primary)),
         )
-        doc_pk = cursor.lastrowid
+        self._write_postings(conn, source, cursor.lastrowid, postings)
+
+    def _write_postings(
+        self, conn: sqlite3.Connection, source: str, doc_pk: int, postings
+    ) -> None:
         conn.executemany(
             "INSERT INTO index_postings (source, doc, token, field, frequency) "
             "VALUES (?, ?, ?, ?, ?)",
@@ -946,32 +992,178 @@ class SnapshotStore:
     # per-source incremental checkpoints
     # ------------------------------------------------------------------
     @_serialized
-    def checkpoint_source(self, aladin, name: str, links: bool = True) -> None:
-        """Rewrite exactly one source's slice of the snapshot in place.
+    def checkpoint_source(
+        self, aladin, name: str, delta: Optional[SourceDelta] = None
+    ) -> None:
+        """Write one source's slice of the snapshot in place.
 
-        Called after ``add_source`` / ``update_source``: the source's rows,
+        Without ``delta`` (after ``add_source``) the source's rows,
         profiles, structure record, links touching it, and index postings
-        are replaced; every other source's slice stays byte-identical.
-        ``links=False`` is the data-only checkpoint of a below-threshold
-        update, which keeps structure and links by contract: the link
-        rows touching the source are left untouched.
+        are replaced. With ``delta`` (a below-threshold ``update_source``,
+        which keeps structure and links by contract) only what the delta
+        names is written; see :meth:`_write_delta`. Either way every other
+        source's slice stays byte-identical.
         """
         with self._write_connection() as conn, conn:
             manifest = self._read_manifest(conn)
             self._write_config(conn, aladin, manifest)
-            self._delete_source_slice(conn, name, links=links)
+            if delta is not None:
+                self._write_delta(conn, aladin, name, delta, manifest)
+                return
+            self._delete_source_slice(conn, name)
             self._write_source(conn, aladin, name)
-            if links:
-                self._write_source_links(conn, aladin.repository, name)
+            self._write_source_links(conn, aladin.repository, name)
             self._checkpoint_index(conn, aladin, name, manifest)
 
     def _write_config(
         self, conn: sqlite3.Connection, aladin, manifest: Dict[str, str]
     ) -> None:
+        stored = manifest.get("config")
+        cached = self._config_written
+        if cached is not None and cached[1] == stored and cached[0] == aladin.config:
+            return
         # asdict keeps this layer ignorant of the core config classes.
         config = codec.canonical_json(dataclasses.asdict(aladin.config))
-        if manifest.get("config") != config:
+        if stored != config:
             self._set_manifest(conn, "config", config)
+        self._config_written = (copy.deepcopy(aladin.config), config)
+
+    def _write_delta(
+        self,
+        conn: sqlite3.Connection,
+        aladin,
+        name: str,
+        delta: SourceDelta,
+        manifest: Dict[str, str],
+    ) -> None:
+        """The data-only checkpoint: write exactly what ``delta`` changed.
+
+        A changed table with an unchanged schema gets a row-level delta:
+        row ``i`` is compared with the old row ``i`` (a row id is the
+        row's position), changed rows are rewritten in place under their
+        ``(source, table_name, row_id)`` key, and changed cells are
+        deleted by their old values through ``idx_cells_lookup`` before
+        the new ones are inserted. Any other changed table (schema
+        changed, added, dropped) is rewritten whole. The changed tables'
+        profiles, the record's samples and row counts, and the content
+        hash — recomputed from the stored slice, so it equals what
+        :meth:`_write_source` writes — follow. Changed documents are
+        updated in place under their ``index_documents.id``, new ones
+        appended, so on-disk order stays the in-memory doc-id order. The
+        raw text is written only when it changed.
+        """
+        record = aladin.repository.source(name)
+        for table_name, (old, new) in sorted(delta.tables.items()):
+            if old is not None and new is not None and old.schema == new.schema:
+                self._write_row_delta(conn, name, old, new)
+            else:
+                for table in ("table_schemas", "rows", "cells"):
+                    conn.execute(
+                        f"DELETE FROM {table} WHERE source = ? AND table_name = ?",
+                        (name, table_name),
+                    )
+                if new is not None:
+                    self._write_table(conn, name, new)
+            conn.execute(
+                "DELETE FROM profiles WHERE source = ? AND table_name = ?",
+                (name, table_name),
+            )
+            self._write_profiles(
+                conn,
+                name,
+                {
+                    attr: profile
+                    for attr, profile in record.profiles.items()
+                    if attr.table == table_name
+                },
+            )
+        if delta.tables:
+            conn.execute(
+                "UPDATE sources SET content_hash = ?, samples = ?, row_counts = ? "
+                "WHERE name = ?",
+                (
+                    _hash_stored_source(conn, name),
+                    codec.canonical_json(record.sample_rows),
+                    codec.canonical_json(record.row_counts),
+                    name,
+                ),
+            )
+        if delta.text_changed:
+            conn.execute(
+                "UPDATE sources SET raw_text = ? WHERE name = ?",
+                (aladin._raw_inputs[name][1], name),
+            )
+        if delta.documents is not None or manifest.get("index_built") != "1":
+            self._checkpoint_index(conn, aladin, name, manifest, delta.documents)
+
+    def _write_row_delta(
+        self, conn: sqlite3.Connection, name: str, old: Table, new: Table
+    ) -> None:
+        """Rewrite the rows (and cells) of one table that differ by position."""
+        table_name = new.name
+        column_names = new.schema.column_names
+        old_rows, new_rows = old.raw_rows(), new.raw_rows()
+        for row_id in range(max(len(old_rows), len(new_rows))):
+            before = old_rows[row_id] if row_id < len(old_rows) else None
+            after = new_rows[row_id] if row_id < len(new_rows) else None
+            if before == after:
+                continue
+            if after is None:
+                conn.execute(
+                    "DELETE FROM rows WHERE source = ? AND table_name = ? "
+                    "AND row_id = ?",
+                    (name, table_name, row_id),
+                )
+            else:
+                conn.execute(
+                    "INSERT INTO rows (source, table_name, row_id, data) "
+                    "VALUES (?, ?, ?, ?) ON CONFLICT (source, table_name, row_id) "
+                    "DO UPDATE SET data = excluded.data",
+                    (name, table_name, row_id, _encode_row(after)),
+                )
+            for position, column in enumerate(column_names):
+                old_cell = None if before is None else _cell_value(before[position])
+                new_cell = None if after is None else _cell_value(after[position])
+                if old_cell == new_cell:
+                    continue
+                if old_cell is not None:
+                    conn.execute(
+                        "DELETE FROM cells WHERE source = ? AND table_name = ? "
+                        "AND column_name = ? AND value = ? AND row_id = ?",
+                        (name, table_name, column, old_cell, row_id),
+                    )
+                if new_cell is not None:
+                    conn.execute(
+                        "INSERT INTO cells "
+                        "(source, table_name, column_name, row_id, value) "
+                        "VALUES (?, ?, ?, ?, ?)",
+                        (name, table_name, column, row_id, new_cell),
+                    )
+
+    def _write_document_delta(
+        self, conn: sqlite3.Connection, name: str, documents: DocumentDelta
+    ) -> None:
+        """Apply one source's index delta; surviving documents keep their id."""
+        ids = dict(
+            conn.execute(
+                "SELECT accession, id FROM index_documents WHERE source = ?",
+                (name,),
+            )
+        )
+        for accession, length, is_primary, postings in documents.replaced:
+            doc_pk = ids[accession]
+            conn.execute(
+                "UPDATE index_documents SET length = ?, is_primary = ? WHERE id = ?",
+                (length, int(is_primary), doc_pk),
+            )
+            conn.execute("DELETE FROM index_postings WHERE doc = ?", (doc_pk,))
+            self._write_postings(conn, name, doc_pk, postings)
+        for accession in documents.dropped:
+            doc_pk = ids[accession]
+            conn.execute("DELETE FROM index_postings WHERE doc = ?", (doc_pk,))
+            conn.execute("DELETE FROM index_documents WHERE id = ?", (doc_pk,))
+        for accession, length, is_primary, postings in documents.added:
+            self._write_document(conn, name, accession, length, is_primary, postings)
 
     @_serialized
     def checkpoint_remove(self, name: str) -> None:
@@ -1019,23 +1211,20 @@ class SnapshotStore:
                     f"cannot write index to snapshot {self.path!r}: {exc}"
                 ) from exc
 
-    def _delete_source_slice(
-        self, conn: sqlite3.Connection, name: str, links: bool = True
-    ) -> None:
+    def _delete_source_slice(self, conn: sqlite3.Connection, name: str) -> None:
         conn.execute("DELETE FROM sources WHERE name = ?", (name,))
         conn.execute("DELETE FROM table_schemas WHERE source = ?", (name,))
         conn.execute("DELETE FROM rows WHERE source = ?", (name,))
         conn.execute("DELETE FROM cells WHERE source = ?", (name,))
         conn.execute("DELETE FROM profiles WHERE source = ?", (name,))
-        if links:
-            conn.execute(
-                "DELETE FROM attribute_links WHERE source = ? OR target = ?",
-                (name, name),
-            )
-            conn.execute(
-                "DELETE FROM object_links WHERE source_a = ? OR source_b = ?",
-                (name, name),
-            )
+        conn.execute(
+            "DELETE FROM attribute_links WHERE source = ? OR target = ?",
+            (name, name),
+        )
+        conn.execute(
+            "DELETE FROM object_links WHERE source_a = ? OR source_b = ?",
+            (name, name),
+        )
         conn.execute("DELETE FROM index_postings WHERE source = ?", (name,))
         conn.execute("DELETE FROM index_documents WHERE source = ?", (name,))
 
@@ -1068,8 +1257,14 @@ class SnapshotStore:
         )
 
     def _checkpoint_index(
-        self, conn: sqlite3.Connection, aladin, name: str, manifest: Dict[str, str]
+        self,
+        conn: sqlite3.Connection,
+        aladin,
+        name: str,
+        manifest: Dict[str, str],
+        documents: Optional[DocumentDelta] = None,
     ) -> None:
+        """Write one source's documents: its whole slice, or ``documents``."""
         index = aladin._index
         if index is None:
             return
@@ -1077,13 +1272,15 @@ class SnapshotStore:
             # The index was built lazily after the last full save: persist
             # it whole once, then later checkpoints stay per-source.
             self._write_index_full(conn, index)
-            return
-        for source, accession, length, is_primary, postings in index.export_documents(
-            source=name
-        ):
-            self._write_document(
-                conn, source, accession, length, is_primary, postings
-            )
+        elif documents is not None:
+            self._write_document_delta(conn, name, documents)
+        else:
+            for source, accession, length, is_primary, postings in (
+                index.export_documents(source=name)
+            ):
+                self._write_document(
+                    conn, source, accession, length, is_primary, postings
+                )
 
     # ------------------------------------------------------------------
     # online compaction
@@ -1163,6 +1360,7 @@ class SnapshotStore:
             except BaseException:
                 self._remove_file_set(tmp)
                 raise
+            self._config_written = None
             # The old file's journal sidecars must not survive next to the
             # new file — SQLite could mis-associate them. The WAL was
             # truncated above, so nothing live is lost.
