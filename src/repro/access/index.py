@@ -27,10 +27,29 @@ class PostingField:
     frequency: int
 
 
+def page_texts(page: ObjectPage) -> List[Tuple[str, str]]:
+    """The ``(field, text)`` pairs of one page, in indexing order.
+
+    All that :func:`tokenize_page` reads: two pages with equal texts
+    tokenize identically, which is how :meth:`InvertedIndex.update_source`
+    skips re-tokenizing unchanged pages.
+    """
+    texts = [("accession", page.accession)]
+    for column, value in page.fields.items():
+        if isinstance(value, str):
+            texts.append((column, value))
+    for table, rows in page.annotations.items():
+        for row in rows:
+            for column, value in row.items():
+                if isinstance(value, str):
+                    texts.append((f"{table}.{column}", value))
+    return texts
+
+
 def tokenize_page(page: ObjectPage) -> Tuple[int, Dict[str, Dict[str, int]]]:
     """Tokenize one page into ``(total tokens, field -> token -> count)``.
 
-    A pure function of the page (plain dicts);
+    A pure function of the page's :func:`page_texts`;
     :meth:`InvertedIndex.add_tokenized` applies the result as the next
     document.
     """
@@ -48,28 +67,9 @@ def tokenize_page(page: ObjectPage) -> Tuple[int, Dict[str, Dict[str, int]]]:
             counts[token] = counts.get(token, 0) + 1
         return len(tokens)
 
-    total += count("accession", page.accession)
-    for column, value in page.fields.items():
-        if isinstance(value, str):
-            total += count(column, value)
-    for table, rows in page.annotations.items():
-        for row in rows:
-            for column, value in row.items():
-                if isinstance(value, str):
-                    total += count(f"{table}.{column}", value)
+    for field_name, text in page_texts(page):
+        total += count(field_name, text)
     return total, field_tokens
-
-
-def _page_content(page: ObjectPage):
-    """Everything :func:`tokenize_page` reads, in the order it reads it."""
-    return (
-        page.accession,
-        list(page.fields.items()),
-        [
-            (table, [list(row.items()) for row in rows])
-            for table, rows in page.annotations.items()
-        ],
-    )
 
 
 def _doc_of(posting: PostingField) -> int:
@@ -253,7 +253,7 @@ class InvertedIndex:
             before = old.pop(page.accession, None)
             if before is None:
                 added.append(page)
-            elif _page_content(before) != _page_content(page):
+            elif page_texts(before) != page_texts(page):
                 tokenized = tokenize_page(page)
                 self._replace_document(
                     doc_ids[page.accession], tokenize_page(before)[1], tokenized

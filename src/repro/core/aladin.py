@@ -813,15 +813,7 @@ class Aladin:
         """
         database = self._databases[name]
         changed = database.changed_tables(fresh)
-        delta = SourceDelta(
-            tables={
-                table: (
-                    database.table(table) if database.has_table(table) else None,
-                    fresh.table(table) if fresh.has_table(table) else None,
-                )
-                for table in changed
-            }
-        )
+        delta = SourceDelta(tables=changed)
         if not changed:
             return delta
         old_pages = self._crawl_source(name) if self._index is not None else None

@@ -47,6 +47,7 @@ reload.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import sqlite3
@@ -59,7 +60,13 @@ from repro.linking.stats import statistics_from_profile
 from repro.metadata.repository import SourceRecord
 from repro.obs.events import HYDRATION_FAULTED
 from repro.persist import codec
-from repro.persist.snapshot import SnapshotError, SnapshotStore, SourceStub
+from repro.persist.snapshot import (  # noqa: PLC2701 - one WAL snapshot per read
+    SnapshotError,
+    SnapshotStore,
+    SourceStub,
+    _read_transaction,
+    read_index_generation,
+)
 from repro.relational.expressions import ColumnRef, Comparison, Literal
 # The pushdown executor must rank, project, and dedupe byte-identically
 # to the in-memory engine, so it runs the engine's own helpers instead of
@@ -146,6 +153,9 @@ class SnapshotColumnSource:
         )
 
 
+_INDEX_CHANGED = "snapshot index changed under a lazy reader; reopen the snapshot"
+
+
 class LazyInvertedIndex(InvertedIndex):
     """An inverted index whose postings page in from the snapshot.
 
@@ -155,6 +165,11 @@ class LazyInvertedIndex(InvertedIndex):
     tie-breaks are byte-identical. Any operation that needs the whole
     index — mutation, source removal, export — faults the remainder in
     first and then behaves like a plain :class:`InvertedIndex`.
+
+    Every page-in reads the index generation with its postings; one that
+    differs from the generation the document metadata was read at, or a
+    posting of a document the reader never saw, raises SnapshotError
+    instead of mixing two versions of the index.
     """
 
     def __init__(self, session: "LazySnapshotSession"):
@@ -165,6 +180,7 @@ class LazyInvertedIndex(InvertedIndex):
         self._loaded_tokens: set = set()
         self._doc_pks: List[int] = []
         self._pk_index: Dict[int, int] = {}
+        self._generation: Optional[str] = None
         # Serializes page-ins, double-checked like ``_hydrate_lock``:
         # concurrent same-token queries must load a posting list (and the
         # document metadata) exactly once — a doubled restore_document
@@ -179,7 +195,7 @@ class LazyInvertedIndex(InvertedIndex):
         with self._load_lock:
             if self._docs_loaded:
                 return
-            fetched = self._session.fetch_documents()
+            self._generation, fetched = self._session.fetch_documents()
             for pk, source, accession, length, is_primary in fetched:
                 self._pk_index[pk] = len(self._doc_pks)
                 self._doc_pks.append(pk)
@@ -197,13 +213,9 @@ class LazyInvertedIndex(InvertedIndex):
             if self._all_loaded:
                 return
             self._ensure_docs()
-            by_pk = self._session.fetch_all_postings()
-            unknown = set(by_pk) - set(self._doc_pks)
-            if unknown:
-                raise SnapshotError(
-                    "snapshot index changed under a lazy reader; "
-                    "reopen the snapshot"
-                )
+            generation, by_pk = self._session.fetch_all_postings()
+            if generation != self._generation or set(by_pk) - set(self._doc_pks):
+                raise SnapshotError(_INDEX_CHANGED)
             # Rebuilt from scratch (partial per-token loads discarded):
             # token insertion order must be the stored one — docs in id
             # order, postings in rowid order — so export_documents
@@ -232,16 +244,14 @@ class LazyInvertedIndex(InvertedIndex):
             with self._load_lock:
                 if not self._all_loaded and token not in self._loaded_tokens:
                     self._ensure_docs()
+                    generation, rows = self._session.fetch_token_postings(token)
+                    if generation != self._generation:
+                        raise SnapshotError(_INDEX_CHANGED)
                     loaded = []
-                    for pk, field_name, frequency in (
-                        self._session.fetch_token_postings(token)
-                    ):
+                    for pk, field_name, frequency in rows:
                         doc_id = self._pk_index.get(pk)
                         if doc_id is None:
-                            raise SnapshotError(
-                                "snapshot index changed under a lazy reader; "
-                                "reopen the snapshot"
-                            )
+                            raise SnapshotError(_INDEX_CHANGED)
                         loaded.append(
                             PostingField(
                                 doc_id=doc_id,
@@ -843,43 +853,45 @@ class LazySnapshotSession:
     # ------------------------------------------------------------------
     # lazy index reads
     # ------------------------------------------------------------------
-    def fetch_documents(self) -> List[Tuple]:
+    @contextlib.contextmanager
+    def _index_read(self, statement: str, parameters: Tuple = ()):
+        """Yield ``(index generation, cursor)``, both in one WAL snapshot."""
+        conn = self._connection()
         try:
-            return self._connection().execute(
-                "SELECT id, source, accession, length, is_primary "
-                "FROM index_documents ORDER BY id"
-            ).fetchall()
+            with _read_transaction(conn):
+                yield read_index_generation(conn), conn.execute(statement, parameters)
         except sqlite3.Error as exc:
             raise SnapshotError(
                 f"snapshot {self._store.path!r} is corrupted: {exc}"
             ) from exc
 
-    def fetch_token_postings(self, token: str) -> List[Tuple]:
+    def fetch_documents(self) -> Tuple[str, List[Tuple]]:
+        with self._index_read(
+            "SELECT id, source, accession, length, is_primary "
+            "FROM index_documents ORDER BY id"
+        ) as (generation, cursor):
+            return generation, cursor.fetchall()
+
+    def fetch_token_postings(self, token: str) -> Tuple[str, List[Tuple]]:
         """One token's postings in (document, insertion) order."""
-        try:
-            return self._connection().execute(
-                "SELECT doc, field, frequency FROM index_postings "
-                "WHERE token = ? ORDER BY doc, rowid",
-                (token,),
-            ).fetchall()
-        except sqlite3.Error as exc:
-            raise SnapshotError(
-                f"snapshot {self._store.path!r} is corrupted: {exc}"
-            ) from exc
+        with self._index_read(
+            "SELECT doc, field, frequency FROM index_postings "
+            "WHERE token = ? ORDER BY doc, rowid",
+            (token,),
+        ) as (generation, cursor):
+            return generation, cursor.fetchall()
 
-    def fetch_all_postings(self) -> Dict[int, List[Tuple[str, str, int]]]:
+    def fetch_all_postings(
+        self,
+    ) -> Tuple[str, Dict[int, List[Tuple[str, str, int]]]]:
         by_pk: Dict[int, List[Tuple[str, str, int]]] = {}
-        try:
-            for doc, token, field_name, frequency in self._connection().execute(
-                "SELECT doc, token, field, frequency FROM index_postings "
-                "ORDER BY rowid"
-            ):
+        with self._index_read(
+            "SELECT doc, token, field, frequency FROM index_postings "
+            "ORDER BY rowid"
+        ) as (generation, cursor):
+            for doc, token, field_name, frequency in cursor:
                 by_pk.setdefault(doc, []).append((token, field_name, frequency))
-        except sqlite3.Error as exc:
-            raise SnapshotError(
-                f"snapshot {self._store.path!r} is corrupted: {exc}"
-            ) from exc
-        return by_pk
+        return generation, by_pk
 
     # ------------------------------------------------------------------
     # observability

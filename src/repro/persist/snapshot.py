@@ -28,8 +28,8 @@ incremental checkpoints cheap: ``checkpoint_source`` deletes and rewrites
 exactly one source's rows, profiles, links, and postings in place. A
 below-threshold ``update_source`` keeps structure and links, so its
 data-only checkpoint writes just the delta (:class:`SourceDelta`): the
-changed rows and their cells, the changed tables' schemas and profiles,
-and the changed documents' postings; everything else keeps its rowid.
+changed tables' schemas, rows, cells and profiles, and the changed
+documents' postings; everything else keeps its rowid.
 
 An attached store writes through one long-lived connection, opened on
 the first write after :meth:`SnapshotStore.attach_writer` and closed by
@@ -118,6 +118,12 @@ from repro.relational.types import is_null
 FORMAT_VERSION = 3
 _READ_VERSIONS = (FORMAT_VERSION,)
 _MAGIC = "repro-aladin-snapshot"
+
+# Manifest key every document delta bumps. A delta rewrites a surviving
+# document's postings under its old ``index_documents.id``, so a lazy
+# reader cannot see by key that the index moved under it: it compares
+# this generation instead (absent until the first delta).
+_INDEX_GENERATION = "index_generation"
 
 # The attached writer connection's settings. FULL syncs the WAL on every
 # commit, so a checkpoint is durable when the call returns (per-write
@@ -306,13 +312,11 @@ def _ensure_schema(conn: sqlite3.Connection) -> None:
 def _cell_value(value: Any) -> Optional[Any]:
     """The bindable cells representation of one cell, or None to skip.
 
-    NULL/NaN cells are skipped (``is_null`` — matching the row_ids index,
-    which is non-null only). Out-of-64-bit ints overflow the SQLite bind;
-    anything non-scalar has no exact SQL equality. ±inf is representable
-    (SQLite REAL) and kept.
+    NULL/NaN cells are excluded by the caller (``is_null`` — matching the
+    row_ids index, which is non-null only). Out-of-64-bit ints overflow
+    the SQLite bind; anything non-scalar has no exact SQL equality.
+    ±inf is representable (SQLite REAL) and kept.
     """
-    if is_null(value):
-        return None
     if isinstance(value, bool):
         return int(value)
     if isinstance(value, int):
@@ -340,6 +344,14 @@ def _read_transaction(conn: sqlite3.Connection):
             conn.rollback()
         except sqlite3.Error:
             pass
+
+
+def read_index_generation(conn: sqlite3.Connection) -> str:
+    """The snapshot's index generation (see ``_INDEX_GENERATION``)."""
+    row = conn.execute(
+        "SELECT value FROM manifest WHERE key = ?", (_INDEX_GENERATION,)
+    ).fetchone()
+    return "0" if row is None else row[0]
 
 
 class SnapshotError(RuntimeError):
@@ -416,13 +428,13 @@ class SourceDelta:
     """What one below-threshold ``update_source`` changed in a source.
 
     The input of a data-only :meth:`SnapshotStore.checkpoint_source`.
-    ``tables`` maps each changed table to its ``(old, new)`` Table objects
-    (``None`` on the side that lacks the table); ``documents`` is the
-    search index's delta, or ``None`` when the index was not touched;
-    ``text_changed`` says whether the raw input text differs.
+    ``tables`` names the changed tables (changed, added, or dropped);
+    ``documents`` is the search index's delta, or ``None`` when the index
+    was not touched; ``text_changed`` says whether the raw input text
+    differs.
     """
 
-    tables: Dict[str, Tuple[Optional[Table], Optional[Table]]]
+    tables: List[str]
     documents: Optional[DocumentDelta] = None
     text_changed: bool = False
 
@@ -886,6 +898,8 @@ class SnapshotStore:
         cells = []
         for row_id, tup in enumerate(raw_rows):
             for position, value in enumerate(tup):
+                if is_null(value):
+                    continue
                 stored = _cell_value(value)
                 if stored is not None:
                     cells.append(
@@ -1038,36 +1052,25 @@ class SnapshotStore:
     ) -> None:
         """The data-only checkpoint: write exactly what ``delta`` changed.
 
-        A changed table with an unchanged schema gets a row-level delta:
-        row ``i`` is compared with the old row ``i`` (a row id is the
-        row's position), changed rows are rewritten in place under their
-        ``(source, table_name, row_id)`` key, and changed cells are
-        deleted by their old values through ``idx_cells_lookup`` before
-        the new ones are inserted. Any other changed table (schema
-        changed, added, dropped) is rewritten whole. The changed tables'
-        profiles, the record's samples and row counts, and the content
-        hash — recomputed from the stored slice, so it equals what
-        :meth:`_write_source` writes — follow. Changed documents are
+        Each changed table's schema, rows, cells, and profiles are
+        rewritten whole (a dropped table's are deleted); unchanged tables
+        keep every rowid. The record's samples and row counts and the
+        content hash — recomputed from the stored slice, so it equals
+        what :meth:`_write_source` writes — follow. Changed documents are
         updated in place under their ``index_documents.id``, new ones
         appended, so on-disk order stays the in-memory doc-id order. The
         raw text is written only when it changed.
         """
+        database = aladin.database(name)
         record = aladin.repository.source(name)
-        for table_name, (old, new) in sorted(delta.tables.items()):
-            if old is not None and new is not None and old.schema == new.schema:
-                self._write_row_delta(conn, name, old, new)
-            else:
-                for table in ("table_schemas", "rows", "cells"):
-                    conn.execute(
-                        f"DELETE FROM {table} WHERE source = ? AND table_name = ?",
-                        (name, table_name),
-                    )
-                if new is not None:
-                    self._write_table(conn, name, new)
-            conn.execute(
-                "DELETE FROM profiles WHERE source = ? AND table_name = ?",
-                (name, table_name),
-            )
+        for table_name in sorted(delta.tables):
+            for table in ("table_schemas", "rows", "cells", "profiles"):
+                conn.execute(
+                    f"DELETE FROM {table} WHERE source = ? AND table_name = ?",
+                    (name, table_name),
+                )
+            if database.has_table(table_name):
+                self._write_table(conn, name, database.table(table_name))
             self._write_profiles(
                 conn,
                 name,
@@ -1096,54 +1099,25 @@ class SnapshotStore:
         if delta.documents is not None or manifest.get("index_built") != "1":
             self._checkpoint_index(conn, aladin, name, manifest, delta.documents)
 
-    def _write_row_delta(
-        self, conn: sqlite3.Connection, name: str, old: Table, new: Table
-    ) -> None:
-        """Rewrite the rows (and cells) of one table that differ by position."""
-        table_name = new.name
-        column_names = new.schema.column_names
-        old_rows, new_rows = old.raw_rows(), new.raw_rows()
-        for row_id in range(max(len(old_rows), len(new_rows))):
-            before = old_rows[row_id] if row_id < len(old_rows) else None
-            after = new_rows[row_id] if row_id < len(new_rows) else None
-            if before == after:
-                continue
-            if after is None:
-                conn.execute(
-                    "DELETE FROM rows WHERE source = ? AND table_name = ? "
-                    "AND row_id = ?",
-                    (name, table_name, row_id),
-                )
-            else:
-                conn.execute(
-                    "INSERT INTO rows (source, table_name, row_id, data) "
-                    "VALUES (?, ?, ?, ?) ON CONFLICT (source, table_name, row_id) "
-                    "DO UPDATE SET data = excluded.data",
-                    (name, table_name, row_id, _encode_row(after)),
-                )
-            for position, column in enumerate(column_names):
-                old_cell = None if before is None else _cell_value(before[position])
-                new_cell = None if after is None else _cell_value(after[position])
-                if old_cell == new_cell:
-                    continue
-                if old_cell is not None:
-                    conn.execute(
-                        "DELETE FROM cells WHERE source = ? AND table_name = ? "
-                        "AND column_name = ? AND value = ? AND row_id = ?",
-                        (name, table_name, column, old_cell, row_id),
-                    )
-                if new_cell is not None:
-                    conn.execute(
-                        "INSERT INTO cells "
-                        "(source, table_name, column_name, row_id, value) "
-                        "VALUES (?, ?, ?, ?, ?)",
-                        (name, table_name, column, row_id, new_cell),
-                    )
-
     def _write_document_delta(
-        self, conn: sqlite3.Connection, name: str, documents: DocumentDelta
+        self,
+        conn: sqlite3.Connection,
+        name: str,
+        documents: DocumentDelta,
+        manifest: Dict[str, str],
     ) -> None:
-        """Apply one source's index delta; surviving documents keep their id."""
+        """Apply one source's index delta; surviving documents keep their id.
+
+        A non-empty delta bumps the index generation, which lazy readers
+        check on every postings read.
+        """
+        if not (documents.replaced or documents.added or documents.dropped):
+            return
+        self._set_manifest(
+            conn,
+            _INDEX_GENERATION,
+            str(int(manifest.get(_INDEX_GENERATION, "0")) + 1),
+        )
         ids = dict(
             conn.execute(
                 "SELECT accession, id FROM index_documents WHERE source = ?",
@@ -1273,7 +1247,7 @@ class SnapshotStore:
             # it whole once, then later checkpoints stay per-source.
             self._write_index_full(conn, index)
         elif documents is not None:
-            self._write_document_delta(conn, name, documents)
+            self._write_document_delta(conn, name, documents, manifest)
         else:
             for source, accession, length, is_primary, postings in (
                 index.export_documents(source=name)

@@ -36,6 +36,7 @@ import pytest
 from repro.core import Aladin, AladinConfig
 from repro.core.config import config_from_dict, config_to_dict
 from repro.persist import SnapshotError
+from repro.persist.snapshot import read_index_generation
 from repro.relational.schema import SchemaError
 from repro.relational.sql import SqlError
 from repro.synth import ScenarioConfig, UniverseConfig, build_scenario
@@ -578,6 +579,8 @@ def test_writer_checkpoints_while_lazy_reader_faults(tmp_path):
     names = aladin.source_names()
     first = names[0]
     first_text = aladin._raw_inputs[first][1]
+    typo_text = first_text.replace("The process", "The prqcess", 1)
+    assert typo_text != first_text
 
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -593,10 +596,11 @@ def test_writer_checkpoints_while_lazy_reader_faults(tmp_path):
 
     os.close(write_fd)
     try:
-        # Parent: below-threshold updates checkpoint the source slice and
-        # rewrite its index documents while the child is mid-fault.
-        for _ in range(8):
-            aladin.update_source(first, first_text)
+        # Parent: below-threshold updates alternate a one-letter typo with
+        # the original text, so every checkpoint rewrites a row and its
+        # index document while the child is mid-fault.
+        for i in range(8):
+            aladin.update_source(first, typo_text if i % 2 == 0 else first_text)
     finally:
         chunks = []
         while True:
@@ -610,4 +614,9 @@ def test_writer_checkpoints_while_lazy_reader_faults(tmp_path):
     assert "error" not in result, result
     assert result["ok"]["completed"] + result["ok"]["retried"] == 5
     assert result["ok"]["completed"] >= 1, result
+    conn = sqlite3.connect(path)
+    try:
+        assert read_index_generation(conn) == "8"  # eight document deltas
+    finally:
+        conn.close()
     aladin.close()

@@ -1,4 +1,4 @@
-"""Differential test of the row-delta update path.
+"""Differential test of the delta update path.
 
 A below-threshold ``update_source`` diffs the re-import against the live
 source and refreshes, re-indexes, and checkpoints only what changed.
@@ -35,6 +35,7 @@ from repro.core import Aladin, AladinConfig
 from repro.core.aladin import _import_task
 from repro.linking.textlinks import tokenize
 from repro.obs.events import CHECKPOINT_COMMITTED, SOURCE_UPDATED
+from repro.persist import SnapshotError
 from repro.persist.snapshot import SnapshotStore
 from repro.synth import ScenarioConfig, UniverseConfig, build_scenario
 
@@ -375,6 +376,40 @@ def test_changed_table_is_swapped_and_the_rest_kept(originals, tmp_path):
         for attr, profile in record.profiles.items():
             assert profile is database.table(attr.table).column_profile(attr.column)
     finally:
+        aladin.close()
+
+
+def test_lazy_reader_refuses_postings_a_delta_rewrote(originals, tmp_path):
+    """A rewritten document keeps its ``index_documents.id``: a lazy reader
+    that loaded the document metadata before the delta must not page in
+    the new postings under the old lengths, but raise the designed error."""
+    path = str(tmp_path / "reader.snapshot")
+    aladin = build(originals, path)
+    reader = Aladin.open(path, read_only=True, lazy=True)
+    try:
+        reader.search_engine().search("kinase")  # documents loaded
+        def postings_by_accession():
+            return {
+                accession: {token for token, _field, _frequency in postings}
+                for _source, accession, _length, _primary, postings
+                in aladin._index.export_documents("swissprot")
+            }
+
+        before = postings_by_accession()
+        _format, text, _options = originals["swissprot"]
+        aladin.update_source("swissprot", typo(random.Random(5), text, "DE   "))
+        after = postings_by_accession()
+        (changed,) = [a for a, tokens in after.items() if tokens != before[a]]
+        token = min((before[changed] & after[changed]) - {"kinase"})
+
+        with pytest.raises(SnapshotError, match="changed under a lazy reader"):
+            reader.search_engine().search(token)
+
+        reader.close()
+        reader = Aladin.open(path, read_only=True, lazy=True)
+        assert rankings(reader._index, [token]) == rankings(aladin._index, [token])
+    finally:
+        reader.close()
         aladin.close()
 
 
