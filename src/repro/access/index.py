@@ -85,12 +85,13 @@ Document = Tuple[str, int, bool, List[Tuple[str, str, int]]]
 class DocumentDelta:
     """The documents one source's re-crawl changed (a checkpoint input).
 
-    ``replaced`` are surviving documents re-tokenized under their doc id,
-    ``added`` new documents appended in crawl order, ``dropped`` the
-    accessions whose documents were removed.
+    ``replaced`` pairs the accession a doc id held with the document that
+    now holds it (re-tokenized in place), ``added`` are new documents
+    appended in crawl order, ``dropped`` the accessions whose documents
+    were removed.
     """
 
-    replaced: List[Document] = field(default_factory=list)
+    replaced: List[Tuple[str, Document]] = field(default_factory=list)
     added: List[Document] = field(default_factory=list)
     dropped: List[str] = field(default_factory=list)
 
@@ -238,8 +239,10 @@ class InvertedIndex:
         A surviving page whose content changed keeps its doc id: its
         postings are removed using the old page's tokens and the new
         ones inserted in doc-id order. Unchanged pages are not
-        re-tokenized. Documents of pages that disappeared are dropped,
-        then new pages append in crawl order.
+        re-tokenized. A new page takes over the doc id of a vanished one
+        (both in crawl order), so a changed accession renumbers nothing;
+        only surplus vanished pages are dropped, and surplus new pages
+        append in crawl order.
         """
         old = {page.accession: page for page in old_pages}
         doc_ids = {
@@ -254,34 +257,33 @@ class InvertedIndex:
             if before is None:
                 added.append(page)
             elif page_texts(before) != page_texts(page):
-                tokenized = tokenize_page(page)
-                self._replace_document(
-                    doc_ids[page.accession], tokenize_page(before)[1], tokenized
-                )
-                delta.replaced.append(_document(page.accession, tokenized))
-        delta.dropped = list(old)
+                delta.replaced.append(self._replace_document(doc_ids, before, page))
+        vacated = list(old.values())
+        for before, page in zip(vacated, added):
+            delta.replaced.append(self._replace_document(doc_ids, before, page))
+        delta.dropped = [page.accession for page in vacated[len(added):]]
         self._drop_documents({doc_ids[accession] for accession in delta.dropped})
-        for page in added:
+        for page in added[len(vacated):]:
             tokenized = tokenize_page(page)
             self.add_tokenized(page.identity, tokenized)
             delta.added.append(_document(page.accession, tokenized))
         return delta
 
     def _replace_document(
-        self,
-        doc_id: int,
-        old_field_tokens: Dict[str, Dict[str, int]],
-        tokenized: Tuple[int, Dict[str, Dict[str, int]]],
-    ) -> None:
-        """Swap one document's postings; every posting list stays in
-        doc-id order (field order within the document)."""
+        self, doc_ids: Dict[str, int], before: ObjectPage, page: ObjectPage
+    ) -> Tuple[str, Document]:
+        """Put ``page`` in the place of ``before``'s document; every
+        posting list stays in doc-id order (field order within the
+        document)."""
         self.pages_indexed += 1
-        for token in {t for counts in old_field_tokens.values() for t in counts}:
+        doc_id = doc_ids[before.accession]
+        for token in {t for counts in tokenize_page(before)[1].values() for t in counts}:
             postings = self._postings[token]
             start = bisect_left(postings, doc_id, key=_doc_of)
             del postings[start:bisect_right(postings, doc_id, lo=start, key=_doc_of)]
             if not postings:
                 del self._postings[token]
+        tokenized = tokenize_page(page)
         total, field_tokens = tokenized
         for field_name, counts in field_tokens.items():
             for token, frequency in counts.items():
@@ -290,7 +292,9 @@ class InvertedIndex:
                     bisect_right(postings, doc_id, key=_doc_of),
                     PostingField(doc_id=doc_id, field=field_name, frequency=frequency),
                 )
+        self._documents[doc_id] = page.identity
         self._doc_lengths[doc_id] = total
+        return before.accession, _document(page.accession, tokenized)
 
     def vocabulary_size(self) -> int:
         return len(self._postings)

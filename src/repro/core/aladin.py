@@ -37,7 +37,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.access.browser import Browser
 from repro.access.crawler import Crawler
-from repro.access.index import InvertedIndex
+from repro.access.index import DocumentDelta, InvertedIndex
 from repro.access.objects import ObjectPage, ObjectWeb
 from repro.access.queries import QueryEngine
 from repro.access.ranking import PathRanker
@@ -66,12 +66,7 @@ from repro.obs.events import (
 )
 from repro.persist.lazy import LazySnapshotSession
 from repro.persist.lock import SnapshotLockedError
-from repro.persist.snapshot import (
-    CompactionStats,
-    SnapshotError,
-    SnapshotStore,
-    SourceDelta,
-)
+from repro.persist.snapshot import CompactionStats, SnapshotError, SnapshotStore
 from repro.relational.database import Database
 
 
@@ -748,16 +743,15 @@ class Aladin:
         Below the threshold the data is swapped in place and existing
         links are kept; above it the source is dropped and re-integrated.
 
-        A below-threshold update diffs the re-import against the live
-        source table by table and applies only the delta: an unchanged
-        table keeps its Table object (and its warm caches and profiles),
-        a changed, added, or dropped one is swapped for the re-import's.
-        Ordering rule: every table then holds exactly the re-import's rows
-        in the re-import's order, so a row id is still the row's position.
-        Profiles, statistics, samples, and the object web refresh only
-        when some table changed; only pages that differ are re-indexed (a
-        surviving page keeps its doc id, new pages append in crawl
-        order); the checkpoint writes only the delta.
+        A below-threshold update swaps in the re-import's tables whole,
+        whatever changed. Ordering rule: every table then holds exactly
+        the re-import's rows in the re-import's order, so a row id is
+        still the row's position. Profiles, statistics, samples, and the
+        object web are re-derived from one profile walk; only pages that
+        differ are re-indexed, in place (see
+        :meth:`~repro.access.index.InvertedIndex.update_source`); the
+        checkpoint rewrites the source's tables and only the changed
+        documents.
         """
         with self.obs.trace.span("op.update_source", source=name):
             return self._update_source_impl(name, text)
@@ -766,7 +760,7 @@ class Aladin:
         self._fault_all_sources()
         if name not in self._raw_inputs:
             raise KeyError(f"source {name!r} was not added from raw text")
-        format_name, old_text, options = self._raw_inputs[name]
+        format_name, _old_text, options = self._raw_inputs[name]
         new_result = _import_task(
             self.config.declare_constraints, (name, format_name, text, options)
         )
@@ -776,13 +770,12 @@ class Aladin:
         if change_fraction <= self.config.reanalysis_change_threshold:
             # Swap data, keep structure and links (documented approximation).
             self._raw_inputs[name] = (format_name, text, options)
-            delta = self._swap_data(name, new_result.database)
-            delta.text_changed = text != old_text
+            documents = self._swap_data(name, new_result.database)
             if self._store is not None:
                 self._commit_checkpoint(
                     name,
                     "write",
-                    lambda: self._store.checkpoint_source(self, name, delta=delta),
+                    lambda: self._store.checkpoint_source(self, name, documents),
                 )
             self.obs.events.emit(
                 SOURCE_UPDATED,
@@ -801,26 +794,23 @@ class Aladin:
         )
         return report
 
-    def _swap_data(self, name: str, fresh: Database) -> SourceDelta:
-        """Swap ``fresh``'s changed tables into the live source in place.
+    def _swap_data(self, name: str, fresh: Database) -> DocumentDelta:
+        """Swap ``fresh`` in as the source's data; return the index delta.
 
-        Only when some table changed are the cached views of the data
-        refreshed: the engine's statistics and the repository's profiles,
-        samples, and row counts (one profile walk; unchanged tables answer
-        from their cached profiles), the object web, and the pages of the
-        search index that differ between a crawl before and after the
+        Everything but the search index is re-derived whatever changed,
+        so an update costs about the same for one changed row as for
+        all of them: the engine's statistics and the repository's
+        profiles, samples, and row counts come from one profile walk of
+        ``fresh``, and the object web re-attaches. The index re-tokenizes
+        only the pages that differ between a crawl before and after the
         swap.
         """
-        database = self._databases[name]
-        changed = database.changed_tables(fresh)
-        delta = SourceDelta(tables=changed)
-        if not changed:
-            return delta
         old_pages = self._crawl_source(name) if self._index is not None else None
-        database.take_tables(fresh, changed)
-        profiles = collect_profiles(database)
-        statistics = self._engine.refresh_source(database, profiles)
-        samples, row_counts = self._data_snapshot(database)
+        self._databases[name] = fresh
+        self.web.attach_database(name, fresh)
+        profiles = collect_profiles(fresh)
+        statistics = self._engine.refresh_source(fresh, profiles)
+        samples, row_counts = self._data_snapshot(fresh)
         self.repository.refresh_source_data(
             name,
             statistics=statistics,
@@ -828,12 +818,9 @@ class Aladin:
             row_counts=row_counts,
             profiles=profiles,
         )
-        self.web.attach_database(name, database)
-        if old_pages is not None:
-            delta.documents = self._index.update_source(
-                name, old_pages, self._crawl_source(name)
-            )
-        return delta
+        if old_pages is None:
+            return DocumentDelta()
+        return self._index.update_source(name, old_pages, self._crawl_source(name))
 
     def remove_source(self, name: str) -> None:
         """Drop one source incrementally: nothing else is re-analyzed.

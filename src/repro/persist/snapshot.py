@@ -27,9 +27,10 @@ Every per-source slice is keyed by source name, which is what makes the
 incremental checkpoints cheap: ``checkpoint_source`` deletes and rewrites
 exactly one source's rows, profiles, links, and postings in place. A
 below-threshold ``update_source`` keeps structure and links, so its
-data-only checkpoint writes just the delta (:class:`SourceDelta`): the
-changed tables' schemas, rows, cells and profiles, and the changed
-documents' postings; everything else keeps its rowid.
+data-only checkpoint rewrites the source's tables and profiles and
+changes its index documents by the search index's delta
+(:class:`~repro.access.index.DocumentDelta`); unchanged documents keep
+their rowids.
 
 An attached store writes through one long-lived connection, opened on
 the first write after :meth:`SnapshotStore.attach_writer` and closed by
@@ -163,7 +164,7 @@ def _file_id(path: str) -> Optional[Tuple[int, int]]:
 def _hash_stored_source(conn: sqlite3.Connection, name: str) -> str:
     """Recompute one stored source's content hash from its persisted slice.
 
-    Byte-for-byte the hashing order of ``_write_source`` / ``_load_tables``:
+    Byte-for-byte the hashing order of ``_write_tables`` / ``_load_tables``:
     per table (sorted by name) the canonical schema JSON, then every row
     payload in row-id order.
     """
@@ -421,22 +422,6 @@ class SourceMetadata:
     structure: SourceStructure
     profiles: Dict[AttributeRef, ColumnProfile]
     samples: Dict[str, List[dict]]
-
-
-@dataclass
-class SourceDelta:
-    """What one below-threshold ``update_source`` changed in a source.
-
-    The input of a data-only :meth:`SnapshotStore.checkpoint_source`.
-    ``tables`` names the changed tables (changed, added, or dropped);
-    ``documents`` is the search index's delta, or ``None`` when the index
-    was not touched; ``text_changed`` says whether the raw input text
-    differs.
-    """
-
-    tables: List[str]
-    documents: Optional[DocumentDelta] = None
-    text_changed: bool = False
 
 
 @dataclass
@@ -835,21 +820,8 @@ class SnapshotStore:
             )
 
     def _write_source(self, conn: sqlite3.Connection, aladin, name: str) -> None:
-        # The hash walk below (per table sorted by name: schema JSON,
-        # then row payloads in row-id order) is the content-hash
-        # definition; ``_load_tables``, ``_hash_stored_source``, and
-        # ``_hash_memory_source`` replay it byte for byte, and the
-        # compaction tests fail loudly if any of the four drift.
-        database = aladin.database(name)
         record = aladin.repository.source(name)
-        hasher = hashlib.sha256()
-        for table_name in database.table_names():
-            schema_json, payloads = self._write_table(
-                conn, name, database.table(table_name)
-            )
-            hasher.update(schema_json.encode("utf-8"))
-            for data in payloads:
-                hasher.update(data.encode("utf-8"))
+        content_hash = self._write_tables(conn, name, aladin.database(name))
         self._write_profiles(conn, name, record.profiles)
         raw = aladin._raw_inputs.get(name)
         conn.execute(
@@ -858,7 +830,7 @@ class SnapshotStore:
             "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
             (
                 name,
-                hasher.hexdigest(),
+                content_hash,
                 raw[0] if raw else None,
                 raw[1] if raw else None,
                 codec.canonical_json(raw[2]) if raw else None,
@@ -867,6 +839,25 @@ class SnapshotStore:
                 codec.canonical_json(record.row_counts),
             ),
         )
+
+    def _write_tables(
+        self, conn: sqlite3.Connection, name: str, database: Database
+    ) -> str:
+        """Insert every table of ``database``; return the content hash."""
+        # This hash walk (per table sorted by name: schema JSON, then row
+        # payloads in row-id order) is the content-hash definition;
+        # ``_load_tables``, ``_hash_stored_source``, and
+        # ``_hash_memory_source`` replay it byte for byte, and the
+        # compaction tests fail loudly if any of the four drift.
+        hasher = hashlib.sha256()
+        for table_name in database.table_names():
+            schema_json, payloads = self._write_table(
+                conn, name, database.table(table_name)
+            )
+            hasher.update(schema_json.encode("utf-8"))
+            for data in payloads:
+                hasher.update(data.encode("utf-8"))
+        return hasher.hexdigest()
 
     def _write_table(
         self, conn: sqlite3.Connection, name: str, table: Table
@@ -1007,22 +998,22 @@ class SnapshotStore:
     # ------------------------------------------------------------------
     @_serialized
     def checkpoint_source(
-        self, aladin, name: str, delta: Optional[SourceDelta] = None
+        self, aladin, name: str, documents: Optional[DocumentDelta] = None
     ) -> None:
         """Write one source's slice of the snapshot in place.
 
-        Without ``delta`` (after ``add_source``) the source's rows,
+        Without ``documents`` (after ``add_source``) the source's rows,
         profiles, structure record, links touching it, and index postings
-        are replaced. With ``delta`` (a below-threshold ``update_source``,
-        which keeps structure and links by contract) only what the delta
-        names is written; see :meth:`_write_delta`. Either way every other
-        source's slice stays byte-identical.
+        are replaced. With ``documents`` (a below-threshold
+        ``update_source``, which keeps structure and links by contract)
+        the checkpoint is data-only; see :meth:`_write_data`. Either way
+        every other source's slice stays byte-identical.
         """
         with self._write_connection() as conn, conn:
             manifest = self._read_manifest(conn)
             self._write_config(conn, aladin, manifest)
-            if delta is not None:
-                self._write_delta(conn, aladin, name, delta, manifest)
+            if documents is not None:
+                self._write_data(conn, aladin, name, documents, manifest)
                 return
             self._delete_source_slice(conn, name)
             self._write_source(conn, aladin, name)
@@ -1042,62 +1033,40 @@ class SnapshotStore:
             self._set_manifest(conn, "config", config)
         self._config_written = (copy.deepcopy(aladin.config), config)
 
-    def _write_delta(
+    def _write_data(
         self,
         conn: sqlite3.Connection,
         aladin,
         name: str,
-        delta: SourceDelta,
+        documents: DocumentDelta,
         manifest: Dict[str, str],
     ) -> None:
-        """The data-only checkpoint: write exactly what ``delta`` changed.
+        """The data-only checkpoint of a below-threshold update.
 
-        Each changed table's schema, rows, cells, and profiles are
-        rewritten whole (a dropped table's are deleted); unchanged tables
-        keep every rowid. The record's samples and row counts and the
-        content hash — recomputed from the stored slice, so it equals
-        what :meth:`_write_source` writes — follow. Changed documents are
-        updated in place under their ``index_documents.id``, new ones
-        appended, so on-disk order stays the in-memory doc-id order. The
-        raw text is written only when it changed.
+        The source's tables are rewritten whole (schemas, rows, cells,
+        profiles) and its ``sources`` row gets the new content hash, raw
+        text, samples, and row counts; structure and links stay as they
+        are. The index documents change by exactly ``documents``: a
+        rewritten document keeps its ``index_documents.id``, so on-disk
+        order stays the in-memory doc-id order.
         """
-        database = aladin.database(name)
+        for table in ("table_schemas", "rows", "cells", "profiles"):
+            conn.execute(f"DELETE FROM {table} WHERE source = ?", (name,))
         record = aladin.repository.source(name)
-        for table_name in sorted(delta.tables):
-            for table in ("table_schemas", "rows", "cells", "profiles"):
-                conn.execute(
-                    f"DELETE FROM {table} WHERE source = ? AND table_name = ?",
-                    (name, table_name),
-                )
-            if database.has_table(table_name):
-                self._write_table(conn, name, database.table(table_name))
-            self._write_profiles(
-                conn,
+        content_hash = self._write_tables(conn, name, aladin.database(name))
+        self._write_profiles(conn, name, record.profiles)
+        conn.execute(
+            "UPDATE sources SET content_hash = ?, raw_text = ?, samples = ?, "
+            "row_counts = ? WHERE name = ?",
+            (
+                content_hash,
+                aladin._raw_inputs[name][1],
+                codec.canonical_json(record.sample_rows),
+                codec.canonical_json(record.row_counts),
                 name,
-                {
-                    attr: profile
-                    for attr, profile in record.profiles.items()
-                    if attr.table == table_name
-                },
-            )
-        if delta.tables:
-            conn.execute(
-                "UPDATE sources SET content_hash = ?, samples = ?, row_counts = ? "
-                "WHERE name = ?",
-                (
-                    _hash_stored_source(conn, name),
-                    codec.canonical_json(record.sample_rows),
-                    codec.canonical_json(record.row_counts),
-                    name,
-                ),
-            )
-        if delta.text_changed:
-            conn.execute(
-                "UPDATE sources SET raw_text = ? WHERE name = ?",
-                (aladin._raw_inputs[name][1], name),
-            )
-        if delta.documents is not None or manifest.get("index_built") != "1":
-            self._checkpoint_index(conn, aladin, name, manifest, delta.documents)
+            ),
+        )
+        self._checkpoint_index(conn, aladin, name, manifest, documents)
 
     def _write_document_delta(
         self,
@@ -1124,11 +1093,12 @@ class SnapshotStore:
                 (name,),
             )
         )
-        for accession, length, is_primary, postings in documents.replaced:
-            doc_pk = ids[accession]
+        for held, (accession, length, is_primary, postings) in documents.replaced:
+            doc_pk = ids[held]
             conn.execute(
-                "UPDATE index_documents SET length = ?, is_primary = ? WHERE id = ?",
-                (length, int(is_primary), doc_pk),
+                "UPDATE index_documents SET accession = ?, length = ?, "
+                "is_primary = ? WHERE id = ?",
+                (accession, length, int(is_primary), doc_pk),
             )
             conn.execute("DELETE FROM index_postings WHERE doc = ?", (doc_pk,))
             self._write_postings(conn, name, doc_pk, postings)

@@ -86,9 +86,9 @@ class _ProfileAccumulator:
         text = str(value)
         length = len(text)
         self.total_chars += length
-        self.alpha_chars += sum(ch.isalpha() for ch in text)
-        self.protein_chars += sum(ch in _PROTEIN_CHARS for ch in text)
-        self.dna_chars += sum(ch in _DNA_CHARS for ch in text)
+        self.alpha_chars += sum(map(str.isalpha, text))
+        self.protein_chars += sum(map(_PROTEIN_CHARS.__contains__, text))
+        self.dna_chars += sum(map(_DNA_CHARS.__contains__, text))
         if isinstance(value, (int, float)) or (isinstance(value, str) and value.isdigit()):
             self.numeric_count += 1
         self.min_length = length if self.min_length is None else min(self.min_length, length)

@@ -39,38 +39,6 @@ class Database:
             raise SchemaError(f"no table {name!r} in database {self.name!r}")
         del self._tables[lowered]
 
-    def changed_tables(self, other: "Database") -> List[str]:
-        """The sorted names of the tables that differ from ``other``'s.
-
-        A table is unchanged when both sides have it with an equal schema
-        and equal ``raw_rows()`` (value equality, in row order); a table
-        only one side has counts as changed.
-        """
-        changed = []
-        for name in sorted(set(self._tables) | set(other._tables)):
-            mine, theirs = self._tables.get(name), other._tables.get(name)
-            if (
-                mine is None
-                or theirs is None
-                or mine.schema != theirs.schema
-                or mine.raw_rows() != theirs.raw_rows()
-            ):
-                changed.append(name)
-        return changed
-
-    def take_tables(self, other: "Database", names: Iterable[str]) -> None:
-        """Swap in ``other``'s Table objects for ``names``, in place.
-
-        A name ``other`` lacks is dropped here; every other table keeps
-        its Table object and with it its warm ColumnStore caches.
-        """
-        for name in names:
-            table = other._tables.get(name)
-            if table is None:
-                self._tables.pop(name, None)
-            else:
-                self._tables[name] = table
-
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Unit tests for ``InvertedIndex.update_source``: re-index only what changed.
 
-A surviving page keeps its doc id, new pages append in crawl order, a
-vanished page's document is dropped, and the result always ranks like an
-index built from scratch over the new pages.
+A surviving page keeps its doc id, a new page takes over a vanished
+page's doc id, surplus vanished pages are dropped and surplus new pages
+append in crawl order, and the result always ranks like an index built
+from scratch over the new pages.
 """
 
 from repro.access import InvertedIndex, SearchEngine
@@ -62,7 +63,7 @@ def test_changed_page_keeps_its_doc_id():
     index = built(OLD + OTHER)
     new = [OLD[0], page("a", "A2", "cytoplasm glycoprotein"), OLD[2]]
     delta = index.update_source("a", OLD, new)
-    assert [doc[0] for doc in delta.replaced] == ["A2"]
+    assert [(held, doc[0]) for held, doc in delta.replaced] == [("A2", "A2")]
     assert index.document(1) == ("a", "A2")
     assert index.pages_indexed == len(OLD + OTHER) + 1
     assert [p.doc_id for p in index.postings("kinase")] == [0, 0, 3]  # A1 twice
@@ -73,19 +74,52 @@ def test_changed_page_keeps_its_doc_id():
     assert sorted(documents(index)) == sorted(documents(reference))
 
 
-def test_vanished_pages_drop_and_new_pages_append():
+def assert_in_doc_id_order(index, tokens):
+    for token in tokens:
+        doc_ids = [p.doc_id for p in index.postings(token)]
+        assert doc_ids == sorted(doc_ids)
+
+
+def test_new_page_takes_a_vanished_pages_doc_id():
     index = built(OLD + OTHER)
     new = [page("a", "A0", "membrane glycoprotein"), OLD[0], OLD[2]]
     delta = index.update_source("a", OLD, new)
-    assert delta.dropped == ["A2"]
-    assert [doc[0] for doc in delta.added] == ["A0"]
+    assert [(held, doc[0]) for held, doc in delta.replaced] == [("A2", "A0")]
+    assert (delta.added, delta.dropped) == ([], [])
     assert [index.document(i) for i in range(len(index))] == [
-        ("a", "A1"), ("a", "A3"), ("b", "B1"), ("b", "B2"), ("a", "A0"),
+        ("a", "A1"), ("a", "A0"), ("a", "A3"), ("b", "B1"), ("b", "B2"),
     ]
-    for token in ("kinase", "golgi", "membrane", "glycoprotein"):
-        doc_ids = [p.doc_id for p in index.postings(token)]
-        assert doc_ids == sorted(doc_ids)
+    assert index.postings("nuclear") == []
+    assert_in_doc_id_order(index, ("kinase", "golgi", "membrane", "glycoprotein"))
     reference = built(new + OTHER)
+    assert ranks(index, WORDS) == ranks(reference, WORDS)
+    assert sorted(documents(index)) == sorted(documents(reference))
+
+
+def test_surplus_new_pages_append_and_surplus_vanished_pages_drop():
+    index = built(OLD + OTHER)
+    new = [OLD[0], page("a", "A4", "golgi"), page("a", "A5", "cytoplasm"),
+           page("a", "A6", "membrane kinase")]
+    delta = index.update_source("a", OLD, new)
+    assert [(held, doc[0]) for held, doc in delta.replaced] == [
+        ("A2", "A4"), ("A3", "A5"),
+    ]
+    assert ([doc[0] for doc in delta.added], delta.dropped) == (["A6"], [])
+    assert [index.document(i) for i in range(len(index))] == [
+        ("a", "A1"), ("a", "A4"), ("a", "A5"), ("b", "B1"), ("b", "B2"), ("a", "A6"),
+    ]
+    assert_in_doc_id_order(index, ("kinase", "golgi", "membrane", "cytoplasm"))
+    reference = built(new + OTHER)
+    assert ranks(index, WORDS) == ranks(reference, WORDS)
+
+    fewer = [page("a", "A5", "cytoplasm")]
+    delta = index.update_source("a", new, fewer)
+    assert (delta.replaced, delta.added) == ([], [])
+    assert delta.dropped == ["A1", "A4", "A6"]
+    assert [index.document(i) for i in range(len(index))] == [
+        ("a", "A5"), ("b", "B1"), ("b", "B2"),
+    ]
+    reference = built(fewer + OTHER)
     assert ranks(index, WORDS) == ranks(reference, WORDS)
     assert sorted(documents(index)) == sorted(documents(reference))
 

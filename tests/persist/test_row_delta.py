@@ -1,7 +1,7 @@
-"""Differential test of the delta update path.
+"""Differential test of the below-threshold update path.
 
-A below-threshold ``update_source`` diffs the re-import against the live
-source and refreshes, re-indexes, and checkpoints only what changed.
+A below-threshold ``update_source`` swaps in the re-import's tables
+whole and re-indexes and checkpoints only the documents that changed.
 Seeded random re-renders of a snapshot-attached system — identical text,
 whitespace-only changes, typos in text fields, a value that flips a
 column's inferred type, and rows added or dropped within the threshold —
@@ -16,7 +16,7 @@ must each leave a system equal to what a full swap would have built:
 * the source's slice of the snapshot equals a fresh save of the live
   system (content hash, rows, cells, profiles, postings per accession).
 
-A zero-delta update writes nothing but (when it changed) the raw text.
+An update that changes no page leaves every index row untouched.
 """
 
 import dataclasses
@@ -41,10 +41,7 @@ from repro.synth import ScenarioConfig, UniverseConfig, build_scenario
 
 STEPS = 10
 SEEDS = (3, 11)
-SLICE_TABLES = (
-    "rows", "cells", "profiles", "table_schemas",
-    "index_documents", "index_postings",
-)
+INDEX_TABLES = ("index_documents", "index_postings")
 
 
 def genes_text(rows, extra=()):
@@ -249,13 +246,13 @@ def source_slice(path, name):
         conn.close()
 
 
-def raw_slice(path):
-    """Every rowid and payload of the per-source data and index tables."""
+def index_rows(path):
+    """Every rowid and payload of the index tables."""
     conn = sqlite3.connect(path)
     try:
         return {
             table: conn.execute(f"SELECT rowid, * FROM {table} ORDER BY rowid").fetchall()
-            for table in SLICE_TABLES
+            for table in INDEX_TABLES
         }
     finally:
         conn.close()
@@ -287,7 +284,7 @@ def test_random_rerenders_match_a_full_swap(originals, tmp_path, seed, writer):
             text = render(rng, originals, name, kind)
             format_name, _text, options = originals[name]
             before_rows = tables(aladin.database(name))
-            before_slice = raw_slice(path)
+            before_index = index_rows(path)
             before_events = event_counts(aladin)
 
             assert aladin.update_source(name, text) is None, (step, kind)
@@ -304,7 +301,7 @@ def test_random_rerenders_match_a_full_swap(originals, tmp_path, seed, writer):
             assert ops[len(before_events[0]):] == ["write"], (step, kind)
             assert updated == before_events[1] + 1
             if before_rows == tables(fresh):
-                assert raw_slice(path) == before_slice, (step, kind)
+                assert index_rows(path) == before_index, (step, kind)
 
             fresh_save = str(tmp_path / f"fresh-{step}.snapshot")
             SnapshotStore(fresh_save).write_full(aladin)
@@ -323,58 +320,43 @@ def test_random_rerenders_match_a_full_swap(originals, tmp_path, seed, writer):
         aladin.close()
 
 
-def test_zero_delta_update_keeps_live_tables_and_writes_only_the_text(
+def test_update_swaps_every_table_and_rewrites_only_changed_documents(
     originals, tmp_path
 ):
-    path = str(tmp_path / "zero.snapshot")
+    path = str(tmp_path / "swap.snapshot")
     aladin = build(originals, path)
     try:
-        database = aladin.database("swissprot")
-        kept = {name: database.table(name) for name in database.table_names()}
-        pages_indexed = aladin._index.pages_indexed
-        record = aladin.repository.source("swissprot")
-        before = raw_slice(path)
         _format, text, _options = originals["swissprot"]
+        for new_text, pages_changed in ((text + "\n\n", 0),
+                                        (typo(random.Random(5), text, "DE   "), 1)):
+            database = aladin.database("swissprot")
+            pages_indexed = aladin._index.pages_indexed
+            before = documents(aladin._index)
+            before_index = index_rows(path)
 
-        assert aladin.update_source("swissprot", text + "\n\n") is None
+            assert aladin.update_source("swissprot", new_text) is None
 
-        assert aladin.database("swissprot") is database
-        assert {n: database.table(n) for n in database.table_names()} == kept
-        assert all(database.table(n) is table for n, table in kept.items())
-        assert aladin._index.pages_indexed == pages_indexed
-        assert aladin.repository.source("swissprot") is record
-        assert raw_slice(path) == before
-        conn = sqlite3.connect(path)
-        try:
-            (raw_text,) = conn.execute(
-                "SELECT raw_text FROM sources WHERE name = 'swissprot'"
-            ).fetchone()
-        finally:
-            conn.close()
-        assert raw_text == text + "\n\n"
-    finally:
-        aladin.close()
-
-
-def test_changed_table_is_swapped_and_the_rest_kept(originals, tmp_path):
-    path = str(tmp_path / "partial.snapshot")
-    aladin = build(originals, path)
-    try:
-        database = aladin.database("swissprot")
-        kept = {name: database.table(name) for name in database.table_names()}
-        _format, text, _options = originals["swissprot"]
-        changed = typo(random.Random(5), text, "DE   ")
-        fresh = _import_task(False, ("swissprot", "flatfile", changed, {})).database
-        expected = database.changed_tables(fresh)
-        assert expected == ["entry"]
-
-        assert aladin.update_source("swissprot", changed) is None
-
-        for name, table in kept.items():
-            assert (database.table(name) is table) == (name not in expected)
-        record = aladin.repository.source("swissprot")
-        for attr, profile in record.profiles.items():
-            assert profile is database.table(attr.table).column_profile(attr.column)
+            swapped = aladin.database("swissprot")
+            assert swapped is not database
+            assert not {id(swapped.table(n)) for n in swapped.table_names()} & {
+                id(database.table(n)) for n in database.table_names()
+            }
+            record = aladin.repository.source("swissprot")
+            for attr, profile in record.profiles.items():
+                assert profile is swapped.table(attr.table).column_profile(attr.column)
+            assert aladin._index.pages_indexed == pages_indexed + pages_changed
+            after = documents(aladin._index)
+            assert sum(a != b for a, b in zip(before, after)) == pages_changed
+            conn = sqlite3.connect(path)
+            try:
+                (raw_text,) = conn.execute(
+                    "SELECT raw_text FROM sources WHERE name = 'swissprot'"
+                ).fetchone()
+            finally:
+                conn.close()
+            assert raw_text == new_text
+            if not pages_changed:
+                assert index_rows(path) == before_index
     finally:
         aladin.close()
 

@@ -229,48 +229,3 @@ class TestDatabase:
         db.insert("protein", {"protein_id": 1})
         db.insert("protein", {"protein_id": 2})
         assert db.total_rows() == 2
-
-
-class TestTableDiff:
-    @staticmethod
-    def database(rows, extra_table=False):
-        db = Database("src")
-        table = db.create_table(protein_schema())
-        for protein_id, accession in rows:
-            table.insert({"protein_id": protein_id, "accession": accession})
-        if extra_table:
-            db.create_table(TableSchema("note", [Column("text")]))
-        return db
-
-    def test_equal_tables_are_unchanged(self):
-        rows = [(1, "P1"), (2, "P2")]
-        assert self.database(rows).changed_tables(self.database(rows)) == []
-
-    def test_changed_reordered_and_resized_rows_count(self):
-        live = self.database([(1, "P1"), (2, "P2")])
-        for rows in ([(1, "P1"), (2, "Q2")], [(2, "P2"), (1, "P1")], [(1, "P1")]):
-            assert live.changed_tables(self.database(rows)) == ["protein"]
-
-    def test_schema_change_counts(self):
-        live = self.database([(1, "P1")])
-        other = Database("src")
-        schema = protein_schema()
-        schema.columns[3] = Column("length", DataType.TEXT)
-        other.create_table(schema).insert({"protein_id": 1, "accession": "P1"})
-        assert live.changed_tables(other) == ["protein"]
-
-    def test_added_and_dropped_tables_count(self):
-        plain = self.database([(1, "P1")])
-        extended = self.database([(1, "P1")], extra_table=True)
-        assert plain.changed_tables(extended) == ["note"]
-        assert extended.changed_tables(plain) == ["note"]
-
-    def test_take_tables_swaps_only_the_named_tables(self):
-        live = self.database([(1, "P1")], extra_table=True)
-        fresh = self.database([(1, "Q1")])
-        kept = live.table("protein")
-        live.take_tables(fresh, ["note"])
-        assert live.table_names() == ["protein"]
-        assert live.table("protein") is kept
-        live.take_tables(fresh, ["protein"])
-        assert live.table("protein") is fresh.table("protein")
