@@ -5,7 +5,6 @@ protein sources. Shape: graceful degradation of F1 with noise, duplicates
 flagged (never merged), conflicts counted.
 """
 
-from repro.duplicates import DuplicateDetector, find_conflicts
 from repro.eval import evaluate_duplicates, format_table, integrate_scenario
 from benchmarks.conftest import build_noisy_scenario
 

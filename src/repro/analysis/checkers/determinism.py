@@ -22,7 +22,7 @@ from repro.analysis.engine import Checker, ModuleContext
 RULE = "unordered-iteration"
 
 #: Packages whose iteration order can reach merged, pinned output.
-SCOPED_PACKAGES = frozenset({"linking", "exec", "core"})
+SCOPED_PACKAGES = frozenset({"linking", "exec", "core", "duplicates"})
 
 _SET_CALLS = frozenset({"set", "frozenset"})
 

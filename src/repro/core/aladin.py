@@ -26,13 +26,16 @@ The incremental path is engineered to the same cost profile as the batch
 path, so the Nth ``add_source`` stays cheap as sources keep arriving:
 duplicate detection runs as one chunk per new source on a *session-wide*
 :class:`~repro.duplicates.batch.BoundedRecordScorer` whose value-pair
-cache persists across maintenance calls.
+cache persists across maintenance calls. Both paths read each source's
+duplicate features (record views, n-gram index) from one per-system map,
+so every source's features are built once, not once per chunk.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
+import weakref
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.access.browser import Browser
@@ -48,7 +51,7 @@ from repro.dataimport.base import ImportResult
 from repro.dataimport import registry
 from repro.discovery.pipeline import discover_structure
 from repro.duplicates.batch import BoundedRecordScorer
-from repro.duplicates.detector import DuplicateConfig, DuplicateDetector
+from repro.duplicates.detector import DuplicateConfig, DuplicateDetector, FeatureMap
 from repro.exec.graph import TaskGraph
 from repro.exec.pool import Executor, Results
 from repro.linking.engine import LinkDiscoveryEngine, _pair_task
@@ -99,6 +102,7 @@ def _discover_task(discovery_config, database: Database):
 def _run_dup_chunk(
     engine: LinkDiscoveryEngine,
     scorer: Optional[BoundedRecordScorer],
+    features: FeatureMap,
     spec: Tuple[str, Tuple[str, ...], DuplicateConfig],
 ) -> List[List[ObjectLink]]:
     """Step 5 for one new source against an ordered list of counterparts.
@@ -106,15 +110,13 @@ def _run_dup_chunk(
     The shared unit of work of every duplicate pass: all pairs of the
     chunk share one :class:`BoundedRecordScorer` (value-pair cache, exact
     best-match pruning and the threshold cut; chunk-local unless
-    ``scorer`` is provided) and the new source's record views are built
-    once for the whole chunk — so a
-    chunk does substantially less similarity work than the same pairs
-    scored independently, with provably identical links. Both the batch
-    and the incremental pass run through here, so they cannot diverge in
-    shape.
+    ``scorer`` is provided), and every source's record views and n-gram
+    index come from ``features``, the system's map, built there once per
+    source. Both the batch and the incremental pass run through here, so
+    they cannot diverge in shape.
     """
     name, others, config = spec
-    detector = DuplicateDetector(config, scorer=scorer)
+    detector = DuplicateDetector(config, scorer=scorer, features=features)
     return detector.detect_chunk(
         engine.database_for(name),
         engine.structure_for(name),
@@ -123,7 +125,7 @@ def _run_dup_chunk(
 
 
 def _dup_session_task(
-    state: Tuple[LinkDiscoveryEngine, BoundedRecordScorer],
+    state: Tuple[LinkDiscoveryEngine, BoundedRecordScorer, FeatureMap],
     spec: Tuple[str, Tuple[str, ...], DuplicateConfig],
 ):
     """Chunk task on the *session* scorer owned by the Aladin instance.
@@ -132,21 +134,24 @@ def _dup_session_task(
     so the Nth incremental addition reuses every similarity the first N-1
     already paid for.
     """
-    engine, scorer = state
-    return _run_dup_chunk(engine, scorer, spec)
+    engine, scorer, features = state
+    return _run_dup_chunk(engine, scorer, features, spec)
 
 
-def _batch_scan_task(engine: LinkDiscoveryEngine, tagged: Tuple[str, Tuple]):
+def _batch_scan_task(
+    state: Tuple[LinkDiscoveryEngine, FeatureMap], tagged: Tuple[str, Tuple]
+):
     """Dispatcher for the batch pipeline's single combined fan-out.
 
     Link pair scans and duplicate chunks only *read* engine state, so
     one fan-out runs both; each duplicate chunk gets a fresh chunk-local
     scorer.
     """
+    engine, features = state
     tag, payload = tagged
     if tag == "link":
         return _pair_task(engine, payload)
-    return _run_dup_chunk(engine, None, payload)
+    return _run_dup_chunk(engine, None, features, payload)
 
 
 class Aladin:
@@ -182,6 +187,11 @@ class Aladin:
         self._dup_scorer = BoundedRecordScorer(
             max_entries=self.config.scorer_cache_entries
         )
+        # Each source's duplicate features (record views, n-gram index),
+        # built once and read by every later duplicate chunk. Keyed by
+        # the source's Database object, weakly: an update swap, a removal
+        # or a re-add brings a new object, so no entry can go stale.
+        self._dup_features: FeatureMap = weakref.WeakKeyDictionary()
         self.reports: List[IntegrationReport] = []
         if self.obs.enabled:
             self._register_gauges()
@@ -484,7 +494,7 @@ class Aladin:
         scan_results = self._executor.map_ordered(
             _batch_scan_task,
             tagged,
-            state=self._engine,
+            state=(self._engine, self._dup_features),
             labels=labels,
             # One combined fan-out mixes link scans and duplicate chunks:
             # meter (and auto-calibrate) it as its own stage kind rather
@@ -727,7 +737,7 @@ class Aladin:
         return self._executor.map_ordered(
             _dup_session_task,
             [spec],
-            state=(self._engine, self._dup_scorer),
+            state=(self._engine, self._dup_scorer, self._dup_features),
             labels=[f"duplicates:{name}"],
         )[0]
 

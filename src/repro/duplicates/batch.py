@@ -133,13 +133,19 @@ class BoundedRecordScorer:
 
     # ------------------------------------------------------------------
     def __call__(
-        self, a: RecordView, b: RecordView, floor: Optional[float] = None
+        self,
+        a: RecordView,
+        b: RecordView,
+        floor: Optional[float] = None,
+        counts: Optional[Dict[str, TokenCounts]] = None,
     ) -> float:
         """The record similarity of ``a`` and ``b``, bit for bit.
 
         With a ``floor``, a pair that provably scores below it may return
         an upper bound instead, itself below the floor; a pair scoring at
-        least ``floor`` always gets its exact score.
+        least ``floor`` always gets its exact score. ``counts`` memoizes
+        :func:`token_counts` by value; the caller owns it and decides how
+        long it lives (the detector keeps one per chunk).
         """
         if not a.values and not b.values:
             return 1.0
@@ -155,7 +161,7 @@ class BoundedRecordScorer:
             # Heaviest first: the bound drops fastest. Stable on ties.
             order = sorted(range(len(values)), key=weights.__getitem__, reverse=True)
         for step, index in enumerate(order, 1):
-            bests[index] = self._best_match(values[index], candidates)
+            bests[index] = self._best_match(values[index], candidates, counts)
             if floor is not None and step < len(values):
                 bound = _weighted_mean(bests, weights)
                 if bound < floor:
@@ -164,8 +170,15 @@ class BoundedRecordScorer:
         return _weighted_mean(bests, weights)
 
     # ------------------------------------------------------------------
-    def _best_match(self, value: str, candidates: List[str]) -> float:
+    def _best_match(
+        self,
+        value: str,
+        candidates: List[str],
+        counts: Optional[Dict[str, TokenCounts]] = None,
+    ) -> float:
         cache = self.cache
+        if counts is None:
+            counts = {}
         vlen = len(value)
         # The Levenshtein half is scored over *lowercased* strings, and
         # lowercasing can change a string's length (e.g. 'İ' -> 'i̇'), so
@@ -195,8 +208,13 @@ class BoundedRecordScorer:
                     best = score
             else:
                 if value_counts is None:
-                    value_counts = token_counts(value)
-                cosine = counts_cosine(value_counts, token_counts(other))
+                    value_counts = counts.get(value)
+                    if value_counts is None:
+                        value_counts = counts[value] = token_counts(value)
+                other_counts = counts.get(other)
+                if other_counts is None:
+                    other_counts = counts[other] = token_counts(other)
+                cosine = counts_cosine(value_counts, other_counts)
                 other_lower = other.lower()
                 longest = max(len(value_lower), len(other_lower))
                 bound = 0.5 * cosine + 0.5 * (

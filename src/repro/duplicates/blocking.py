@@ -14,6 +14,7 @@ blocking the pair count is |A|·|B|. Three standard reducers:
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import product
 from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.duplicates.record import RecordView
@@ -37,6 +38,9 @@ def candidate_pairs_by_key(
     return pairs
 
 
+GramIndex = Dict[str, List[int]]  # n-gram -> ascending record positions
+
+
 def _record_ngrams(record: RecordView, n: int) -> Set[str]:
     grams: Set[str] = set()
     for value in record.values:
@@ -44,6 +48,29 @@ def _record_ngrams(record: RecordView, n: int) -> Set[str]:
         for i in range(max(len(lowered) - n + 1, 0)):
             grams.add(lowered[i : i + n])
     return grams
+
+
+def gram_index(records: Sequence[RecordView], n: int) -> GramIndex:
+    """Every lowercased n-gram of ``records`` -> the positions holding it."""
+    index: GramIndex = defaultdict(list)
+    for position, record in enumerate(records):
+        for gram in _record_ngrams(record, n):
+            index[gram].append(position)
+    return dict(index)
+
+
+def join_gram_indexes(
+    index_a: GramIndex, index_b: GramIndex, max_gram_frequency: int
+) -> List[Pair]:
+    """Sorted pairs sharing a gram held by at most ``max_gram_frequency``
+    records of side B (frequency is counted on B only)."""
+    pairs: Set[Pair] = set()
+    for gram, hits_a in index_a.items():
+        hits_b = index_b.get(gram)
+        if hits_b is None or len(hits_b) > max_gram_frequency:
+            continue
+        pairs.update(product(hits_a, hits_b))
+    return sorted(pairs)
 
 
 def candidate_pairs_ngram(
@@ -55,22 +82,12 @@ def candidate_pairs_ngram(
     """Pairs sharing at least one sufficiently *rare* n-gram.
 
     Frequent n-grams (appearing in more than ``max_gram_frequency``
-    records per side) are dropped — they would otherwise regenerate the
-    full cross product.
+    records of ``records_b``) are dropped — they would otherwise
+    regenerate the full cross product.
     """
-    grams_b: Dict[str, List[int]] = defaultdict(list)
-    for j, record in enumerate(records_b):
-        for gram in _record_ngrams(record, n):
-            grams_b[gram].append(j)
-    pairs: Set[Pair] = set()
-    for i, record in enumerate(records_a):
-        for gram in _record_ngrams(record, n):
-            hits = grams_b.get(gram)
-            if hits is None or len(hits) > max_gram_frequency:
-                continue
-            for j in hits:
-                pairs.add((i, j))
-    return sorted(pairs)
+    return join_gram_indexes(
+        gram_index(records_a, n), gram_index(records_b, n), max_gram_frequency
+    )
 
 
 def sorted_neighborhood_pairs(

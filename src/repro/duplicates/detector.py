@@ -9,17 +9,21 @@ structure-agnostic record similarity, and emits ``duplicate``-kind
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, MutableMapping, Optional, Sequence, Tuple
 
 from repro.discovery.model import SourceStructure
 from repro.duplicates.blocking import (
+    GramIndex,
     candidate_pairs_by_key,
-    candidate_pairs_ngram,
+    gram_index,
+    join_gram_indexes,
     sorted_neighborhood_pairs,
 )
 from repro.duplicates.batch import BoundedRecordScorer
 from repro.duplicates.record import RecordView
+from repro.duplicates.similarity import TokenCounts
 from repro.linking.model import ObjectLink
 from repro.linking.resolve import ObjectResolver
 from repro.relational.database import Database
@@ -41,6 +45,35 @@ class DuplicateConfig:
     duplicate_certainty_scale: float = 1.0
 
 
+class SourceFeatures:
+    """One source's duplicate features: its record views and n-gram index.
+
+    Built once per source and read by every chunk that source takes part
+    in, as anchor or counterpart. ``built_for`` names the structure and
+    view options the views were built under; the gram index is built on
+    first use by n-gram blocking.
+    """
+
+    __slots__ = ("views", "built_for", "_gram_size", "_grams")
+
+    def __init__(self, views: List[RecordView], built_for: Tuple = ()):
+        self.views = views
+        self.built_for = built_for
+        self._gram_size: Optional[int] = None
+        self._grams: GramIndex = {}
+
+    def grams(self, n: int) -> GramIndex:
+        if self._gram_size != n:
+            self._grams = gram_index(self.views, n)
+            self._gram_size = n
+        return self._grams
+
+
+#: Source database -> its features. Weak keys: a source whose database is
+#: swapped out, removed or re-added under a new object gets new features.
+FeatureMap = MutableMapping[Database, SourceFeatures]
+
+
 class DuplicateDetector:
     """Pairwise duplicate flagging between two sources' primary objects.
 
@@ -53,15 +86,24 @@ class DuplicateDetector:
     reach the threshold is cut off early and dropped; a pair that reaches
     it gets exactly :func:`~repro.duplicates.record.record_similarity`'s
     score, so links, certainties and evidence strings are unchanged.
+
+    Each source's :class:`SourceFeatures` are built once into
+    ``features``, a fresh map unless one is given: ``Aladin`` passes the
+    one it keeps for its lifetime, so an N-source ingestion builds N
+    feature sets, not one per chunk and counterpart.
     """
 
     def __init__(
         self,
         config: Optional[DuplicateConfig] = None,
         scorer: Optional[BoundedRecordScorer] = None,
+        features: Optional[FeatureMap] = None,
     ):
         self.config = config or DuplicateConfig()
         self.scorer = scorer if scorer is not None else BoundedRecordScorer()
+        self.features: FeatureMap = (
+            features if features is not None else weakref.WeakKeyDictionary()
+        )
         self.pairs_compared = 0  # exposed for the blocking ablation (E6)
 
     # ------------------------------------------------------------------
@@ -128,6 +170,24 @@ class DuplicateDetector:
                         if view is not None and len(view.values) < self.config.max_values_per_record:
                             view.values.append(text)
 
+    def features_of(
+        self, database: Database, structure: SourceStructure
+    ) -> SourceFeatures:
+        """The source's features, built on first use."""
+        config = self.config
+        built_for = (
+            structure,
+            config.include_secondary_values,
+            config.max_values_per_record,
+        )
+        features = self.features.get(database)
+        if features is None or features.built_for != built_for:
+            features = SourceFeatures(
+                self.build_record_views(database, structure), built_for
+            )
+            self.features[database] = features
+        return features
+
     # ------------------------------------------------------------------
     def detect(
         self,
@@ -137,16 +197,7 @@ class DuplicateDetector:
         structure_b: SourceStructure,
     ) -> List[ObjectLink]:
         """Duplicate links between two sources, deduplicated, best first."""
-        if self.config.blocking == "key" and not self._has_shared_accessions(
-            database_a, structure_a, database_b, structure_b
-        ):
-            # Key blocking compares only shared-accession pairs (the
-            # COLUMBA case); the cached accession value sets say there are
-            # none, so skip record-view construction entirely.
-            return []
-        records_a = self.build_record_views(database_a, structure_a)
-        records_b = self.build_record_views(database_b, structure_b)
-        return self._detect_pairs(records_a, records_b)
+        return self.detect_chunk(database_a, structure_a, [(database_b, structure_b)])[0]
 
     def detect_chunk(
         self,
@@ -154,45 +205,52 @@ class DuplicateDetector:
         structure_a: SourceStructure,
         counterparts: Sequence[Tuple[Database, SourceStructure]],
     ) -> List[List[ObjectLink]]:
-        """:meth:`detect` of one anchor source against many counterparts.
+        """Duplicate links of one anchor source against many counterparts.
 
-        Returns one link list per counterpart, in counterpart order, each
-        byte-identical to the corresponding :meth:`detect` call. The chunk
-        shape is what both integration paths fan out (one chunk per new
-        source), and it pays once for what the pairwise loop re-did per
-        counterpart: the anchor's record views are built a single time —
-        lazily, so the key-blocking short-circuit still skips view
-        construction when no counterpart shares an accession.
+        Returns one link list per counterpart, in counterpart order. Both
+        integration paths fan out this chunk shape (one chunk per new
+        source). Features are read from :attr:`features` and built on
+        first use, so the key-blocking short-circuit — the cached
+        accession value sets share no accession — still skips building
+        them. Token counts are memoized for this call only.
         """
-        records_a: Optional[List[RecordView]] = None
+        features_a: Optional[SourceFeatures] = None
+        counts: Dict[str, TokenCounts] = {}
         results: List[List[ObjectLink]] = []
         for database_b, structure_b in counterparts:
             if self.config.blocking == "key" and not self._has_shared_accessions(
                 database_a, structure_a, database_b, structure_b
             ):
+                # Key blocking compares only shared-accession pairs (the
+                # COLUMBA case), and the cached accession sets say there
+                # are none.
                 results.append([])
                 continue
-            if records_a is None:
-                records_a = self.build_record_views(database_a, structure_a)
-            if not records_a:
+            if features_a is None:
+                features_a = self.features_of(database_a, structure_a)
+            if not features_a.views:
                 results.append([])
                 continue
-            records_b = self.build_record_views(database_b, structure_b)
-            results.append(self._detect_pairs(records_a, records_b))
+            features_b = self.features_of(database_b, structure_b)
+            results.append(self._detect_pairs(features_a, features_b, counts))
         return results
 
     def _detect_pairs(
-        self, records_a: Sequence[RecordView], records_b: Sequence[RecordView]
+        self,
+        features_a: SourceFeatures,
+        features_b: SourceFeatures,
+        counts: Dict[str, TokenCounts],
     ) -> List[ObjectLink]:
-        """Block, score, and link two prebuilt record-view lists."""
+        """Block, score, and link two sources' features."""
+        records_a, records_b = features_a.views, features_b.views
         if not records_a or not records_b:
             return []
-        pairs = self._candidate_pairs(records_a, records_b)
+        pairs = self._blocked_pairs(features_a, features_b)
         threshold = self.config.similarity_threshold
         links: List[ObjectLink] = []
         for i, j in pairs:
             self.pairs_compared += 1
-            similarity = self.scorer(records_a[i], records_b[j], threshold)
+            similarity = self.scorer(records_a[i], records_b[j], threshold, counts)
             if similarity < threshold:
                 continue
             links.append(
@@ -232,6 +290,14 @@ class DuplicateDetector:
     def _candidate_pairs(
         self, records_a: Sequence[RecordView], records_b: Sequence[RecordView]
     ) -> List[Tuple[int, int]]:
+        return self._blocked_pairs(
+            SourceFeatures(list(records_a)), SourceFeatures(list(records_b))
+        )
+
+    def _blocked_pairs(
+        self, features_a: SourceFeatures, features_b: SourceFeatures
+    ) -> List[Tuple[int, int]]:
+        records_a, records_b = features_a.views, features_b.views
         if self.config.blocking == "none":
             return [(i, j) for i in range(len(records_a)) for j in range(len(records_b))]
         if self.config.blocking == "key":
@@ -246,11 +312,11 @@ class DuplicateDetector:
                 window=self.config.window,
             )
         if self.config.blocking == "ngram":
-            return candidate_pairs_ngram(
-                records_a,
-                records_b,
-                n=self.config.ngram_size,
-                max_gram_frequency=self.config.max_gram_frequency,
+            n = self.config.ngram_size
+            return join_gram_indexes(
+                features_a.grams(n),
+                features_b.grams(n),
+                self.config.max_gram_frequency,
             )
         raise ValueError(f"unknown blocking strategy {self.config.blocking!r}")
 

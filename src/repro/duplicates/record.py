@@ -14,7 +14,7 @@ compare fine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List
 
 from repro.duplicates.similarity import jaro_winkler, token_cosine
 from repro.linking.editdistance import levenshtein_similarity
@@ -32,18 +32,6 @@ class RecordView:
     source: str
     accession: str
     values: List[str] = field(default_factory=list)
-
-    @classmethod
-    def from_row(cls, source: str, accession: str, row: Dict[str, object],
-                 exclude: Sequence[str] = ()) -> "RecordView":
-        values = []
-        for column, value in row.items():
-            if column in exclude or value is None:
-                continue
-            text = str(value).strip()
-            if text:
-                values.append(text)
-        return cls(source=source, accession=accession, values=values)
 
 
 def _value_similarity(a: str, b: str) -> float:

@@ -146,6 +146,7 @@ def counts_cosine(a: TokenCounts, b: TokenCounts) -> float:
         return 1.0
     if not counts_a or not counts_b:
         return 0.0
+    # repro-lint: allow[unordered-iteration] a sum of integer products is exact, so order cannot change it
     dot = sum(counts_a[t] * counts_b[t] for t in counts_a.keys() & counts_b.keys())
     norm = norm_a * norm_b
     return dot / norm if norm else 0.0

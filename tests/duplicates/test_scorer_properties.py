@@ -14,7 +14,8 @@ approximations:
 * the bookkeeping counters account for exactly the work performed;
 * the anchor value's token counts, built once per best-match scan and
   reused against every candidate, give the same cosine bit for bit as
-  rebuilding them per pair;
+  rebuilding them per pair, and so does a token-count memo shared by a
+  whole chunk of pairs;
 * the threshold cut (a ``floor``) never moves a pair across the floor,
   returns the exact score for every pair that reaches it, and leaves the
   cache exact for later unfloored calls.
@@ -281,6 +282,20 @@ class TestHoistedTokenCountsAreExact:
                 expected = self.per_pair_cosine(anchor, other)
                 assert counts_cosine(anchor_counts, token_counts(other)) == expected
                 assert token_cosine(anchor, other) == expected
+
+
+    def test_shared_counts_memo_changes_no_score(self):
+        # The detector hands the scorer one token-count memo per chunk;
+        # a memo warmed by every earlier pair must give the same scores,
+        # with and without a floor, as memo-less calls.
+        pairs = random_pairs(1313, 60)
+        memo = {}
+        shared, plain = BoundedRecordScorer(), BoundedRecordScorer()
+        for floor in (None, 0.75):
+            for a, b in pairs:
+                assert shared(a, b, floor, memo) == plain(a, b, floor)
+        assert memo
+        assert all(memo[value] == token_counts(value) for value in memo)
 
 
 def floors_for(reference, rng):
