@@ -2,11 +2,12 @@
 
 Integrates the same batch of sources twice — the classic sequential
 ``add_source`` loop and ``Aladin.integrate_many`` — and verifies that
-the resulting link webs are *identical*. The batch pipeline imports
-every source first, then runs every pair scan and duplicate chunk of
-the batch in one fan-out; the incremental loop scores duplicates on a
-session-wide scorer whose value-pair cache persists across
-``add_source`` calls.
+the resulting link webs are *identical*. Both go through one path: a
+batch imports every source first, then runs each through the same
+per-source task graph as ``add_source``, scoring duplicates on the
+session-wide scorer whose value-pair cache persists across calls. Both
+calls are all or nothing: if any source of a batch fails, every source
+of the batch is unwound.
 
     python examples/batch_integration.py
 """
@@ -48,7 +49,7 @@ def main() -> None:
     print(f"  session scorer: {scorer.exact_scores} exact scores, "
           f"{scorer.pruned} pruned, {scorer.cache_hits} cache hits")
 
-    # --- the batch pipeline --------------------------------------------
+    # --- the whole batch in one call -----------------------------------
     batch = Aladin(AladinConfig())
     started = time.perf_counter()
     reports = batch.integrate_many(specs)

@@ -4,7 +4,8 @@ One warehouse session with observability live. A subscriber prints
 lifecycle events as the pipeline emits them (checkpoints commit before
 their ``source.added``, updates carry ``reanalyzed``), the metrics
 registry accumulates per-stage histograms and fan-out telemetry, and the
-batch's span tree shows each fan-out with one ``task`` span per item.
+batch's span tree shows each source's task graph, its fan-outs each with
+one ``task`` span per item.
 
     python examples/observability.py
 """

@@ -13,20 +13,18 @@
 Everything discovered lands in the metadata repository; browsing,
 searching, and querying run on top of it.
 
-Orchestration runs on the execution subsystem (:mod:`repro.exec`): each
-``add_source`` is a task graph (structure discovery → registration →
-{link fan-out, duplicate fan-out, index update} → checkpoint) whose
-fan-outs run through the in-process executor, and
-:meth:`Aladin.integrate_many` pipelines whole batches of independent
-sources through the same stages. Fan-out results merge in fixed source
-order, and repository writes happen in the exact order of the
-sequential loop, so both paths build byte-identical systems.
+There is one integration path. ``add_source``, ``add_database`` and
+``integrate_many`` all hand an ordered list of sources to
+:meth:`Aladin._integrate`: it checks every name, imports every source,
+then runs each source in turn through one task graph on the execution
+subsystem (:mod:`repro.exec`): structure discovery → registration →
+{link fan-out, duplicate fan-out, index update} → checkpoint. A batch of
+N sources therefore builds exactly what N ``add_source`` calls build,
+and a failing call of any size unwinds every source it started.
 
-The incremental path is engineered to the same cost profile as the batch
-path, so the Nth ``add_source`` stays cheap as sources keep arriving:
-duplicate detection runs as one chunk per new source on a *session-wide*
-:class:`~repro.duplicates.batch.BoundedRecordScorer` whose value-pair
-cache persists across maintenance calls. Both paths read each source's
+Duplicate detection scores each new source's chunk of counterparts on
+one *session-wide* :class:`~repro.duplicates.batch.BoundedRecordScorer`
+whose value-pair cache persists across calls, and reads each source's
 duplicate features (record views, n-gram index) from one per-system map,
 so every source's features are built once, not once per chunk.
 """
@@ -36,7 +34,7 @@ from __future__ import annotations
 import time
 import warnings
 import weakref
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.access.browser import Browser
 from repro.access.crawler import Crawler
@@ -53,10 +51,11 @@ from repro.discovery.pipeline import discover_structure
 from repro.duplicates.batch import BoundedRecordScorer
 from repro.duplicates.detector import DuplicateConfig, DuplicateDetector, FeatureMap
 from repro.exec.graph import TaskGraph
-from repro.exec.pool import Executor, Results
+from repro.exec.pool import Executor
+# _pair_task is unused here: benchmarks/harness/layers.py wraps it by this name.
 from repro.linking.engine import LinkDiscoveryEngine, _pair_task
 from repro.linking.model import ObjectLink
-from repro.linking.stats import collect_profiles, collect_statistics
+from repro.linking.stats import collect_profiles
 from repro.metadata.repository import MetadataRepository
 from repro.obs import Observability
 from repro.obs.events import (
@@ -72,10 +71,11 @@ from repro.persist.lock import SnapshotLockedError
 from repro.persist.snapshot import CompactionStats, SnapshotError, SnapshotStore
 from repro.relational.database import Database
 
+#: A source to integrate: ``(name, format_name, text, import_options)``
+#: raw text, or a prebuilt database.
+SourceSpec = Union[Tuple[str, str, str, Dict[str, Any]], Database]
 
-# ----------------------------------------------------------------------
-# fan-out task bodies: fn(state, item), run by Executor.map_ordered
-# ----------------------------------------------------------------------
+
 def _import_task(declare_constraints: bool, spec: Tuple) -> ImportResult:
     """Step 1 for one source: a registered parser shreds the raw text."""
     name, format_name, text, options = spec
@@ -87,34 +87,21 @@ def _import_task(declare_constraints: bool, spec: Tuple) -> ImportResult:
     return importer.import_text(text)
 
 
-def _discover_task(discovery_config, database: Database):
-    """Steps 2-3 for one imported source: discover its structure.
-
-    Pure per source — nothing here touches another source. Statistics
-    are collected here so the database's ColumnStore caches come out
-    warm; registration then runs entirely on cache hits.
-    """
-    structure = discover_structure(database, discovery_config)
-    collect_statistics(database)
-    return structure
-
-
 def _run_dup_chunk(
-    engine: LinkDiscoveryEngine,
-    scorer: Optional[BoundedRecordScorer],
-    features: FeatureMap,
+    state: Tuple[LinkDiscoveryEngine, BoundedRecordScorer, FeatureMap],
     spec: Tuple[str, Tuple[str, ...], DuplicateConfig],
 ) -> List[List[ObjectLink]]:
     """Step 5 for one new source against an ordered list of counterparts.
 
-    The shared unit of work of every duplicate pass: all pairs of the
-    chunk share one :class:`BoundedRecordScorer` (value-pair cache, exact
-    best-match pruning and the threshold cut; chunk-local unless
-    ``scorer`` is provided), and every source's record views and n-gram
-    index come from ``features``, the system's map, built there once per
-    source. Both the batch and the incremental pass run through here, so
-    they cannot diverge in shape.
+    The duplicate fan-out's task body. Every pair of the chunk is scored
+    on the system's session :class:`BoundedRecordScorer` (value-pair
+    cache, exact best-match pruning and the threshold cut), whose cache
+    survives across calls, so the Nth addition reuses every similarity
+    the first N-1 already paid for. Every source's record views and
+    n-gram index come from ``features``, the system's map, built there
+    once per source.
     """
+    engine, scorer, features = state
     name, others, config = spec
     detector = DuplicateDetector(config, scorer=scorer, features=features)
     return detector.detect_chunk(
@@ -122,36 +109,6 @@ def _run_dup_chunk(
         engine.structure_for(name),
         [(engine.database_for(other), engine.structure_for(other)) for other in others],
     )
-
-
-def _dup_session_task(
-    state: Tuple[LinkDiscoveryEngine, BoundedRecordScorer, FeatureMap],
-    spec: Tuple[str, Tuple[str, ...], DuplicateConfig],
-):
-    """Chunk task on the *session* scorer owned by the Aladin instance.
-
-    Its value-pair cache survives across successive ``add_source`` calls,
-    so the Nth incremental addition reuses every similarity the first N-1
-    already paid for.
-    """
-    engine, scorer, features = state
-    return _run_dup_chunk(engine, scorer, features, spec)
-
-
-def _batch_scan_task(
-    state: Tuple[LinkDiscoveryEngine, FeatureMap], tagged: Tuple[str, Tuple]
-):
-    """Dispatcher for the batch pipeline's single combined fan-out.
-
-    Link pair scans and duplicate chunks only *read* engine state, so
-    one fan-out runs both; each duplicate chunk gets a fresh chunk-local
-    scorer.
-    """
-    engine, features = state
-    tag, payload = tagged
-    if tag == "link":
-        return _pair_task(engine, payload)
-    return _run_dup_chunk(engine, None, features, payload)
 
 
 class Aladin:
@@ -285,7 +242,7 @@ class Aladin:
             metrics.histogram(f"stage.{step.step}").observe(step.seconds)
 
     def _finish_integration(self, report: IntegrationReport) -> None:
-        """Telemetry tail of one integrated source, on either pipeline path."""
+        """Telemetry tail of one integrated source, once its call succeeded."""
         self._record_report(report)
         self.obs.events.emit(
             SOURCE_ADDED,
@@ -303,24 +260,105 @@ class Aladin:
     def add_source(
         self, name: str, format_name: str, text: str, **import_options
     ) -> IntegrationReport:
-        """Integrate one new source from raw text (steps 1-5)."""
-        with self.obs.trace.span("op.add_source", source=name, format=format_name):
-            return self._add_source_impl(name, format_name, text, import_options)
+        """Integrate one new source from raw text (steps 1-5).
 
-    def _add_source_impl(
-        self,
-        name: str,
-        format_name: str,
-        text: str,
-        import_options: Dict[str, Any],
-    ) -> IntegrationReport:
+        Atomic: a name already integrated raises ``ValueError`` before
+        anything changes, and a failure leaves the system as before.
+        """
+        with self.obs.trace.span("op.add_source", source=name, format=format_name):
+            return self._integrate([(name, format_name, text, import_options)])[0]
+
+    def add_database(self, database: Database) -> IntegrationReport:
+        """Integrate a source already available as a relational database."""
+        with self.obs.trace.span("op.add_database", source=database.name):
+            return self._integrate([database])[0]
+
+    def integrate_many(self, sources: Iterable[Tuple]) -> List[IntegrationReport]:
+        """Integrate a batch of sources, in order, all or nothing.
+
+        ``sources`` is an iterable of ``(name, format_name, text)`` or
+        ``(name, format_name, text, import_options)`` tuples. Each source
+        runs through the same per-source pipeline as :meth:`add_source`,
+        so the repository, object web, and index are byte-identical to
+        calling :meth:`add_source` once per tuple in the same order, and
+        each report's step seconds are its ``graph.*`` span durations.
+
+        The batch is atomic: duplicate or already-integrated names raise
+        ``ValueError`` before anything changes, and if any source fails,
+        every source of the batch is unwound before the error propagates,
+        so the system is left exactly as before the call and the batch
+        can be retried.
+        """
+        specs = []
+        for item in sources:
+            name, format_name, text, *options = item
+            specs.append((name, format_name, text, dict(*options)))
+        with self.obs.trace.span("op.integrate_many", sources=len(specs)):
+            return self._integrate(specs)
+
+    def _integrate(self, sources: List[SourceSpec]) -> List[IntegrationReport]:
+        """The one integration path: ``sources`` in order, all or nothing.
+
+        Every name is checked before any state changes, every source is
+        imported (step 1), then each runs in order through the
+        per-source task graph (steps 2-5). If anything raises, every
+        source the call started is unwound, newest first — a
+        half-registered one and its written snapshot slice included — and
+        the error propagates. ``source.added`` and the ``stage.*``
+        observations follow only once the whole call has succeeded.
+        """
         self._fault_all_sources()
+        names = [
+            source.name if isinstance(source, Database) else source[0]
+            for source in sources
+        ]
+        if len(set(names)) != len(names):
+            raise ValueError("integrate_many got duplicate source names")
+        for name in names:
+            if self.repository.has_source(name):
+                raise ValueError(f"source {name!r} already integrated")
+        imported = [self._import(source) for source in sources]
+        started: List[str] = []
+        try:
+            for database, report, raw in imported:
+                started.append(database.name)
+                if raw is not None:
+                    self._raw_inputs[database.name] = raw
+                self._integrate_database(database, report)
+        except BaseException:
+            # Each cleanup is independent and swallows its own errors, so
+            # the original failure propagates and the system (and an
+            # attached snapshot, unless the store itself is what failed)
+            # is left as before the call, retryable as-is.
+            for name in reversed(started):
+                self._unregister_source_state(name)
+            raise
+        reports = [report for _database, report, _raw in imported]
+        self.reports.extend(reports)
+        for report in reports:
+            self._finish_integration(report)
+        return reports
+
+    def _import(
+        self, source: SourceSpec
+    ) -> Tuple[Database, IntegrationReport, Optional[Tuple]]:
+        """Step 1 for one source: its database, its report, its raw input.
+
+        A prebuilt database imports nothing: its import step reads 0.0 s
+        and it has no raw input.
+        """
+        if isinstance(source, Database):
+            report = IntegrationReport(source_name=source.name)
+            counts = {
+                "tables": len(source.table_names()),
+                "records": source.total_rows(),
+            }
+            report.steps.append(StepTiming("import", 0.0, counts))
+            return source, report, None
+        name, format_name, text, options = source
         report = IntegrationReport(source_name=name)
-        # Step 1: data import.
         started = time.perf_counter()
-        result = _import_task(
-            self.config.declare_constraints, (name, format_name, text, import_options)
-        )
+        result = _import_task(self.config.declare_constraints, source)
         report.warnings.extend(result.warnings)
         report.steps.append(
             StepTiming(
@@ -329,221 +367,7 @@ class Aladin:
                 {"tables": result.tables_created, "records": result.records_read},
             )
         )
-        self._raw_inputs[name] = (format_name, text, import_options)
-        self._integrate_database(result.database, report)
-        return report
-
-    def add_database(self, database: Database) -> IntegrationReport:
-        """Integrate a source already available as a relational database."""
-        with self.obs.trace.span("op.add_database", source=database.name):
-            self._fault_all_sources()
-            report = IntegrationReport(source_name=database.name)
-            report.steps.append(
-                StepTiming(
-                    "import",
-                    0.0,
-                    {
-                        "tables": len(database.table_names()),
-                        "records": database.total_rows(),
-                    },
-                )
-            )
-            self._integrate_database(database, report)
-            return report
-
-    def integrate_many(self, sources: Iterable[Tuple]) -> List[IntegrationReport]:
-        """Integrate a batch of independent sources through one pipeline.
-
-        ``sources`` is an iterable of ``(name, format_name, text)`` or
-        ``(name, format_name, text, import_options)`` tuples. The batch
-        runs in four scheduled stages:
-
-        1. *import, then structure discovery* — per-source and pure, one
-           fan-out each;
-        2. *registration* — ordered and sequential (shared state);
-        3. *link scans and duplicate chunks* — every pair of the batch in
-           one combined fan-out; duplicate chunks share a
-           :class:`BoundedRecordScorer` per new source;
-        4. *stores, index updates, checkpoints* — applied strictly in
-           batch order.
-
-        The resulting repository, object web, and index are byte-identical
-        to calling :meth:`add_source` once per tuple in the same order —
-        that is the contract the determinism tests pin down.
-
-        The batch is atomic: if any stage fails (a task raising mid
-        fan-out included), every source of the batch is unwound via
-        :meth:`remove_source` before the error propagates, so the system
-        is left exactly as before the call and the batch can be retried.
-
-        Report semantics: per-source ``StepTiming`` seconds in batch
-        reports are that source's ``task`` span durations — its import,
-        discover and duplicate tasks, and the in-order sum of its
-        ``link:`` tasks (``0.0`` when it has no counterpart yet).
-        Registration and the ordered merges are not attributed to any
-        source, so compare batch wall clock, not summed report steps.
-        """
-        sources = list(sources)
-        with self.obs.trace.span("op.integrate_many", sources=len(sources)):
-            return self._integrate_many_impl(sources)
-
-    def _integrate_many_impl(
-        self, sources: List[Tuple]
-    ) -> List[IntegrationReport]:
-        self._fault_all_sources()
-        specs: List[Tuple[str, str, str, Dict[str, Any]]] = []
-        for item in sources:
-            if len(item) == 3:
-                name, format_name, text = item
-                options: Dict[str, Any] = {}
-            else:
-                name, format_name, text, options = item
-                options = dict(options)
-            specs.append((name, format_name, text, options))
-        names = [spec[0] for spec in specs]
-        if len(set(names)) != len(names):
-            raise ValueError("integrate_many got duplicate source names")
-        for name in names:
-            if self.repository.has_source(name):
-                raise ValueError(f"source {name!r} already integrated")
-        if not specs:
-            return []
-        existing = self._engine.source_names()  # sorted, pre-batch
-
-        # Stage 1: import, then discovery (pure per source), one fan-out each.
-        imported = self._executor.map_ordered(
-            _import_task,
-            specs,
-            state=self.config.declare_constraints,
-            labels=[f"import:{name}" for name in names],
-        )
-        structures = self._executor.map_ordered(
-            _discover_task,
-            [result.database for result in imported],
-            state=self.config.discovery,
-            labels=[f"discover:{name}" for name in names],
-        )
-
-        registered: List[str] = []
-        try:
-            return self._integrate_batch(
-                specs, names, existing, imported, structures, registered
-            )
-        except BaseException:
-            # Unwind every batch source that made it into shared state —
-            # half-registered ones included — so the failure leaves the
-            # in-memory system as before the call and the batch is
-            # retryable as-is. (An attached snapshot store is scrubbed
-            # best-effort: if the store itself is what failed, its slices
-            # may need a fresh save once the store is healthy again.)
-            for name in reversed(registered):
-                self._unregister_source_state(name)
-            raise
-
-    def _integrate_batch(
-        self,
-        specs: List[Tuple[str, str, str, Dict[str, Any]]],
-        names: List[str],
-        existing: List[str],
-        imported: Results,
-        structures: Results,
-        registered: List[str],
-    ) -> List[IntegrationReport]:
-        # Stage 2: ordered registration (engine, repository, object web).
-        reports: List[IntegrationReport] = []
-        for position, (name, format_name, text, options) in enumerate(specs):
-            result, structure = imported[position], structures[position]
-            report = IntegrationReport(source_name=name)
-            report.warnings.extend(result.warnings)
-            report.steps.append(
-                StepTiming(
-                    "import",
-                    imported.seconds[position],
-                    {"tables": result.tables_created, "records": result.records_read},
-                )
-            )
-            self._describe_structure(report, structure, structures.seconds[position])
-            registered.append(name)  # before: a partial registration must unwind too
-            self._register_source_state(result.database, structure)
-            self._raw_inputs[name] = (format_name, text, options)
-            reports.append(report)
-
-        # Stage 3: every link-discovery pair scan and duplicate chunk of
-        # the batch in ONE fan-out — both only read engine state.
-        # Source k targets exactly what a sequential loop would have
-        # registered before it: the pre-batch sources plus the batch
-        # sources ahead of it, in sorted order.
-        per_source_targets = [
-            sorted(existing + names[:position]) for position in range(len(names))
-        ]
-        per_source_specs = [
-            self._engine.pair_specs(name, against=targets)
-            for name, targets in zip(names, per_source_targets)
-        ]
-        link_specs = [
-            spec for source_specs in per_source_specs for spec in source_specs
-        ]
-        tagged = [("link", spec) for spec in link_specs]
-        labels = [f"link:{mode}:{a}->{b}" for mode, a, b in link_specs]
-        if self.config.detect_duplicates:
-            tagged.extend(
-                ("dup", (name, tuple(targets), self.config.duplicates))
-                for name, targets in zip(names, per_source_targets)
-            )
-            labels.extend(f"duplicates:{name}" for name in names)
-        scan_results = self._executor.map_ordered(
-            _batch_scan_task,
-            tagged,
-            state=(self._engine, self._dup_features),
-            labels=labels,
-            # One combined fan-out mixes link scans and duplicate chunks:
-            # meter (and auto-calibrate) it as its own stage kind rather
-            # than whichever label happens to come first.
-            stage="batch_scan",
-        )
-
-        # Stage 4: ordered stores, index updates, and checkpoints — the
-        # exact write order of the sequential loop.
-        offset = 0
-        for position, (name, report) in enumerate(zip(names, reports)):
-            end = offset + len(per_source_specs[position])
-            links = self._engine.merge_pair_results(scan_results[offset:end])
-            link_seconds = sum(scan_results.seconds[offset:end], 0.0)
-            offset = end
-            for attribute_link in links.attribute_links:
-                self.repository.add_attribute_link(attribute_link)
-            stored = self.repository.add_object_links(links.object_links)
-            report.steps.append(
-                StepTiming(
-                    "link_discovery",
-                    link_seconds,
-                    {
-                        "attribute_links": len(links.attribute_links),
-                        "object_links": stored,
-                    },
-                )
-            )
-            flagged = 0
-            duplicate_seconds = 0.0
-            if self.config.detect_duplicates:
-                chunk = len(link_specs) + position
-                duplicate_seconds = scan_results.seconds[chunk]
-                flagged = sum(
-                    self.repository.add_object_links(link_list)
-                    for link_list in scan_results[chunk]
-                )
-            report.steps.append(
-                StepTiming(
-                    "duplicate_detection",
-                    duplicate_seconds,
-                    {"duplicates_flagged": flagged},
-                )
-            )
-            self._index_add_source(name)
-            self._checkpoint(name)
-            self._finish_integration(report)
-        self.reports.extend(reports)
-        return reports
+        return result.database, report, (format_name, text, options)
 
     def _register_source_state(self, database: Database, structure) -> None:
         """Install one discovered source into every shared structure.
@@ -551,9 +375,7 @@ class Aladin:
         Statistics are computed once here and reused for every later
         source addition (Section 4.4); the repository additionally keeps
         the storage-level ColumnProfile objects, so no later step
-        re-derives per-column aggregates from raw rows. Both integration
-        paths (incremental graph and batch pipeline) go through this one
-        helper so they cannot diverge.
+        re-derives per-column aggregates from raw rows.
         """
         statistics = self._engine.register_source(database, structure)
         samples, row_counts = self._data_snapshot(database)
@@ -567,9 +389,10 @@ class Aladin:
     def _unregister_source_state(self, name: str) -> None:
         """Best-effort unwind of one (possibly partially) registered source.
 
-        Used by the batch failure path: each subsystem is scrubbed
-        independently and cleanup errors are swallowed so the *original*
-        failure propagates and the unwind always reaches every source.
+        Used by the failure path of :meth:`_integrate`: each subsystem is
+        scrubbed independently and cleanup errors are swallowed so the
+        *original* failure propagates and the unwind always reaches every
+        source.
         """
         for cleanup in (
             lambda: self.repository.has_source(name)
@@ -589,7 +412,7 @@ class Aladin:
 
     @staticmethod
     def _describe_structure(report: IntegrationReport, structure, seconds: float) -> None:
-        """The discover-step report entry, shared by both integration paths."""
+        """The discover-step report entry."""
         report.primary_relation = structure.primary_relation
         report.steps.append(
             StepTiming(
@@ -621,11 +444,12 @@ class Aladin:
         return samples, row_counts
 
     def _integrate_database(self, database: Database, report: IntegrationReport) -> None:
-        """Steps 2-5 as a task graph.
+        """Steps 2-5 for one imported source, as a task graph.
 
         Stage order (and therefore every repository write) is fixed by the
         dependency edges; the two fan-outs (pair scans, the duplicate
-        chunk) run through the executor.
+        chunk) run through the executor. The report's steps read the
+        graph-node spans' durations.
         """
         name = database.name
         graph = TaskGraph()
@@ -674,8 +498,7 @@ class Aladin:
         graph.add("link_discovery", run_links, deps=("register",))
         graph.add("store_links", run_store_links, deps=("link_discovery",))
         graph.add("duplicate_detection", run_duplicates, deps=("register",))
-        # Duplicates land after the discovered links, as in the batch
-        # pipeline, so both paths order the repository alike.
+        # Duplicates land after the discovered links.
         graph.add(
             "store_duplicates",
             run_store_duplicates,
@@ -690,7 +513,6 @@ class Aladin:
             tracer=self.obs.trace_or_none,
         )
 
-        # Report steps read the graph-node spans' durations.
         seconds = graph.seconds
         self._describe_structure(
             report, results["discover_structure"], seconds["discover_structure"]
@@ -712,21 +534,15 @@ class Aladin:
                 {"duplicates_flagged": results["store_duplicates"]},
             )
         )
-        self.reports.append(report)
-        self._finish_integration(report)
 
     def _detect_duplicates_for(self, name: str) -> List[List[ObjectLink]]:
-        """Step-5 for one new source against every existing source.
+        """Step 5 for one new source against every existing source.
 
         Returns one link list per counterpart in repository order; the
-        caller stores them in that order, matching the sequential pass.
-
-        The default path scores the whole counterpart chunk through the
-        session-wide :class:`BoundedRecordScorer` (exact pruning plus a
-        value-pair cache that persists across ``add_source`` calls), the
-        same scorer shape the batch pipeline uses — so the Nth incremental
-        addition does bounded work instead of re-scoring every candidate
-        pair from scratch.
+        caller stores them in that order. The whole counterpart chunk is
+        scored on the session-wide :class:`BoundedRecordScorer`, so the
+        Nth addition does bounded work instead of re-scoring every
+        candidate pair from scratch.
         """
         if not self.config.detect_duplicates:
             return []
@@ -735,7 +551,7 @@ class Aladin:
             return []
         spec = (name, tuple(others), self.config.duplicates)
         return self._executor.map_ordered(
-            _dup_session_task,
+            _run_dup_chunk,
             [spec],
             state=(self._engine, self._dup_scorer, self._dup_features),
             labels=[f"duplicates:{name}"],

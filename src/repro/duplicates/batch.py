@@ -1,10 +1,9 @@
-"""Batch-scoped record scoring for the chunked duplicate pass.
+"""Session-scoped record scoring for the chunked duplicate pass.
 
-Both integration paths score duplicate candidates with this scorer, in
-*chunks* of pairs that share a source: the bulk path
-(``Aladin.integrate_many``) gives each chunk its own chunk-scoped scorer,
-and the incremental ``add_source`` path runs the same chunk shape on one
-session-scoped scorer that persists across maintenance calls. It
+Every integrated source's duplicate candidates are scored in one
+*chunk*: all pairs of the new source against its counterparts. ``Aladin``
+scores every chunk, whichever entry point integrated the source, on one
+session-scoped scorer that persists across maintenance calls. The scorer
 exploits that shape twice, and the detector's threshold once more —
 without changing a single result:
 
@@ -12,7 +11,7 @@ without changing a single result:
   (shared GO terms, keywords, organism names), so the same value pair is
   scored again and again across the records of a chunk. The cache is
   keyed on the sorted value pair (every measure used is symmetric) and
-  shared across all pairs of the chunk.
+  shared across all pairs of every chunk of the session.
 * **Best-match bound.** ``record_similarity`` needs, per value, only the
   *maximum* similarity against the other record's values. For the
   expensive long-value path (token cosine blended with Levenshtein) the
@@ -80,7 +79,7 @@ _CEILING = 1.0 + 2.0 ** -30
 class BoundedRecordScorer:
     """``record_similarity`` with a shared cache, exact pruning and a cut.
 
-    One instance per batch chunk (or per maintenance session; pass it to
+    One instance per maintenance session (pass it to
     :class:`~repro.duplicates.detector.DuplicateDetector` as ``scorer``).
     Called without a ``floor`` it is a drop-in for ``record_similarity``;
     the detector passes its threshold as the floor (module docstring).
@@ -90,8 +89,8 @@ class BoundedRecordScorer:
     entry can only cost a re-computation, never change a score — which
     is what lets a *session-wide* scorer run for weeks without its cache
     tracking every distinct value pair ever seen. ``None``/``0`` leaves
-    the cache unbounded (the right choice for short-lived chunk-local
-    scorers, whose lifetime already bounds it).
+    the cache unbounded (the right choice for a short-lived scorer, whose
+    lifetime already bounds it).
     """
 
     def __init__(

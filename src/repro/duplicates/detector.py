@@ -79,9 +79,9 @@ class DuplicateDetector:
 
     Record pairs are scored by a
     :class:`~repro.duplicates.batch.BoundedRecordScorer`, a fresh one
-    unless ``scorer`` is given: both integration paths pass theirs —
-    chunk-scoped in ``integrate_many``, session-scoped in the incremental
-    ``add_source`` pass. Every pair is scored with
+    unless ``scorer`` is given: ``Aladin`` passes its session-scoped
+    scorer, whose value-pair cache outlives each chunk. Every pair is
+    scored with
     ``similarity_threshold`` as the scorer's floor, so a pair that cannot
     reach the threshold is cut off early and dropped; a pair that reaches
     it gets exactly :func:`~repro.duplicates.record.record_similarity`'s

@@ -2,9 +2,10 @@
 
 Two halves: :mod:`repro.exec.pool` provides the ``Executor`` with its
 ordered fan-out contract; :mod:`repro.exec.graph` schedules named task
-DAGs in dependency order. Everything above (link discovery fan-out, the
-``add_source`` graph, bulk ``integrate_many``) is written against these
-two.
+DAGs in dependency order. Everything above is written against these
+two: each integrated source, whether it came through ``add_source``,
+``add_database`` or ``integrate_many``, runs one task graph whose link
+and duplicate steps fan out on the executor.
 """
 
 from repro.exec.graph import Task, TaskGraph

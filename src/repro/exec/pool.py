@@ -1,11 +1,11 @@
 """The in-process ``Executor``: ordered fan-out, one query thread.
 
-The execution subsystem's lower half. Every caller (link discovery,
-duplicate detection, bulk import) hands its work to one *ordered
-fan-out*: :meth:`Executor.map_ordered` calls ``fn(state, item)`` for
-every item, inline and in item order, and returns the results in that
-order. A failing item raises :class:`ExecError` naming it (its label);
-later items never run.
+The execution subsystem's lower half. Every fan-out (the link pair
+scans and the duplicate chunk of each integrated source) goes through
+:meth:`Executor.map_ordered`: it calls ``fn(state, item)`` for every
+item, inline and in item order, and returns the results as a list in
+that order. A failing item raises :class:`ExecError` naming it (its
+label); later items never run.
 
 Everything runs inline: thread and fork-process pools lost to inline
 execution on every benchmark workload. The fan-out seam stays because it
@@ -17,9 +17,8 @@ Every fan-out is timed on one path, through ``tracer or NULL_TRACER``:
 one ``fanout.{stage}`` span and, under it, one ``task`` span per
 attempted item (``index`` and, when labelled, ``label`` attributes),
 the failing one included. The stage kind comes from the labels
-(``link:...`` -> ``link``). The results carry each item's task-span
-duration (:class:`Results`), and with a registry the fan-out records
-the ``pool.fanouts`` / ``pool.tasks`` counters and the fan-out span's
+(``link:...`` -> ``link``). With a registry the fan-out records the
+``pool.fanouts`` / ``pool.tasks`` counters and the fan-out span's
 duration as ``pool.fanout.{stage}``, or on failure ``pool.failures`` /
 ``pool.failures.{stage}``.
 """
@@ -58,17 +57,6 @@ def _stage_kind(fn: Callable, labels: Optional[Sequence[str]]) -> str:
         first = labels[0]
         return first.split(":", 1)[0] if ":" in first else first
     return getattr(fn, "__name__", "task").strip("_") or "task"
-
-
-class Results(list):
-    """A fan-out's results in item order, plus ``seconds``: each item's
-    task-span duration, in the same order."""
-
-    __slots__ = ("seconds",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.seconds: List[float] = []
 
 
 def _label(labels: Optional[Sequence[str]], index: int) -> str:
@@ -123,16 +111,12 @@ class Executor:
         items: Iterable[Any],
         state: Any = None,
         labels: Optional[Sequence[str]] = None,
-        stage: Optional[str] = None,
-    ) -> Results:
-        """``[fn(state, item) for item in items]``, timed per item.
-
-        ``stage`` overrides the stage kind derived from ``labels``.
-        """
+    ) -> List[Any]:
+        """``[fn(state, item) for item in items]``, timed per item."""
         items = list(items)
         metrics = self.metrics
         tracer = self.tracer or NULL_TRACER
-        stage = stage or _stage_kind(fn, labels)
+        stage = _stage_kind(fn, labels)
         handle = tracer.start_span(f"fanout.{stage}", items=len(items))
         try:
             results = self._run(fn, items, state, labels, tracer)
@@ -156,9 +140,9 @@ class Executor:
         state: Any,
         labels: Optional[Sequence[str]],
         tracer=NULL_TRACER,
-    ) -> Results:
-        """The loop: one ``task`` span per item, its duration kept."""
-        results = Results()
+    ) -> List[Any]:
+        """The loop: one ``task`` span per item."""
+        results = []
         for index, item in enumerate(items):
             attributes = {"index": index}
             if labels is not None and index < len(labels):
@@ -176,5 +160,4 @@ class Executor:
                 ) from exc
             tracer.finish(handle)
             results.append(result)
-            results.seconds.append(handle.duration)
         return results

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.discovery.model import AttributeRef, SourceStructure
-from repro.exec.pool import Executor, Results
+from repro.exec.pool import Executor
 from repro.linking.crossref import discover_crossref_links
 from repro.linking.model import LinkConfig, LinkSet
 from repro.linking.ner import discover_name_links
@@ -165,27 +165,22 @@ class LinkDiscoveryEngine:
         return self._sources[name].structure
 
     # ------------------------------------------------------------------
-    def pair_specs(
-        self, source_name: str, against: Optional[Sequence[str]] = None
-    ) -> List[PairSpec]:
+    def pair_specs(self, source_name: str) -> List[PairSpec]:
         """The fixed-order fan-out plan for one source's link discovery.
 
         Two specs per counterpart — the symmetric+outgoing scan and the
         incoming directional scan — in sorted counterpart order. Merging
         results in exactly this order reproduces the serial link web.
         """
-        others = (
-            list(against)
-            if against is not None
-            else [name for name in self.source_names() if name != source_name]
-        )
         specs: List[PairSpec] = []
-        for other_name in others:
+        for other_name in self.source_names():
+            if other_name == source_name:
+                continue
             specs.append(("pair", source_name, other_name))
             specs.append(("directional", other_name, source_name))
         return specs
 
-    def run_pair_specs(self, specs: Sequence[PairSpec]) -> Results:
+    def run_pair_specs(self, specs: Sequence[PairSpec]) -> List[Tuple[LinkSet, int]]:
         """Execute pair scans as one fan-out of ``(links, comparisons)``.
 
         Results come back in spec order; nothing is

@@ -18,7 +18,7 @@ from repro.discovery import discover_structure
 from repro.exec import ExecError, Executor, TaskGraph
 from repro.linking.engine import LinkDiscoveryEngine, _pair_task
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.trace import NullTracer, Tracer
 
 
 def _identity(state, item):
@@ -29,6 +29,25 @@ def _boom_on_two(state, item):
     if item == 2:
         raise KeyError(f"item {item}")
     return item
+
+
+def labelled(stage, count):
+    return [f"{stage}:{i}" for i in range(count)]
+
+
+class CountingNullTracer(NullTracer):
+    """The durations-only recorder, keeping every handle it starts."""
+
+    def __init__(self):
+        self.handles = []
+
+    def start_span(self, name, **attributes):
+        handle = super().start_span(name, **attributes)
+        self.handles.append((name, handle))
+        return handle
+
+    def task_durations(self):
+        return [handle.duration for name, handle in self.handles if name == "task"]
 
 
 def instrumented(metrics=True, tracer=True):
@@ -60,11 +79,9 @@ class TestFanoutMetrics:
         "kwargs,stage",
         [
             ({"labels": ["link:a->b", "link:b->a", "link:a->c"]}, "link"),
-            ({"labels": ["link:a->b", "link:b->a", "link:a->c"], "stage": "scan"},
-             "scan"),
             ({}, "identity"),
         ],
-        ids=["from-labels", "explicit-stage", "from-function-name"],
+        ids=["from-labels", "from-function-name"],
     )
     def test_success_records_counts_and_one_timing(self, kwargs, stage):
         executor = instrumented(tracer=False)
@@ -74,9 +91,9 @@ class TestFanoutMetrics:
 
     def test_counts_accumulate_over_fanouts(self):
         executor = instrumented(tracer=False)
-        executor.map_ordered(_identity, range(4), stage="scan")
-        executor.map_ordered(_identity, range(3), stage="scan")
-        executor.map_ordered(_identity, range(2), stage="dup")
+        executor.map_ordered(_identity, range(4), labels=labelled("scan", 4))
+        executor.map_ordered(_identity, range(3), labels=labelled("scan", 3))
+        executor.map_ordered(_identity, range(2), labels=labelled("dup", 2))
         assert counters(executor.metrics) == {"pool.fanouts": 3, "pool.tasks": 9}
         assert histogram_counts(executor.metrics) == {
             "pool.fanout.dup": 1,
@@ -100,7 +117,7 @@ class TestFanoutMetrics:
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            executor.map_ordered(interrupt, [0], stage="scan")
+            executor.map_ordered(interrupt, [0], labels=labelled("scan", 1))
         assert counters(executor.metrics)["pool.failures.scan"] == 1
         (fanout,) = [s for s in executor.tracer.spans() if s.name == "fanout.scan"]
         assert (fanout.status, fanout.error) == ("error", "KeyboardInterrupt")
@@ -110,10 +127,12 @@ class TestFanoutMetrics:
 
     def test_empty_fanout(self):
         executor = instrumented()
-        assert executor.map_ordered(_identity, [], stage="scan") == []
+        assert executor.map_ordered(_identity, []) == []
         assert counters(executor.metrics) == {"pool.fanouts": 1, "pool.tasks": 0}
         spans = executor.tracer.spans()
-        assert [(s.name, s.attributes) for s in spans] == [("fanout.scan", {"items": 0})]
+        assert [(s.name, s.attributes) for s in spans] == [
+            ("fanout.identity", {"items": 0})
+        ]
 
     def test_metrics_only_records_no_spans(self):
         executor = instrumented(tracer=False)
@@ -123,7 +142,7 @@ class TestFanoutMetrics:
 
     def test_tracer_only_records_spans(self):
         executor = instrumented(metrics=False)
-        executor.map_ordered(_identity, range(3), stage="scan")
+        executor.map_ordered(_identity, range(3), labels=labelled("scan", 3))
         names = [s.name for s in executor.tracer.spans()]
         assert names == ["task", "task", "task", "fanout.scan"]
 
@@ -168,7 +187,8 @@ class TestGraphTelemetry:
         executor.tracer = tracer
         graph = TaskGraph()
         graph.add("link_discovery",
-                  lambda results: executor.map_ordered(_identity, [0, 1], stage="link"))
+                  lambda results: executor.map_ordered(
+                      _identity, [0, 1], labels=labelled("link", 2)))
         graph.add("register", lambda results: None, deps=("link_discovery",))
         with tracer.span("op.add_source"):
             graph.run(tracer=tracer)
@@ -199,13 +219,11 @@ class TestGraphTelemetry:
 
 
 class TestOneClock:
-    def test_results_carry_each_task_span_duration(self):
+    def test_the_fanout_observation_is_its_span_duration(self):
         executor = instrumented()
-        results = executor.map_ordered(_identity, range(3), stage="scan")
+        results = executor.map_ordered(_identity, range(3), labels=labelled("scan", 3))
         assert results == [0, 1, 2]
-        spans = executor.tracer.spans()
-        assert results.seconds == [s.duration for s in spans if s.name == "task"]
-        (fanout,) = [s for s in spans if s.name == "fanout.scan"]
+        (fanout,) = [s for s in executor.tracer.spans() if s.name == "fanout.scan"]
         assert observations(executor.metrics, "pool.fanout.scan") == [fanout.duration]
 
     @pytest.mark.parametrize(
@@ -213,16 +231,22 @@ class TestOneClock:
         [(False, False), (True, False), (False, True)],
         ids=["no-telemetry", "metrics-only", "tracer-only"],
     )
-    def test_every_item_is_timed_on_every_wiring(self, metrics, tracer):
-        results = instrumented(metrics, tracer).map_ordered(_identity, range(5))
-        assert results == list(range(5))
-        assert len(results.seconds) == 5
-        assert all(type(s) is float and s > 0.0 for s in results.seconds)
+    def test_every_item_is_timed_on_every_wiring(self, monkeypatch, metrics, tracer):
+        null_tracer = CountingNullTracer()
+        monkeypatch.setattr("repro.exec.pool.NULL_TRACER", null_tracer)
+        executor = instrumented(metrics, tracer)
+        assert executor.map_ordered(_identity, range(5)) == list(range(5))
+        if tracer:
+            durations = [s.duration for s in executor.tracer.spans() if s.name == "task"]
+        else:
+            durations = null_tracer.task_durations()
+        assert len(durations) == 5
+        assert all(type(s) is float and s > 0.0 for s in durations)
 
     def test_the_inner_loop_keeps_its_four_argument_call(self):
         results = Executor._run(_identity, [1, 2], None, None)
+        assert type(results) is list
         assert results == [1, 2]
-        assert len(results.seconds) == 2
 
     def test_graph_seconds_are_the_node_span_durations(self):
         tracer, registry = Tracer(), MetricsRegistry()
@@ -276,7 +300,7 @@ class TestPairScans:
             engine.register_source(*_source(name, tag))
         specs = engine.pair_specs("b")
         results = engine.run_pair_specs(specs)
-        assert len(results) == len(results.seconds) == len(specs)
+        assert len(results) == len(specs)
         assert results == [_pair_task(engine, spec) for spec in specs]
 
     def test_pair_task_returns_links_and_comparisons(self):

@@ -13,6 +13,8 @@ import pytest
 
 from repro.core import Aladin, AladinConfig
 from repro.exec import ExecError
+from repro.obs.events import SOURCE_ADDED
+from repro.persist.snapshot import SnapshotStore
 from repro.synth import ScenarioConfig, UniverseConfig, build_scenario
 
 
@@ -35,6 +37,17 @@ def link_web(aladin):
         [(l.key(), l.score, l.kind, l.encoded)
          for l in aladin.repository.attribute_links()],
     )
+
+
+QUERIES = ("kinase", "protein", "structure")
+
+
+def rankings(aladin):
+    engine = aladin.search_engine()
+    return {
+        query: [(h.source, h.accession, h.score) for h in engine.search(query, top_k=20)]
+        for query in QUERIES
+    }
 
 
 class TestBatchAtomicity:
@@ -98,6 +111,157 @@ class TestBatchAtomicity:
         monkeypatch.undo()
         reports = aladin.integrate_many(specs)
         assert [r.source_name for r in reports] == [s[0] for s in specs]
+
+
+    def test_failed_batch_emits_no_source_added(self, monkeypatch):
+        """The batch's first source is fully integrated before its second
+        fails, yet no ``source.added`` reaches a subscriber."""
+        config = AladinConfig()
+        config.observability.enabled = True
+        aladin = Aladin(config)
+        specs = source_specs(_batch_scenario())
+        delivered = []
+        aladin.obs.events.subscribe(delivered.append, kind=SOURCE_ADDED)
+        original = Aladin._index_add_source
+
+        def failing_index(self, name):
+            if name == specs[1][0]:
+                raise RuntimeError("index update blew up")
+            return original(self, name)
+
+        monkeypatch.setattr(Aladin, "_index_add_source", failing_index)
+        try:
+            with pytest.raises(RuntimeError, match="index update blew up"):
+                aladin.integrate_many(specs)
+            assert delivered == []
+            assert aladin.obs.events.history(SOURCE_ADDED) == []
+            assert aladin.source_names() == []
+            assert aladin.reports == []
+        finally:
+            aladin.close()
+
+    def test_failed_batch_leaves_the_attached_snapshot_as_before(
+        self, monkeypatch, tmp_path
+    ):
+        """The batch's first source is checkpointed before its second
+        fails; the unwind removes that written slice again, so a lazy
+        reopen equals the writer before the call."""
+        specs = source_specs(_batch_scenario())
+        path = str(tmp_path / "wh.snapshot")
+        writer = Aladin(AladinConfig())
+        reader = None
+        try:
+            writer.add_source(*specs[0][:3], **specs[0][3])
+            writer.save(path)
+            before = (writer.source_names(), link_web(writer), rankings(writer))
+            assert all(before[2].values()), "a query with no hits checks nothing"
+            original = SnapshotStore.checkpoint_source
+            checkpointed = []
+
+            def failing_checkpoint(self, aladin, name, *args, **kwargs):
+                if name == specs[2][0]:
+                    raise RuntimeError("disk full mid-batch")
+                checkpointed.append(name)
+                return original(self, aladin, name, *args, **kwargs)
+
+            monkeypatch.setattr(SnapshotStore, "checkpoint_source", failing_checkpoint)
+            with pytest.raises(RuntimeError, match="disk full mid-batch"):
+                writer.integrate_many(specs[1:])
+            assert checkpointed == [specs[1][0]]
+            monkeypatch.undo()
+            assert (
+                writer.source_names(), link_web(writer), rankings(writer)
+            ) == before
+            reader = Aladin.open(path, read_only=True)
+            assert (
+                reader.source_names(), link_web(reader), rankings(reader)
+            ) == before
+        finally:
+            if reader is not None:
+                reader.close()
+            writer.close()
+
+
+class TestAddSourceAtomicity:
+    def test_failed_add_unwinds_and_is_retryable(self, monkeypatch):
+        scenario = build_scenario(
+            ScenarioConfig(
+                seed=11, include=("swissprot", "pdb"),
+                universe=UniverseConfig(n_families=2, members_per_family=2, seed=11),
+            )
+        )
+        aladin = Aladin(AladinConfig())
+        first, second = source_specs(scenario)
+        aladin.add_source(first[0], first[1], first[2], **first[3])
+
+        def state():
+            return (
+                aladin.source_names(),
+                aladin._engine.source_names(),
+                dict(aladin._raw_inputs),
+                list(aladin.reports),
+                link_web(aladin),
+            )
+
+        before = state()
+
+        def broken_channel(*args, **kwargs):
+            raise RuntimeError("channel blew up")
+
+        monkeypatch.setattr(
+            "repro.linking.engine.discover_crossref_links", broken_channel
+        )
+        with pytest.raises(ExecError, match="channel blew up"):
+            aladin.add_source(second[0], second[1], second[2], **second[3])
+        assert state() == before
+        monkeypatch.undo()
+        report = aladin.add_source(second[0], second[1], second[2], **second[3])
+        assert report.source_name == second[0]
+        assert aladin.source_names() == sorted([first[0], second[0]])
+        assert link_web(aladin)[0], "the retried add found no links"
+
+    def test_re_adding_a_live_name_is_rejected_untouched(self, tmp_path):
+        scenario = build_scenario(
+            ScenarioConfig(
+                seed=11, include=("swissprot", "pdb"),
+                universe=UniverseConfig(n_families=2, members_per_family=2, seed=11),
+            )
+        )
+        specs = source_specs(scenario)
+        other = source_specs(
+            build_scenario(
+                ScenarioConfig(
+                    seed=12, include=("swissprot", "pdb"),
+                    universe=UniverseConfig(
+                        n_families=2, members_per_family=2, seed=12
+                    ),
+                )
+            )
+        )
+        path = str(tmp_path / "wh.snapshot")
+        writer = Aladin(AladinConfig())
+        reader = None
+        try:
+            for name, format_name, text, options in specs:
+                writer.add_source(name, format_name, text, **options)
+            writer.save(path)
+            name, format_name, new_text, options = other[1]
+            assert name == specs[1][0] and new_text != specs[1][2]
+            raw_before = dict(writer._raw_inputs)
+            before = (writer.source_names(), link_web(writer), len(writer.reports))
+            with pytest.raises(ValueError, match=repr(name)):
+                writer.add_source(name, format_name, new_text, **options)
+            assert writer._raw_inputs == raw_before
+            assert (
+                writer.source_names(), link_web(writer), len(writer.reports)
+            ) == before
+            reader = Aladin.open(path, read_only=True, lazy=False)
+            assert reader._raw_inputs[name][1] == specs[1][2]
+            assert (reader.source_names(), link_web(reader)) == before[:2]
+        finally:
+            if reader is not None:
+                reader.close()
+            writer.close()
 
 
 class TestTaskErrors:

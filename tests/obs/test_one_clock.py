@@ -43,15 +43,6 @@ def spans(aladin, root):
     return [t for t in aladin.traces() if t["root"] == root][-1]["spans"]
 
 
-def task_seconds(trace_spans):
-    """``{label: duration}`` of every labelled ``task`` span."""
-    return {
-        span["attributes"]["label"]: span["duration"]
-        for span in trace_spans
-        if span["name"] == "task" and "label" in span["attributes"]
-    }
-
-
 class TestAddSource:
     def test_report_histograms_and_graph_spans_agree(self):
         aladin = make_aladin()
@@ -71,41 +62,20 @@ class TestAddSource:
         finally:
             aladin.close()
 
-
-class TestIntegrateMany:
-    def test_report_steps_are_task_span_durations(self):
+        # A batch runs each source through the same graph: each report's
+        # steps are its own source's graph.* spans, in batch order.
         aladin = make_aladin()
         try:
             reports = aladin.integrate_many(specs())
-            tasks = task_seconds(spans(aladin, "op.integrate_many"))
-            names = [report.source_name for report in reports]
-            for position, report in enumerate(reports):
-                name = names[position]
-                assert report.step("import").seconds == tasks[f"import:{name}"]
-                assert (report.step("discover_structure").seconds
-                        == tasks[f"discover:{name}"])
-                assert (report.step("duplicate_detection").seconds
-                        == tasks[f"duplicates:{name}"])
-                link_seconds = 0.0
-                for other in sorted(names[:position]):
-                    link_seconds += tasks[f"link:pair:{name}->{other}"]
-                    link_seconds += tasks[f"link:directional:{other}->{name}"]
-                assert report.step("link_discovery").seconds == link_seconds
-                for step in report.steps:
-                    assert (observations(aladin, f"stage.{step.step}")[position]
-                            == step.seconds)
-        finally:
-            aladin.close()
-
-    def test_the_batch_imports_then_discovers_in_two_fanouts(self):
-        aladin = make_aladin()
-        try:
-            aladin.integrate_many(specs())
-            fanouts = [
-                span["name"] for span in spans(aladin, "op.integrate_many")
-                if span["name"].startswith("fanout.")
-            ]
-            assert fanouts[:2] == ["fanout.import", "fanout.discover"]
+            node_spans = {}
+            for span in spans(aladin, "op.integrate_many"):
+                if span["name"].startswith("graph."):
+                    node_spans.setdefault(span["name"], []).append(span["duration"])
+            for step in MEASURED:
+                seconds = [report.step(step).seconds for report in reports]
+                assert observations(aladin, f"stage.{step}") == seconds
+                assert node_spans[f"graph.{step}"] == seconds
+                assert observations(aladin, f"graph.{step}.seconds") == seconds
         finally:
             aladin.close()
 
@@ -121,7 +91,7 @@ def test_every_fanout_span_is_its_pool_observation():
                 if span["name"].startswith("fanout."):
                     stage = span["name"][len("fanout."):]
                     per_stage.setdefault(stage, []).append(span["duration"])
-        assert {"import", "discover", "batch_scan", "link", "duplicates"} <= set(per_stage)
+        assert {"link", "duplicates"} <= set(per_stage)
         for stage, durations in per_stage.items():
             assert observations(aladin, f"pool.fanout.{stage}") == durations
     finally:
@@ -163,9 +133,8 @@ def test_every_checkpoint_span_is_its_histogram_and_event(tmp_path):
 @pytest.mark.parametrize("path", ["add_source", "integrate_many"])
 def test_step_seconds_are_measured_floats(path, enabled):
     """Both paths report float seconds; with observability off the null
-    tracer still times every step. The only unmeasured steps are a batch
-    source's link discovery with no counterpart yet (no link tasks ran)
-    and ``add_database``'s import (no import ran): both exactly 0.0."""
+    tracer still times every step. The only unmeasured step is
+    ``add_database``'s import (no import ran): exactly 0.0."""
     aladin = make_aladin(enabled)
     try:
         if path == "add_source":
@@ -174,15 +143,10 @@ def test_step_seconds_are_measured_floats(path, enabled):
             reports = aladin.integrate_many(specs())
         database = registry.create("delimited", "s9").import_text(tsv(6, "z")).database
         reports.append(aladin.add_database(database))
-        for position, report in enumerate(reports):
+        for report in reports:
             for step in report.steps:
                 assert type(step.seconds) is float, (report.source_name, step)
-                unmeasured = (
-                    (path == "integrate_many" and position == 0
-                     and step.step == "link_discovery")
-                    or (report.source_name == "s9" and step.step == "import")
-                )
-                if unmeasured:
+                if report.source_name == "s9" and step.step == "import":
                     assert step.seconds == 0.0
                 elif not enabled:
                     assert step.seconds > 0.0, (report.source_name, step)

@@ -169,7 +169,7 @@ class TestFanoutSpans:
 
     def test_unlabelled_tasks_carry_their_index(self):
         executor = self.traced_executor()
-        executor.map_ordered(_boom_on_two, [0, 1], stage="scan")
+        executor.map_ordered(_boom_on_two, [0, 1])
         tasks = [s for s in executor.tracer.spans() if s.name == "task"]
         assert [s.attributes for s in tasks] == [{"index": 0}, {"index": 1}]
 
