@@ -393,6 +393,11 @@ class Aladin:
         scrubbed independently and cleanup errors are swallowed so the
         *original* failure propagates and the unwind always reaches every
         source.
+
+        State is unwound; counters are not. ``registrations``,
+        ``comparisons_made`` and the ``scorer.*`` counters count work
+        performed, the unwound work included, and the session scorer's
+        value-pair cache, a pure accelerator, stays warm for the retry.
         """
         for cleanup in (
             lambda: self.repository.has_source(name)

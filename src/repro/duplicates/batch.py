@@ -24,12 +24,26 @@ without changing a single result:
 
 * **Threshold cut.** The detector drops every record pair scoring below
   ``similarity_threshold``, and almost all blocked pairs do. Given that
-  ``floor``, the scorer takes the smaller record's values heaviest first
-  and, after each one, bounds the record score from above; once the
-  bound falls below the floor it returns the bound and the detector
-  drops the pair unscored. A pair that reaches the floor is scored in
-  full and summed in the original value order, so every emitted score is
-  byte-identical to the unbounded scorer.
+  ``floor``, the scorer works in two phases over the smaller record's
+  values, heaviest first, and bounds the record score from above after
+  each value; once the bound falls below the floor it returns the bound
+  and the detector drops the pair unscored.
+
+  - *Scan.* Each value gets the cheap pass of its best match: cache
+    hits and short pairs are exact, and each long pair is deferred with
+    its best-match bound. The value's slot in the record bound is the
+    larger of its exact best and its top deferred bound; values not yet
+    scanned hold ``_CEILING``. No Levenshtein runs in this phase, so a
+    pair cut here costs none.
+  - *Resolve.* A pair that survives the scan resolves each value's
+    deferred pairs with the pruned Levenshtein loop above, turning its
+    slot into its exact best match.
+
+  A pair that reaches the floor is scored in full and summed in the
+  original value order, so every emitted score is byte-identical to the
+  unbounded scorer. Called without a floor, each value is scanned and
+  resolved at once: the best match is ``resolve(scan(...))`` on every
+  path.
 
 Exactness over the float domain: the best-match bound and the real score
 share the subexpression ``0.5*cos + 0.5*(1 - x/max_len)`` with ``x`` only
@@ -39,8 +53,11 @@ computed floats, not just the real numbers. The threshold cut rests on
 the same argument:
 
 * its bound is the same sequence of float additions as the real score,
-  in the original value order, with each value not yet scored
-  contributing ``_CEILING`` in place of its best match;
+  in the original value order, with each value's slot in place of its
+  best match;
+* every slot is at least the value's computed best match: a scanned
+  slot is the maximum of exact scores and deferred bounds, each at least
+  the exact score it stands for, and an unscanned slot is ``_CEILING``;
 * IEEE ``+``, ``*`` and ``/`` are monotone, so that bound is at least
   the computed score, for floats and not only for real numbers;
 * ``_CEILING`` is at least anything ``_best_match`` returns, so ``1.0``
@@ -60,7 +77,7 @@ the same argument:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.duplicates.record import RecordView
 from repro.duplicates.similarity import (
@@ -74,6 +91,11 @@ from repro.linking.editdistance import levenshtein_similarity
 _SHORT = 25  # same shape split as record._value_similarity
 # Proven upper bound on every _best_match result (module docstring).
 _CEILING = 1.0 + 2.0 ** -30
+# A deferred long pair: (bound, other value lowercased, cosine, cache key).
+_Deferred = Tuple[float, str, float, Tuple[str, str]]
+# A scanned value: (value lowercased, exact best so far, top deferred
+# bound, deferred pairs).
+_Scan = Tuple[str, float, float, List[_Deferred]]
 
 
 class BoundedRecordScorer:
@@ -106,7 +128,10 @@ class BoundedRecordScorer:
         else:
             self.cache = cache if cache is not None else {}
         self.exact_scores = 0  # similarity computations actually performed
-        self.pruned = 0  # candidates skipped via the upper bound
+        # Deferred long candidates the resolve loop skipped on their
+        # bound; those of a pair cut in the scan are never resolved and
+        # count nowhere.
+        self.pruned = 0
         self.cache_hits = 0
         self.evictions = 0  # entries dropped by the LRU bound
         self.early_exits = 0  # record pairs cut below their floor
@@ -153,15 +178,28 @@ class BoundedRecordScorer:
         smaller, larger = (a, b) if len(a.values) <= len(b.values) else (b, a)
         values, candidates = smaller.values, larger.values
         weights = [float(len(value)) for value in values]
-        bests = [_CEILING] * len(values)
         if floor is None:
-            order: Sequence[int] = range(len(values))
-        else:
-            # Heaviest first: the bound drops fastest. Stable on ties.
-            order = sorted(range(len(values)), key=weights.__getitem__, reverse=True)
+            return _weighted_mean(
+                [self._best_match(value, candidates, counts) for value in values],
+                weights,
+            )
+        # Heaviest first: the bound drops fastest. Stable on ties.
+        order = sorted(range(len(values)), key=weights.__getitem__, reverse=True)
+        bests = [_CEILING] * len(values)
+        scans: List[Optional[_Scan]] = [None] * len(values)
+        # Phase 1: scan every value; no Levenshtein runs yet.
+        for index in order:
+            scan = scans[index] = self._scan(values[index], candidates, counts)
+            _value_lower, best, top, _deferred = scan
+            bests[index] = max(best, top, 0.0)  # at least its best match
+            bound = _weighted_mean(bests, weights)
+            if bound < floor:
+                self.early_exits += 1
+                return bound
+        # Phase 2: resolve the deferred long pairs, heaviest value first.
         for step, index in enumerate(order, 1):
-            bests[index] = self._best_match(values[index], candidates, counts)
-            if floor is not None and step < len(values):
+            bests[index] = self._resolve(*scans[index])
+            if step < len(values):
                 bound = _weighted_mean(bests, weights)
                 if bound < floor:
                     self.early_exits += 1
@@ -175,6 +213,21 @@ class BoundedRecordScorer:
         candidates: List[str],
         counts: Optional[Dict[str, TokenCounts]] = None,
     ) -> float:
+        """``value``'s best similarity against ``candidates``."""
+        return self._resolve(*self._scan(value, candidates, counts))
+
+    def _scan(
+        self,
+        value: str,
+        candidates: List[str],
+        counts: Optional[Dict[str, TokenCounts]] = None,
+    ) -> _Scan:
+        """The cheap pass of a best match: everything but Levenshtein.
+
+        Cache hits and short pairs are exact and give ``best``; each long
+        pair is deferred with its cosine/length-difference bound, the
+        largest of which is ``top``.
+        """
         cache = self.cache
         if counts is None:
             counts = {}
@@ -185,8 +238,8 @@ class BoundedRecordScorer:
         # it stops being an upper bound.
         value_lower = value.lower()
         value_counts: Optional[TokenCounts] = None  # built on first long pair
-        best = -1.0
-        deferred: List[Tuple[float, str, float, Tuple[str, str]]] = []
+        best = top = -1.0
+        deferred: List[_Deferred] = []
         bounded = self.max_entries
         for other in candidates:
             key = (value, other) if value <= other else (other, value)
@@ -220,9 +273,19 @@ class BoundedRecordScorer:
                     1.0 - abs(len(value_lower) - len(other_lower)) / longest
                 )
                 deferred.append((bound, other_lower, cosine, key))
-        # Best bound first: as soon as a bound cannot beat the running
-        # best, neither can anything after it.
-        deferred.sort(key=lambda entry: -entry[0])
+                if bound > top:
+                    top = bound
+        return value_lower, best, top, deferred
+
+    def _resolve(
+        self, value_lower: str, best: float, top: float, deferred: List[_Deferred]
+    ) -> float:
+        """Finish a scan: Levenshtein for each deferred pair whose bound
+        still beats the running best; the value's exact best match."""
+        if top > best:
+            # Best bound first: as soon as a bound cannot beat the
+            # running best, neither can anything after it.
+            deferred.sort(key=lambda entry: -entry[0])
         for position, (bound, other_lower, cosine, key) in enumerate(deferred):
             if bound <= best:
                 self.pruned += len(deferred) - position

@@ -185,9 +185,12 @@ class LinkDiscoveryEngine:
 
         Results come back in spec order; nothing is
         merged or counted here, so callers control ordering end to end.
+        The executor names a fan-out's stage after its first label, so a
+        source with no counterparts still files its empty fan-out under
+        ``link``.
         """
         specs = list(specs)
-        labels = [f"link:{mode}:{a}->{b}" for mode, a, b in specs]
+        labels = [f"link:{mode}:{a}->{b}" for mode, a, b in specs] or ["link"]
         return self.executor.map_ordered(_pair_task, specs, state=self, labels=labels)
 
     def merge_pair_results(self, results: Iterable[Tuple[LinkSet, int]]) -> LinkSet:

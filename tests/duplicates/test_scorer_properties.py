@@ -18,16 +18,28 @@ approximations:
   whole chunk of pairs;
 * the threshold cut (a ``floor``) never moves a pair across the floor,
   returns the exact score for every pair that reaches it, and leaves the
-  cache exact for later unfloored calls.
+  cache exact for later unfloored calls;
+* a pair whose scanned bound (exact short pairs, bounded long pairs) is
+  already below the floor is cut before any Levenshtein runs.
 """
 
 import math
 import random
 from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.duplicates import batch
 from repro.duplicates.batch import _CEILING, BoundedRecordScorer
 from repro.duplicates.record import RecordView, record_similarity
-from repro.duplicates.similarity import counts_cosine, token_cosine, token_counts
+from repro.duplicates.similarity import (
+    counts_cosine,
+    jaro_winkler,
+    token_cosine,
+    token_counts,
+)
 
 WORDS = [
     "kinase", "binding", "protein", "serine", "threonine", "domain",
@@ -337,40 +349,150 @@ class TestThresholdCutIsExact:
             assert scorer(b, a).hex() == record_similarity(b, a).hex()
         assert scorer.early_exits > 0
 
-    def test_cut_stops_after_the_heaviest_value(self):
-        # The heavy value matches nothing; once it is scored the bound is
-        # far below the floor, so the light value is never scored.
+    def test_cut_stops_after_the_heaviest_value(self, monkeypatch):
+        # The heavy value matches nothing; its scan alone (cosine and
+        # length bounds, no edit distance) puts the record bound far
+        # below the floor, so the pair is cut before any Levenshtein runs
+        # and the light value is never scanned.
         heavy = "mitochondrion phosphorylation transcription membrane"
         light = "kinase"
         a = RecordView("s", "a", values=[light, heavy])
         b = RecordView("t", "b", values=["QWERTYQWERTYQWERTYQWERTYQWERTY", "kinase"])
+        levenshtein_calls = count_levenshtein(monkeypatch)
         scorer = BoundedRecordScorer()
         score = scorer(a, b, 0.75)
         assert score < 0.75 and record_similarity(a, b) < 0.75
         assert scorer.early_exits == 1
-        assert scorer.exact_scores + scorer.pruned == len(b.values)
+        assert levenshtein_calls == []
         assert not any(light in key for key in scorer.cache)
 
     def test_a_bound_equal_to_the_floor_keeps_scoring(self):
-        # Floor = the exact bound the scorer holds after the heavy value,
-        # with the light value still at the ceiling. The exit test is
-        # strict, so the pair is scored to the end and comes back exact
-        # (and below the floor).
+        # Floor = the exact bound the scorer holds at its first check:
+        # the one value scanned, its slot the top deferred bound. The
+        # exit test is strict, so the pair is resolved to the end and
+        # comes back exact (and below the floor).
         heavy = "serine threonine kinase binding domain protein"
-        light = "kinase"
-        a = RecordView("s", "a", values=[light, heavy])
-        b = RecordView("t", "b", values=["serine kinase binding protein", "kinese"])
-        probe = BoundedRecordScorer()
-        heavy_best = probe._best_match(heavy, b.values)
-        w_light, w_heavy = float(len(light)), float(len(heavy))
-        floor = (0.0 + _CEILING * w_light + heavy_best * w_heavy) / (
-            0.0 + w_light + w_heavy
-        )
+        a = RecordView("s", "a", values=[heavy])
+        b = RecordView("t", "b", values=["threonine kinase binding protein domain", "kinese"])
+        _lower, best, top, _deferred = BoundedRecordScorer()._scan(heavy, b.values)
+        slot = max(best, top)
+        weight = float(len(heavy))
+        floor = (0.0 + slot * weight) / (0.0 + weight)
         reference = record_similarity(a, b)
         assert reference < floor
         scorer = BoundedRecordScorer()
         assert scorer(a, b, floor).hex() == reference.hex()
         assert scorer.early_exits == 0
+
+
+def count_levenshtein(monkeypatch):
+    """Record every Levenshtein call the scorer makes, from now on."""
+    calls = []
+    original = batch.levenshtein_similarity
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(batch, "levenshtein_similarity", counting)
+    return calls
+
+
+def scanned_bound(a, b):
+    """The record bound once every value is scanned, from first
+    principles: per value, the larger of its best short-pair
+    Jaro-Winkler score and its best long-pair cosine/length bound,
+    averaged as ``record_similarity`` averages (same float operations)."""
+    smaller, larger = (a, b) if len(a.values) <= len(b.values) else (b, a)
+    total_weight = total_score = 0.0
+    for value in smaller.values:
+        best = 0.0
+        for other in larger.values:
+            if len(value) <= 25 and len(other) <= 25:
+                score = jaro_winkler(value.lower(), other.lower())
+            else:
+                longest = max(len(value.lower()), len(other.lower()))
+                score = 0.5 * token_cosine(value, other) + 0.5 * (
+                    1.0 - abs(len(value.lower()) - len(other.lower())) / longest
+                )
+            best = max(best, score)
+        weight = float(len(value))
+        total_weight += weight
+        total_score += best * weight
+    return total_score / total_weight
+
+
+VALUES = st.one_of(
+    st.lists(st.sampled_from(WORDS + TRICKY), min_size=1, max_size=10).map(" ".join),
+    st.text(alphabet="ABCDEFGHIKLMNPQRSTVWY0123456789", min_size=1, max_size=40),
+)
+RECORDS = st.lists(VALUES, min_size=1, max_size=6)
+
+
+class TestScanCutsBeforeLevenshtein:
+    @settings(max_examples=200, deadline=None)
+    @given(RECORDS, RECORDS, st.floats(min_value=0.0, max_value=1.0))
+    def test_a_scanned_bound_below_the_floor_runs_no_levenshtein(
+        self, values_a, values_b, above
+    ):
+        a = RecordView("s", "a", values=values_a)
+        b = RecordView("t", "b", values=values_b)
+        bound = scanned_bound(a, b)
+        floor = math.nextafter(bound, math.inf) + above * max(0.0, 1.0 - bound)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            levenshtein_calls = count_levenshtein(monkeypatch)
+            scorer = BoundedRecordScorer()
+            score = scorer(a, b, floor)
+        assert levenshtein_calls == []
+        assert scorer.early_exits == 1
+        assert record_similarity(a, b) <= score < floor
+
+    def test_e6_universe_runs_levenshtein_only_for_scan_survivors(self, monkeypatch):
+        """On a seeded E6 universe, every floored record pair that runs
+        Levenshtein has a scanned bound at or above its floor; the
+        session cache only lowers the live bound, so this is the
+        weakest claim the scan guarantees. Every pair still lands on
+        the floor's correct side."""
+        from repro.core import Aladin, AladinConfig
+        from repro.synth import ScenarioConfig, UniverseConfig, build_scenario
+
+        scenario = build_scenario(
+            ScenarioConfig(
+                seed=450,
+                universe=UniverseConfig(
+                    n_families=2, members_per_family=2, n_go_terms=4,
+                    n_diseases=2, n_interactions=2, seed=450,
+                ),
+            )
+        )
+        levenshtein_calls = count_levenshtein(monkeypatch)
+        scored = []  # (a, b, floor, score, Levenshtein calls) per floored pair
+        original = BoundedRecordScorer.__call__
+
+        def recording(self, a, b, floor=None, counts=None):
+            before = len(levenshtein_calls)
+            score = original(self, a, b, floor, counts)
+            if floor is not None:
+                scored.append((a, b, floor, score, len(levenshtein_calls) - before))
+            return score
+
+        monkeypatch.setattr(BoundedRecordScorer, "__call__", recording)
+        aladin = Aladin(AladinConfig())
+        for source in scenario.sources:
+            aladin.add_source(
+                source.name, source.facts.format_name, source.text,
+                **source.facts.import_options,
+            )
+        aladin.close()
+        resolved = [entry for entry in scored if entry[4]]
+        assert resolved, "no pair survived the scan"
+        assert len(resolved) < len(scored) // 4, "the scan cut too few pairs"
+        for a, b, floor, score, runs in scored:
+            reference = record_similarity(a, b)
+            assert (score >= floor) == (reference >= floor)
+            assert score >= reference
+            if runs:
+                assert scanned_bound(a, b) >= floor
 
 
 class TestCeilingCoversEveryBestMatch:

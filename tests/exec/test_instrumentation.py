@@ -303,6 +303,20 @@ class TestPairScans:
         assert len(results) == len(specs)
         assert results == [_pair_task(engine, spec) for spec in specs]
 
+    def test_a_first_source_files_its_empty_fanout_under_link(self):
+        # No counterparts, no specs: the fan-out still runs, is counted,
+        # and is named after its stage rather than its task function.
+        engine = LinkDiscoveryEngine(executor=instrumented())
+        engine.register_source(*_source("a", "x"))
+        links = engine.discover_for("a")
+        assert (links.attribute_links, links.object_links) == ([], [])
+        metrics = engine.executor.metrics
+        assert counters(metrics) == {"pool.fanouts": 1, "pool.tasks": 0}
+        assert len(observations(metrics, "pool.fanout.link")) == 1
+        assert [(s.name, s.attributes) for s in engine.executor.tracer.spans()] == [
+            ("fanout.link", {"items": 0})
+        ]
+
     def test_pair_task_returns_links_and_comparisons(self):
         engine = LinkDiscoveryEngine()
         for name, tag in (("a", "x"), ("b", "y")):

@@ -91,7 +91,7 @@ def test_every_fanout_span_is_its_pool_observation():
                 if span["name"].startswith("fanout."):
                     stage = span["name"][len("fanout."):]
                     per_stage.setdefault(stage, []).append(span["duration"])
-        assert {"link", "duplicates"} <= set(per_stage)
+        assert set(per_stage) == {"link", "duplicates"}
         for stage, durations in per_stage.items():
             assert observations(aladin, f"pool.fanout.{stage}") == durations
     finally:

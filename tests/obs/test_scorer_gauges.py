@@ -5,7 +5,10 @@ point integrated the sources, so a batch reads the same gauges as the
 same sources added one at a time.
 """
 
+import pytest
+
 from repro.core import Aladin, AladinConfig
+from repro.exec import ExecError
 from repro.synth import ScenarioConfig, UniverseConfig, build_scenario
 
 GAUGES = (
@@ -55,3 +58,85 @@ def test_integrate_many_reads_the_add_source_gauges():
     batch = scorer_gauges(lambda aladin: aladin.integrate_many(source_specs))
     assert batch == scorer_gauges(one_at_a_time)
     assert batch["scorer.exact_scores"] > 0
+
+
+def test_a_failed_call_counts_its_work_and_keeps_the_cache_warm(
+    tmp_path, monkeypatch
+):
+    """Counters count work performed, the unwound work of a failed call
+    included; the value-pair cache is a pure accelerator and stays warm.
+
+    The last source's checkpoint raises once, after every source was
+    scored, so the failed attempt does a clean run's whole work. The
+    retry then builds the clean run's web, duplicate sets and postings;
+    its cache-independent counters read the clean run's plus the failed
+    attempt's, and its scorer counters read those of a system that
+    re-integrates the same sources on a warm cache.
+    """
+    from repro.persist.snapshot import SnapshotStore
+
+    source_specs = specs()
+
+    def integrated(path, ingest):
+        aladin = Aladin(AladinConfig())
+        aladin.save(tmp_path / path)
+        aladin.search_engine()  # a live index, maintained by every call
+        ingest(aladin)
+        return aladin
+
+    def state(aladin):
+        return (
+            [
+                (link.source_a, link.accession_a, link.source_b,
+                 link.accession_b, link.kind, link.certainty)
+                for link in aladin.repository.object_links()
+            ],
+            sorted(
+                (link.source_a, link.accession_a, link.source_b,
+                 link.accession_b, link.certainty)
+                for link in aladin.repository.object_links(kind="duplicate")
+            ),
+            list(aladin._index.export_documents()),
+        )
+
+    def counters(aladin):
+        stats = aladin._dup_scorer.stats()
+        del stats["cache_entries"]
+        return stats, aladin._engine.registrations, aladin._engine.comparisons_made
+
+    def rerun(aladin):
+        aladin.integrate_many(source_specs)
+        for name, *_rest in source_specs:
+            aladin.remove_source(name)
+        aladin.integrate_many(source_specs)
+
+    clean = integrated("clean.snapshot", lambda a: a.integrate_many(source_specs))
+    warm = integrated("warm.snapshot", rerun)
+    original = SnapshotStore.checkpoint_source
+    armed = [source_specs[-1][0]]
+
+    def failing_checkpoint(self, aladin, name, *args, **kwargs):
+        if name in armed:
+            armed.remove(name)
+            raise RuntimeError("disk full at the last checkpoint")
+        return original(self, aladin, name, *args, **kwargs)
+
+    monkeypatch.setattr(SnapshotStore, "checkpoint_source", failing_checkpoint)
+    retried = integrated("retried.snapshot", lambda a: None)
+    try:
+        with pytest.raises(ExecError, match="disk full"):
+            retried.integrate_many(source_specs)
+        assert retried.source_names() == []
+        failed = counters(retried)
+        assert failed == counters(clean), "the failed attempt did the clean work"
+        retried.integrate_many(source_specs)
+        assert state(retried) == state(clean)
+        scorer, registrations, comparisons = counters(retried)
+        assert registrations == failed[1] + clean._engine.registrations
+        assert comparisons == failed[2] + clean._engine.comparisons_made
+        assert counters(retried) == counters(warm)
+        # Every value pair was cached by the failed attempt.
+        assert scorer["exact_scores"] == failed[0]["exact_scores"]
+    finally:
+        for aladin in (clean, warm, retried):
+            aladin.close()
