@@ -277,6 +277,7 @@ class InvertedIndex:
         document)."""
         self.pages_indexed += 1
         doc_id = doc_ids[before.accession]
+        # repro-lint: allow[unordered-iteration] every deletion below runs before any re-insertion, so the token order cannot matter
         for token in {t for counts in tokenize_page(before)[1].values() for t in counts}:
             postings = self._postings[token]
             start = bisect_left(postings, doc_id, key=_doc_of)

@@ -9,8 +9,11 @@ that contract silently breaks: the iteration feeds an output whose order
 changes run to run unless it passes through ``sorted``.
 
 The rule is scoped to the packages whose iteration order reaches merged
-output (``linking``, ``exec``, ``core``); wrapping the expression in
-``sorted(...)`` — or any explicit ordering — satisfies it.
+or persisted, pinned output (``linking``, ``exec``, ``core``,
+``duplicates``, and ``discovery``, ``metadata`` and ``access``, whose
+structures, link web and postings are written to snapshots); wrapping
+the expression in ``sorted(...)`` — or any explicit ordering — satisfies
+it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from repro.analysis.engine import Checker, ModuleContext
 RULE = "unordered-iteration"
 
 #: Packages whose iteration order can reach merged, pinned output.
-SCOPED_PACKAGES = frozenset({"linking", "exec", "core", "duplicates"})
+SCOPED_PACKAGES = frozenset(
+    {"linking", "exec", "core", "duplicates", "discovery", "metadata", "access"}
+)
 
 _SET_CALLS = frozenset({"set", "frozenset"})
 

@@ -9,7 +9,7 @@ here; secondary-path discovery walks it ignoring direction.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.discovery.model import PathStep, Relationship
 
@@ -22,6 +22,7 @@ class RelationshipGraph:
         self.relationships: List[Relationship] = list(relationships)
         self._out: Dict[str, List[Relationship]] = defaultdict(list)
         self._in: Dict[str, List[Relationship]] = defaultdict(list)
+        self._neighbors: Dict[str, List[PathStep]] = {}
         known = set(self.tables)
         for rel in self.relationships:
             if rel.source.table not in known or rel.target.table not in known:
@@ -54,46 +55,68 @@ class RelationshipGraph:
     # undirected traversal
     # ------------------------------------------------------------------
     def neighbors(self, table: str) -> List[PathStep]:
-        """All hops leaving ``table``, in either edge direction."""
-        steps = [PathStep(rel, forward=True) for rel in self._out[table]]
-        steps.extend(PathStep(rel, forward=False) for rel in self._in[table])
+        """All hops leaving ``table``, in either edge direction. Do not mutate."""
+        steps = self._neighbors.get(table)
+        if steps is None:
+            steps = [PathStep(rel, forward=True) for rel in self._out.get(table, ())]
+            steps.extend(PathStep(rel, forward=False) for rel in self._in.get(table, ()))
+            self._neighbors[table] = steps
         return steps
 
-    def all_paths(
-        self, start: str, goal: str, max_length: int, max_paths: int
-    ) -> List[Tuple[PathStep, ...]]:
-        """All simple paths start -> goal up to ``max_length`` hops.
+    def paths_from(
+        self,
+        start: str,
+        max_length: int,
+        max_paths: int,
+        goals: Optional[Iterable[str]] = None,
+    ) -> Dict[str, List[Tuple[PathStep, ...]]]:
+        """The first ``max_paths`` simple paths from ``start`` to each goal.
 
-        Shortest paths first (BFS order), truncated at ``max_paths``
-        (Section 4.3: "If multiple paths exist, all are stored" — bounded
-        here to keep worst-case metadata small).
+        One breadth-first walk over the simple paths leaving ``start``, up
+        to ``max_length`` hops: shortest paths first, and among paths of
+        one length the order the hops are generated in (Section 4.3: "If
+        multiple paths exist, all are stored" — bounded here to keep
+        worst-case metadata small). ``goals`` defaults to every other
+        table; the walk stops once every goal holds ``max_paths`` paths.
+        A simple path ending at a goal never passed through it, so each
+        goal gets exactly what a walk searching for it alone would find.
         """
-        if start == goal:
-            return [()]
-        results: List[Tuple[PathStep, ...]] = []
-        frontier: List[Tuple[str, Tuple[PathStep, ...], Set[str]]] = [
-            (start, (), {start})
+        if goals is None:
+            goals = [table for table in self.tables if table != start]
+        found: Dict[str, List[Tuple[PathStep, ...]]] = {goal: [] for goal in goals}
+        open_goals = sum(1 for goal in found if goal != start)
+        frontier: List[Tuple[str, Tuple[PathStep, ...], FrozenSet[str]]] = [
+            (start, (), frozenset((start,)))
         ]
-        while frontier and len(results) < max_paths:
+        length = 0
+        while frontier and open_goals and length < max_length and max_paths > 0:
+            length += 1
             next_frontier = []
             for table, path, visited in frontier:
-                if len(path) >= max_length:
-                    continue
                 for step in self.neighbors(table):
                     nxt = step.to_table
                     if nxt in visited:
                         continue
                     new_path = path + (step,)
-                    if nxt == goal:
-                        results.append(new_path)
-                        if len(results) >= max_paths:
-                            break
-                    else:
-                        next_frontier.append((nxt, new_path, visited | {nxt}))
-                if len(results) >= max_paths:
-                    break
+                    paths = found.get(nxt)
+                    if paths is not None and len(paths) < max_paths:
+                        paths.append(new_path)
+                        if len(paths) == max_paths:
+                            open_goals -= 1
+                            if not open_goals:
+                                return found
+                    next_frontier.append((nxt, new_path, visited | {nxt}))
             frontier = next_frontier
-        return results
+        return found
+
+    def all_paths(
+        self, start: str, goal: str, max_length: int, max_paths: int
+    ) -> List[Tuple[PathStep, ...]]:
+        """All simple paths start -> goal up to ``max_length`` hops: the
+        one-goal view of :meth:`paths_from`."""
+        if start == goal:
+            return [()]
+        return self.paths_from(start, max_length, max_paths, goals=(goal,))[goal]
 
     def reachable_from(self, start: str) -> Set[str]:
         seen = {start}

@@ -25,25 +25,27 @@ def connect_secondary_relations(
     primary_relation: str,
     config: Optional[DiscoveryConfig] = None,
 ) -> Tuple[Dict[str, Tuple[SecondaryPath, ...]], List[str]]:
-    """Paths from the primary relation to every other table.
+    """Paths from the primary relation to every other table, from one
+    breadth-first walk (:meth:`RelationshipGraph.paths_from`).
 
     Returns:
         (paths keyed by target table, list of unreachable tables).
     """
     config = config or DiscoveryConfig()
+    found = graph.paths_from(
+        primary_relation,
+        max_length=config.max_path_length,
+        max_paths=config.max_paths_per_table,
+    )
     paths: Dict[str, Tuple[SecondaryPath, ...]] = {}
     unreachable: List[str] = []
     for table in graph.tables:
         if table == primary_relation:
             continue
-        found = graph.all_paths(
-            primary_relation,
-            table,
-            max_length=config.max_path_length,
-            max_paths=config.max_paths_per_table,
-        )
-        if not found:
+        if not found[table]:
             unreachable.append(table)
             continue
-        paths[table] = tuple(SecondaryPath(target_table=table, steps=p) for p in found)
+        paths[table] = tuple(
+            SecondaryPath(target_table=table, steps=p) for p in found[table]
+        )
     return paths, unreachable

@@ -281,7 +281,14 @@ class BoundedRecordScorer:
         self, value_lower: str, best: float, top: float, deferred: List[_Deferred]
     ) -> float:
         """Finish a scan: Levenshtein for each deferred pair whose bound
-        still beats the running best; the value's exact best match."""
+        still beats the running best; the value's exact best match.
+
+        A pair already in the cache was resolved earlier in this call: a
+        value repeated in either record defers the same pair more than
+        once (within one scan, or in the scans of two equal values of the
+        smaller record), and one Levenshtein run answers them all.
+        """
+        cache = self.cache
         if top > best:
             # Best bound first: as soon as a bound cannot beat the
             # running best, neither can anything after it.
@@ -290,11 +297,17 @@ class BoundedRecordScorer:
             if bound <= best:
                 self.pruned += len(deferred) - position
                 break
-            score = 0.5 * cosine + 0.5 * levenshtein_similarity(
-                value_lower, other_lower
-            )
-            self._cache_store(key, score)
-            self.exact_scores += 1
+            score = cache.get(key)
+            if score is not None:
+                self.cache_hits += 1
+                if self.max_entries:
+                    cache.move_to_end(key)  # refresh LRU recency
+            else:
+                score = 0.5 * cosine + 0.5 * levenshtein_similarity(
+                    value_lower, other_lower
+                )
+                self._cache_store(key, score)
+                self.exact_scores += 1
             if score > best:
                 best = score
         return best if best >= 0.0 else 0.0

@@ -13,7 +13,9 @@ Two kinds of links between objects of *different* sources:
 
 Candidate attribute pairs are pruned with per-attribute statistics
 (:mod:`stats`, :mod:`pruning`) that are "computed only once for each data
-source and can then be reused for subsequently added data sources".
+source and can then be reused for subsequently added data sources"; the
+same holds for everything else a channel derives from one source alone,
+which :mod:`features` builds once per registered source.
 Schema matching (:mod:`schemamatch`) provides the attribute-correspondence
 machinery the paper relates this step to.
 """

@@ -5,7 +5,10 @@ identifiers ... target candidates are exactly the previously discovered
 unique fields in primary relations of other databases."
 
 For every pruned source attribute we match its values against the
-accession values of every target source's primary relation. Two match
+accession values of the target source's primary relation. Both sides
+come from the sources' :class:`~repro.linking.features.LinkFeatures`:
+the pruned attribute selection and each attribute's decoded values on
+the source side, the accession value set on the target side. Two match
 modes:
 
 * **direct** — the value *is* a target accession;
@@ -21,14 +24,13 @@ object of the source row to the referenced target object.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.discovery.model import AttributeRef, SourceStructure
+from repro.discovery.model import AttributeRef
 from repro.linking.model import AttributeLink, LinkConfig, LinkSet, ObjectLink
-from repro.linking.pruning import is_link_source_candidate
-from repro.linking.resolve import ObjectResolver
-from repro.linking.stats import AttributeStatistics
-from repro.relational.database import Database
+
+if TYPE_CHECKING:
+    from repro.linking.features import LinkFeatures
 
 _SEPARATORS = (":", "|", "/")
 
@@ -50,85 +52,42 @@ def decode_candidates(value: str) -> List[Tuple[str, bool]]:
 
 
 def discover_crossref_links(
-    source_db: Database,
-    source_structure: SourceStructure,
-    source_stats: Dict[AttributeRef, AttributeStatistics],
-    targets: Iterable[Tuple[Database, SourceStructure]],
-    config: Optional[LinkConfig] = None,
+    source: "LinkFeatures", target: "LinkFeatures", config: Optional[LinkConfig] = None
 ) -> LinkSet:
-    """Match one source's attributes against all targets' accessions."""
+    """Match one source's attributes against a target's accessions."""
     config = config or LinkConfig()
     result = LinkSet()
-    try:
-        resolver = ObjectResolver(source_db, source_structure)
-    except ValueError:
-        return result  # no primary relation: nothing to anchor links on
-    target_indexes = _build_target_indexes(targets)
-    for attr, stats in sorted(source_stats.items(), key=lambda kv: kv[0].qualified):
-        if not is_link_source_candidate(stats, config):
+    if source.resolver is None or target.accessions is None or target.name == source.name:
+        return result  # nothing to anchor links on, or nothing to point at
+    accessions, target_attr = target.accessions
+    for attr in source.crossref_attributes:
+        matches, encoded_any = _match_attribute(source.decoded(attr), accessions)
+        if len(matches) < config.min_absolute_matches:
             continue
-        if (
-            attr.table == source_structure.primary_relation
-            and source_structure.primary_accession() == attr
-        ):
-            continue  # the primary accession itself is an identifier, not a reference
-        for target_name, (accessions, target_attr, target_structure) in sorted(
-            target_indexes.items()
-        ):
-            if target_name == source_structure.source_name:
-                continue
-            matches, encoded_any = _match_attribute(
-                source_db, attr, accessions, config
+        fraction = len(matches) / max(source.statistics[attr].non_null_count, 1)
+        if fraction < config.min_match_fraction:
+            continue
+        result.attribute_links.append(
+            AttributeLink(
+                source=source.name,
+                source_attribute=attr,
+                target=target.name,
+                target_attribute=target_attr,
+                score=fraction,
+                kind="crossref",
+                encoded=encoded_any,
             )
-            if len(matches) < config.min_absolute_matches:
-                continue
-            fraction = len(matches) / max(stats.non_null_count, 1)
-            if fraction < config.min_match_fraction:
-                continue
-            result.attribute_links.append(
-                AttributeLink(
-                    source=source_structure.source_name,
-                    source_attribute=attr,
-                    target=target_name,
-                    target_attribute=target_attr,
-                    score=fraction,
-                    kind="crossref",
-                    encoded=encoded_any,
-                )
-            )
-            result.object_links.extend(
-                _materialize_object_links(
-                    source_db,
-                    attr,
-                    matches,
-                    resolver,
-                    source_structure.source_name,
-                    target_name,
-                    config,
-                )
-            )
+        )
+        result.object_links.extend(
+            _materialize_object_links(source, attr, matches, target.name, config)
+        )
     return result
 
 
 # ----------------------------------------------------------------------
-def _build_target_indexes(targets):
-    indexes = {}
-    for target_db, target_structure in targets:
-        accession_attr = target_structure.primary_accession()
-        if accession_attr is None:
-            continue
-        # The cached frozen value set of the accession column IS the target
-        # index — no per-pair set construction.
-        values = target_db.table(accession_attr.table).value_set(accession_attr.column)
-        indexes[target_structure.source_name] = (values, accession_attr, target_structure)
-    return indexes
-
-
 def _match_attribute(
-    source_db: Database,
-    attr: AttributeRef,
-    target_accessions: Set[str],
-    config: LinkConfig,
+    decoded: List[Tuple[str, List[Tuple[str, bool]]]],
+    target_accessions: FrozenSet[str],
 ) -> Tuple[Dict[str, Tuple[str, bool]], bool]:
     """Distinct source values that resolve to a target accession.
 
@@ -136,10 +95,8 @@ def _match_attribute(
     """
     matches: Dict[str, Tuple[str, bool]] = {}
     encoded_any = False
-    for value in source_db.table(attr.table).distinct_values(attr.column):
-        if not isinstance(value, str):
-            continue
-        for candidate, encoded in decode_candidates(value):
+    for value, candidates in decoded:
+        for candidate, encoded in candidates:
             if candidate in target_accessions:
                 matches[value] = (candidate, encoded)
                 encoded_any = encoded_any or encoded
@@ -148,37 +105,33 @@ def _match_attribute(
 
 
 def _materialize_object_links(
-    source_db: Database,
+    source: "LinkFeatures",
     attr: AttributeRef,
     matches: Dict[str, Tuple[str, bool]],
-    resolver: ObjectResolver,
-    source_name: str,
     target_name: str,
     config: LinkConfig,
 ) -> List[ObjectLink]:
     links: List[ObjectLink] = []
     seen: Set[Tuple[str, str]] = set()
-    table = source_db.table(attr.table)
     # Index-driven: pull only the rows holding a matched value from the
     # ColumnStore's value->row_ids index, in row order (the order the old
     # full scan produced, so first-wins deduplication is unchanged).
-    row_ids_index = table.columns.row_ids(attr.column)
+    row_ids_index = source.database.table(attr.table).columns.row_ids(attr.column)
     matched_rows: List[Tuple[int, str]] = []
     for value in matches:
         for row_id in row_ids_index.get(value, ()):
             matched_rows.append((row_id, value))
     matched_rows.sort()
     for row_id, value in matched_rows:
-        row = table.row_at(row_id)
         accession_b, encoded = matches[value]
-        for owner in resolver.owners_of_row(attr.table, row):
+        for owner in source.owners(attr.table, row_id):
             key = (owner, accession_b)
             if key in seen:
                 continue
             seen.add(key)
             links.append(
                 ObjectLink(
-                    source_a=source_name,
+                    source_a=source.name,
                     accession_a=owner,
                     source_b=target_name,
                     accession_b=accession_b,

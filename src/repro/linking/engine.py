@@ -6,25 +6,37 @@ sequence similarity, text similarity, name recognition, shared vocabulary
 statistics. Channels can be toggled for the pruning/ablation experiments
 (E6).
 
-Pair scans are *pure*: a ``(mode, source, target)`` spec reads only the
-two sources' cached entries and returns a fresh ``LinkSet`` plus its
-comparison count. ``discover_for`` therefore fans specs through an
+Each channel takes the two sources' :class:`~repro.linking.features.LinkFeatures`:
+everything a channel derives from one source alone (attribute
+selections, the object resolver and its owner memo, TF-IDF and BLAST
+indexes, the name dictionary, entity mentions, vocabularies, decoded
+cross-reference candidates, the accession value set) is built on the
+first pair scan that needs it and reused by every later one, so an
+N-source ingestion builds each source's indexes once instead of once
+per pair. A source's features live on its registration entry; every
+``register_source``/``refresh_source``/``restore_source`` installs a
+fresh entry, so nothing needs invalidating.
+
+Pair scans are *pure* with respect to the link web: a ``(mode, source,
+target)`` spec reads only the two sources' entries (filling their
+feature caches) and returns a fresh ``LinkSet`` plus its comparison
+count. ``discover_for`` therefore fans specs through an
 :class:`~repro.exec.pool.Executor` (an inline one unless the caller
 passes its own) and merges the results in a fixed source/channel order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.discovery.model import AttributeRef, SourceStructure
 from repro.exec.pool import Executor
 from repro.linking.crossref import discover_crossref_links
+from repro.linking.features import LinkFeatures
 from repro.linking.model import LinkConfig, LinkSet
 from repro.linking.ner import discover_name_links
 from repro.linking.ontologylinks import discover_ontology_links
-from repro.linking.seqfields import detect_sequence_fields
 from repro.linking.seqlinks import discover_sequence_links
 from repro.linking.stats import (
     AttributeStatistics,
@@ -46,8 +58,8 @@ def _pair_task(engine: "LinkDiscoveryEngine", spec: PairSpec):
     the engine books them in one ordered merge.
     """
     mode, source_name, target_name = spec
-    source = engine._sources[source_name]
-    target = engine._sources[target_name]
+    source = engine.features_for(source_name)
+    target = engine.features_for(target_name)
     if mode == "pair":
         return engine._pair_links(source, target)
     if mode == "directional":
@@ -71,6 +83,7 @@ class _SourceEntry:
     database: Database
     structure: SourceStructure
     statistics: Dict[AttributeRef, AttributeStatistics]
+    features: Optional[LinkFeatures] = None  # built by the first pair scan
 
 
 class LinkDiscoveryEngine:
@@ -214,83 +227,44 @@ class LinkDiscoveryEngine:
             raise KeyError(f"source {source_name!r} is not registered")
         return self.merge_pair_results(self.run_pair_specs(self.pair_specs(source_name)))
 
+    def features_for(self, name: str) -> LinkFeatures:
+        """``name``'s link features, created on the first pair scan that
+        reads them and kept until its entry is replaced or removed."""
+        entry = self._sources[name]
+        if entry.features is None:
+            entry.features = LinkFeatures(
+                entry.database, entry.structure, entry.statistics, self.config
+            )
+        return entry.features
+
     def _pair_links(
-        self, source: _SourceEntry, target: _SourceEntry
+        self, source: LinkFeatures, target: LinkFeatures
     ) -> Tuple[LinkSet, int]:
         """Symmetric channels + source->target directional channels.
 
-        Pure with respect to the engine: returns the links and the number
-        of attribute-pair comparisons instead of bumping shared counters,
-        so the scans can merge deterministically.
+        Pure with respect to the engine's counters: returns the links and
+        the number of attribute-pair comparisons instead of bumping shared
+        counters, so the scans can merge deterministically.
         """
         result, comparisons = self._directional_links(source, target)
         if self.channels.sequence:
-            source_fields = detect_sequence_fields(source.statistics, self.config)
-            target_fields = detect_sequence_fields(target.statistics, self.config)
-            comparisons += len(source_fields) * len(target_fields)
-            result.extend(
-                discover_sequence_links(
-                    source.database,
-                    source.structure,
-                    source_fields,
-                    target.database,
-                    target.structure,
-                    target_fields,
-                    self.config,
-                )
-            )
+            comparisons += len(source.sequence_fields) * len(target.sequence_fields)
+            result.extend(discover_sequence_links(source, target, self.config))
         if self.channels.text:
-            result.extend(
-                discover_text_links(
-                    source.database,
-                    source.structure,
-                    source.statistics,
-                    target.database,
-                    target.structure,
-                    target.statistics,
-                    self.config,
-                )
-            )
+            result.extend(discover_text_links(source, target, self.config))
         if self.channels.ontology:
-            result.extend(
-                discover_ontology_links(
-                    source.database,
-                    source.structure,
-                    source.statistics,
-                    target.database,
-                    target.structure,
-                    target.statistics,
-                    self.config,
-                )
-            )
+            result.extend(discover_ontology_links(source, target, self.config))
         return result, comparisons
 
     def _directional_links(
-        self, source: _SourceEntry, target: _SourceEntry
+        self, source: LinkFeatures, target: LinkFeatures
     ) -> Tuple[LinkSet, int]:
         """Channels where the evidence lives on the source side only."""
         result = LinkSet()
         comparisons = 0
         if self.channels.crossref:
             comparisons += len(source.statistics)
-            result.extend(
-                discover_crossref_links(
-                    source.database,
-                    source.structure,
-                    source.statistics,
-                    [(target.database, target.structure)],
-                    self.config,
-                )
-            )
+            result.extend(discover_crossref_links(source, target, self.config))
         if self.channels.name:
-            result.extend(
-                discover_name_links(
-                    source.database,
-                    source.structure,
-                    source.statistics,
-                    target.database,
-                    target.structure,
-                    self.config,
-                )
-            )
+            result.extend(discover_name_links(source, target, self.config))
         return result, comparisons

@@ -16,14 +16,14 @@ dictionary comes from.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
-from repro.discovery.model import AttributeRef, SourceStructure
+from repro.discovery.model import SourceStructure
 from repro.linking.model import LinkConfig, LinkSet, ObjectLink
-from repro.linking.resolve import ObjectResolver
-from repro.linking.stats import AttributeStatistics
-from repro.linking.textlinks import text_attributes
 from repro.relational.database import Database
+
+if TYPE_CHECKING:
+    from repro.linking.features import LinkFeatures
 
 # Gene-symbol-like shapes: uppercase runs with optional digits (KIN2,
 # BRCA1, TP53), or lowercase-letter + digits (p53).
@@ -44,23 +44,21 @@ def extract_entity_names(text: str, min_length: int = 3) -> List[str]:
     return names
 
 
-def _name_dictionary(
-    target_db: Database, target_structure: SourceStructure
-) -> Dict[str, str]:
-    """name -> accession for unique text fields of the target's primary relation.
+def name_dictionary(database: Database, structure: SourceStructure) -> Dict[str, str]:
+    """name -> accession for unique text fields of a source's primary relation.
 
     Only unique fields qualify ("matched with unique fields of primary
     relations potentially holding the name of objects").
     """
-    primary = target_structure.primary_relation
+    primary = structure.primary_relation
     if primary is None:
         return {}
-    accession_attr = target_structure.primary_accession()
+    accession_attr = structure.primary_accession()
     if accession_attr is None:
         return {}
     dictionary: Dict[str, str] = {}
-    table = target_db.table(primary)
-    for attr in sorted(target_structure.unique_attributes, key=lambda a: a.qualified):
+    table = database.table(primary)
+    for attr in sorted(structure.unique_attributes, key=lambda a: a.qualified):
         if attr.table != primary or attr == accession_attr:
             continue
         if table.schema.column(attr.column).data_type.is_numeric:
@@ -79,40 +77,24 @@ def _name_dictionary(
 
 
 def discover_name_links(
-    source_db: Database,
-    source_structure: SourceStructure,
-    source_stats: Dict[AttributeRef, AttributeStatistics],
-    target_db: Database,
-    target_structure: SourceStructure,
-    config: Optional[LinkConfig] = None,
+    source: "LinkFeatures", target: "LinkFeatures", config: Optional[LinkConfig] = None
 ) -> LinkSet:
     """Links from names recognized in source text to target objects."""
     config = config or LinkConfig()
     result = LinkSet()
-    dictionary = _name_dictionary(target_db, target_structure)
-    if not dictionary:
-        return result
-    try:
-        resolver = ObjectResolver(source_db, source_structure)
-    except ValueError:
+    dictionary = target.name_dictionary
+    if not dictionary or source.resolver is None:
         return result
     seen: Set[tuple] = set()
-    for attr in text_attributes(source_stats, config):
-        table = source_db.table(attr.table)
-        for row in table.rows():
-            text = row.get(attr.column)
-            if not text:
-                continue
-            names = extract_entity_names(str(text), config.name_min_length)
-            if not names:
-                continue
+    for attr in source.text_attributes:
+        for row_id, names in source.mentions(attr):
             owners = None  # resolved lazily: most rows have no dictionary hit
             for name in names:
                 accession_b = dictionary.get(name)
                 if accession_b is None:
                     continue
                 if owners is None:
-                    owners = resolver.owners_of_row(attr.table, row)
+                    owners = source.owners(attr.table, row_id)
                 for owner in owners:
                     key = (owner, accession_b)
                     if key in seen:
@@ -120,9 +102,9 @@ def discover_name_links(
                     seen.add(key)
                     result.object_links.append(
                         ObjectLink(
-                            source_a=source_structure.source_name,
+                            source_a=source.name,
                             accession_a=owner,
-                            source_b=target_structure.source_name,
+                            source_b=target.name,
                             accession_b=accession_b,
                             kind="name",
                             certainty=config.name_certainty,

@@ -14,19 +14,20 @@ counts relative to rows, textual, short.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.discovery.model import AttributeRef, SourceStructure
+from repro.discovery.model import AttributeRef
 from repro.linking.model import AttributeLink, LinkConfig, LinkSet, ObjectLink
-from repro.linking.resolve import ObjectResolver
 from repro.linking.stats import AttributeStatistics
-from repro.relational.database import Database
+
+if TYPE_CHECKING:
+    from repro.linking.features import LinkFeatures
 
 
-def _vocabulary_attributes(
+def vocabulary_attributes(
     stats: Dict[AttributeRef, AttributeStatistics], config: LinkConfig
 ) -> List[AttributeRef]:
+    """Attributes that look like vocabulary: textual, short, varied."""
     out = []
     for attr, stat in sorted(stats.items(), key=lambda kv: kv[0].qualified):
         if stat.non_null_count == 0 or stat.data_type.is_numeric:
@@ -41,137 +42,92 @@ def _vocabulary_attributes(
     return out
 
 
-def _normalize(value: str) -> str:
+def normalize_term(value: str) -> str:
+    """A vocabulary term as compared: lower-cased, whitespace collapsed."""
     return " ".join(value.lower().split())
 
 
 def discover_ontology_links(
-    source_db: Database,
-    source_structure: SourceStructure,
-    source_stats: Dict[AttributeRef, AttributeStatistics],
-    target_db: Database,
-    target_structure: SourceStructure,
-    target_stats: Dict[AttributeRef, AttributeStatistics],
-    config: Optional[LinkConfig] = None,
+    source: "LinkFeatures", target: "LinkFeatures", config: Optional[LinkConfig] = None
 ) -> LinkSet:
     """Shared-vocabulary links between two sources."""
     config = config or LinkConfig()
     result = LinkSet()
-    source_attrs = _vocabulary_attributes(source_stats, config)
-    target_attrs = _vocabulary_attributes(target_stats, config)
-    if not source_attrs or not target_attrs:
+    if not source.vocabulary_attributes or not target.vocabulary_attributes:
         return result
-    try:
-        source_resolver = ObjectResolver(source_db, source_structure)
-        target_resolver = ObjectResolver(target_db, target_structure)
-    except ValueError:
+    if source.resolver is None or target.resolver is None:
         return result
-    for source_attr in source_attrs:
-        source_values = {
-            _normalize(v)
-            for v in source_db.table(source_attr.table).distinct_values(source_attr.column)
-            if isinstance(v, str)
-        }
-        if not source_values:
+    for source_attr in source.vocabulary_attributes:
+        source_terms = source.vocabulary(source_attr)
+        if not source_terms:
             continue
-        for target_attr in target_attrs:
-            target_values = {
-                _normalize(v)
-                for v in target_db.table(target_attr.table).distinct_values(
-                    target_attr.column
-                )
-                if isinstance(v, str)
-            }
-            if not target_values:
+        for target_attr in target.vocabulary_attributes:
+            target_terms = target.vocabulary(target_attr)
+            if not target_terms:
                 continue
-            overlap = source_values & target_values
-            denominator = min(len(source_values), len(target_values))
+            overlap = sorted(source_terms.keys() & target_terms.keys())
+            denominator = min(len(source_terms), len(target_terms))
             score = len(overlap) / denominator if denominator else 0.0
             if score < config.ontology_overlap_threshold:
                 continue
             result.attribute_links.append(
                 AttributeLink(
-                    source=source_structure.source_name,
+                    source=source.name,
                     source_attribute=source_attr,
-                    target=target_structure.source_name,
+                    target=target.name,
                     target_attribute=target_attr,
                     score=round(score, 4),
                     kind="ontology",
                 )
             )
             result.object_links.extend(
-                _materialize(
-                    source_db,
-                    source_attr,
-                    source_resolver,
-                    source_structure.source_name,
-                    target_db,
-                    target_attr,
-                    target_resolver,
-                    target_structure.source_name,
-                    overlap,
-                    config,
-                )
+                _materialize(source, source_attr, target, target_attr, overlap, config)
             )
     return result
 
 
 def _materialize(
-    source_db,
-    source_attr,
-    source_resolver,
-    source_name,
-    target_db,
-    target_attr,
-    target_resolver,
-    target_name,
-    shared_values: Set[str],
+    source: "LinkFeatures",
+    source_attr: AttributeRef,
+    target: "LinkFeatures",
+    target_attr: AttributeRef,
+    shared_terms: List[str],
     config: LinkConfig,
 ) -> List[ObjectLink]:
-    # Index-driven on both sides: only rows holding a shared term are
-    # touched, located through the ColumnStore's value->row_ids index.
-    by_value: Dict[str, List[str]] = defaultdict(list)
-    target_table = target_db.table(target_attr.table)
-    target_index = target_table.columns.row_ids(target_attr.column)
-    target_hits: List[Tuple[int, str]] = []
-    for raw in target_table.distinct_values(target_attr.column):
-        if isinstance(raw, str) and _normalize(raw) in shared_values:
-            for row_id in target_index.get(raw, ()):
-                target_hits.append((row_id, raw))
-    target_hits.sort()  # row order, as the old full scan produced
-    for row_id, raw in target_hits:
-        row = target_table.row_at(row_id)
-        for owner in target_resolver.owners_of_row(target_attr.table, row):
-            by_value[_normalize(raw)].append(owner)
+    # Only rows holding a shared term are touched. A term's target owners
+    # are listed in row order, as a full scan would list them.
+    target_terms = target.vocabulary(target_attr)
+    by_term: Dict[str, List[str]] = {}
+    for term in shared_terms:
+        owners = [
+            owner
+            for row_id in target_terms[term]
+            for owner in target.owners(target_attr.table, row_id)
+        ]
+        if owners:
+            by_term[term] = owners
+    source_terms = source.vocabulary(source_attr)
+    source_hits = sorted(
+        (row_id, term) for term in by_term for row_id in source_terms[term]
+    )
     links: List[ObjectLink] = []
     seen: Set[Tuple[str, str]] = set()
-    source_table = source_db.table(source_attr.table)
-    source_index = source_table.columns.row_ids(source_attr.column)
-    source_hits: List[Tuple[int, str]] = []
-    for raw in source_table.distinct_values(source_attr.column):
-        if isinstance(raw, str) and _normalize(raw) in by_value:
-            for row_id in source_index.get(raw, ()):
-                source_hits.append((row_id, raw))
-    source_hits.sort()
-    for row_id, value in source_hits:
-        row = source_table.row_at(row_id)
-        normalized = _normalize(value)
-        owners = source_resolver.owners_of_row(source_attr.table, row)
-        for owner_a in owners:
-            for owner_b in by_value[normalized]:
+    for row_id, term in source_hits:
+        for owner_a in source.owners(source_attr.table, row_id):
+            for owner_b in by_term[term]:
                 key = (owner_a, owner_b)
                 if key in seen:
                     continue
                 seen.add(key)
                 links.append(
                     ObjectLink(
-                        source_a=source_name,
+                        source_a=source.name,
                         accession_a=owner_a,
-                        source_b=target_name,
+                        source_b=target.name,
                         accession_b=owner_b,
                         kind="ontology",
                         certainty=config.ontology_certainty,
-                        evidence=f"shared term {normalized!r}",
+                        evidence=f"shared term {term!r}",
                     )
                 )
     return links

@@ -2,9 +2,10 @@
 
 "First, the values of attributes containing DNA, RNA, or protein
 sequences are compared to each other" (Section 4.4). For each pair of
-compatible sequence fields the target side is indexed once
-(:class:`~repro.linking.blast.BlastIndex`) and every source sequence is
-searched against it; hits become object-level links between the owning
+compatible sequence fields the target side's index
+(:class:`~repro.linking.blast.BlastIndex`, built once per source by its
+:class:`~repro.linking.features.LinkFeatures`) is searched with every
+sampled source sequence; hits become object-level links between the owning
 primary objects, with certainty scaled by identity.
 
 ``LinkConfig.max_sequence_rows`` caps the number of sequences considered
@@ -14,125 +15,59 @@ used") for keeping incremental addition affordable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
-from repro.discovery.model import AttributeRef, SourceStructure
-from repro.linking.blast import BlastIndex
-from repro.linking.matrices import dna_score, protein_score
 from repro.linking.model import LinkConfig, LinkSet, ObjectLink
-from repro.linking.resolve import ObjectResolver
-from repro.linking.seqfields import SequenceField
-from repro.relational.database import Database
+
+if TYPE_CHECKING:
+    from repro.linking.features import LinkFeatures
 
 
 def discover_sequence_links(
-    source_db: Database,
-    source_structure: SourceStructure,
-    source_fields: List[SequenceField],
-    target_db: Database,
-    target_structure: SourceStructure,
-    target_fields: List[SequenceField],
-    config: Optional[LinkConfig] = None,
+    source: "LinkFeatures", target: "LinkFeatures", config: Optional[LinkConfig] = None
 ) -> LinkSet:
     """Homology links from every source field to every compatible target field."""
     config = config or LinkConfig()
     result = LinkSet()
-    if not source_fields or not target_fields:
+    if not source.sequence_fields or not target.sequence_fields:
         return result
-    try:
-        source_resolver = ObjectResolver(source_db, source_structure)
-        target_resolver = ObjectResolver(target_db, target_structure)
-    except ValueError:
+    if source.resolver is None or target.resolver is None:
         return result
-    for source_field in source_fields:
-        for target_field in target_fields:
+    for source_field in source.sequence_fields:
+        for target_field in target.sequence_fields:
             if source_field.alphabet != target_field.alphabet:
                 continue
-            result.extend(
-                _compare_fields(
-                    source_db,
-                    source_field,
-                    source_resolver,
-                    source_structure.source_name,
-                    target_db,
-                    target_field,
-                    target_resolver,
-                    target_structure.source_name,
-                    config,
+            index, owner_lookup = target.blast_index(target_field)
+            seen = set()
+            for sequence, source_owners in source.sampled_sequences(source_field):
+                hits = index.search(
+                    sequence,
+                    min_seed_hits=config.blast_min_seed_hits,
+                    min_identity=config.blast_min_identity,
                 )
-            )
+                for hit in hits:
+                    for owner_a in source_owners:
+                        for owner_b in owner_lookup.get(hit.target_id, ()):
+                            key = (owner_a, owner_b)
+                            if key in seen:
+                                continue
+                            seen.add(key)
+                            certainty = (
+                                min(1.0, max(0.05, hit.identity)) * config.sequence_certainty
+                            )
+                            result.object_links.append(
+                                ObjectLink(
+                                    source_a=source.name,
+                                    accession_a=owner_a,
+                                    source_b=target.name,
+                                    accession_b=owner_b,
+                                    kind="sequence",
+                                    certainty=round(certainty, 4),
+                                    evidence=(
+                                        f"{source_field.attribute.qualified}~"
+                                        f"{target_field.attribute.qualified}"
+                                        f" identity={hit.identity:.2f}"
+                                    ),
+                                )
+                            )
     return result
-
-
-def _compare_fields(
-    source_db: Database,
-    source_field: SequenceField,
-    source_resolver: ObjectResolver,
-    source_name: str,
-    target_db: Database,
-    target_field: SequenceField,
-    target_resolver: ObjectResolver,
-    target_name: str,
-    config: LinkConfig,
-) -> LinkSet:
-    score = dna_score if source_field.alphabet == "dna" else protein_score
-    index = BlastIndex(k=config.blast_k, score=score)
-    target_owners: List[Tuple[int, List[str]]] = []
-    target_table = target_db.table(target_field.attribute.table)
-    for row in _sample_rows(target_table, config.max_sequence_rows):
-        sequence = row.get(target_field.attribute.column)
-        if not sequence:
-            continue
-        owners = target_resolver.owners_of_row(target_field.attribute.table, row)
-        if not owners:
-            continue
-        target_id = index.add(sequence)
-        target_owners.append((target_id, owners))
-    owner_lookup = dict(target_owners)
-    result = LinkSet()
-    seen = set()
-    source_table = source_db.table(source_field.attribute.table)
-    for row in _sample_rows(source_table, config.max_sequence_rows):
-        sequence = row.get(source_field.attribute.column)
-        if not sequence:
-            continue
-        source_owners = source_resolver.owners_of_row(source_field.attribute.table, row)
-        if not source_owners:
-            continue
-        hits = index.search(
-            sequence,
-            min_seed_hits=config.blast_min_seed_hits,
-            min_identity=config.blast_min_identity,
-        )
-        for hit in hits:
-            for owner_a in source_owners:
-                for owner_b in owner_lookup.get(hit.target_id, ()):
-                    key = (owner_a, owner_b)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    certainty = min(1.0, max(0.05, hit.identity)) * config.sequence_certainty
-                    result.object_links.append(
-                        ObjectLink(
-                            source_a=source_name,
-                            accession_a=owner_a,
-                            source_b=target_name,
-                            accession_b=owner_b,
-                            kind="sequence",
-                            certainty=round(certainty, 4),
-                            evidence=(
-                                f"{source_field.attribute.qualified}~"
-                                f"{target_field.attribute.qualified}"
-                                f" identity={hit.identity:.2f}"
-                            ),
-                        )
-                    )
-    return result
-
-
-def _sample_rows(table, limit: int):
-    """First ``limit`` rows — deterministic sampling guard."""
-    for i, row in enumerate(table.rows()):
-        if i >= limit:
-            break
-        yield row

@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.discovery.model import AttributeRef, SourceStructure
+from repro.discovery.model import AttributeRef
 from repro.linking.model import LinkConfig, LinkSet, ObjectLink
-from repro.linking.resolve import ObjectResolver
 from repro.linking.stats import AttributeStatistics
-from repro.relational.database import Database
+
+if TYPE_CHECKING:
+    from repro.linking.features import LinkFeatures
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 
@@ -44,14 +45,18 @@ class TfIdfIndex:
         self._documents: List[Counter] = []
         self._doc_freq: Counter = Counter()
         self._norms: List[float] = []
+        self._idfs: Dict[str, float] = {}  # fixed by finalize
         self._finalized = False
         self._postings: Dict[str, List[int]] = defaultdict(list)
 
     def add(self, text: str) -> int:
+        return self.add_counts(Counter(tokenize(text)))
+
+    def add_counts(self, counts: Counter) -> int:
+        """Index one document given as its token counts."""
         if self._finalized:
             raise RuntimeError("index already finalized")
         doc_id = len(self._documents)
-        counts = Counter(tokenize(text))
         self._documents.append(counts)
         for token in counts:
             self._doc_freq[token] += 1
@@ -61,35 +66,42 @@ class TfIdfIndex:
     def __len__(self) -> int:
         return len(self._documents)
 
-    def _idf(self, token: str) -> float:
-        df = self._doc_freq.get(token, 0)
-        if df == 0:
-            return 0.0
-        return math.log((1 + len(self._documents)) / (1 + df)) + 1.0
-
     def finalize(self) -> None:
+        """Fix every token's idf and every document's norm; no more adds."""
+        n = len(self._documents)
+        self._idfs = {
+            token: math.log((1 + n) / (1 + df)) + 1.0 for token, df in self._doc_freq.items()
+        }
+        idfs = self._idfs
         self._norms = []
         for counts in self._documents:
-            norm_sq = sum((count * self._idf(token)) ** 2 for token, count in counts.items())
+            norm_sq = sum((count * idfs[token]) ** 2 for token, count in counts.items())
             self._norms.append(math.sqrt(norm_sq) or 1.0)
         self._finalized = True
 
     def search(self, text: str, top_k: int = 3, threshold: float = 0.0) -> List[Tuple[int, float]]:
         """(doc_id, cosine) pairs, best first."""
+        return self.search_counts(Counter(tokenize(text)), top_k, threshold)
+
+    def search_counts(
+        self, counts: Counter, top_k: int = 3, threshold: float = 0.0
+    ) -> List[Tuple[int, float]]:
+        """:meth:`search` for a query given as its token counts."""
         if not self._finalized:
             self.finalize()
-        counts = Counter(tokenize(text))
         if not counts:
             return []
-        query_weights = {t: c * self._idf(t) for t, c in counts.items()}
+        idfs = self._idfs
+        query_weights = {t: c * idfs.get(t, 0.0) for t, c in counts.items()}
         query_norm = math.sqrt(sum(w * w for w in query_weights.values())) or 1.0
         scores: Dict[int, float] = defaultdict(float)
+        documents = self._documents
         for token, weight in query_weights.items():
             if weight == 0.0:
                 continue
-            idf = self._idf(token)
-            for doc_id in self._postings.get(token, ()):
-                scores[doc_id] += weight * self._documents[doc_id][token] * idf
+            idf = idfs[token]
+            for doc_id in self._postings[token]:
+                scores[doc_id] += weight * documents[doc_id][token] * idf
         results = [
             (doc_id, dot / (query_norm * self._norms[doc_id]))
             for doc_id, dot in scores.items()
@@ -122,54 +134,25 @@ def text_attributes(
 
 
 def discover_text_links(
-    source_db: Database,
-    source_structure: SourceStructure,
-    source_stats: Dict[AttributeRef, AttributeStatistics],
-    target_db: Database,
-    target_structure: SourceStructure,
-    target_stats: Dict[AttributeRef, AttributeStatistics],
-    config: Optional[LinkConfig] = None,
+    source: "LinkFeatures", target: "LinkFeatures", config: Optional[LinkConfig] = None
 ) -> LinkSet:
     """TF-IDF cosine links between long-text attributes of two sources."""
     config = config or LinkConfig()
     result = LinkSet()
-    source_attrs = text_attributes(source_stats, config)
-    target_attrs = text_attributes(target_stats, config)
-    if not source_attrs or not target_attrs:
+    if not source.text_attributes or not target.text_attributes:
         return result
-    try:
-        source_resolver = ObjectResolver(source_db, source_structure)
-        target_resolver = ObjectResolver(target_db, target_structure)
-    except ValueError:
+    if source.resolver is None or target.resolver is None:
         return result
-    for target_attr in target_attrs:
-        index = TfIdfIndex()
-        doc_owners: List[List[str]] = []
-        target_table = target_db.table(target_attr.table)
-        for row in target_table.rows():
-            text = row.get(target_attr.column)
-            if not text:
-                continue
-            owners = target_resolver.owners_of_row(target_attr.table, row)
-            if not owners:
-                continue
-            index.add(str(text))
-            doc_owners.append(owners)
-        if len(index) == 0:
+    for target_attr in target.text_attributes:
+        built = target.text_index(target_attr)
+        if built is None:
             continue
-        index.finalize()
-        for source_attr in source_attrs:
+        index, doc_owners = built
+        for source_attr in source.text_attributes:
             seen = set()
-            source_table = source_db.table(source_attr.table)
-            for row in source_table.rows():
-                text = row.get(source_attr.column)
-                if not text:
-                    continue
-                source_owners = source_resolver.owners_of_row(source_attr.table, row)
-                if not source_owners:
-                    continue
-                for doc_id, cosine in index.search(
-                    str(text),
+            for source_owners, counts in source.text_rows(source_attr):
+                for doc_id, cosine in index.search_counts(
+                    counts,
                     top_k=config.text_top_k,
                     threshold=config.text_similarity_threshold,
                 ):
@@ -181,9 +164,9 @@ def discover_text_links(
                             seen.add(key)
                             result.object_links.append(
                                 ObjectLink(
-                                    source_a=source_structure.source_name,
+                                    source_a=source.name,
                                     accession_a=owner_a,
-                                    source_b=target_structure.source_name,
+                                    source_b=target.name,
                                     accession_b=owner_b,
                                     kind="text",
                                     certainty=round(

@@ -330,6 +330,24 @@ class TestDeterminism:
         )
         assert rules(report) == ["unordered-iteration"]
 
+    @pytest.mark.parametrize("package", ["discovery", "metadata", "access"])
+    def test_set_iteration_on_a_persisted_path_is_flagged(self, tmp_path, package):
+        # Discovered structures, the link web and postings are written to
+        # snapshots, so these packages' iteration order is pinned too.
+        report = check(
+            tmp_path,
+            f"{package}/mod.py",
+            """
+            def tables_of(relationships):
+                out = []
+                for table in {rel.source.table for rel in relationships}:
+                    out.append(table)
+                return out
+            """,
+            [DeterminismChecker()],
+        )
+        assert rules(report) == ["unordered-iteration"]
+
     def test_out_of_scope_package_is_ignored(self, tmp_path):
         report = check(
             tmp_path,

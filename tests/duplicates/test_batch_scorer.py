@@ -59,3 +59,50 @@ class TestExactEquivalence:
         assert scorer(a, b) == first
         assert scorer.exact_scores == computed  # second pass fully cached
         assert scorer.cache_hits > 0
+
+
+class TestRepeatedLongValues:
+    """A long value repeated in a record is one value pair: one
+    Levenshtein run answers every occurrence, on every scoring path."""
+
+    ANCHOR = "mitochondrial serine kinase with a long description value"
+    # Same length as the anchor, one substitution: the length-difference
+    # bound is strictly above the real score, so a second deferred copy
+    # would survive the resolve loop's bound test and run again.
+    REPEATED = "mitochondrial serine kinase with a long description valuz"
+    OTHER = "predicted membrane transport protein of unknown function"
+
+    @pytest.fixture
+    def levenshtein_calls(self, monkeypatch):
+        import repro.duplicates.batch as batch
+
+        calls = []
+        real = batch.levenshtein_similarity
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(batch, "levenshtein_similarity", counting)
+        return calls
+
+    @pytest.mark.parametrize("floor", [None, 0.0, 0.5])
+    def test_one_levenshtein_per_distinct_pair(self, levenshtein_calls, floor):
+        a = view(self.ANCHOR)
+        b = view(self.REPEATED, self.OTHER, self.REPEATED)
+        scorer = BoundedRecordScorer()
+        score = scorer(a, b, floor=floor)
+        assert score.hex() == record_similarity(a, b).hex()
+        assert (self.ANCHOR.lower(), self.REPEATED.lower()) in levenshtein_calls
+        assert len(levenshtein_calls) == len(set(levenshtein_calls))
+        # Every candidate occurrence is scored, pruned or answered without
+        # a computation (a cache hit), exactly once.
+        assert scorer.exact_scores + scorer.pruned + scorer.cache_hits == 3
+
+    @pytest.mark.parametrize("floor", [None, 0.0, 0.9])
+    def test_repeats_on_both_sides_stay_exact(self, levenshtein_calls, floor):
+        a = view(self.ANCHOR, self.ANCHOR, self.OTHER)
+        b = view(self.REPEATED, self.OTHER, self.REPEATED, self.ANCHOR)
+        score = BoundedRecordScorer()(a, b, floor=floor)
+        assert score.hex() == record_similarity(a, b).hex()
+        assert len(levenshtein_calls) == len(set(levenshtein_calls))
