@@ -9,7 +9,7 @@ here; secondary-path discovery walks it ignoring direction.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.discovery.model import PathStep, Relationship
 
@@ -64,27 +64,24 @@ class RelationshipGraph:
         return steps
 
     def paths_from(
-        self,
-        start: str,
-        max_length: int,
-        max_paths: int,
-        goals: Optional[Iterable[str]] = None,
+        self, start: str, max_length: int, max_paths: int
     ) -> Dict[str, List[Tuple[PathStep, ...]]]:
-        """The first ``max_paths`` simple paths from ``start`` to each goal.
+        """The first ``max_paths`` simple paths from ``start`` to every
+        other table.
 
         One breadth-first walk over the simple paths leaving ``start``, up
         to ``max_length`` hops: shortest paths first, and among paths of
         one length the order the hops are generated in (Section 4.3: "If
         multiple paths exist, all are stored" — bounded here to keep
-        worst-case metadata small). ``goals`` defaults to every other
-        table; the walk stops once every goal holds ``max_paths`` paths.
-        A simple path ending at a goal never passed through it, so each
-        goal gets exactly what a walk searching for it alone would find.
+        worst-case metadata small). The walk stops once every table holds
+        ``max_paths`` paths. A simple path ending at a table never passed
+        through it, so each table gets exactly what a walk searching for
+        it alone would find.
         """
-        if goals is None:
-            goals = [table for table in self.tables if table != start]
-        found: Dict[str, List[Tuple[PathStep, ...]]] = {goal: [] for goal in goals}
-        open_goals = sum(1 for goal in found if goal != start)
+        found: Dict[str, List[Tuple[PathStep, ...]]] = {
+            table: [] for table in self.tables if table != start
+        }
+        open_goals = len(found)
         frontier: List[Tuple[str, Tuple[PathStep, ...], FrozenSet[str]]] = [
             (start, (), frozenset((start,)))
         ]
@@ -98,8 +95,8 @@ class RelationshipGraph:
                     if nxt in visited:
                         continue
                     new_path = path + (step,)
-                    paths = found.get(nxt)
-                    if paths is not None and len(paths) < max_paths:
+                    paths = found[nxt]
+                    if len(paths) < max_paths:
                         paths.append(new_path)
                         if len(paths) == max_paths:
                             open_goals -= 1
@@ -116,7 +113,7 @@ class RelationshipGraph:
         one-goal view of :meth:`paths_from`."""
         if start == goal:
             return [()]
-        return self.paths_from(start, max_length, max_paths, goals=(goal,))[goal]
+        return self.paths_from(start, max_length, max_paths).get(goal, [])
 
     def reachable_from(self, start: str) -> Set[str]:
         seen = {start}

@@ -148,6 +148,16 @@ class BoundedRecordScorer:
             "cache_entries": len(self.cache),
         }
 
+    def _cached(self, key: Tuple[str, str]) -> Optional[float]:
+        """The cached score of ``key``, or None; a hit is counted and
+        refreshes the entry's LRU recency."""
+        score = self.cache.get(key)
+        if score is not None:
+            self.cache_hits += 1
+            if self.max_entries:
+                self.cache.move_to_end(key)  # refresh LRU recency
+        return score
+
     def _cache_store(self, key: Tuple[str, str], score: float) -> None:
         cache = self.cache
         cache[key] = score
@@ -228,7 +238,6 @@ class BoundedRecordScorer:
         pair is deferred with its cosine/length-difference bound, the
         largest of which is ``top``.
         """
-        cache = self.cache
         if counts is None:
             counts = {}
         vlen = len(value)
@@ -240,14 +249,11 @@ class BoundedRecordScorer:
         value_counts: Optional[TokenCounts] = None  # built on first long pair
         best = top = -1.0
         deferred: List[_Deferred] = []
-        bounded = self.max_entries
+        cached = self._cached
         for other in candidates:
             key = (value, other) if value <= other else (other, value)
-            hit = cache.get(key)
+            hit = cached(key)
             if hit is not None:
-                self.cache_hits += 1
-                if bounded:
-                    cache.move_to_end(key)  # refresh LRU recency
                 if hit > best:
                     best = hit
                 continue
@@ -288,7 +294,6 @@ class BoundedRecordScorer:
         once (within one scan, or in the scans of two equal values of the
         smaller record), and one Levenshtein run answers them all.
         """
-        cache = self.cache
         if top > best:
             # Best bound first: as soon as a bound cannot beat the
             # running best, neither can anything after it.
@@ -297,12 +302,8 @@ class BoundedRecordScorer:
             if bound <= best:
                 self.pruned += len(deferred) - position
                 break
-            score = cache.get(key)
-            if score is not None:
-                self.cache_hits += 1
-                if self.max_entries:
-                    cache.move_to_end(key)  # refresh LRU recency
-            else:
+            score = self._cached(key)
+            if score is None:
                 score = 0.5 * cosine + 0.5 * levenshtein_similarity(
                     value_lower, other_lower
                 )
