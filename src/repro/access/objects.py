@@ -33,19 +33,6 @@ class ObjectPage:
     def identity(self) -> Tuple[str, str]:
         return (self.source, self.accession)
 
-    def text_content(self) -> str:
-        """All textual content of the page — what the search engine indexes."""
-        chunks: List[str] = [self.accession]
-        for value in self.fields.values():
-            if isinstance(value, str):
-                chunks.append(value)
-        for rows in self.annotations.values():
-            for row in rows:
-                for value in row.values():
-                    if isinstance(value, str):
-                        chunks.append(value)
-        return " ".join(chunks)
-
 
 class ObjectWeb:
     """Materialized view of all integrated objects and their links."""

@@ -97,10 +97,6 @@ class Importer:
     def import_text(self, text: str) -> ImportResult:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def import_file(self, path) -> ImportResult:
-        with open(path, encoding="utf-8") as fh:
-            return self.import_text(fh.read())
-
 
 class ImporterRegistry:
     """Maps format names to importer factories.

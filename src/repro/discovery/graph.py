@@ -9,7 +9,7 @@ here; secondary-path discovery walks it ignoring direction.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.discovery.model import PathStep, Relationship
 
@@ -39,9 +39,6 @@ class RelationshipGraph:
     def in_degree(self, table: str) -> int:
         """Number of incoming FK edges (self-loops excluded)."""
         return sum(1 for rel in self._in[table] if rel.source.table != table)
-
-    def out_degree(self, table: str) -> int:
-        return sum(1 for rel in self._out[table] if rel.target.table != table)
 
     def in_degrees(self) -> Dict[str, int]:
         return {table: self.in_degree(table) for table in self.tables}
@@ -114,15 +111,3 @@ class RelationshipGraph:
         if start == goal:
             return [()]
         return self.paths_from(start, max_length, max_paths).get(goal, [])
-
-    def reachable_from(self, start: str) -> Set[str]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            table = stack.pop()
-            for step in self.neighbors(table):
-                nxt = step.to_table
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen

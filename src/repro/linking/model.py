@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.discovery.model import AttributeRef
 
@@ -104,22 +104,6 @@ class LinkSet:
     def extend(self, other: "LinkSet") -> None:
         self.attribute_links.extend(other.attribute_links)
         self.object_links.extend(other.object_links)
-
-    def object_pairs(self, kind: Optional[str] = None) -> Set[Tuple[str, str, str, str]]:
-        out = set()
-        for link in self.object_links:
-            if kind is not None and link.kind != kind:
-                continue
-            normalized = link.normalized()
-            out.add(
-                (
-                    normalized.source_a,
-                    normalized.accession_a,
-                    normalized.source_b,
-                    normalized.accession_b,
-                )
-            )
-        return out
 
     def by_kind(self, kind: str) -> List[ObjectLink]:
         return [l for l in self.object_links if l.kind == kind]

@@ -82,8 +82,5 @@ class Catalog:
                 )
         return fks
 
-    def declared_primary_key(self, table: str) -> Optional[Tuple[str, ...]]:
-        return self._db.table(table).schema.primary_key
-
     def row_count(self, table: str) -> int:
         return len(self._db.table(table))

@@ -41,9 +41,6 @@ class ResultSet:
     def first(self) -> Optional[Dict[str, Any]]:
         return self.rows[0] if self.rows else None
 
-    def as_tuples(self) -> List[Tuple[Any, ...]]:
-        return [tuple(row[c] for c in self.columns) for row in self.rows]
-
 
 @dataclass(frozen=True)
 class _Join:

@@ -133,10 +133,6 @@ class TableSchema:
                 return column
         raise SchemaError(f"table {self.name!r} has no column {name!r}")
 
-    def has_column(self, name: str) -> bool:
-        lowered = name.lower()
-        return any(c.name == lowered for c in self.columns)
-
     def column_index(self, name: str) -> int:
         lowered = name.lower()
         for i, column in enumerate(self.columns):

@@ -69,10 +69,6 @@ class SelectPlan:
     limit: Optional[int]
     distinct: bool
 
-    @property
-    def single_table(self) -> bool:
-        return not self.joins
-
 
 _TOKEN_RE = re.compile(
     r"""

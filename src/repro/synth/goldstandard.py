@@ -9,7 +9,7 @@ derived" — except that, being synthetic, the truth here is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set
 
 
 @dataclass(frozen=True)
@@ -131,13 +131,3 @@ class GoldStandard:
                     if acc_b is not None:
                         pairs.add(LinkFact(name_a, acc_a, name_b, acc_b, "duplicate"))
         return pairs
-
-    def shared_entity_sources(self) -> List[Tuple[str, str]]:
-        """Source pairs that describe the same entity class (duplicate candidates)."""
-        names = sorted(self.sources)
-        out = []
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                if self.sources[a].entity_class == self.sources[b].entity_class:
-                    out.append((a, b))
-        return out

@@ -147,12 +147,6 @@ class Universe:
     def protein_by_uid(self, uid: int) -> ProteinEntity:
         return self.proteins[uid]
 
-    def go_by_uid(self, uid: int) -> GoTermEntity:
-        return self.go_terms[uid]
-
-    def disease_by_uid(self, uid: int) -> DiseaseEntity:
-        return self.diseases[uid]
-
     def family_members(self, family: int) -> List[ProteinEntity]:
         return [p for p in self.proteins if p.family == family]
 

@@ -1,10 +1,12 @@
 """Tests for the command-line front-end."""
 
 import io
+import json
 
 import pytest
 
 from repro.cli import run
+from repro.core import Aladin
 from repro.synth import ScenarioConfig, UniverseConfig, build_scenario
 
 
@@ -244,3 +246,66 @@ class TestCliPersistence:
         out = io.StringIO()
         assert run(["compact", str(tmp_path / "none.snapshot")], out=out) == 2
         assert "error:" in out.getvalue()
+
+    def test_stats_search_decodes_no_source(self, source_files, tmp_path):
+        _, sp_path, pdb_path = source_files
+        snapshot = tmp_path / "stats.snapshot"
+        assert run(
+            [
+                "save", str(snapshot),
+                f"swissprot=flatfile:{sp_path}", f"pdb=pdb:{pdb_path}",
+            ],
+            out=io.StringIO(),
+        ) == 0
+        # `save` stores no search index; a writer session's search builds
+        # one and checkpoints it, so later read-only searches page it in.
+        assert run(
+            ["open", str(snapshot), "--eager", "--search", "kinase"],
+            out=io.StringIO(),
+        ) == 0
+        out = io.StringIO()
+        assert run(["stats", str(snapshot), "--search", "kinase"], out=out) == 0
+        assert "0/2 sources decoded (none)" in out.getvalue()
+
+
+class TestCliTelemetryExport:
+    def test_export_round_trip(self, source_files, tmp_path, monkeypatch):
+        """``REPRO_OBS_EXPORT`` collects the write lifecycle of a save and a
+        later maintenance session; ``metrics --export`` the read session."""
+        _, sp_path, pdb_path = source_files
+        snapshot = tmp_path / "obs.snapshot"
+        export = tmp_path / "obs.jsonl"
+        read_export = tmp_path / "obs_read.jsonl"
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        monkeypatch.setenv("REPRO_OBS_EXPORT", str(export))
+        assert run(
+            [
+                "save", str(snapshot),
+                f"swissprot=flatfile:{sp_path}", f"pdb=pdb:{pdb_path}",
+            ],
+            out=io.StringIO(),
+        ) == 0
+        # A maintenance call against the attached store emits the
+        # checkpoint.committed leg of the lifecycle into the export.
+        aladin = Aladin.open(snapshot)
+        try:
+            aladin.update_source("swissprot", sp_path.read_text(encoding="utf-8"))
+        finally:
+            aladin.close()
+        monkeypatch.delenv("REPRO_OBS_EXPORT")
+        assert run(
+            [
+                "metrics", str(snapshot), "--search", "kinase",
+                "--events", "--export", str(read_export),
+            ],
+            out=io.StringIO(),
+        ) == 0
+
+        lines = [json.loads(line) for line in export.read_text().splitlines()]
+        kinds = [line["kind"] for line in lines if line["type"] == "event"]
+        assert "source.added" in kinds, kinds
+        assert "checkpoint.committed" in kinds, kinds
+        assert "source.updated" in kinds, kinds
+        assert lines[-1]["type"] == "metrics", lines[-1]
+        read = [json.loads(line) for line in read_export.read_text().splitlines()]
+        assert any(line["type"] == "event" for line in read), read
