@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.linking.model import ObjectLink
 from repro.metadata.repository import MetadataRepository
@@ -111,11 +111,3 @@ class PathRanker:
         direct_kinds = {path.kinds[0] for path in paths if path.length == 1}
         consistency = 1.0 + max(0, len(direct_kinds) - 1) * 0.5
         return round(base * consistency, 6)
-
-    def rank_targets(
-        self, origin: Identity, candidates: Sequence[Identity]
-    ) -> List[Tuple[Identity, float]]:
-        """Candidates ordered by evidence score (descending, stable)."""
-        scored = [(candidate, self.score(origin, candidate)) for candidate in candidates]
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored

@@ -16,7 +16,6 @@ run) are reported so the baseline shrinks instead of fossilizing.
 from __future__ import annotations
 
 import json
-import os
 from typing import Any, Dict, List, Sequence, Tuple
 
 BASELINE_VERSION = 1
@@ -66,12 +65,6 @@ class Baseline:
                 "justification": entry["justification"],
             }
         return cls(entries)
-
-    @classmethod
-    def load_or_empty(cls, path: str) -> "Baseline":
-        if path and os.path.exists(path):
-            return cls.load(path)
-        return cls()
 
     def save(self, path: str) -> None:
         entries = [

@@ -13,11 +13,11 @@ without changing a single result:
   keyed on the sorted value pair (every measure used is symmetric) and
   shared across all pairs of every chunk of the session.
 * **Best-match bound.** ``record_similarity`` needs, per value, only the
-  *maximum* similarity against the other record's values. For the
-  expensive long-value path (token cosine blended with Levenshtein) the
-  cosine half plus the length-difference Levenshtein bound
-  (``distance >= |len(a) - len(b)|``) yields a cheap upper bound; sorted
-  best-bound-first, candidates are only scored exactly while their bound
+  *maximum* similarity against the other record's values. For a long
+  pair (token cosine blended with Levenshtein) the cosine half plus the
+  length-difference Levenshtein bound (``distance >= |len(a) - len(b)|``)
+  yields a cheap upper bound, and for a short pair (Jaro-Winkler) the
+  character-count bound below; sorted best-bound-first, candidates are only scored exactly while their bound
   exceeds the best exact score so far. A skipped candidate's similarity
   is provably <= the running best, so the maximum — and therefore every
   emitted link — is byte-identical to the unbounded scorer.
@@ -30,20 +30,27 @@ without changing a single result:
   and the detector drops the pair unscored.
 
   - *Scan.* Each value gets the cheap pass of its best match: cache
-    hits and short pairs are exact, and each long pair is deferred with
-    its best-match bound. The value's slot in the record bound is the
-    larger of its exact best and its top deferred bound; values not yet
-    scanned hold ``_CEILING``. No Levenshtein runs in this phase, so a
-    pair cut here costs none.
+    hits are exact, and every other pair is deferred with an upper
+    bound on its score — a long pair with its cosine/length-difference
+    bound, a short pair with its Jaro-Winkler bound (below). The value's
+    slot in the record bound is the larger of its exact best and its top
+    deferred bound; values not yet scanned hold ``_CEILING``. Neither
+    Levenshtein nor Jaro-Winkler runs in this phase, so a pair cut here
+    costs neither.
   - *Resolve.* A pair that survives the scan resolves each value's
-    deferred pairs with the pruned Levenshtein loop above, turning its
-    slot into its exact best match.
+    deferred pairs best bound first, Levenshtein for a long pair and
+    Jaro-Winkler for a short one, skipping every pair whose bound cannot
+    beat the running best; the slot becomes the value's exact best match.
 
   A pair that reaches the floor is scored in full and summed in the
   original value order, so every emitted score is byte-identical to the
-  unbounded scorer. Called without a floor, each value is scanned and
-  resolved at once: the best match is ``resolve(scan(...))`` on every
-  path.
+  unbounded scorer. Called without a floor, the same two phases run and
+  no pair is cut.
+
+Every value's lowercased text, token counts and (short values only)
+lowercased character counts are read from its record view's
+:meth:`~repro.duplicates.record.RecordView.prepared` features, built
+once per view; the scan computes none of them.
 
 Exactness over the float domain: the best-match bound and the real score
 share the subexpression ``0.5*cos + 0.5*(1 - x/max_len)`` with ``x`` only
@@ -60,7 +67,7 @@ the same argument:
   the exact score it stands for, and an unscanned slot is ``_CEILING``;
 * IEEE ``+``, ``*`` and ``/`` are monotone, so that bound is at least
   the computed score, for floats and not only for real numbers;
-* ``_CEILING`` is at least anything ``_best_match`` returns, so ``1.0``
+* ``_CEILING`` is at least any value's resolved best match, so ``1.0``
   will not do. Jaro-Winkler never exceeds ``1.0``, but the long-value
   blend's cosine can: ``counts_cosine`` of a value with itself may round
   to ``1.0000000000000002``. Its dot product and squared norms are exact
@@ -72,30 +79,76 @@ the same argument:
 * the exit test is strictly ``bound < floor``, the complement of the
   detector's ``similarity < threshold`` drop: a bound equal to the floor
   keeps scoring.
+
+The short-pair bound is sound for the computed floats too:
+
+* *Jaro.* Let ``c`` be the size of the intersection of the two
+  lowercased strings' character multisets. Jaro's match count ``m``
+  pairs equal characters, each position at most once, so ``m <= c``.
+  Rounding is monotone, so ``fl(m/|a|) <= fl(c/|a|)`` and likewise for
+  ``|b|``, and ``fl((m - t)/m) <= 1.0`` because ``(m - t)/m <= 1``. IEEE
+  ``+`` and ``/3.0`` are monotone, so the computed Jaro is at most the
+  computed ``(c/|a| + c/|b| + 1.0)/3.0``; for equal strings both are
+  exactly ``1.0``. ``c = 0`` means no match, a Jaro of exactly ``0.0``
+  and no common prefix, so the bound returns the score itself.
+* *Winkler.* The boost ``j + p*0.1*(1 - j)`` with the exact common
+  prefix ``p <= 4`` is monotone in ``j`` over the reals (its slope is
+  ``1 - p*0.1 > 0``), but not provably so after rounding. Every term
+  lies in ``[0, 1]``, so each side's computed boost is within
+  ``3 * 2**-53`` of its real value, and ``_WINKLER_SLACK = 2**-48``
+  covers the two errors many times over. Any
+  slack well under ``2**-30`` keeps the ``_CEILING`` argument intact: a
+  short pair's bound stays below ``1 + 2**-47``, so a scanned slot never
+  exceeds the ``_CEILING`` it replaces.
+* *Short/long split.* The bound runs on the lowercased strings, as
+  ``jaro_winkler`` does; whether a pair is short is decided on the
+  original lengths, as ``record._value_similarity`` decides it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.duplicates.record import RecordView
-from repro.duplicates.similarity import (
-    TokenCounts,
-    counts_cosine,
-    jaro_winkler,
-    token_counts,
-)
+from repro.duplicates.record import PreparedValue, RecordView
+from repro.duplicates.similarity import counts_cosine, jaro_winkler
 from repro.linking.editdistance import levenshtein_similarity
 
-_SHORT = 25  # same shape split as record._value_similarity
-# Proven upper bound on every _best_match result (module docstring).
+# Proven upper bound on every value's best match (module docstring).
 _CEILING = 1.0 + 2.0 ** -30
-# A deferred long pair: (bound, other value lowercased, cosine, cache key).
-_Deferred = Tuple[float, str, float, Tuple[str, str]]
+# Covers the rounding of the Winkler step in a short pair's bound.
+_WINKLER_SLACK = 2.0 ** -48
+# A deferred pair: (bound, other value lowercased, cosine or None for a
+# short pair, cache key).
+_Deferred = Tuple[float, str, Optional[float], Tuple[str, str]]
 # A scanned value: (value lowercased, exact best so far, top deferred
 # bound, deferred pairs).
 _Scan = Tuple[str, float, float, List[_Deferred]]
+
+
+def jaro_winkler_bound(a: PreparedValue, b: PreparedValue) -> float:
+    """An upper bound on ``jaro_winkler(a.lower, b.lower)`` for two short
+    values, from their character counts and common prefix (module
+    docstring)."""
+    a_lower, b_lower = a.lower, b.lower
+    if not a_lower or not b_lower:
+        return 1.0 if a_lower == b_lower else 0.0  # jaro's exact cases
+    b_bag = b.bag
+    common = 0
+    for char, count in a.bag.items():
+        other = b_bag.get(char)
+        if other:
+            common += count if count < other else other
+    if not common:
+        return 0.0  # no match: Jaro 0.0 and no common prefix
+    base = (common / len(a_lower) + common / len(b_lower) + 1.0) / 3.0
+    prefix = 0
+    for char_a, char_b in zip(a_lower[:4], b_lower[:4]):
+        if char_a != char_b:
+            break
+        prefix += 1
+    return base + prefix * 0.1 * (1.0 - base) + _WINKLER_SLACK
 
 
 class BoundedRecordScorer:
@@ -127,10 +180,11 @@ class BoundedRecordScorer:
             self.cache: Dict[Tuple[str, str], float] = OrderedDict(cache or {})
         else:
             self.cache = cache if cache is not None else {}
-        self.exact_scores = 0  # similarity computations actually performed
-        # Deferred long candidates the resolve loop skipped on their
-        # bound; those of a pair cut in the scan are never resolved and
-        # count nowhere.
+        # Levenshtein and Jaro-Winkler runs, all in the resolve loop.
+        self.exact_scores = 0
+        # Deferred candidates the resolve loop skipped on their bound;
+        # those of a pair cut in the scan are never resolved and count
+        # nowhere.
         self.pruned = 0
         self.cache_hits = 0
         self.evictions = 0  # entries dropped by the LRU bound
@@ -167,46 +221,37 @@ class BoundedRecordScorer:
 
     # ------------------------------------------------------------------
     def __call__(
-        self,
-        a: RecordView,
-        b: RecordView,
-        floor: Optional[float] = None,
-        counts: Optional[Dict[str, TokenCounts]] = None,
+        self, a: RecordView, b: RecordView, floor: Optional[float] = None
     ) -> float:
         """The record similarity of ``a`` and ``b``, bit for bit.
 
         With a ``floor``, a pair that provably scores below it may return
         an upper bound instead, itself below the floor; a pair scoring at
-        least ``floor`` always gets its exact score. ``counts`` memoizes
-        :func:`token_counts` by value; the caller owns it and decides how
-        long it lives (the detector keeps one per chunk).
+        least ``floor`` always gets its exact score.
         """
         if not a.values and not b.values:
             return 1.0
         if not a.values or not b.values:
             return 0.0
         smaller, larger = (a, b) if len(a.values) <= len(b.values) else (b, a)
-        values, candidates = smaller.values, larger.values
-        weights = [float(len(value)) for value in values]
+        values, candidates = smaller.prepared(), larger.prepared()
+        weights = [float(len(value)) for value in smaller.values]
         if floor is None:
-            return _weighted_mean(
-                [self._best_match(value, candidates, counts) for value in values],
-                weights,
-            )
+            floor = -math.inf  # cut nothing
         # Heaviest first: the bound drops fastest. Stable on ties.
         order = sorted(range(len(values)), key=weights.__getitem__, reverse=True)
         bests = [_CEILING] * len(values)
         scans: List[Optional[_Scan]] = [None] * len(values)
-        # Phase 1: scan every value; no Levenshtein runs yet.
+        # Phase 1: scan every value; no Levenshtein or Jaro-Winkler yet.
         for index in order:
-            scan = scans[index] = self._scan(values[index], candidates, counts)
+            scan = scans[index] = self._scan(values[index], candidates)
             _value_lower, best, top, _deferred = scan
             bests[index] = max(best, top, 0.0)  # at least its best match
             bound = _weighted_mean(bests, weights)
             if bound < floor:
                 self.early_exits += 1
                 return bound
-        # Phase 2: resolve the deferred long pairs, heaviest value first.
+        # Phase 2: resolve the deferred pairs, heaviest value first.
         for step, index in enumerate(order, 1):
             bests[index] = self._resolve(*scans[index])
             if step < len(values):
@@ -217,82 +262,57 @@ class BoundedRecordScorer:
         return _weighted_mean(bests, weights)
 
     # ------------------------------------------------------------------
-    def _best_match(
-        self,
-        value: str,
-        candidates: List[str],
-        counts: Optional[Dict[str, TokenCounts]] = None,
-    ) -> float:
-        """``value``'s best similarity against ``candidates``."""
-        return self._resolve(*self._scan(value, candidates, counts))
-
     def _scan(
-        self,
-        value: str,
-        candidates: List[str],
-        counts: Optional[Dict[str, TokenCounts]] = None,
+        self, value: PreparedValue, candidates: Sequence[PreparedValue]
     ) -> _Scan:
-        """The cheap pass of a best match: everything but Levenshtein.
+        """The cheap pass of a best match: no Levenshtein, no Jaro-Winkler.
 
-        Cache hits and short pairs are exact and give ``best``; each long
-        pair is deferred with its cosine/length-difference bound, the
-        largest of which is ``top``.
+        Cache hits are exact and give ``best``; every other pair is
+        deferred with its upper bound, the largest of which is ``top``.
         """
-        if counts is None:
-            counts = {}
-        vlen = len(value)
+        text, value_lower, bag, value_counts = value
         # The Levenshtein half is scored over *lowercased* strings, and
         # lowercasing can change a string's length (e.g. 'İ' -> 'i̇'), so
         # the length-difference bound must use the lowercased lengths or
         # it stops being an upper bound.
-        value_lower = value.lower()
-        value_counts: Optional[TokenCounts] = None  # built on first long pair
+        value_length = len(value_lower)
         best = top = -1.0
         deferred: List[_Deferred] = []
         cached = self._cached
         for other in candidates:
-            key = (value, other) if value <= other else (other, value)
+            other_text, other_lower, other_bag, other_counts = other
+            key = (text, other_text) if text <= other_text else (other_text, text)
             hit = cached(key)
             if hit is not None:
                 if hit > best:
                     best = hit
                 continue
-            if vlen <= _SHORT and len(other) <= _SHORT:
-                # Short values: Jaro-Winkler is cheap, score directly.
-                score = jaro_winkler(value_lower, other.lower())
-                self._cache_store(key, score)
-                self.exact_scores += 1
-                if score > best:
-                    best = score
+            if bag is not None and other_bag is not None:
+                # Both values short (original lengths): Jaro-Winkler.
+                cosine = None
+                bound = jaro_winkler_bound(value, other)
             else:
-                if value_counts is None:
-                    value_counts = counts.get(value)
-                    if value_counts is None:
-                        value_counts = counts[value] = token_counts(value)
-                other_counts = counts.get(other)
-                if other_counts is None:
-                    other_counts = counts[other] = token_counts(other)
                 cosine = counts_cosine(value_counts, other_counts)
-                other_lower = other.lower()
-                longest = max(len(value_lower), len(other_lower))
+                other_length = len(other_lower)
+                longest = max(value_length, other_length)
                 bound = 0.5 * cosine + 0.5 * (
-                    1.0 - abs(len(value_lower) - len(other_lower)) / longest
+                    1.0 - abs(value_length - other_length) / longest
                 )
-                deferred.append((bound, other_lower, cosine, key))
-                if bound > top:
-                    top = bound
+            deferred.append((bound, other_lower, cosine, key))
+            if bound > top:
+                top = bound
         return value_lower, best, top, deferred
 
     def _resolve(
         self, value_lower: str, best: float, top: float, deferred: List[_Deferred]
     ) -> float:
-        """Finish a scan: Levenshtein for each deferred pair whose bound
-        still beats the running best; the value's exact best match.
+        """Finish a scan: score each deferred pair whose bound still beats
+        the running best; the value's exact best match.
 
         A pair already in the cache was resolved earlier in this call: a
         value repeated in either record defers the same pair more than
         once (within one scan, or in the scans of two equal values of the
-        smaller record), and one Levenshtein run answers them all.
+        smaller record), and one run answers them all.
         """
         if top > best:
             # Best bound first: as soon as a bound cannot beat the
@@ -304,9 +324,12 @@ class BoundedRecordScorer:
                 break
             score = self._cached(key)
             if score is None:
-                score = 0.5 * cosine + 0.5 * levenshtein_similarity(
-                    value_lower, other_lower
-                )
+                if cosine is None:
+                    score = jaro_winkler(value_lower, other_lower)
+                else:
+                    score = 0.5 * cosine + 0.5 * levenshtein_similarity(
+                        value_lower, other_lower
+                    )
                 self._cache_store(key, score)
                 self.exact_scores += 1
             if score > best:

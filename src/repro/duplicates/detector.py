@@ -23,7 +23,6 @@ from repro.duplicates.blocking import (
 )
 from repro.duplicates.batch import BoundedRecordScorer
 from repro.duplicates.record import RecordView
-from repro.duplicates.similarity import TokenCounts
 from repro.linking.model import ObjectLink
 from repro.linking.resolve import ObjectResolver
 from repro.relational.database import Database
@@ -49,7 +48,9 @@ class SourceFeatures:
     """One source's duplicate features: its record views and n-gram index.
 
     Built once per source and read by every chunk that source takes part
-    in, as anchor or counterpart. ``built_for`` names the structure and
+    in, as anchor or counterpart. Each view builds its values' scoring
+    features (``RecordView.prepared``) when first scored and keeps them as
+    long as these features live. ``built_for`` names the structure and
     view options the views were built under; the gram index is built on
     first use by n-gram blocking.
     """
@@ -212,10 +213,9 @@ class DuplicateDetector:
         source). Features are read from :attr:`features` and built on
         first use, so the key-blocking short-circuit — the cached
         accession value sets share no accession — still skips building
-        them. Token counts are memoized for this call only.
+        them.
         """
         features_a: Optional[SourceFeatures] = None
-        counts: Dict[str, TokenCounts] = {}
         results: List[List[ObjectLink]] = []
         for database_b, structure_b in counterparts:
             if self.config.blocking == "key" and not self._has_shared_accessions(
@@ -232,14 +232,11 @@ class DuplicateDetector:
                 results.append([])
                 continue
             features_b = self.features_of(database_b, structure_b)
-            results.append(self._detect_pairs(features_a, features_b, counts))
+            results.append(self._detect_pairs(features_a, features_b))
         return results
 
     def _detect_pairs(
-        self,
-        features_a: SourceFeatures,
-        features_b: SourceFeatures,
-        counts: Dict[str, TokenCounts],
+        self, features_a: SourceFeatures, features_b: SourceFeatures
     ) -> List[ObjectLink]:
         """Block, score, and link two sources' features."""
         records_a, records_b = features_a.views, features_b.views
@@ -250,7 +247,7 @@ class DuplicateDetector:
         links: List[ObjectLink] = []
         for i, j in pairs:
             self.pairs_compared += 1
-            similarity = self.scorer(records_a[i], records_b[j], threshold, counts)
+            similarity = self.scorer(records_a[i], records_b[j], threshold)
             if similarity < threshold:
                 continue
             links.append(
@@ -285,13 +282,6 @@ class DuplicateDetector:
             accession_a.column
         ).isdisjoint(
             database_b.table(accession_b.table).value_set(accession_b.column)
-        )
-
-    def _candidate_pairs(
-        self, records_a: Sequence[RecordView], records_b: Sequence[RecordView]
-    ) -> List[Tuple[int, int]]:
-        return self._blocked_pairs(
-            SourceFeatures(list(records_a)), SourceFeatures(list(records_b))
         )
 
     def _blocked_pairs(

@@ -13,11 +13,37 @@ compare fine.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, List
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from repro.duplicates.similarity import jaro_winkler, token_cosine
+from repro.duplicates.similarity import (
+    TokenCounts,
+    jaro_winkler,
+    token_cosine,
+    token_counts,
+)
 from repro.linking.editdistance import levenshtein_similarity
+
+#: Values of at most this many characters compare as names
+#: (Jaro-Winkler), longer ones as sentences.
+SHORT_VALUE = 25
+
+
+class PreparedValue(NamedTuple):
+    """One value's scoring features, built once per record view."""
+
+    text: str
+    lower: str
+    #: Character counts of ``lower`` for a short value, else None.
+    bag: Optional[Counter]
+    counts: TokenCounts
+
+
+def prepare_value(text: str) -> PreparedValue:
+    lower = text.lower()
+    bag = Counter(lower) if len(text) <= SHORT_VALUE else None
+    return PreparedValue(text, lower, bag, token_counts(text))
 
 
 @dataclass
@@ -32,6 +58,20 @@ class RecordView:
     source: str
     accession: str
     values: List[str] = field(default_factory=list)
+    _prepared: Optional[Tuple[PreparedValue, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def prepared(self) -> Tuple[PreparedValue, ...]:
+        """Each value's :class:`PreparedValue`, in value order.
+
+        Built on first use and kept as long as the view, so ``values``
+        must not change once the view has been scored. The detector's
+        views live in their source's ``SourceFeatures``.
+        """
+        if self._prepared is None:
+            self._prepared = tuple(prepare_value(value) for value in self.values)
+        return self._prepared
 
 
 def _value_similarity(a: str, b: str) -> float:
@@ -41,7 +81,7 @@ def _value_similarity(a: str, b: str) -> float:
     long values behave like sentences (token cosine blended with edit
     similarity).
     """
-    if len(a) <= 25 and len(b) <= 25:
+    if len(a) <= SHORT_VALUE and len(b) <= SHORT_VALUE:
         return jaro_winkler(a.lower(), b.lower())
     return 0.5 * token_cosine(a, b) + 0.5 * levenshtein_similarity(a.lower(), b.lower())
 

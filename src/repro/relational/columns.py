@@ -129,11 +129,6 @@ class ColumnStore:
             "pushdown_hits": self.pushdown_hits,
         }
 
-    def reset_cache_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.pushdown_hits = 0
-
     # ------------------------------------------------------------------
     # snapshot backing (the ColumnSource seam)
     # ------------------------------------------------------------------

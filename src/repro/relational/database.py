@@ -33,12 +33,6 @@ class Database:
         self._tables[schema.name] = table
         return table
 
-    def drop_table(self, name: str) -> None:
-        lowered = name.lower()
-        if lowered not in self._tables:
-            raise SchemaError(f"no table {name!r} in database {self.name!r}")
-        del self._tables[lowered]
-
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------

@@ -23,13 +23,6 @@ class DataType(enum.Enum):
     FLOAT = "float"
     TEXT = "text"
 
-    def python_type(self) -> type:
-        if self is DataType.INTEGER:
-            return int
-        if self is DataType.FLOAT:
-            return float
-        return str
-
     @property
     def is_numeric(self) -> bool:
         return self in (DataType.INTEGER, DataType.FLOAT)

@@ -376,7 +376,6 @@ class AsyncQueryService:
         self._closers: set = set()
         self._inflight = 0
         self._idle: Optional[asyncio.Event] = None
-        self._stopped: Optional[asyncio.Event] = None
         self._draining = False
         self._requests = 0
         self._rejected = 0
@@ -420,7 +419,6 @@ class AsyncQueryService:
         self._semaphore = asyncio.Semaphore(max(1, self.config.max_concurrency))
         self._idle = asyncio.Event()
         self._idle.set()
-        self._stopped = asyncio.Event()
         self._draining = False
         self._gen = await loop.run_in_executor(None, self._open_generation)
         self._server = await asyncio.start_server(
@@ -474,13 +472,7 @@ class AsyncQueryService:
             self._maybe_close(gen)
         if self._closers:
             await asyncio.gather(*list(self._closers), return_exceptions=True)
-        if self._stopped is not None:
-            self._stopped.set()
         return drained
-
-    async def wait_stopped(self) -> None:
-        if self._stopped is not None:
-            await self._stopped.wait()
 
     # -- generations -----------------------------------------------------
     def _open_generation(self) -> _Generation:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.synth.sequences import mutate_sequence, random_protein
 
@@ -147,20 +147,6 @@ class Universe:
     def protein_by_uid(self, uid: int) -> ProteinEntity:
         return self.proteins[uid]
 
-    def family_members(self, family: int) -> List[ProteinEntity]:
-        return [p for p in self.proteins if p.family == family]
-
-    def homolog_pairs(self) -> List[Tuple[int, int]]:
-        """All unordered protein uid pairs that share a family."""
-        by_family: Dict[int, List[int]] = {}
-        for protein in self.proteins:
-            by_family.setdefault(protein.family, []).append(protein.uid)
-        pairs = []
-        for members in by_family.values():
-            for i, a in enumerate(members):
-                for b in members[i + 1:]:
-                    pairs.append((a, b))
-        return pairs
 
 
 @dataclass

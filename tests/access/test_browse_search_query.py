@@ -226,15 +226,3 @@ class TestPathRanker:
             if len(kinds) > 1:
                 best_multi = max(best_multi, score)
         assert best_multi > 0
-
-    def test_rank_targets_sorted(self, integrated):
-        _, aladin = integrated
-        link = aladin.repository.object_links(kind="crossref")[0]
-        origin = (link.source_a, link.accession_a)
-        candidates = [
-            (l.source_b, l.accession_b)
-            for l in aladin.repository.object_links(kind="crossref")[:5]
-        ]
-        ranked = aladin.ranker().rank_targets(origin, candidates)
-        scores = [s for _, s in ranked]
-        assert scores == sorted(scores, reverse=True)

@@ -140,7 +140,7 @@ class TestLiveTree:
         zero non-baselined findings with the committed baseline."""
         source_root = os.path.dirname(os.path.abspath(repro.__file__))
         baseline_path = os.path.join(REPO_ROOT, DEFAULT_BASELINE)
-        baseline = Baseline.load_or_empty(baseline_path)
+        baseline = Baseline.load(baseline_path)
         engine = AnalysisEngine(
             build_checkers(), baseline=baseline, root=REPO_ROOT
         )

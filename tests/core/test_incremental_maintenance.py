@@ -146,9 +146,6 @@ class TestColumnStoreCacheReuse:
         for name in ("swissprot", "pdb", "go"):
             add(aladin, scenario, name)
         databases = [aladin.database(n) for n in aladin.source_names()]
-        for database in databases:
-            for table_name in database.table_names():
-                database.table(table_name).columns.reset_cache_stats()
         aladin._engine.discover_for("go")
         misses_first = sum(d.column_cache_stats()["misses"] for d in databases)
         hits_first = sum(d.column_cache_stats()["hits"] for d in databases)

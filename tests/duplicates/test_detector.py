@@ -17,6 +17,7 @@ from repro.duplicates import (
     record_similarity,
     sorted_neighborhood_pairs,
 )
+from repro.duplicates.detector import SourceFeatures
 from repro.linking.model import ObjectLink
 from repro.synth import CorruptionConfig, ScenarioConfig, UniverseConfig, build_scenario
 
@@ -192,7 +193,9 @@ class TestDetectorEndToEnd:
         detector = DuplicateDetector(config)
         records_a = detector.build_record_views(database_a, structure_a)
         records_b = detector.build_record_views(database_b, structure_b)
-        pairs = detector._candidate_pairs(records_a, records_b)
+        pairs = detector._blocked_pairs(
+            SourceFeatures(records_a), SourceFeatures(records_b)
+        )
         expected = []
         for i, j in pairs:
             similarity = record_similarity(records_a[i], records_b[j])

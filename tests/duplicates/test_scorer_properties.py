@@ -12,15 +12,18 @@ approximations:
 * an LRU-*bounded* cache (``max_entries``, the week-long-session memory
   bound) evicts entries without moving a single score or duplicate set;
 * the bookkeeping counters account for exactly the work performed;
-* the anchor value's token counts, built once per best-match scan and
-  reused against every candidate, give the same cosine bit for bit as
-  rebuilding them per pair, and so does a token-count memo shared by a
-  whole chunk of pairs;
+* the anchor value's token counts, built once and reused against every
+  candidate, give the same cosine bit for bit as rebuilding them per
+  pair, and each record view's prepared value features are built once
+  and change no score;
 * the threshold cut (a ``floor``) never moves a pair across the floor,
   returns the exact score for every pair that reaches it, and leaves the
   cache exact for later unfloored calls;
-* a pair whose scanned bound (exact short pairs, bounded long pairs) is
-  already below the floor is cut before any Levenshtein runs.
+* a pair whose scanned bound (Jaro-Winkler bounds on short pairs,
+  cosine/length bounds on long pairs) is already below the floor is cut
+  before any Levenshtein or Jaro-Winkler runs;
+* the short-pair bound is at least ``jaro_winkler`` on the lowercased
+  strings.
 """
 
 import math
@@ -28,12 +31,12 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.duplicates import batch
-from repro.duplicates.batch import _CEILING, BoundedRecordScorer
-from repro.duplicates.record import RecordView, record_similarity
+from repro.duplicates import batch, record
+from repro.duplicates.batch import _CEILING, BoundedRecordScorer, jaro_winkler_bound
+from repro.duplicates.record import RecordView, prepare_value, record_similarity
 from repro.duplicates.similarity import (
     counts_cosine,
     jaro_winkler,
@@ -296,18 +299,41 @@ class TestHoistedTokenCountsAreExact:
                 assert token_cosine(anchor, other) == expected
 
 
-    def test_shared_counts_memo_changes_no_score(self):
-        # The detector hands the scorer one token-count memo per chunk;
-        # a memo warmed by every earlier pair must give the same scores,
-        # with and without a floor, as memo-less calls.
+    def test_prepared_features_are_built_once_per_view_and_change_no_score(
+        self, monkeypatch
+    ):
+        # Each view prepares its values when first scored and keeps them:
+        # views warmed by every earlier pair must give the reference's
+        # scores, with and without a floor, and no value is prepared twice.
+        built = []
+        original = record.prepare_value
+
+        def counting(text):
+            built.append(text)
+            return original(text)
+
+        monkeypatch.setattr(record, "prepare_value", counting)
         pairs = random_pairs(1313, 60)
-        memo = {}
-        shared, plain = BoundedRecordScorer(), BoundedRecordScorer()
+        scorer = BoundedRecordScorer()
         for floor in (None, 0.75):
             for a, b in pairs:
-                assert shared(a, b, floor, memo) == plain(a, b, floor)
-        assert memo
-        assert all(memo[value] == token_counts(value) for value in memo)
+                score = scorer(a, b, floor)
+                reference = record_similarity(a, b)
+                if floor is None or reference >= floor:
+                    assert score.hex() == reference.hex()
+                else:
+                    assert reference <= score < floor
+        prepared = [v for pair in pairs for v in pair if v._prepared is not None]
+        assert prepared
+        assert len(built) == sum(len(v.values) for v in prepared)
+        for view in prepared:
+            assert view.prepared() is view.prepared()
+            for value, features in zip(view.values, view.prepared()):
+                assert features.text == value
+                assert features.lower == value.lower()
+                assert features.counts == token_counts(value)
+                short = len(value) <= 25
+                assert features.bag == (Counter(value.lower()) if short else None)
 
 
 def floors_for(reference, rng):
@@ -374,7 +400,9 @@ class TestThresholdCutIsExact:
         heavy = "serine threonine kinase binding domain protein"
         a = RecordView("s", "a", values=[heavy])
         b = RecordView("t", "b", values=["threonine kinase binding protein domain", "kinese"])
-        _lower, best, top, _deferred = BoundedRecordScorer()._scan(heavy, b.values)
+        _lower, best, top, _deferred = BoundedRecordScorer()._scan(
+            a.prepared()[0], b.prepared()
+        )
         slot = max(best, top)
         weight = float(len(heavy))
         floor = (0.0 + slot * weight) / (0.0 + weight)
@@ -385,31 +413,35 @@ class TestThresholdCutIsExact:
         assert scorer.early_exits == 0
 
 
-def count_levenshtein(monkeypatch):
-    """Record every Levenshtein call the scorer makes, from now on."""
+def count_calls(monkeypatch, name):
+    """Record every call the scorer makes to ``batch.<name>``, from now on."""
     calls = []
-    original = batch.levenshtein_similarity
+    original = getattr(batch, name)
 
     def counting(a, b):
         calls.append((a, b))
         return original(a, b)
 
-    monkeypatch.setattr(batch, "levenshtein_similarity", counting)
+    monkeypatch.setattr(batch, name, counting)
     return calls
+
+
+def count_levenshtein(monkeypatch):
+    return count_calls(monkeypatch, "levenshtein_similarity")
 
 
 def scanned_bound(a, b):
     """The record bound once every value is scanned, from first
-    principles: per value, the larger of its best short-pair
-    Jaro-Winkler score and its best long-pair cosine/length bound,
-    averaged as ``record_similarity`` averages (same float operations)."""
+    principles: per value, the largest of its short pairs' Jaro-Winkler
+    bounds and its long pairs' cosine/length bounds, averaged as
+    ``record_similarity`` averages (same float operations)."""
     smaller, larger = (a, b) if len(a.values) <= len(b.values) else (b, a)
     total_weight = total_score = 0.0
     for value in smaller.values:
         best = 0.0
         for other in larger.values:
             if len(value) <= 25 and len(other) <= 25:
-                score = jaro_winkler(value.lower(), other.lower())
+                score = jaro_winkler_bound(prepare_value(value), prepare_value(other))
             else:
                 longest = max(len(value.lower()), len(other.lower()))
                 score = 0.5 * token_cosine(value, other) + 0.5 * (
@@ -441,15 +473,18 @@ class TestScanCutsBeforeLevenshtein:
         floor = math.nextafter(bound, math.inf) + above * max(0.0, 1.0 - bound)
         with pytest.MonkeyPatch.context() as monkeypatch:
             levenshtein_calls = count_levenshtein(monkeypatch)
+            jaro_winkler_calls = count_calls(monkeypatch, "jaro_winkler")
             scorer = BoundedRecordScorer()
             score = scorer(a, b, floor)
         assert levenshtein_calls == []
+        assert jaro_winkler_calls == []
         assert scorer.early_exits == 1
         assert record_similarity(a, b) <= score < floor
 
     def test_e6_universe_runs_levenshtein_only_for_scan_survivors(self, monkeypatch):
         """On a seeded E6 universe, every floored record pair that runs
-        Levenshtein has a scanned bound at or above its floor; the
+        Levenshtein or Jaro-Winkler has a scanned bound at or above its
+        floor; the
         session cache only lowers the live bound, so this is the
         weakest claim the scan guarantees. Every pair still lands on
         the floor's correct side."""
@@ -466,14 +501,18 @@ class TestScanCutsBeforeLevenshtein:
             )
         )
         levenshtein_calls = count_levenshtein(monkeypatch)
-        scored = []  # (a, b, floor, score, Levenshtein calls) per floored pair
+        jaro_winkler_calls = count_calls(monkeypatch, "jaro_winkler")
+        # (a, b, floor, score, Levenshtein and Jaro-Winkler calls) per
+        # floored pair
+        scored = []
         original = BoundedRecordScorer.__call__
 
-        def recording(self, a, b, floor=None, counts=None):
-            before = len(levenshtein_calls)
-            score = original(self, a, b, floor, counts)
+        def recording(self, a, b, floor=None):
+            before = len(levenshtein_calls) + len(jaro_winkler_calls)
+            score = original(self, a, b, floor)
             if floor is not None:
-                scored.append((a, b, floor, score, len(levenshtein_calls) - before))
+                runs = len(levenshtein_calls) + len(jaro_winkler_calls) - before
+                scored.append((a, b, floor, score, runs))
             return score
 
         monkeypatch.setattr(BoundedRecordScorer, "__call__", recording)
@@ -518,9 +557,61 @@ class TestCeilingCoversEveryBestMatch:
                 " ".join(reversed(tokens)),
                 value.upper(),
             ]
-            assert scorer._best_match(value, [value]) <= _CEILING
-            for other in near:
-                assert scorer._best_match(value, [other]) <= _CEILING
+            prepared = prepare_value(value)
+            for other in [value] + near:
+                best = scorer._resolve(*scorer._scan(prepared, [prepare_value(other)]))
+                assert best <= _CEILING
             counts = token_counts(value)
             above_one += counts_cosine(counts, counts) > 1.0
         assert above_one, "no self-cosine rounded above 1.0 on this corpus"
+
+
+# Mixed case, and characters whose lowercase changes length ('İ' -> 'i̇').
+SHORT_TEXT = st.text(alphabet="abcdeABCDEİiẞⅫ -", max_size=25)
+
+
+class TestJaroWinklerBoundCoversTheScore:
+    @staticmethod
+    def assert_covers(a, b):
+        bound = jaro_winkler_bound(prepare_value(a), prepare_value(b))
+        assert bound >= jaro_winkler(a.lower(), b.lower())
+        assert bound < 1.0 + 2.0 ** -47  # a scanned slot stays under _CEILING
+        return bound
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(min_value=0, max_value=4), SHORT_TEXT, SHORT_TEXT, SHORT_TEXT)
+    @example(4, "kinase", "", "")  # equal
+    @example(0, "", "", "")  # both empty
+    @example(0, "", "", "abc")  # one empty
+    @example(0, "", "abc", "xyz")  # disjoint
+    @example(2, "İİ", "İ", "i")  # lowercase changes length
+    def test_bound_is_at_least_jaro_winkler(self, prefix, stem, tail_a, tail_b):
+        # A shared stem gives a common prefix of up to ``prefix`` chars.
+        a = (stem[:prefix] + tail_a)[:25]
+        b = (stem[:prefix] + tail_b)[:25]
+        self.assert_covers(a, b)
+        self.assert_covers(b, a)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ("kinase", "kinase"),
+            ("", ""),
+            ("", "abc"),
+            ("abc", "xyz"),
+            ("xbcdef", "ybcdef"),  # prefix 0
+            ("abcdef", "axcdef"),  # prefix 1
+            ("abcdef", "abxdef"),  # prefix 2
+            ("abcdef", "abcxef"),  # prefix 3
+            ("abcdef", "abcdxf"),  # prefix 4
+            ("İstanbul", "istanbul"),
+            ("İİİ", "i̇i̇i̇"),
+            ("KINASE", "kinase"),
+        ],
+    )
+    def test_fixed_cases(self, a, b):
+        bound = self.assert_covers(a, b)
+        if a.lower() == b.lower():
+            assert bound >= 1.0
+        if not set(a.lower()) & set(b.lower()):
+            assert bound == jaro_winkler(a.lower(), b.lower())

@@ -3,29 +3,36 @@
 * Warm start: an eager ``Aladin.open(lazy=False)`` of the E6 corpus
   (seed 450, 8 families x 3) is at least 5x faster than integrating the
   same corpus from raw text with an ``add_source`` loop, and does zero
-  discovery, linking or index-build work.
+  discovery, linking or index-build work. The ratio is the median of
+  ``WARM_PAIRS`` paired (cold, warm) samples.
 * Lazy open: a read-only lazy open of a >= 20-source snapshot reads only
   the manifest, so it is at least 10x faster than an eager open of the
   same file. A search and a pushed-down SELECT then hydrate no source,
   and a browse hydrates exactly one.
 
-Each ratio is one timed sample per side, and each timed window starts
-with a full garbage collection: a collection that falls inside a window
-otherwise bills it for garbage left by earlier tests or by the set-up
-(in a run of tests/obs, exec, core and persist, an uncollected backlog
-held the warm open at 2.3-4x). Over 120 runs of this module on a 2-vCPU
-host (plain, ``REPRO_OBS=0`` and ``REPRO_ANALYSIS_LOCKWATCH=1``) the lazy
-open read 180-440x, and the warm start a median 10.4x (5.5-19x; one run
-read 3.6x, its warm open taking 110 ms against a ~43 ms median).
+Each timed window starts with a full garbage collection: a collection
+that falls inside a window otherwise bills it for garbage left by
+earlier tests or by the set-up (in a run of tests/obs, exec, core and
+persist, an uncollected backlog held the warm open at 2.3-4x). Over 120
+runs of this module on a 2-vCPU host (plain, ``REPRO_OBS=0`` and
+``REPRO_ANALYSIS_LOCKWATCH=1``) the lazy open read 180-440x. The warm
+start, timed once per side, read a median 10.4x (5.5-19x), and one run
+failed at 3.6x: its warm open took 110 ms against a ~43 ms median. A
+single slow sample cannot fail the median of five pairs: over 60 runs
+(20 per mode, after the duplicate scorer got faster) single pairs read
+4.4-15.9x and their medians 7.2-10.6x, and every open slowed 2x failed
+20 of 20 runs.
 """
 
 import gc
+import statistics
 import time
 
 from repro.core import Aladin, AladinConfig
 from repro.synth import ScenarioConfig, UniverseConfig, build_scenario
 
 MIN_SOURCES = 20
+WARM_PAIRS = 5
 
 
 def e6_corpus():
@@ -94,28 +101,31 @@ def cold_integrate(scenario) -> Aladin:
 
 def test_warm_open_at_least_5x_faster_than_cold_integration(tmp_path):
     scenario = e6_corpus()
-    aladin, cold_seconds = timed(lambda: cold_integrate(scenario))
-    path = tmp_path / "e6.snapshot"
-    aladin.save(path)
-    aladin.detach_store()
+    ratios = []
+    for pair in range(WARM_PAIRS):
+        aladin, cold_seconds = timed(lambda: cold_integrate(scenario))
+        path = tmp_path / f"e6-{pair}.snapshot"
+        aladin.save(path)
+        aladin.detach_store()
 
-    warm, warm_seconds = timed(lambda: Aladin.open(path, lazy=False))
-    try:
-        assert warm.source_names() == aladin.source_names()
-        assert len(warm.repository.object_links()) == len(
-            aladin.repository.object_links()
-        )
-        assert len(warm._index) == len(aladin._index)
-        assert warm._engine.registrations == 0
-        assert warm._engine.comparisons_made == 0
-        assert warm._index.pages_indexed == 0
-        for name in warm.source_names():
-            assert warm.database(name).column_cache_stats()["misses"] == 0
-    finally:
-        warm.close()
-    assert warm_seconds * 5 <= cold_seconds, (
-        f"warm open {warm_seconds:.3f}s not 5x faster than cold "
-        f"integration {cold_seconds:.3f}s ({cold_seconds / warm_seconds:.1f}x)"
+        warm, warm_seconds = timed(lambda: Aladin.open(path, lazy=False))
+        try:
+            assert warm.source_names() == aladin.source_names()
+            assert len(warm.repository.object_links()) == len(
+                aladin.repository.object_links()
+            )
+            assert len(warm._index) == len(aladin._index)
+            assert warm._engine.registrations == 0
+            assert warm._engine.comparisons_made == 0
+            assert warm._index.pages_indexed == 0
+            for name in warm.source_names():
+                assert warm.database(name).column_cache_stats()["misses"] == 0
+        finally:
+            warm.close()
+        ratios.append(cold_seconds / warm_seconds)
+    assert statistics.median(ratios) >= 5, (
+        "warm open not 5x faster than cold integration in the median "
+        f"pair: {', '.join(f'{ratio:.1f}x' for ratio in ratios)}"
     )
 
 

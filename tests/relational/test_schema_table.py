@@ -178,12 +178,6 @@ class TestDatabase:
         with pytest.raises(SchemaError):
             db.create_table(protein_schema())
 
-    def test_drop_table(self):
-        db = Database("src")
-        db.create_table(protein_schema())
-        db.drop_table("protein")
-        assert db.table_names() == []
-
     def test_foreign_key_check_reports_violations(self):
         db = Database("src")
         db.create_table(protein_schema())
