@@ -46,7 +46,6 @@ def main() -> None:
             source.name, source.facts.format_name, source.text,
             **source.facts.import_options,
         )
-    aladin.search_engine()  # build the index so it persists too
     aladin.save(snapshot_path)
     aladin.detach_store()
     print(f"saved {len(aladin.source_names())} sources -> {snapshot_path}")

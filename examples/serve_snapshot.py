@@ -60,7 +60,6 @@ def build_snapshot() -> str:
             source.name, source.facts.format_name, source.text,
             **source.facts.import_options,
         )
-    aladin.search_engine()  # persist the index so serving never rebuilds it
     path = os.path.join(tempfile.mkdtemp(), "served.snapshot")
     aladin.save(path)
     aladin.close()

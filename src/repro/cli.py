@@ -348,7 +348,8 @@ def _hydration_line(stats: dict) -> str:
         f"({decoded_names}); resident {resident_text}; "
         f"pushdown hits {stats['pushdown_hits']}; "
         f"link lookups {stats['link_lookups']}; "
-        f"links {'loaded' if stats['links_loaded'] else 'deferred'}"
+        f"links {'loaded' if stats['links_loaded'] else 'deferred'}; "
+        f"index {'rebuilt at open' if stats['index_rebuilt'] else 'from snapshot'}"
     )
 
 

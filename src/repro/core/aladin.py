@@ -66,7 +66,7 @@ from repro.obs.events import (
     SOURCE_REMOVED,
     SOURCE_UPDATED,
 )
-from repro.persist.lazy import LazySnapshotSession
+from repro.persist.lazy import LazyInvertedIndex, LazySnapshotSession
 from repro.persist.lock import SnapshotLockedError
 from repro.persist.snapshot import CompactionStats, SnapshotError, SnapshotStore
 from repro.relational.database import Database
@@ -133,7 +133,9 @@ class Aladin:
         )
         self._databases: Dict[str, Database] = {}
         self._raw_inputs: Dict[str, tuple] = {}  # name -> (format, text, options)
-        self._index: Optional[InvertedIndex] = None
+        # Every source is indexed as it is integrated (the index_update
+        # graph node), so the index always covers every source.
+        self._index = InvertedIndex()
         self._store: Optional[SnapshotStore] = None
         self._lazy: Optional[LazySnapshotSession] = None  # set by lazy opens
         self.read_only = False  # True on a lock-degraded read-only open
@@ -407,7 +409,7 @@ class Aladin:
             lambda: self._databases.pop(name, None),
             lambda: self._raw_inputs.pop(name, None),
             lambda: self.web.detach_database(name),
-            lambda: self._index is not None and self._index.remove_source(name),
+            lambda: self._index.remove_source(name),
             lambda: self._store is not None and self._store.checkpoint_remove(name),
         ):
             try:
@@ -636,7 +638,7 @@ class Aladin:
         only the pages that differ between a crawl before and after the
         swap.
         """
-        old_pages = self._crawl_source(name) if self._index is not None else None
+        old_pages = self._crawl_source(name)
         self._databases[name] = fresh
         self.web.attach_database(name, fresh)
         profiles = collect_profiles(fresh)
@@ -649,8 +651,6 @@ class Aladin:
             row_counts=row_counts,
             profiles=profiles,
         )
-        if old_pages is None:
-            return DocumentDelta()
         return self._index.update_source(name, old_pages, self._crawl_source(name))
 
     def remove_source(self, name: str) -> None:
@@ -674,8 +674,7 @@ class Aladin:
         if name in self._engine.source_names():
             self._engine.deregister_source(name)
         self.web.detach_database(name)
-        if self._index is not None:
-            self._index.remove_source(name)
+        self._index.remove_source(name)
         if self._store is not None:
             self._commit_checkpoint(
                 name, "remove", lambda: self._store.checkpoint_remove(name)
@@ -696,18 +695,6 @@ class Aladin:
         return Browser(self.web, tracer=self.obs.trace_or_none)
 
     def search_engine(self) -> SearchEngine:
-        if self._index is None:
-            index = InvertedIndex()
-            index.add_pages(Crawler(self.web).crawl(follow_links=False))
-            self._index = index
-            if self._store is not None:
-                try:
-                    self._store.write_index(index)
-                except SnapshotError:
-                    # A read-only snapshot can still serve searches; the
-                    # index stays in memory and the next real maintenance
-                    # write will surface the problem loudly.
-                    pass
         return SearchEngine(self._index, tracer=self.obs.trace_or_none)
 
     def _fault_all_sources(self) -> None:
@@ -746,7 +733,9 @@ class Aladin:
         profiles, samples) has been decoded so far; ``link_lookups``
         counts per-object link reads answered from the snapshot;
         ``links_loaded`` says whether the whole link web has been
-        replayed into memory.
+        replayed into memory; ``index_rebuilt`` says whether the open
+        had to build the search index because the snapshot carried none
+        (a file written before every snapshot carried it).
         """
         if self._lazy is not None:
             return self._lazy.stats()
@@ -759,6 +748,7 @@ class Aladin:
             "pushdown_hits": 0,
             "link_lookups": 0,
             "links_loaded": self.repository.links_loaded,
+            "index_rebuilt": False,
             "per_source": {
                 name: {
                     "hydrated": True,
@@ -771,8 +761,6 @@ class Aladin:
 
     def _index_add_source(self, name: str) -> None:
         """Crawl and index only ``name``'s pages into the existing index."""
-        if self._index is None:
-            return  # never built: the first search_engine() call will
         self._index.add_pages(self._crawl_source(name))
 
     def _crawl_source(self, name: str) -> List[ObjectPage]:
@@ -892,6 +880,16 @@ class Aladin:
             aladin = cls(config)
             session.install(aladin)
             aladin._lazy = session
+            if manifest.index_built:
+                aladin._index = LazyInvertedIndex(session)
+            else:
+                # Written without an index (before every system kept
+                # one): build it by one crawl, which hydrates every
+                # source, and let a writer store it for later sessions.
+                aladin._index.add_pages(Crawler(aladin.web).crawl(follow_links=False))
+                session.index_rebuilt = True
+                if attach_writer:
+                    store.write_index(aladin._index)
             if not lazy:
                 session.hydrate()
         except BaseException:
@@ -911,6 +909,7 @@ class Aladin:
             lazy=lazy,
             read_only=aladin.read_only,
             sources=len(aladin.source_names()),
+            index_rebuilt=session.index_rebuilt,
         )
         aladin.obs.trace.record_complete(
             "op.open",

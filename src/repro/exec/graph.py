@@ -64,17 +64,13 @@ class TaskGraph:
         under the caller's active span so fan-out spans opened inside a
         node body hang off that node. The span's duration becomes
         :attr:`seconds` and, with a ``metrics`` registry, the
-        ``graph.{node}.seconds`` observation; ``graph.{node}.queue_wait``
-        is the time from the last dependency's span finish to the node's
-        span start — the time a ready node sat behind earlier siblings.
+        ``graph.{node}.seconds`` observation.
         """
         self._validate()
         tracer = tracer or NULL_TRACER
         results: Dict[str, Any] = {}
         self.seconds = {}
         remaining = list(self._tasks)
-        ready_at: Dict[str, float] = {}
-        children = self._children()
         while remaining:
             progressed = False
             for task in list(remaining):
@@ -84,15 +80,9 @@ class TaskGraph:
                     results[task.name] = self._invoke(task, results)
                 self.seconds[task.name] = handle.duration
                 if metrics is not None:
-                    became_ready = ready_at.get(task.name, handle.started)
                     metrics.histogram(f"graph.{task.name}.seconds").observe(
                         handle.duration
                     )
-                    metrics.histogram(f"graph.{task.name}.queue_wait").observe(
-                        handle.started - became_ready
-                    )
-                for child in children.get(task.name, ()):
-                    ready_at[child] = handle.started + handle.duration
                 remaining.remove(task)
                 progressed = True
             if not progressed:  # pragma: no cover - _validate rules this out

@@ -15,6 +15,7 @@ constant                  emitted when
                           the attached snapshot
 ``COMPACTION_RAN``        online compaction rewrote the snapshot
 ``SNAPSHOT_OPENED``       ``Aladin.open`` produced a warm-started system
+                          (``index_rebuilt`` if the file had no index)
 ``HYDRATION_FAULTED``     a lazy stub's rows were materialized on first touch
 ========================  =====================================================
 

@@ -354,6 +354,9 @@ class LazySnapshotSession:
         self._conns: List[sqlite3.Connection] = []
         self._conn_lock = threading.Lock()
         self._maintained = False
+        # Set by the open when the snapshot carried no index and the open
+        # built one (see ``SnapshotManifest.index_built``).
+        self.index_rebuilt = False
         # Serializes fault-ins: two threads touching the same stub must
         # hydrate it (and emit HYDRATION_FAULTED) exactly once.
         self._hydrate_lock = threading.RLock()
@@ -382,8 +385,6 @@ class LazySnapshotSession:
         aladin.repository.set_deferred_links(self._load_links, self.lookup_links)
         aladin.web.set_hydrator(self.hydrate)
         aladin.web.set_sql_pushdown(self.try_select)
-        if self.manifest.index_built:
-            aladin._index = LazyInvertedIndex(self)  # noqa: SLF001 - session owns wiring
 
     def _source_record(self, stub: SourceStub) -> SourceRecord:
         """One source's repository record, decoded from the snapshot.
@@ -928,5 +929,6 @@ class LazySnapshotSession:
             "pushdown_hits": sum(self._pushdown_counts.values()),
             "link_lookups": self._link_lookups,
             "links_loaded": self._aladin.repository.links_loaded,
+            "index_rebuilt": self.index_rebuilt,
             "per_source": per_source,
         }

@@ -10,7 +10,10 @@ caches without running a single discovery, linking, or indexing step.
 
 Layout (one SQLite file):
 
-* ``manifest`` — magic marker, format version, index-built flag;
+* ``manifest`` — magic marker, format version, index-built flag (every
+  write sets it; a file written before every system kept its index may
+  carry ``"0"`` and no index rows, and ``Aladin.open`` builds the index
+  for such a file);
 * ``sources`` — per-source record: content hash, raw input (format, text,
   import options) for later ``update_source`` calls, discovered structure,
   sample rows, row counts;
@@ -476,7 +479,8 @@ class SnapshotManifest:
 
     ``config`` is the raw dict of the :class:`AladinConfig` the system was
     integrated with — the core layer rebuilds the dataclass (the persist
-    layer sits below core and does not import it).
+    layer sits below core and does not import it). ``index_built`` is
+    False only for a file written without its search index.
     """
 
     index_built: bool
@@ -951,14 +955,9 @@ class SnapshotStore:
             ],
         )
 
-    def _write_index_full(
-        self, conn: sqlite3.Connection, index: Optional[InvertedIndex]
-    ) -> None:
+    def _write_index_full(self, conn: sqlite3.Connection, index: InvertedIndex) -> None:
         conn.execute("DELETE FROM index_postings")
         conn.execute("DELETE FROM index_documents")
-        if index is None:
-            self._set_manifest(conn, "index_built", "0")
-            return
         for source, accession, length, is_primary, postings in index.export_documents():
             self._write_document(
                 conn, source, accession, length, is_primary, postings
@@ -1144,8 +1143,9 @@ class SnapshotStore:
             return len(doomed)
 
     @_serialized
-    def write_index(self, index: Optional[InvertedIndex]) -> None:
-        """Persist the inverted index (first lazy build after a save)."""
+    def write_index(self, index: InvertedIndex) -> None:
+        """Persist the whole inverted index: the one an open built for a
+        snapshot written without one."""
         with self._write_connection() as conn, conn:
             self._read_manifest(conn)
             try:
@@ -1209,18 +1209,11 @@ class SnapshotStore:
         documents: Optional[DocumentDelta] = None,
     ) -> None:
         """Write one source's documents: its whole slice, or ``documents``."""
-        index = aladin._index
-        if index is None:
-            return
-        if manifest.get("index_built") != "1":
-            # The index was built lazily after the last full save: persist
-            # it whole once, then later checkpoints stay per-source.
-            self._write_index_full(conn, index)
-        elif documents is not None:
+        if documents is not None:
             self._write_document_delta(conn, name, documents, manifest)
         else:
             for source, accession, length, is_primary, postings in (
-                index.export_documents(source=name)
+                aladin._index.export_documents(source=name)
             ):
                 self._write_document(
                     conn, source, accession, length, is_primary, postings

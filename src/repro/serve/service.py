@@ -490,13 +490,6 @@ class AsyncQueryService:
             else copy.deepcopy(self._aladin_config)
         )
         aladin = Aladin.open(self.path, config=config, read_only=True, lazy=True)
-        try:
-            # Arm the search index once, on this thread: concurrent first
-            # searches must never race an index build.
-            aladin.search_engine()
-        except BaseException:
-            aladin.close()
-            raise
         return _Generation(aladin, fingerprint)
 
     def _acquire_gen(self) -> _Generation:

@@ -247,8 +247,20 @@ class TestCliPersistence:
         assert run(["compact", str(tmp_path / "none.snapshot")], out=out) == 2
         assert "error:" in out.getvalue()
 
-    def test_stats_search_decodes_no_source(self, source_files, tmp_path):
-        _, sp_path, pdb_path = source_files
+    def test_stats_search_decodes_no_source(self, tmp_path):
+        """Right after ``save``, a search hydrates and decodes nothing, in
+        every later session: the saved snapshot carries its index."""
+        scenario = build_scenario(
+            ScenarioConfig(
+                seed=7,
+                include=("swissprot", "pdb"),
+                universe=UniverseConfig(n_families=3, members_per_family=2, seed=7),
+            )
+        )
+        sp_path = tmp_path / "sp.dat"
+        sp_path.write_text(scenario.source("swissprot").text, encoding="utf-8")
+        pdb_path = tmp_path / "pdb.txt"
+        pdb_path.write_text(scenario.source("pdb").text, encoding="utf-8")
         snapshot = tmp_path / "stats.snapshot"
         assert run(
             [
@@ -257,15 +269,12 @@ class TestCliPersistence:
             ],
             out=io.StringIO(),
         ) == 0
-        # `save` stores no search index; a writer session's search builds
-        # one and checkpoints it, so later read-only searches page it in.
-        assert run(
-            ["open", str(snapshot), "--eager", "--search", "kinase"],
-            out=io.StringIO(),
-        ) == 0
-        out = io.StringIO()
-        assert run(["stats", str(snapshot), "--search", "kinase"], out=out) == 0
-        assert "0/2 sources decoded (none)" in out.getvalue()
+        for _session in range(2):
+            out = io.StringIO()
+            assert run(["stats", str(snapshot), "--search", "kinase"], out=out) == 0
+            text = out.getvalue()
+            assert "0/2 sources hydrated (none); 0/2 sources decoded (none)" in text
+            assert "index from snapshot" in text
 
 
 class TestCliTelemetryExport:

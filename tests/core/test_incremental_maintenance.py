@@ -55,10 +55,9 @@ class TestIncrementalSearchIndex:
         aladin = Aladin(AladinConfig())
         add(aladin, scenario, "swissprot")
         add(aladin, scenario, "pdb")
-        engine = aladin.search_engine()  # builds the index
-        assert aladin._index is not None
+        index = aladin._index
         add(aladin, scenario, "go")  # must extend, not invalidate
-        assert aladin._index is not None
+        assert aladin._index is index
         assert index_fingerprint(aladin._index) == index_fingerprint(
             full_rebuild(aladin)
         )

@@ -47,21 +47,14 @@ def integrate_incrementally(specs=None):
     """N x add_source with the index maintained incrementally throughout."""
     aladin = Aladin(AladinConfig())
     specs = source_specs(scenario()) if specs is None else specs
-    first = True
     for name, format_name, text, options in specs:
         aladin.add_source(name, format_name, text, **options)
-        if first:
-            # Build the index now so every later add_source runs the
-            # incremental index-update path, not a fresh end-of-run crawl.
-            aladin.search_engine()
-            first = False
     return aladin
 
 
 def integrate_batch(specs=None):
     aladin = Aladin(AladinConfig())
     aladin.integrate_many(source_specs(scenario()) if specs is None else specs)
-    aladin.search_engine()
     return aladin
 
 
@@ -86,28 +79,19 @@ def duplicate_set(aladin):
 
 
 def postings(aladin):
-    """Every document with its exact postings, keyed by identity.
+    """Every document with its exact postings, in doc-id order.
 
-    Doc *ids* are assignment order and legitimately differ between an
-    index kept live from the first add and one crawled at the end (the
-    cold crawl visits sources alphabetically, maintenance visits them in
-    add order) — so documents are keyed by (source, accession) and each
-    document's postings are canonicalized. Every token, field, frequency,
-    and document length must then match byte for byte.
+    Both paths index each source as it is integrated, in the same order,
+    so even the doc ids and each document's posting order must match.
     """
-    assert aladin._index is not None
-    return sorted(
-        (source, accession, length, is_primary, sorted(doc_postings))
-        for source, accession, length, is_primary, doc_postings
-        in aladin._index.export_documents()
-    )
+    return list(aladin._index.export_documents())
 
 
 QUERIES = ("kinase", "protein structure", "binding domain")
 
 
 def rankings(aladin):
-    """BM25 scores per hit; identity-keyed for the same doc-id reason."""
+    """BM25 scores per hit, keyed by identity."""
     engine = aladin.search_engine()
     return {
         query: sorted(

@@ -4,12 +4,10 @@ A fan-out with a metrics registry records ``pool.fanouts`` /
 ``pool.tasks`` and a ``pool.fanout.{stage}`` histogram, or on failure
 ``pool.failures`` / ``pool.failures.{stage}``; with a tracer it records
 one ``fanout.{stage}`` span. A task graph records per-node wall time and
-queue wait, and one ``graph.{node}`` span per node it runs. Each of
+one ``graph.{node}`` span per node it runs. Each of
 these reads the one duration its span handle measured, with or without
 telemetry.
 """
-
-import threading
 
 import pytest
 
@@ -154,7 +152,7 @@ class TestFanoutMetrics:
 
 
 class TestGraphTelemetry:
-    def test_every_node_records_its_time_and_queue_wait(self):
+    def test_every_node_records_its_time(self):
         registry = MetricsRegistry()
         graph = TaskGraph()
         graph.add("import", lambda results: 1)
@@ -163,23 +161,9 @@ class TestGraphTelemetry:
         graph.run(metrics=registry)
         counts = histogram_counts(registry)
         assert counts == {
-            f"graph.{node}.{what}": 1
+            f"graph.{node}.seconds": 1
             for node in ("import", "statistics", "linking")
-            for what in ("seconds", "queue_wait")
         }
-
-    def test_queue_wait_covers_the_earlier_ready_sibling(self):
-        registry = MetricsRegistry()
-        graph = TaskGraph()
-        graph.add("root", lambda results: None)
-        graph.add("slow", lambda results: threading.Event().wait(0.03),
-                  deps=("root",))
-        graph.add("waiting", lambda results: None, deps=("root",))
-        graph.run(metrics=registry)
-        stats = registry.snapshot()["histograms"]
-        slow_seconds = stats["graph.slow.seconds"]["max"]
-        assert slow_seconds >= 0.025
-        assert stats["graph.waiting.queue_wait"]["max"] >= slow_seconds
 
     def test_node_spans_hang_under_the_caller_and_fanouts_under_nodes(self):
         tracer = Tracer()
@@ -268,20 +252,6 @@ class TestOneClock:
         graph.run()
         assert sorted(graph.seconds) == ["a", "b"]
         assert all(type(s) is float and s > 0.0 for s in graph.seconds.values())
-
-    def test_queue_wait_starts_at_the_last_dependency(self):
-        """A node is ready once its last dependency finished, so a join
-        behind a slow dependency does not count that dependency's run."""
-        registry = MetricsRegistry()
-        graph = TaskGraph()
-        graph.add("fast", lambda results: None)
-        graph.add("slow", lambda results: threading.Event().wait(0.03))
-        graph.add("join", lambda results: None, deps=("fast", "slow"))
-        graph.run(metrics=registry)
-        (slow_seconds,) = observations(registry, "graph.slow.seconds")
-        assert slow_seconds >= 0.025
-        (join_wait,) = observations(registry, "graph.join.queue_wait")
-        assert 0.0 <= join_wait < slow_seconds
 
 
 def _source(name, tag):

@@ -80,7 +80,6 @@ def test_a_failed_call_counts_its_work_and_keeps_the_cache_warm(
     def integrated(path, ingest):
         aladin = Aladin(AladinConfig())
         aladin.save(tmp_path / path)
-        aladin.search_engine()  # a live index, maintained by every call
         ingest(aladin)
         return aladin
 

@@ -38,5 +38,4 @@ def integrated_world():
     """The full source set (including duplicate-producing pir) + index."""
     scenario = small_scenario()
     aladin = integrate(scenario)
-    aladin.search_engine()  # build the index so snapshots carry it
     return scenario, aladin

@@ -169,23 +169,111 @@ class TestCheckpointAfterMaintenance:
             }
             assert warm == live
 
-    def test_index_built_after_save_is_persisted(self, tmp_path):
+    def test_save_writes_the_index(self, tmp_path):
         scenario = small_scenario(include=("swissprot", "pdb"), seed=80)
         aladin = integrate(scenario)
-        path = tmp_path / "lazy-index.snapshot"
-        aladin.save(path)  # saved without an index
-        assert Aladin.open(path)._index is None
-        aladin.search_engine()  # lazy build persists through the store
-        reopened = Aladin.open(path)
-        assert reopened._index is not None
+        path = tmp_path / "indexed.snapshot"
+        aladin.save(path)  # no search ran: the index is kept all the same
+        reopened = Aladin.open(path, read_only=True)
+        assert reopened.hydration_stats()["index_rebuilt"] is False
         assert reopened._index.pages_indexed == 0
         assert len(reopened._index) == len(aladin._index)
+        assert manifest_value(path, "index_built") == "1"
 
     def test_detach_store_stops_checkpointing(self, saved):
         scenario, aladin, path = saved
         aladin.detach_store()
         aladin.remove_source("pdb")
         assert "pdb" in Aladin.open(path).source_names()
+
+
+def manifest_value(path, key):
+    conn = sqlite3.connect(path)
+    try:
+        (value,) = conn.execute(
+            "SELECT value FROM manifest WHERE key = ?", (key,)
+        ).fetchone()
+        return value
+    finally:
+        conn.close()
+
+
+def index_rows(path):
+    conn = sqlite3.connect(path)
+    try:
+        return conn.execute("SELECT COUNT(*) FROM index_documents").fetchone()[0]
+    finally:
+        conn.close()
+
+
+def hits(aladin, query):
+    return [
+        (hit.source, hit.accession, hit.score, hit.matched_fields)
+        for hit in aladin.search_engine().search(query, top_k=50)
+    ]
+
+
+class TestSnapshotsWithoutAnIndex:
+    """Files written before every snapshot carried its search index: the
+    manifest says ``index_built = "0"`` and no index rows exist. The open
+    builds the index by one crawl and reports it; a writer stores it."""
+
+    QUERIES = ("kinase", "binding domain", "protein structure")
+
+    @pytest.fixture
+    def legacy(self, tmp_path):
+        scenario = small_scenario(include=("swissprot", "pdb"), seed=80)
+        writer = integrate(scenario)
+        path = tmp_path / "legacy.snapshot"
+        writer.save(path)
+        writer.close()  # folds the WAL: the main file holds everything
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("DELETE FROM index_postings")
+            conn.execute("DELETE FROM index_documents")
+            conn.execute("UPDATE manifest SET value = '0' WHERE key = 'index_built'")
+        conn.close()
+        return writer, path
+
+    def test_a_read_only_open_rebuilds_reports_and_ranks_like_the_writer(
+        self, legacy
+    ):
+        writer, path = legacy
+        config = AladinConfig()
+        config.observability.enabled = True
+        reader = Aladin.open(path, config=config, read_only=True)
+        try:
+            stats = reader.hydration_stats()
+            assert stats["index_rebuilt"] is True
+            assert stats["hydrated"] == ["pdb", "swissprot"]  # one crawl
+            (opened,) = reader.obs.events.history("snapshot.opened")
+            assert opened.payload["index_rebuilt"] is True
+            for query in self.QUERIES:
+                assert hits(reader, query) == hits(writer, query)
+        finally:
+            reader.close()
+        assert index_rows(path) == 0  # a reader writes nothing
+        assert manifest_value(path, "index_built") == "0"
+
+    def test_a_writer_open_stores_the_index_for_later_sessions(self, legacy):
+        writer, path = legacy
+        attached = Aladin.open(path)
+        try:
+            assert attached.hydration_stats()["index_rebuilt"] is True
+            assert manifest_value(path, "index_built") == "1"
+        finally:
+            attached.close()
+        assert index_rows(path) == len(writer._index)
+        reader = Aladin.open(path, read_only=True)
+        try:
+            for query in self.QUERIES:
+                assert hits(reader, query) == hits(writer, query)
+            stats = reader.hydration_stats()
+            assert stats["index_rebuilt"] is False
+            assert stats["hydrated"] == []
+            assert stats["decoded"] == []
+        finally:
+            reader.close()
 
 
 def row_slice(path, source):

@@ -55,7 +55,6 @@ def _build_world(seed=91):
 @pytest.fixture(scope="module")
 def snapshot_path(tmp_path_factory):
     aladin = _build_world()
-    aladin.search_engine()  # persisted index: lazy opens get LazyInvertedIndex
     path = str(tmp_path_factory.mktemp("lazy_concurrency") / "world.snapshot")
     aladin.save(path)
     aladin.close()

@@ -88,14 +88,12 @@ def wide_corpus() -> Aladin:
         )
         add_sources(aladin, scenario, suffix=f"_{replica}")
         replica += 1
-    aladin.search_engine()  # the index is part of the integrated state
     return aladin
 
 
 def cold_integrate(scenario) -> Aladin:
     aladin = Aladin(AladinConfig())
     add_sources(aladin, scenario)
-    aladin.search_engine()  # the index is part of the integrated state
     return aladin
 
 

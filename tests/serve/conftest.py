@@ -15,7 +15,7 @@ from repro.synth import ScenarioConfig, UniverseConfig, build_scenario
 
 
 def build_world(seed=130):
-    """One integrated system over the full synth source set, index built."""
+    """One integrated system over the full synth source set."""
     scenario = build_scenario(
         ScenarioConfig(
             seed=seed,
@@ -33,7 +33,6 @@ def build_world(seed=130):
             source.text,
             **source.facts.import_options,
         )
-    aladin.search_engine()
     return scenario, aladin
 
 
@@ -76,7 +75,6 @@ def alt_swissprot_text():
 def direct(snapshot_path):
     """A read-only lazy open of the same file: the byte-identity oracle."""
     aladin = Aladin.open(snapshot_path, read_only=True, lazy=True)
-    aladin.search_engine()
     yield aladin
     aladin.close()
 

@@ -140,6 +140,22 @@ def test_browse_pushes_links_down_and_walks_load_the_web(
     assert after_walks["hydration"]["links_loaded"] is True
 
 
+def test_a_search_hydrates_and_decodes_no_source(snapshot_path, client):
+    """The snapshot carries its index: a generation builds nothing, and
+    a search reads postings only."""
+
+    async def body(service):
+        port = service.port
+        search = await client(port, "/search?q=protein&top_k=5")
+        return search, json.loads((await client(port, "/statz"))[1])
+
+    search, stats = run_service(body, snapshot_path)
+    assert search[0] == 200 and json.loads(search[1])["hits"]
+    assert stats["hydration"]["hydrated"] == []
+    assert stats["hydration"]["decoded"] == []
+    assert stats["hydration"]["index_rebuilt"] is False
+
+
 def test_error_shapes_and_health(snapshot_path, client):
     expected_fingerprint = SnapshotStore(snapshot_path).content_fingerprint()
 
