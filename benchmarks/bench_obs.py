@@ -3,10 +3,11 @@
 Two claims, each measured:
 
 1. **Disabled observability is free.** With metrics and tracer left
-   at ``None``, a fan-out still times itself once, through the
-   durations-only null tracer; that seam's cost is measured directly
-   against the inner per-item loop (``_run``) and must stay under 1%
-   of a realistic fan-out's runtime, on small runs too.
+   at ``None``, a fan-out times only its items, through the
+   durations-only null tracer, exactly as the inner per-item loop
+   (``_run``) does; the seam's cost is measured directly against that
+   loop and must stay under 1% of a realistic fan-out's runtime, on
+   small runs too.
 2. **Enabled observability is cheap.** A full ``integrate_many`` with
    the registry, event bus, tracer, and per-stage timing live is
    compared against the same run with observability off (min-of-N wall

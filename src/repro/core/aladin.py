@@ -885,11 +885,13 @@ class Aladin:
             else:
                 # Written without an index (before every system kept
                 # one): build it by one crawl, which hydrates every
-                # source, and let a writer store it for later sessions.
+                # source, and let a writer rewrite the file with it for
+                # later sessions.
                 aladin._index.add_pages(Crawler(aladin.web).crawl(follow_links=False))
                 session.index_rebuilt = True
                 if attach_writer:
-                    store.write_index(aladin._index)
+                    aladin._fault_all_sources()
+                    store.write_full(aladin)
             if not lazy:
                 session.hydrate()
         except BaseException:

@@ -13,14 +13,15 @@ names each stage for the telemetry below.
 
 Observability: an executor carries optional ``metrics`` / ``tracer``
 handles (both ``None`` by default — the owning ``Aladin`` wires them).
-Every fan-out is timed on one path, through ``tracer or NULL_TRACER``:
-one ``fanout.{stage}`` span and, under it, one ``task`` span per
-attempted item (``index`` and, when labelled, ``label`` attributes),
-the failing one included. The stage kind comes from the labels
-(``link:...`` -> ``link``). With a registry the fan-out records the
-``pool.fanouts`` / ``pool.tasks`` counters and the fan-out span's
-duration as ``pool.fanout.{stage}``, or on failure ``pool.failures`` /
-``pool.failures.{stage}``.
+Every item is timed on one path, through ``tracer or NULL_TRACER``: one
+``task`` span per attempted item (``index`` and, when labelled,
+``label`` attributes), the failing one included. With either handle set
+they sit under one ``fanout.{stage}`` span; with neither, nothing reads
+the fan-out's own duration, so it is not timed. The stage kind comes
+from the labels (``link:...`` -> ``link``). With a registry the fan-out
+records the ``pool.fanouts`` / ``pool.tasks`` counters and the fan-out
+span's duration as ``pool.fanout.{stage}``, or on failure
+``pool.failures`` / ``pool.failures.{stage}``.
 """
 
 from __future__ import annotations
@@ -115,6 +116,9 @@ class Executor:
         """``[fn(state, item) for item in items]``, timed per item."""
         items = list(items)
         metrics = self.metrics
+        if metrics is None and self.tracer is None:
+            # Nothing reads the fan-out's own duration: time its items only.
+            return self._run(fn, items, state, labels, NULL_TRACER)
         tracer = self.tracer or NULL_TRACER
         stage = _stage_kind(fn, labels)
         handle = tracer.start_span(f"fanout.{stage}", items=len(items))

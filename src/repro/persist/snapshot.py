@@ -1142,19 +1142,6 @@ class SnapshotStore:
                 conn.execute("DELETE FROM object_links WHERE rowid = ?", (rowid,))
             return len(doomed)
 
-    @_serialized
-    def write_index(self, index: InvertedIndex) -> None:
-        """Persist the whole inverted index: the one an open built for a
-        snapshot written without one."""
-        with self._write_connection() as conn, conn:
-            self._read_manifest(conn)
-            try:
-                self._write_index_full(conn, index)
-            except sqlite3.DatabaseError as exc:
-                raise SnapshotError(
-                    f"cannot write index to snapshot {self.path!r}: {exc}"
-                ) from exc
-
     def _delete_source_slice(self, conn: sqlite3.Connection, name: str) -> None:
         conn.execute("DELETE FROM sources WHERE name = ?", (name,))
         conn.execute("DELETE FROM table_schemas WHERE source = ?", (name,))

@@ -10,6 +10,7 @@ import pytest
 
 from repro.access.crawler import Crawler
 from repro.access.index import InvertedIndex
+from repro.access.search import SearchEngine
 from repro.core import Aladin, AladinConfig
 from repro.synth import ScenarioConfig, UniverseConfig, build_scenario
 
@@ -61,12 +62,9 @@ class TestIncrementalSearchIndex:
         assert index_fingerprint(aladin._index) == index_fingerprint(
             full_rebuild(aladin)
         )
-        # Ranked results agree with a from-scratch engine for every
-        # accession in the world.
-        fresh = Aladin(AladinConfig())
-        for name in ("swissprot", "pdb", "go"):
-            add(fresh, scenario, name)
-        fresh_engine = fresh.search_engine()
+        # Ranked results agree with an engine over an index crawled from
+        # scratch.
+        fresh_engine = SearchEngine(full_rebuild(aladin))
         for protein in scenario.universe.proteins[:5]:
             query = protein.name
             got = {

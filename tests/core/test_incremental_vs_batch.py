@@ -13,6 +13,10 @@ add exercises the *incremental* index update — produces byte-identical
 
 to one ``integrate_many`` batch over the same sources — in the
 scenario's order, and in every other order of its four sources.
+
+Both paths maintain the index through the same per-source update, so
+each is also checked against an index built from scratch by one crawl
+of the final web: identity-keyed postings and BM25 rankings must match.
 """
 
 import itertools
@@ -21,6 +25,9 @@ import sqlite3
 
 import pytest
 
+from repro.access.crawler import Crawler
+from repro.access.index import InvertedIndex
+from repro.access.search import SearchEngine
 from repro.core import Aladin, AladinConfig
 from repro.synth import ScenarioConfig, UniverseConfig, build_scenario
 
@@ -87,12 +94,37 @@ def postings(aladin):
     return list(aladin._index.export_documents())
 
 
+def crawl_index(aladin):
+    """The index built from scratch by one crawl of the final web."""
+    index = InvertedIndex()
+    index.add_pages(Crawler(aladin.web).crawl(follow_links=False))
+    return index
+
+
+def canonical_postings(index):
+    """Every document with its postings, keyed by identity.
+
+    Doc ids are assignment order: a crawl visits sources alphabetically,
+    maintenance visits them in add order. So documents are keyed by
+    (source, accession) and each document's postings are canonicalized;
+    every token, field, frequency and length must then match.
+    """
+    return sorted(
+        (source, accession, length, is_primary, sorted(doc_postings))
+        for source, accession, length, is_primary, doc_postings
+        in index.export_documents()
+    )
+
+
 QUERIES = ("kinase", "protein structure", "binding domain")
 
 
 def rankings(aladin):
     """BM25 scores per hit, keyed by identity."""
-    engine = aladin.search_engine()
+    return engine_rankings(aladin.search_engine())
+
+
+def engine_rankings(engine):
     return {
         query: sorted(
             (h.source, h.accession, h.score, tuple(sorted(h.matched_fields)))
@@ -112,6 +144,14 @@ def reference():
     return web, duplicate_set(aladin), postings(aladin), rankings(aladin)
 
 
+def assert_matches_crawl_build(aladin):
+    """The maintained index equals one crawled from scratch."""
+    rebuilt = crawl_index(aladin)
+    assert canonical_postings(aladin._index) == canonical_postings(rebuilt)
+    assert aladin._index.vocabulary_size() == rebuilt.vocabulary_size()
+    assert rankings(aladin) == engine_rankings(SearchEngine(rebuilt))
+
+
 class TestIncrementalEqualsBatch:
     def test_incremental_matches_batch_reference(self, reference):
         ref_web, ref_duplicates, ref_postings, ref_rankings = reference
@@ -120,6 +160,12 @@ class TestIncrementalEqualsBatch:
         assert duplicate_set(aladin) == ref_duplicates
         assert postings(aladin) == ref_postings
         assert rankings(aladin) == ref_rankings
+
+    def test_batch_index_matches_a_crawl_build(self):
+        assert_matches_crawl_build(integrate_batch())
+
+    def test_incremental_index_matches_a_crawl_build(self):
+        assert_matches_crawl_build(integrate_incrementally())
 
     @pytest.mark.parametrize(
         "order",
@@ -136,6 +182,7 @@ class TestIncrementalEqualsBatch:
         assert duplicate_set(incremental) == duplicate_set(batch)
         assert postings(incremental) == postings(batch)
         assert rankings(incremental) == rankings(batch)
+        assert_matches_crawl_build(incremental)
 
 
 @pytest.fixture(scope="module")

@@ -257,6 +257,7 @@ class TestSnapshotsWithoutAnIndex:
 
     def test_a_writer_open_stores_the_index_for_later_sessions(self, legacy):
         writer, path = legacy
+        rows_before = {name: row_slice(path, name) for name in ("pdb", "swissprot")}
         attached = Aladin.open(path)
         try:
             assert attached.hydration_stats()["index_rebuilt"] is True
@@ -264,6 +265,8 @@ class TestSnapshotsWithoutAnIndex:
         finally:
             attached.close()
         assert index_rows(path) == len(writer._index)
+        # The file is rewritten whole, as a save would: rows unchanged.
+        assert {name: row_slice(path, name) for name in rows_before} == rows_before
         reader = Aladin.open(path, read_only=True)
         try:
             for query in self.QUERIES:
