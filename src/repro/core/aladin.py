@@ -875,6 +875,10 @@ class Aladin:
             # survive to close them.
             session = LazySnapshotSession(store)
             manifest = session.manifest
+            if attach_writer:
+                # A file saved before an index joined the schema gains it
+                # here; readers answer from the file as it is.
+                store.ensure_schema()
             if config is None and manifest.config is not None:
                 config = config_from_dict(manifest.config)
             aladin = cls(config)

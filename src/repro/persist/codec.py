@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, Iterable, Iterator, List
+from typing import Any, Dict, List, Sequence
 
 from repro.discovery.model import (
     AttributeRef,
@@ -97,9 +97,32 @@ def canonical_json(payload: Any) -> str:
         )
 
 
+# One decoder for every parse: ``json.loads`` with an ``object_hook``
+# builds a fresh JSONDecoder per call, which costs as much as parsing a
+# short payload. The decoder keeps no state between calls (``json.loads``
+# shares its own default one across threads the same way).
+_DECODER = json.JSONDecoder(object_hook=_decode_nonfinite_object)
+
+
 def canonical_loads(text: str) -> Any:
     """Parse :func:`canonical_json` output, restoring non-finite floats."""
-    return json.loads(text, object_hook=_decode_nonfinite_object)
+    return _DECODER.decode(text)
+
+
+def decode_batch(payloads: Sequence[str]) -> List[Any]:
+    """Parse a sequence of :func:`canonical_json` payloads in one call.
+
+    The payloads are joined into one JSON array, so the parser is
+    entered once per batch instead of once per payload. A payload that
+    is not exactly one JSON value shifts the element count (or fails
+    the parse) and raises ValueError.
+    """
+    decoded = _DECODER.decode("[" + ",".join(payloads) + "]")
+    if len(decoded) != len(payloads):
+        raise ValueError(
+            f"{len(payloads)} payloads decoded to {len(decoded)} values"
+        )
+    return decoded
 
 
 def display_json(payload: Any, indent: int = 2) -> str:
@@ -118,18 +141,6 @@ def display_json(payload: Any, indent: int = 2) -> str:
             indent=indent,
             allow_nan=False,
         )
-
-
-def decode_rows(payloads: Iterable[str]) -> Iterator[Any]:
-    """Stream-decode row payloads one at a time.
-
-    A generator rather than a list so the lazy pushdown executor can
-    filter/limit a table scan without ever holding every decoded row at
-    once — the SQLite cursor feeding ``payloads`` and this decoder
-    advance in lockstep.
-    """
-    for text in payloads:
-        yield canonical_loads(text)
 
 
 # ----------------------------------------------------------------------

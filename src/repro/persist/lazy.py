@@ -61,6 +61,7 @@ from repro.metadata.repository import SourceRecord
 from repro.obs.events import HYDRATION_FAULTED
 from repro.persist import codec
 from repro.persist.snapshot import (  # noqa: PLC2701 - one WAL snapshot per read
+    LINK_LOOKUP_SQL,
     SnapshotError,
     SnapshotStore,
     SourceStub,
@@ -105,20 +106,8 @@ def _probe_value(value: Any) -> Optional[Any]:
 def _decode_payloads(
     conn: sqlite3.Connection, sql: str, params: Tuple = ()
 ) -> List[Any]:
-    """Every canonical-JSON ``payload`` the statement yields, in order.
-
-    The rows are joined into one JSON array and parsed in a single call:
-    one parser entry for the whole result instead of one per row. A
-    payload that is not exactly one JSON value shifts the element count
-    (or fails the parse) and raises ValueError.
-    """
-    payloads = [payload for (payload,) in conn.execute(sql, params)]
-    decoded = codec.canonical_loads("[" + ",".join(payloads) + "]")
-    if len(decoded) != len(payloads):
-        raise ValueError(
-            f"{len(payloads)} payloads decoded to {len(decoded)} values"
-        )
-    return decoded
+    """Every canonical-JSON ``payload`` the statement yields, in one parse."""
+    return codec.decode_batch([payload for (payload,) in conn.execute(sql, params)])
 
 
 def _simple_equality(where) -> Optional[Tuple[str, Any]]:
@@ -616,12 +605,7 @@ class LazySnapshotSession:
             candidates = [
                 codec.object_link_from_dict(payload)
                 for payload in _decode_payloads(
-                    self._connection(),
-                    "SELECT payload FROM object_links WHERE "
-                    "(source_a = ?1 AND json_extract(payload, '$.accession_a') = ?2) "
-                    "OR (source_b = ?1 AND json_extract(payload, '$.accession_b') = ?2) "
-                    "ORDER BY rowid",
-                    (source, accession),
+                    self._connection(), LINK_LOOKUP_SQL, (source, accession)
                 )
             ]
         except (sqlite3.Error, json.JSONDecodeError, KeyError,
@@ -789,11 +773,11 @@ class LazySnapshotSession:
             return None
         column_names = schema.column_names
 
-        # Scan the stored rows, streaming the decode; one bare equality
-        # in WHERE additionally narrows the scan through the cells index
-        # before a single payload is decoded. The predicate is still
-        # re-evaluated in Python on what comes back, so the index is an
-        # I/O filter, never the semantics.
+        # Scan the stored rows and decode them in one parse; one bare
+        # equality in WHERE additionally narrows the scan through the
+        # cells index before a single payload is decoded. The predicate is
+        # still re-evaluated in Python on what comes back, so the index is
+        # an I/O filter, never the semantics.
         sql = "SELECT data FROM rows WHERE source = ? AND table_name = ?"
         params: List[Any] = [source, plan.table.lower()]
         equality = _simple_equality(plan.where)
@@ -814,12 +798,10 @@ class LazySnapshotSession:
                 params += [source, plan.table.lower(), column, probe]
         sql += " ORDER BY row_id"
         try:
-            decoded = codec.decode_rows(
-                data for (data,) in conn.execute(sql, params)
-            )
-            rows = [dict(zip(column_names, tup)) for tup in decoded]
-        except (sqlite3.Error, OverflowError, json.JSONDecodeError):
+            decoded = _decode_payloads(conn, sql, tuple(params))
+        except (sqlite3.Error, OverflowError, ValueError, TypeError):
             return None
+        rows = [dict(zip(column_names, tup)) for tup in decoded]
 
         # From here on this is Query.execute for the single-table case,
         # sharing its helpers so ordering/dedup rules cannot drift.

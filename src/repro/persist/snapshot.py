@@ -22,7 +22,9 @@ Layout (one SQLite file):
 * ``profiles`` — the per-column ColumnProfile statistics (Section 4.4's
   compute-once statistics survive restarts);
 * ``attribute_links`` / ``object_links`` — the link web, each link stored
-  once with its endpoint sources as indexed columns;
+  once with its endpoint sources as indexed columns; two expression
+  indexes on ``(source, accession)`` per endpoint make one object's links
+  a point read;
 * ``index_documents`` / ``index_postings`` — the inverted index, postings
   keyed by document so no re-tokenization happens on load.
 
@@ -265,6 +267,10 @@ CREATE TABLE IF NOT EXISTS object_links (
 );
 CREATE INDEX IF NOT EXISTS idx_object_links_a ON object_links (source_a);
 CREATE INDEX IF NOT EXISTS idx_object_links_b ON object_links (source_b);
+CREATE INDEX IF NOT EXISTS idx_object_links_a_accession
+    ON object_links (source_a, json_extract(payload, '$.accession_a'));
+CREATE INDEX IF NOT EXISTS idx_object_links_b_accession
+    ON object_links (source_b, json_extract(payload, '$.accession_b'));
 CREATE TABLE IF NOT EXISTS index_documents (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
     source TEXT NOT NULL,
@@ -293,6 +299,19 @@ CREATE TABLE IF NOT EXISTS cells (
 CREATE INDEX IF NOT EXISTS idx_cells_lookup
     ON cells (source, table_name, column_name, value, row_id);
 """
+
+
+# One object's link rows, in rowid order. SQLite runs it as a MULTI-INDEX
+# OR over the two accession indexes above, whose expressions must stay
+# textually identical to these or the planner falls back to scanning the
+# source's links (``tests/persist/test_link_pushdown.py`` pins the plan).
+# A file without those indexes answers the same statement by that scan.
+LINK_LOOKUP_SQL = (
+    "SELECT payload FROM object_links WHERE "
+    "(source_a = ?1 AND json_extract(payload, '$.accession_a') = ?2) "
+    "OR (source_b = ?1 AND json_extract(payload, '$.accession_b') = ?2) "
+    "ORDER BY rowid"
+)
 
 
 def _ensure_schema(conn: sqlite3.Connection) -> None:
@@ -790,6 +809,24 @@ class SnapshotStore:
                     self._write_source(conn, aladin, name)
                 self._write_all_links(conn, aladin.repository)
                 self._write_index_full(conn, aladin._index)
+
+    @_serialized
+    def ensure_schema(self) -> None:
+        """Add whatever table or index of the schema the file lacks.
+
+        Checkpoints and ``VACUUM INTO`` keep a file's index set as it was
+        written, so a file saved before an index joined the schema would
+        never gain it. An attached writer runs this once at open; a reader
+        writes nothing and answers from the file as it is.
+        """
+        with self._write_connection() as conn, conn:
+            self._read_manifest(conn)
+            try:
+                _ensure_schema(conn)
+            except sqlite3.DatabaseError as exc:
+                raise SnapshotError(
+                    f"cannot write snapshot {self.path!r}: {exc}"
+                ) from exc
 
     def _ensure_overwritable(self, conn: sqlite3.Connection) -> None:
         """Refuse to clobber an SQLite file that is not ours.
@@ -1403,16 +1440,20 @@ class SnapshotStore:
             table = database.create_table(
                 codec.schema_from_dict(codec.canonical_loads(schema_json))
             )
-            tuples = []
-            for (data,) in conn.execute(
-                "SELECT data FROM rows WHERE source = ? AND table_name = ? "
-                "ORDER BY row_id",
-                (name, table_name),
-            ):
-                hasher.update(data.encode("utf-8"))
-                payload_bytes += len(data)
-                tuples.append(codec.canonical_loads(data))
-            table.bulk_load(tuples, materialize=False)
+            payloads = [
+                data
+                for (data,) in conn.execute(
+                    "SELECT data FROM rows WHERE source = ? AND table_name = ? "
+                    "ORDER BY row_id",
+                    (name, table_name),
+                )
+            ]
+            # The hash runs over the payloads in row order, concatenated:
+            # one update over the joined text hashes the same bytes.
+            joined = "".join(payloads)
+            hasher.update(joined.encode("utf-8"))
+            payload_bytes += len(joined)
+            table.bulk_load(codec.decode_batch(payloads), materialize=False)
         if hasher.hexdigest() != content_hash:
             raise SnapshotError(
                 f"snapshot {self.path!r}: content hash mismatch for source "
@@ -1497,15 +1538,15 @@ class SnapshotStore:
             samples = codec.canonical_loads(row[1])
             if not isinstance(samples, dict):
                 raise ValueError("samples are not a JSON object")
+            keyed = conn.execute(
+                "SELECT table_name, column_name, profile FROM profiles "
+                "WHERE source = ? ORDER BY table_name, column_name",
+                (name,),
+            ).fetchall()
+            decoded = codec.decode_batch([profile for _, _, profile in keyed])
             profiles = {
-                AttributeRef(table_name, column_name): codec.profile_from_dict(
-                    codec.canonical_loads(profile_json)
-                )
-                for table_name, column_name, profile_json in conn.execute(
-                    "SELECT table_name, column_name, profile FROM profiles "
-                    "WHERE source = ? ORDER BY table_name, column_name",
-                    (name,),
-                )
+                AttributeRef(table, column): codec.profile_from_dict(payload)
+                for (table, column, _), payload in zip(keyed, decoded)
             }
         except (sqlite3.DatabaseError, json.JSONDecodeError, KeyError,
                 ValueError, TypeError, AttributeError) as exc:

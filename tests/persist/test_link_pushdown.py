@@ -2,7 +2,10 @@
 
 While a lazy session's link web is still deferred, ``links_of`` (and so
 a browse) answers from one indexed SQLite statement instead of replaying
-every link in the file. The contract is the replay's own answer, order
+every link in the file. The statement is a point read over the two
+``(source, accession)`` expression indexes; a file written before they
+joined the schema answers the same statement by a scan, and gains them
+at its next writer open. The contract is the replay's own answer, order
 included, on any snapshot — one written in one go and one whose link
 rows were rewritten by in-place checkpoints, so rowid order no longer
 follows the writer's in-memory order. A lookup that SQLite cannot run
@@ -17,9 +20,17 @@ import pytest
 
 from repro.access.crawler import Crawler
 from repro.core import Aladin
+from repro.persist import SnapshotStore
 from repro.persist.lazy import LazySnapshotSession
+from repro.persist.snapshot import LINK_LOOKUP_SQL
 
 KINDS = (None, "duplicate", "crossref")
+# Each accession index, and the plan line that shows it answering both
+# of its key columns rather than the source prefix alone.
+ACCESSION_INDEXES = {
+    "idx_object_links_a_accession": "(source_a=? AND <expr>=?)",
+    "idx_object_links_b_accession": "(source_b=? AND <expr>=?)",
+}
 
 
 @pytest.fixture(scope="module")
@@ -35,10 +46,7 @@ def snapshot(integrated_world, tmp_path_factory):
 @pytest.fixture(scope="module")
 def maintained_snapshot(snapshot, tmp_path_factory):
     """The same world after in-place update/remove/add checkpoints."""
-    path = tmp_path_factory.mktemp("maintained") / "m.snap"
-    for ext in ("", "-wal", "-shm"):
-        if os.path.exists(f"{snapshot}{ext}"):
-            shutil.copy(f"{snapshot}{ext}", f"{path}{ext}")
+    path = copy_snapshot(snapshot, tmp_path_factory.mktemp("maintained") / "m.snap")
     aladin = Aladin.open(path, lazy=True)
     names = aladin.source_names()
     for name in names:
@@ -56,6 +64,30 @@ def maintained_snapshot(snapshot, tmp_path_factory):
 
 def open_lazy(path):
     return Aladin.open(path, read_only=True, lazy=True)
+
+
+def copy_snapshot(source, path):
+    for ext in ("", "-wal", "-shm"):
+        if os.path.exists(f"{source}{ext}"):
+            shutil.copy(f"{source}{ext}", f"{path}{ext}")
+    return path
+
+
+def read_only_connection(path):
+    return sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+
+
+def index_names(path):
+    conn = read_only_connection(path)
+    try:
+        return {
+            name
+            for (name,) in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index'"
+            )
+        }
+    finally:
+        conn.close()
 
 
 def identities(aladin):
@@ -97,6 +129,55 @@ def test_pushdown_equals_replay_for_every_object(which, request):
     finally:
         reference.close()
         pushed.close()
+
+
+def test_lookup_is_a_point_read_over_both_accession_indexes(snapshot):
+    """An edit to either index expression that stops the match fails."""
+    conn = read_only_connection(snapshot)
+    try:
+        plan = [
+            row[-1]
+            for row in conn.execute(
+                "EXPLAIN QUERY PLAN " + LINK_LOOKUP_SQL, ("swissprot", "P1")
+            )
+        ]
+    finally:
+        conn.close()
+    assert "MULTI-INDEX OR" in plan, plan
+    for index, keys in ACCESSION_INDEXES.items():
+        assert f"SEARCH object_links USING INDEX {index} {keys}" in plan, plan
+
+
+def test_file_without_the_accession_indexes(snapshot, tmp_path):
+    """A file saved before the indexes: same answers, a writer adds them."""
+    path = copy_snapshot(snapshot, tmp_path / "unindexed.snap")
+    conn = sqlite3.connect(path)
+    for index in ACCESSION_INDEXES:
+        conn.execute(f"DROP INDEX {index}")
+    conn.commit()
+    conn.close()
+    fingerprint = SnapshotStore(path).content_fingerprint()
+
+    reference = open_lazy(snapshot)
+    old = open_lazy(path)
+    try:
+        reference.repository.load_links()
+        objects = identities(reference)
+        for source, accession in objects:
+            assert old.repository.links_of(source, accession) == (
+                reference.repository.links_of(source, accession)
+            ), (source, accession)
+        stats = old.hydration_stats()
+        assert stats["links_loaded"] is False
+        assert stats["link_lookups"] == len(objects)
+    finally:
+        reference.close()
+        old.close()
+    assert not ACCESSION_INDEXES.keys() & index_names(path)  # a reader wrote nothing
+
+    Aladin.open(path, lazy=True).close()
+    assert ACCESSION_INDEXES.keys() <= index_names(path)
+    assert SnapshotStore(path).content_fingerprint() == fingerprint
 
 
 def test_maintained_snapshot_reorders_link_rows(snapshot, maintained_snapshot):

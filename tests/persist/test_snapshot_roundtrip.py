@@ -16,6 +16,7 @@ import pytest
 from repro.core import Aladin, AladinConfig
 from repro.persist import FORMAT_VERSION, SnapshotError, SnapshotLock
 from repro.persist import codec
+from repro.persist.snapshot import _hash_stored_source
 from repro.synth import ScenarioConfig, UniverseConfig, build_scenario
 
 
@@ -402,3 +403,35 @@ class TestSnapshotValidation:
             for name in reopened.source_names():
                 reopened.database(name)
         reopened.close()
+
+    def test_row_holding_two_values_fails_hydration(
+        self, integrated_world, tmp_path
+    ):
+        """A payload that is two rows under a matching content hash.
+
+        The forged second row has the table's width and only NULLs, so
+        neither the hash check nor the table's width and unique checks
+        see it: only the batch decode's count check can.
+        """
+        _, aladin = integrated_world
+        path = tmp_path / "forged.snapshot"
+        aladin.save(path)
+        aladin.detach_store()
+        conn = sqlite3.connect(path)
+        rowid, name, data = conn.execute(
+            "SELECT rowid, source, data FROM rows LIMIT 1"
+        ).fetchone()
+        forged = data + "," + json.dumps([None] * len(json.loads(data)))
+        conn.execute("UPDATE rows SET data = ? WHERE rowid = ?", (forged, rowid))
+        conn.execute(
+            "UPDATE sources SET content_hash = ? WHERE name = ?",
+            (_hash_stored_source(conn, name), name),
+        )
+        conn.commit()
+        conn.close()
+        reopened = Aladin.open(path, read_only=True, lazy=True)
+        try:
+            with pytest.raises(SnapshotError, match="forged.snapshot"):
+                reopened.database(name)
+        finally:
+            reopened.close()
