@@ -1,13 +1,14 @@
 """Lazy open: read the manifest, page sources in on first touch.
 
 ``Aladin.open`` is lazy by default — only the snapshot's manifest
-(version, per-source structure, profiles, samples, row counts) loads up
-front, and each source's tables fault in the first time something
-touches them. A BM25 search streams postings straight from the
-snapshot, and a single-table SQL filter is pushed down to the
-snapshot's value index, so both answer with *zero* sources resident.
-This script walks the access modes and prints the hydration counters
-after each one, then evicts a source with ``release_source``.
+(version, config, per-source names, hashes and row counts) loads up
+front, and each source's tables fault in the first time something needs
+them resident. A BM25 search streams postings straight from the
+snapshot, a single-table SQL filter is pushed down to the snapshot's
+value index, and a browsed page is read from the snapshot's rows, so all
+three answer with *zero* sources resident. This script walks the access
+modes and prints the hydration counters after each one, then faults one
+source in and evicts it again with ``release_source``.
 
     python examples/lazy_open.py
 """
@@ -74,10 +75,14 @@ def main() -> None:
     print(f"    SQL on {probe!r}: {len(result.rows)} rows, no hydration")
     hydration(lazy, "pushed-down SQL")
 
-    # Browsing a page faults in exactly the one source it touches.
+    # Browsing a page reads that one object from the snapshot.
     top = hits[0]
-    lazy.web.page(top.source, top.accession)
+    lazy.browser().visit(top.source, top.accession)
     hydration(lazy, f"browsing {top.source}/{top.accession}")
+
+    # Anything that needs a source's rows resident faults exactly it in.
+    lazy.database(top.source)
+    hydration(lazy, f"touching {top.source}'s database")
 
     # Long-lived readers can evict cold sources back to their stubs.
     lazy.release_source(top.source)

@@ -122,6 +122,16 @@ class InvertedIndex:
     def __len__(self) -> int:
         return len(self._documents)
 
+    def reader(self) -> "InvertedIndex":
+        """What one query reads: this index itself, once resident.
+
+        A query pins its reader up front and resolves every document id
+        it gets from ``postings`` through that reader, so a lazily loaded
+        index keeps the query consistent while another thread faults the
+        whole index in and renumbers it.
+        """
+        return self
+
     @property
     def average_length(self) -> float:
         if not self._doc_lengths:

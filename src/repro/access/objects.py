@@ -20,6 +20,11 @@ from repro.metadata.repository import MetadataRepository
 from repro.relational.database import Database
 
 
+#: What a page pushdown returns to decline (``None`` already answers
+#: "no such object"); see :meth:`ObjectWeb.set_page_pushdown`.
+DECLINED = object()
+
+
 @dataclass
 class ObjectPage:
     """One primary object rendered as a page."""
@@ -45,10 +50,13 @@ class ObjectWeb:
         # secondary table instead of one per page visit.
         self._annotation_cache: Dict[Tuple[str, str], Dict[str, List[Dict[str, object]]]] = {}
         # Lazy-open hooks: fault a source's database in on first touch,
-        # and (optionally) answer single-source SQL straight from the
-        # snapshot before hydrating (see set_hydrator / set_sql_pushdown).
+        # and (optionally) answer single-source SQL and object pages
+        # straight from the snapshot before hydrating (see set_hydrator /
+        # set_sql_pushdown / set_page_pushdown).
         self._hydrator = None
         self._sql_pushdown = None
+        self._page_pushdown = None
+        self._accessions_pushdown = None
 
     # ------------------------------------------------------------------
     # lazy hydration hooks
@@ -70,6 +78,22 @@ class ObjectWeb:
         shape) — the caller then hydrates and runs in memory.
         """
         self._sql_pushdown = pushdown
+
+    def set_page_pushdown(self, page, accessions) -> None:
+        """Install the snapshot page reader for unhydrated sources.
+
+        ``page(source, accession)`` returns the object's page read from
+        the snapshot, or None if the source has no such object.
+        ``accessions(source, exclude, limit)`` returns the source's
+        non-null primary accessions in row order, leaving out
+        ``exclude`` and stopping after ``limit`` (None: no bound). Both
+        must answer exactly as the in-memory path would, or return
+        :data:`DECLINED`; the caller then hydrates the source and
+        answers in memory. Only a source that is not attached is
+        offered: once its rows are resident, memory answers.
+        """
+        self._page_pushdown = page
+        self._accessions_pushdown = accessions
 
     def _ensure_attached(self, source: str) -> None:
         if self._hydrator is not None and source not in self._databases:
@@ -125,12 +149,28 @@ class ObjectWeb:
 
     # ------------------------------------------------------------------
     def accessions(self, source: str) -> List[str]:
+        return self._primary_accessions(source)
+
+    def _primary_accessions(
+        self, source: str, exclude: Optional[str] = None, limit: Optional[int] = None
+    ) -> List[str]:
+        if self._accessions_pushdown is not None and source not in self._databases:
+            found = self._accessions_pushdown(source, exclude, limit)
+            if found is not DECLINED:
+                return found
         self._ensure_attached(source)
         resolver = self._resolvers.get(source)
-        return resolver.primary_accessions() if resolver else []
+        accessions = resolver.primary_accessions() if resolver else []
+        if exclude is not None:
+            accessions = [a for a in accessions if a != exclude]
+        return accessions if limit is None else accessions[:limit]
 
     def page(self, source: str, accession: str) -> Optional[ObjectPage]:
         """Materialize one object page (own row + secondary annotations)."""
+        if self._page_pushdown is not None and source not in self._databases:
+            page = self._page_pushdown(source, accession)
+            if page is not DECLINED:
+                return page
         self._ensure_attached(source)
         resolver = self._resolvers.get(source)
         if resolver is None:
@@ -175,8 +215,7 @@ class ObjectWeb:
     # ------------------------------------------------------------------
     def same_relation(self, source: str, accession: str, limit: int = 10) -> List[str]:
         """Type 1: sibling objects in the same primary relation."""
-        siblings = [a for a in self.accessions(source) if a != accession]
-        return siblings[:limit]
+        return self._primary_accessions(source, exclude=accession, limit=limit)
 
     def dependencies(self, source: str, accession: str) -> Dict[str, List[Dict[str, object]]]:
         """Type 2: the secondary objects of this object."""

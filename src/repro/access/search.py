@@ -73,15 +73,16 @@ class SearchEngine:
             return []
         allowed_sources = set(sources) if sources is not None else None
         allowed_fields = set(fields) if fields is not None else None
-        n_docs = self._index.document_count()
-        avg_len = self._index.average_length or 1.0
+        index = self._index.reader()
+        n_docs = index.document_count()
+        avg_len = index.average_length or 1.0
         scores: Dict[int, float] = defaultdict(float)
         matched: Dict[int, Set[str]] = defaultdict(set)
         for token in tokens:
-            postings = self._index.postings(token)
+            postings = index.postings(token)
             if not postings:
                 continue
-            df = self._index.document_frequency(token)
+            df = index.document_frequency(token)
             idf = math.log(1 + (n_docs - df + 0.5) / (df + 0.5))
             per_doc: Dict[int, int] = defaultdict(int)
             doc_fields: Dict[int, Set[str]] = defaultdict(set)
@@ -92,14 +93,14 @@ class SearchEngine:
                 doc_fields[posting.doc_id].add(posting.field)
             for doc_id, tf in per_doc.items():
                 if allowed_sources is not None:
-                    if self._index.source_of(doc_id) not in allowed_sources:
+                    if index.source_of(doc_id) not in allowed_sources:
                         continue
-                length_norm = 1 - _B + _B * self._index.doc_length(doc_id) / avg_len
+                length_norm = 1 - _B + _B * index.doc_length(doc_id) / avg_len
                 scores[doc_id] += idf * tf * (_K1 + 1) / (tf + _K1 * length_norm)
                 matched[doc_id] |= doc_fields[doc_id]
         hits = []
         for doc_id, score in scores.items():
-            source, accession = self._index.document(doc_id)
+            source, accession = index.document(doc_id)
             hits.append(
                 SearchHit(
                     source=source,

@@ -18,10 +18,20 @@ from repro.relational.database import Database
 from repro.relational.table import Row
 
 
-class ObjectResolver:
-    """Maps rows of any reachable table to primary-object accessions."""
+#: One join of a secondary path, oriented away from the primary relation:
+#: ``(from_table, from_column, to_table, to_column)``.
+JoinStep = Tuple[str, str, str, str]
 
-    def __init__(self, database: Database, structure: SourceStructure):
+
+class ObjectResolver:
+    """Maps rows of any reachable table to primary-object accessions.
+
+    ``database`` may be None for a resolver that only plans: its
+    primary relation, accession column and :meth:`forward_steps` need
+    the structure alone.
+    """
+
+    def __init__(self, database: Optional[Database], structure: SourceStructure):
         self._db = database
         self._structure = structure
         primary = structure.primary_relation
@@ -63,24 +73,21 @@ class ObjectResolver:
         if table == self._primary:
             accession = row.get(self._accession_column)
             return [accession] if accession is not None else []
-        paths = self._structure.secondary_paths.get(table)
-        if not paths:
+        steps = self.forward_steps(table)
+        if steps is None:
             return []
-        path = min(paths, key=lambda p: p.length)
         rows = [row]
-        # Path runs primary -> ... -> table; walk it backwards.
-        for step in reversed(path.steps):
-            # The step connects step.from_table -> step.to_table; current
-            # rows live in to_table and must be moved to from_table.
+        # Steps run primary -> ... -> table; walk them backwards: current
+        # rows live in to_table and must be moved to from_table.
+        for from_table, from_column, _to_table, to_column in reversed(steps):
             next_rows: List[Row] = []
-            index = self._column_index(step.from_table, self._join_column(step, "from"))
-            join_col = self._join_column(step, "to")
+            index = self._column_index(from_table, from_column)
             for current in rows:
-                value = current.get(join_col)
+                value = current.get(to_column)
                 if value is None:
                     continue
                 next_rows.extend(
-                    self._db.table(step.from_table).row_at(i) for i in index.get(value, [])
+                    self._db.table(from_table).row_at(i) for i in index.get(value, [])
                 )
             rows = next_rows
             if not rows:
@@ -106,20 +113,15 @@ class ObjectResolver:
         de-duplicated, and the primary relation owns itself, mirroring the
         per-row method. Tables without a discovered path map to ``{}``.
         """
-        if table == self._primary:
-            return self._primary_owner_seed()
-        paths = self._structure.secondary_paths.get(table)
-        if not paths:
+        steps = self.forward_steps(table)
+        if steps is None:
             return {}
-        path = min(paths, key=lambda p: p.length)
         # Seed: every primary row owns itself. Each step then pushes the
         # ownership one table outward along the path.
         current = self._primary_owner_seed()
-        for step in path.steps:
-            from_values = self._db.table(step.from_table).columns.values(
-                self._join_column(step, "from")
-            )
-            to_index = self._column_index(step.to_table, self._join_column(step, "to"))
+        for from_table, from_column, to_table, to_column in steps:
+            from_values = self._db.table(from_table).columns.values(from_column)
+            to_index = self._column_index(to_table, to_column)
             forwarded: Dict[int, List[str]] = {}
             for from_row_id, accessions in current.items():
                 value = from_values[from_row_id]
@@ -134,6 +136,31 @@ class ObjectResolver:
             if not current:
                 break
         return current
+
+    def forward_steps(self, table: str) -> Optional[List[JoinStep]]:
+        """The joins that carry ownership from the primary relation to ``table``.
+
+        One :data:`JoinStep` per step of the shortest discovered secondary
+        path; ``[]`` for the primary relation itself, None for a table no
+        path reaches. :meth:`owners_index` sweeps these steps in memory
+        and a lazy snapshot reader walks them over the stored value index,
+        so the two agree on the path and its join columns by construction.
+        """
+        if table == self._primary:
+            return []
+        paths = self._structure.secondary_paths.get(table)
+        if not paths:
+            return None
+        path = min(paths, key=lambda p: p.length)
+        return [
+            (
+                step.from_table,
+                self._join_column(step, "from"),
+                step.to_table,
+                self._join_column(step, "to"),
+            )
+            for step in path.steps
+        ]
 
     def _primary_owner_seed(self) -> Dict[int, List[str]]:
         """Every primary row mapped to its own accession (the sweep seed)."""

@@ -39,6 +39,7 @@ class MetadataRepository:
         # behind a resolver (see register_deferred); _sources_lock makes
         # concurrent first reads resolve a record exactly once.
         self._deferred_sources: Dict[str, Callable[[], SourceRecord]] = {}
+        self._deferred_structures: Dict[str, Callable[[], SourceStructure]] = {}
         self._sources_lock = threading.Lock()
         self._attribute_links: List[AttributeLink] = []
         self._object_links: List[ObjectLink] = []
@@ -131,19 +132,25 @@ class MetadataRepository:
         )
 
     def register_deferred(
-        self, name: str, resolve: Callable[[], SourceRecord]
+        self,
+        name: str,
+        resolve: Callable[[], SourceRecord],
+        structure: Callable[[], SourceStructure],
     ) -> None:
         """Register a source by name; build its record on first use.
 
         ``resolve()`` is called at most once, by the first :meth:`source`
-        call for ``name`` (and so the first :meth:`structure` read), under
-        a lock so concurrent first reads share one record. If it raises,
-        the source stays deferred and the next read retries. Name-only
-        reads — :meth:`has_source`, :meth:`source_names` — never resolve.
+        call for ``name``, under a lock so concurrent first reads share
+        one record. If it raises, the source stays deferred and the next
+        read retries. ``structure()`` answers :meth:`structure` while the
+        record is still deferred; it must return the structure
+        ``resolve()`` later puts in the record. Name-only reads —
+        :meth:`has_source`, :meth:`source_names` — never resolve.
         """
         if self.has_source(name):
             raise ValueError(f"source {name!r} already registered")
         self._deferred_sources[name] = resolve
+        self._deferred_structures[name] = structure
 
     def refresh_source_data(
         self,
@@ -187,12 +194,19 @@ class MetadataRepository:
                 # never sees the name in neither map.
                 self._sources[name] = record
                 del self._deferred_sources[name]
+                self._deferred_structures.pop(name, None)
         return record
 
     def source_names(self) -> List[str]:
         return sorted(set(self._sources) | set(self._deferred_sources))
 
     def structure(self, name: str) -> SourceStructure:
+        record = self._sources.get(name)
+        if record is not None:
+            return record.structure
+        read = self._deferred_structures.get(name)
+        if read is not None:
+            return read()
         return self.source(name).structure
 
     def remove_source(self, name: str) -> None:
@@ -203,6 +217,7 @@ class MetadataRepository:
         with self._sources_lock:
             self._sources.pop(name, None)
             self._deferred_sources.pop(name, None)
+            self._deferred_structures.pop(name, None)
         self._attribute_links = [
             l for l in self._attribute_links if name not in (l.source, l.target)
         ]

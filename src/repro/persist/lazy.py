@@ -5,13 +5,14 @@ installs the O(manifest) part of the file — per-source stubs carrying
 name, content hash, format, import options, and row counts — and leaves
 four fault-in seams armed:
 
-* *metadata*: each source's repository record (structure, ColumnProfiles,
-  samples, and the statistics built from the profiles) is decoded on the
-  first read of it, with two keyed SQLite reads — a search or a
-  pushed-down SELECT decodes none, a browse decodes the browsed source;
+* *metadata*: each source's structure is decoded on the first read of
+  it, and the rest of its repository record (ColumnProfiles, samples, and
+  the statistics built from the profiles) on the first read of the whole
+  record, each with keyed SQLite reads — a search or a pushed-down SELECT
+  decodes none, a browse decodes the browsed source's structure alone;
 * *sources*: the object web's hydrator callback loads exactly one source's
-  tables (:meth:`SnapshotStore.load_source_body`) the first time a query,
-  page visit, or crawl touches it, decoding its metadata in the same read
+  tables (:meth:`SnapshotStore.load_source_body`) the first time a query
+  or crawl needs them resident, decoding its metadata in the same read
   transaction if nothing has yet;
 * *links*: the link web grows with the corpus, not with a query, so it
   stays in SQLite. A per-object read (``links_of``, and so a page
@@ -20,17 +21,20 @@ four fault-in seams armed:
   reads, link walks (crawls, path searches, link joins) and every link
   write replay the web into memory once, and from then on memory is
   authoritative;
-* *index*: :class:`LazyInvertedIndex` restores document metadata on first
-  use and postings per token, so a BM25 query reads only its query tokens'
-  posting lists from SQLite.
+* *index*: :class:`LazyInvertedIndex` answers a BM25 query from one
+  document-count aggregate and its query tokens' posting lists, each read
+  with the metadata of just the documents it names
+  (:class:`SnapshotIndexReader`); only whole-index operations load it all.
 
 On top of the fault-in path sits *pushdown*: for a source that is not
 hydrated yet, point lookups (``value -> row_ids``), single-table SELECT
-statements, and simple aggregations are answered by SQL against the
-snapshot's own ``cells`` value index (written at checkpoint time) — a
-query over 2 of 50 sources never materializes the other 48. Anything the
-pushdown layer cannot answer exactly declines, hydrates, and runs in
-memory; declining is always correct, just slower.
+statements, simple aggregations and object pages are answered by SQL
+against the snapshot's own ``cells`` value index (written at checkpoint
+time) — a query over 2 of 50 sources never materializes the other 48,
+and a browse reads one object's rows (:meth:`LazySnapshotSession.read_page`)
+from a slice verified against its content hash once per session.
+Anything the pushdown layer cannot answer exactly declines, hydrates, and
+runs in memory; declining is always correct, just slower.
 
 An eager open (``Aladin.open(..., lazy=False)``) is this session followed
 by :meth:`LazySnapshotSession.hydrate` with no name: every source, the
@@ -55,7 +59,9 @@ import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.access.index import DocumentDelta, InvertedIndex, PostingField
+from repro.access.objects import DECLINED, ObjectPage
 from repro.linking.model import ObjectLink
+from repro.linking.resolve import ObjectResolver
 from repro.linking.stats import statistics_from_profile
 from repro.metadata.repository import SourceRecord
 from repro.obs.events import HYDRATION_FAULTED
@@ -79,6 +85,7 @@ from repro.relational.query import (  # noqa: PLC2701 - shared executor internal
     _stable_sort,
 )
 from repro.relational.sql import SelectPlan, plan_select
+from repro.relational.types import is_null
 
 
 def _probe_value(value: Any) -> Optional[Any]:
@@ -122,6 +129,162 @@ def _simple_equality(where) -> Optional[Tuple[str, Any]]:
     return None
 
 
+# Bound parameters per IN list, well under SQLite's variable limit.
+_IN_CHUNK = 500
+
+
+def _chunks(items: List[Any]):
+    for start in range(0, len(items), _IN_CHUNK):
+        yield items[start:start + _IN_CHUNK]
+
+
+class _SliceReader:
+    """Point reads of one source's verified slice, in one read transaction.
+
+    Rows are found through the ``cells`` value index and decoded from
+    ``rows``; every found row is checked against the values it was found
+    by, so the index narrows what is read but never decides an answer.
+    Each method returns :data:`DECLINED` where it cannot answer exactly
+    as the in-memory object web would, and the caller hydrates instead.
+    """
+
+    def __init__(
+        self, conn: sqlite3.Connection, source: str, columns: Dict[str, List[str]]
+    ):
+        self._conn = conn
+        self._source = source
+        self._columns = columns  # table -> column names, as verified
+        self._decoded: Dict[Tuple[str, int], Dict[str, Any]] = {}
+
+    def _rows(self, table: str, row_ids: List[int]):
+        """``row_id -> row`` for ``row_ids`` (ascending), each decoded once."""
+        names = self._columns[table]
+        missing = [i for i in row_ids if (table, i) not in self._decoded]
+        for chunk in _chunks(missing):
+            fetched = self._conn.execute(
+                "SELECT row_id, data FROM rows WHERE source = ? AND table_name = ? "
+                f"AND row_id IN ({','.join('?' * len(chunk))}) ORDER BY row_id",
+                (self._source, table, *chunk),
+            ).fetchall()
+            decoded = codec.decode_batch([data for _, data in fetched])
+            for (row_id, _data), values in zip(fetched, decoded):
+                if len(values) != len(names):
+                    return DECLINED
+                self._decoded[(table, row_id)] = dict(zip(names, values))
+        try:
+            return {i: self._decoded[(table, i)] for i in row_ids}
+        except KeyError:  # the cells index names a row the slice lacks
+            return DECLINED
+
+    def find(self, table: str, column: str, values: List[Any]):
+        """``row_id -> row`` of ``table``'s rows whose ``column`` equals one
+        of ``values`` (non-null), in row order."""
+        table, column = table.lower(), column.lower()
+        if column not in self._columns.get(table, ()):
+            return DECLINED
+        probes = []
+        for value in values:
+            probe = _probe_value(value)
+            if probe is None:
+                return DECLINED
+            probes.append(probe)
+        row_ids = set()
+        for chunk in _chunks(list(dict.fromkeys(probes))):
+            row_ids.update(
+                row_id
+                for (row_id,) in self._conn.execute(
+                    "SELECT row_id FROM cells WHERE source = ? AND table_name = ? "
+                    f"AND column_name = ? AND value IN ({','.join('?' * len(chunk))})",
+                    (self._source, table, column, *chunk),
+                )
+            )
+        rows = self._rows(table, sorted(row_ids))
+        if rows is DECLINED:
+            return DECLINED
+        wanted = set(values)
+        if any(row[column] not in wanted for row in rows.values()):
+            return DECLINED
+        return rows
+
+    def page(
+        self,
+        resolver: ObjectResolver,
+        tables: List[str],
+        source: str,
+        accession: Any,
+    ):
+        """The page ``ObjectWeb.page`` builds in memory: the first primary
+        row holding ``accession``, and per secondary table in ``tables``
+        (the structure's order) the rows its owner walk reaches."""
+        primary = resolver.primary_relation.lower()
+        seed = self.find(primary, resolver.accession_column, [accession])
+        if seed is DECLINED:
+            return DECLINED
+        if not seed:
+            return None
+        page = ObjectPage(
+            source=source, accession=accession, fields=dict(seed[min(seed)])
+        )
+        for table_name in tables:
+            steps = resolver.forward_steps(table_name)
+            if steps is None:
+                continue
+            rows, at = seed, primary
+            for from_table, from_column, to_table, to_column in steps:
+                from_column = from_column.lower()
+                if from_table.lower() != at or from_column not in self._columns[at]:
+                    return DECLINED
+                values = [
+                    row[from_column]
+                    for row in rows.values()
+                    if not is_null(row[from_column])
+                ]
+                rows = self.find(to_table, to_column, values) if values else {}
+                if rows is DECLINED:
+                    return DECLINED
+                at = to_table.lower()
+                if not rows:
+                    break
+            else:
+                if at != table_name.lower():
+                    return DECLINED
+            if rows:
+                page.annotations[table_name] = [dict(rows[i]) for i in sorted(rows)]
+        return page
+
+    def accessions(
+        self, resolver: ObjectResolver, exclude: Any, limit: Optional[int]
+    ):
+        """``ObjectResolver.primary_accessions`` without ``exclude``, at
+        most ``limit`` of them: decoded in row order until enough."""
+        primary = resolver.primary_relation.lower()
+        column = resolver.accession_column.lower()
+        names = self._columns.get(primary, [])
+        if column not in names:
+            return DECLINED
+        position = names.index(column)
+        found: List[Any] = []
+        if limit == 0:
+            return found
+        cursor = self._conn.execute(
+            "SELECT data FROM rows WHERE source = ? AND table_name = ? "
+            "ORDER BY row_id",
+            (self._source, primary),
+        )
+        while True:
+            batch = cursor.fetchmany(64 if limit is not None else 4096)
+            if not batch:
+                return found
+            for values in codec.decode_batch([data for (data,) in batch]):
+                if len(values) != len(names):
+                    return DECLINED
+                value = values[position]
+                if value is not None and (exclude is None or value != exclude):
+                    found.append(value)
+                    if len(found) == limit:
+                        return found
+
+
 class SnapshotColumnSource:
     """The ColumnStore backing of one snapshot-resident table.
 
@@ -145,55 +308,122 @@ class SnapshotColumnSource:
 _INDEX_CHANGED = "snapshot index changed under a lazy reader; reopen the snapshot"
 
 
+class SnapshotIndexReader:
+    """What a BM25 query reads of an index still in the snapshot.
+
+    The document count and total length come from one aggregate, and
+    each query token's posting list arrives with the metadata of just the
+    documents it names; nothing else of the document table is read.
+    Document ids are ``index_documents.id``. Postings keep the order the
+    writer exported them in (document, then insertion order), and the
+    length total is an integer sum, so BM25 scores and tie-breaks equal
+    those of the resident index.
+
+    Every read carries the index generation; one that differs from the
+    generation of this reader's first read, or a posting of a document
+    the file no longer holds, raises SnapshotError instead of mixing two
+    versions of the index. A reader's ids never change, so a query that
+    pinned it (:meth:`InvertedIndex.reader`) stays consistent while
+    another thread faults the whole index in.
+    """
+
+    def __init__(self, session: "LazySnapshotSession"):
+        self._session = session
+        self.generation: Optional[str] = None
+        self._totals: Optional[Tuple[int, int]] = None  # (documents, length sum)
+        self._postings: Dict[str, List[PostingField]] = {}
+        self._documents: Dict[int, Tuple[str, str, int]] = {}
+        # Double-checked page-ins: concurrent first reads of the totals
+        # or of one token read them once.
+        self._lock = threading.Lock()
+
+    def _check(self, generation: str) -> None:
+        if self.generation is None:
+            self.generation = generation
+        elif generation != self.generation:
+            raise SnapshotError(_INDEX_CHANGED)
+
+    def _ensure_totals(self) -> Tuple[int, int]:
+        if self._totals is None:
+            with self._lock:
+                if self._totals is None:
+                    generation, totals = self._session.fetch_document_totals()
+                    self._check(generation)
+                    self._totals = totals
+        return self._totals
+
+    def __len__(self) -> int:
+        return self._ensure_totals()[0]
+
+    def document_count(self) -> int:
+        return self._ensure_totals()[0]
+
+    @property
+    def average_length(self) -> float:
+        count, total = self._ensure_totals()
+        return total / count if count else 0.0
+
+    def postings(self, token: str) -> List[PostingField]:
+        loaded = self._postings.get(token)
+        if loaded is None:
+            with self._lock:
+                loaded = self._postings.get(token)
+                if loaded is None:
+                    loaded = self._load_token(token)
+                    # Published last: an unlocked reader that finds the
+                    # list also finds its documents.
+                    self._postings[token] = loaded
+        return list(loaded)
+
+    def _load_token(self, token: str) -> List[PostingField]:
+        generation, rows = self._session.fetch_token_postings(token)
+        self._check(generation)
+        loaded = []
+        for doc, field_name, frequency, source, accession, length in rows:
+            if source is None:
+                raise SnapshotError(_INDEX_CHANGED)
+            self._documents[doc] = (source, accession, length)
+            loaded.append(
+                PostingField(doc_id=doc, field=field_name, frequency=frequency)
+            )
+        return loaded
+
+    def document_frequency(self, token: str) -> int:
+        return len({posting.doc_id for posting in self.postings(token)})
+
+    def document(self, doc_id: int) -> Tuple[str, str]:
+        source, accession, _length = self._documents[doc_id]
+        return source, accession
+
+    def doc_length(self, doc_id: int) -> int:
+        return self._documents[doc_id][2]
+
+    def source_of(self, doc_id: int) -> str:
+        return self._documents[doc_id][0]
+
+
 class LazyInvertedIndex(InvertedIndex):
-    """An inverted index whose postings page in from the snapshot.
+    """An inverted index that stays in the snapshot until a write needs it.
 
-    Document metadata (one row per document) loads on first use; posting
-    lists load per token, in document order and then insertion order —
-    the order the writer's index exported them — so BM25 scores and
-    tie-breaks are byte-identical. Any operation that needs the whole
-    index — mutation, source removal, export — faults the remainder in
-    first and then behaves like a plain :class:`InvertedIndex`.
-
-    Every page-in reads the index generation with its postings; one that
-    differs from the generation the document metadata was read at, or a
-    posting of a document the reader never saw, raises SnapshotError
-    instead of mixing two versions of the index.
+    Until then every read goes to a :class:`SnapshotIndexReader`, whose
+    document ids are ``index_documents.id``. Any operation that needs the
+    whole index — mutation, source removal, export — faults all of it in
+    first (:meth:`_ensure_all`): documents in id order take positional
+    ids, and from then on this behaves like a plain
+    :class:`InvertedIndex`.
     """
 
     def __init__(self, session: "LazySnapshotSession"):
         super().__init__()
         self._session = session
-        self._docs_loaded = False
+        self._snapshot = SnapshotIndexReader(session)
         self._all_loaded = False
-        self._loaded_tokens: set = set()
-        self._doc_pks: List[int] = []
-        self._pk_index: Dict[int, int] = {}
-        self._generation: Optional[str] = None
-        # Serializes page-ins, double-checked like ``_hydrate_lock``:
-        # concurrent same-token queries must load a posting list (and the
-        # document metadata) exactly once — a doubled restore_document
-        # pass would shift doc_ids and double every document's length,
-        # silently corrupting BM25 scores for every query after it.
-        self._load_lock = threading.RLock()
+        # Serializes the whole-index fault-in: a doubled restore pass
+        # would append every document twice.
+        self._load_lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-    def _ensure_docs(self) -> None:
-        if self._docs_loaded:
-            return
-        with self._load_lock:
-            if self._docs_loaded:
-                return
-            self._generation, fetched = self._session.fetch_documents()
-            for pk, source, accession, length, is_primary in fetched:
-                self._pk_index[pk] = len(self._doc_pks)
-                self._doc_pks.append(pk)
-                InvertedIndex.restore_document(
-                    self, source, accession, length, bool(is_primary), []
-                )
-            # Published last: unlocked fast-path readers that see the flag
-            # must also see every document restored above.
-            self._docs_loaded = True
+    def reader(self):
+        return self if self._all_loaded else self._snapshot
 
     def _ensure_all(self) -> None:
         if self._all_loaded:
@@ -201,88 +431,65 @@ class LazyInvertedIndex(InvertedIndex):
         with self._load_lock:
             if self._all_loaded:
                 return
-            self._ensure_docs()
-            generation, by_pk = self._session.fetch_all_postings()
-            if generation != self._generation or set(by_pk) - set(self._doc_pks):
+            generation, documents, by_pk = self._session.fetch_index()
+            served = self._snapshot.generation
+            if (served is not None and generation != served) or (
+                set(by_pk) - {document[0] for document in documents}
+            ):
                 raise SnapshotError(_INDEX_CHANGED)
-            # Rebuilt from scratch (partial per-token loads discarded):
-            # token insertion order must be the stored one — docs in id
-            # order, postings in rowid order — so export_documents
-            # round-trips byte-identically.
-            postings: Dict[str, List[PostingField]] = type(self._postings)(list)
-            for doc_id, pk in enumerate(self._doc_pks):
-                for token, field_name, frequency in by_pk.get(pk, ()):
-                    postings[token].append(
-                        PostingField(
-                            doc_id=doc_id, field=field_name, frequency=frequency
-                        )
-                    )
-            self._postings = postings
-            self._loaded_tokens.clear()
+            # Documents in id order, each one's postings in rowid order:
+            # token insertion order is the stored one, so
+            # export_documents round-trips byte-identically.
+            for pk, source, accession, length, is_primary in documents:
+                InvertedIndex.restore_document(
+                    self, source, accession, length, bool(is_primary),
+                    by_pk.get(pk, ()),
+                )
+            # Published last: readers that see the flag see every document.
             self._all_loaded = True
 
     # ------------------------------------------------------------------
-    # per-token reads (the BM25 query path)
-    # ------------------------------------------------------------------
-    def postings(self, token: str) -> List[PostingField]:
-        # Unlocked fast path, then double-checked under the lock: two
-        # threads racing the same cold token page it in exactly once, and
-        # the token joins _loaded_tokens only after its list is in place,
-        # so a fast-path hit can never read a half-loaded posting list.
-        if not self._all_loaded and token not in self._loaded_tokens:
-            with self._load_lock:
-                if not self._all_loaded and token not in self._loaded_tokens:
-                    self._ensure_docs()
-                    generation, rows = self._session.fetch_token_postings(token)
-                    if generation != self._generation:
-                        raise SnapshotError(_INDEX_CHANGED)
-                    loaded = []
-                    for pk, field_name, frequency in rows:
-                        doc_id = self._pk_index.get(pk)
-                        if doc_id is None:
-                            raise SnapshotError(_INDEX_CHANGED)
-                        loaded.append(
-                            PostingField(
-                                doc_id=doc_id,
-                                field=field_name,
-                                frequency=frequency,
-                            )
-                        )
-                    if loaded:
-                        self._postings[token] = loaded
-                    self._loaded_tokens.add(token)
-        return super().postings(token)
-
-    def document_frequency(self, token: str) -> int:
-        self.postings(token)  # fault the token's list in
-        return super().document_frequency(token)
-
-    # ------------------------------------------------------------------
-    # document-metadata reads
+    # reads: from the snapshot until the whole index is resident
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        self._ensure_docs()
+        if not self._all_loaded:
+            return len(self._snapshot)
         return super().__len__()
 
     @property
     def average_length(self) -> float:
-        self._ensure_docs()
+        if not self._all_loaded:
+            return self._snapshot.average_length
         return InvertedIndex.average_length.fget(self)
 
+    def document_count(self) -> int:
+        if not self._all_loaded:
+            return self._snapshot.document_count()
+        return super().document_count()
+
+    def postings(self, token: str) -> List[PostingField]:
+        if not self._all_loaded:
+            return self._snapshot.postings(token)
+        return super().postings(token)
+
+    def document_frequency(self, token: str) -> int:
+        if not self._all_loaded:
+            return self._snapshot.document_frequency(token)
+        return super().document_frequency(token)
+
     def document(self, doc_id: int) -> Tuple[str, str]:
-        self._ensure_docs()
+        if not self._all_loaded:
+            return self._snapshot.document(doc_id)
         return super().document(doc_id)
 
     def doc_length(self, doc_id: int) -> int:
-        self._ensure_docs()
+        if not self._all_loaded:
+            return self._snapshot.doc_length(doc_id)
         return super().doc_length(doc_id)
 
-    def document_count(self) -> int:
-        self._ensure_docs()
-        return super().document_count()
-
     def source_of(self, doc_id: int) -> str:
-        self._ensure_docs()
+        if not self._all_loaded:
+            return self._snapshot.source_of(doc_id)
         return super().source_of(doc_id)
 
     # ------------------------------------------------------------------
@@ -330,6 +537,11 @@ class LazySnapshotSession:
         self._pushdown_counts: Dict[str, int] = {}
         self._link_lookups = 0
         self._cells_cache: Dict[str, bool] = {}
+        # name -> (content hash, table -> column names): the slices page
+        # reads have verified. Verification walks every row payload, so
+        # concurrent first reads of one source share one walk.
+        self._verified: Dict[str, Tuple[str, Dict[str, List[str]]]] = {}
+        self._verify_lock = threading.Lock()
         # One connection per reader thread: sqlite3 connections are not
         # safe for concurrent use (and by default refuse cross-thread use
         # outright), and a serving layer drives this session from a pool
@@ -369,11 +581,17 @@ class LazySnapshotSession:
         self._aladin = aladin
         for stub in self.manifest.sources:
             aladin.repository.register_deferred(
-                stub.name, functools.partial(self._source_record, stub)
+                stub.name,
+                functools.partial(self._source_record, stub),
+                functools.partial(self._source_structure, stub),
             )
         aladin.repository.set_deferred_links(self._load_links, self.lookup_links)
         aladin.web.set_hydrator(self.hydrate)
         aladin.web.set_sql_pushdown(self.try_select)
+        aladin.web.set_page_pushdown(self.read_page, self.read_accessions)
+
+    def _source_structure(self, stub: SourceStub):
+        return self._store.load_source_structure(self._connection(), stub)
 
     def _source_record(self, stub: SourceStub) -> SourceRecord:
         """One source's repository record, decoded from the snapshot.
@@ -560,6 +778,7 @@ class LazySnapshotSession:
         self._hydrated.pop(name, None)
         self._pushdown_counts.pop(name, None)
         self._cells_cache.pop(name, None)
+        self._verified.pop(name, None)
 
     def note_maintenance(self) -> None:
         self._maintained = True
@@ -726,6 +945,94 @@ class LazySnapshotSession:
             metrics.counter(f"persist.pushdown.{kind}.declined").inc()
 
     # ------------------------------------------------------------------
+    # pushdown: object pages
+    # ------------------------------------------------------------------
+    def read_page(self, source: str, accession: Any):
+        """One object's page from the snapshot, or DECLINED.
+
+        Finds the object's primary rows through the ``cells`` index,
+        walks each secondary table's shortest path forward by ``cells``
+        lookups on the join columns (:meth:`ObjectResolver.forward_steps`,
+        the path the in-memory owner index sweeps), and decodes only the
+        rows it reaches, all in one read transaction with the slice's
+        verified content hash. Decodes the source's structure, nothing
+        else of its metadata, and hydrates nothing.
+        """
+        return self._read_object(
+            source, "page",
+            lambda reader, resolver, structure: reader.page(
+                resolver, list(structure.secondary_paths), source, accession
+            ),
+        )
+
+    def read_accessions(self, source: str, exclude: Any, limit: Optional[int]):
+        """A source's primary accessions from the snapshot, or DECLINED."""
+        if limit is not None and limit < 0:
+            self._count_decline("accessions")
+            return DECLINED  # a negative slice bound counts from the end
+        return self._read_object(
+            source, "accessions",
+            lambda reader, resolver, _structure: reader.accessions(
+                resolver, exclude, limit
+            ),
+        )
+
+    def _read_object(self, source: str, kind: str, read):
+        """Run ``read(slice reader, resolver, structure)`` over ``source``'s
+        verified slice; a source without pages answers ``read``'s empty
+        answer without reading."""
+        if (
+            source in self._hydrated
+            or source not in self._stubs
+            or not self._cells_available(source)
+        ):
+            self._count_decline(kind)
+            return DECLINED
+        structure = self._aladin.repository.structure(source)
+        try:
+            resolver = ObjectResolver(None, structure)
+        except ValueError:  # no primary relation: no pages
+            self._count_pushdown(source, kind)
+            return None if kind == "page" else []
+        conn = self._connection()
+        try:
+            with _read_transaction(conn):
+                row = conn.execute(
+                    "SELECT content_hash FROM sources WHERE name = ?", (source,)
+                ).fetchone()
+                answer = DECLINED
+                if row is not None:
+                    columns = self._verify(conn, source, row[0])
+                    answer = read(_SliceReader(conn, source, columns), resolver, structure)
+        except (sqlite3.Error, OverflowError, ValueError, TypeError):
+            answer = DECLINED
+        if answer is DECLINED:
+            self._count_decline(kind)
+        else:
+            self._count_pushdown(source, kind)
+        return answer
+
+    def _verify(
+        self, conn: sqlite3.Connection, source: str, content_hash: str
+    ) -> Dict[str, List[str]]:
+        """The verified slice's column names; verifies a hash not seen yet.
+
+        Runs in the caller's read transaction, so the rows it reads next
+        belong to the hash checked here. A mismatch raises SnapshotError.
+        """
+        known = self._verified.get(source)
+        if known is None or known[0] != content_hash:
+            with self._verify_lock:
+                known = self._verified.get(source)
+                if known is None or known[0] != content_hash:
+                    known = (
+                        content_hash,
+                        self._store.verify_source_slice(conn, source, content_hash),
+                    )
+                    self._verified[source] = known
+        return known[1]
+
+    # ------------------------------------------------------------------
     # pushdown: single-table SELECT
     # ------------------------------------------------------------------
     def try_select(self, source: str, statement: str) -> Optional[ResultSet]:
@@ -837,44 +1144,54 @@ class LazySnapshotSession:
     # lazy index reads
     # ------------------------------------------------------------------
     @contextlib.contextmanager
-    def _index_read(self, statement: str, parameters: Tuple = ()):
-        """Yield ``(index generation, cursor)``, both in one WAL snapshot."""
+    def _index_read(self):
+        """Yield ``(index generation, connection)`` in one WAL snapshot."""
         conn = self._connection()
         try:
             with _read_transaction(conn):
-                yield read_index_generation(conn), conn.execute(statement, parameters)
+                yield read_index_generation(conn), conn
         except sqlite3.Error as exc:
             raise SnapshotError(
                 f"snapshot {self._store.path!r} is corrupted: {exc}"
             ) from exc
 
-    def fetch_documents(self) -> Tuple[str, List[Tuple]]:
-        with self._index_read(
-            "SELECT id, source, accession, length, is_primary "
-            "FROM index_documents ORDER BY id"
-        ) as (generation, cursor):
-            return generation, cursor.fetchall()
+    def fetch_document_totals(self) -> Tuple[str, Tuple[int, int]]:
+        """The index's document count and length sum, one aggregate."""
+        with self._index_read() as (generation, conn):
+            count, total = conn.execute(
+                "SELECT COUNT(*), COALESCE(SUM(length), 0) FROM index_documents"
+            ).fetchone()
+        return generation, (count, total)
 
     def fetch_token_postings(self, token: str) -> Tuple[str, List[Tuple]]:
-        """One token's postings in (document, insertion) order."""
-        with self._index_read(
-            "SELECT doc, field, frequency FROM index_postings "
-            "WHERE token = ? ORDER BY doc, rowid",
-            (token,),
-        ) as (generation, cursor):
-            return generation, cursor.fetchall()
+        """One token's postings in (document, insertion) order, each with
+        its document's source, accession and length (NULL for a posting
+        whose document is gone)."""
+        with self._index_read() as (generation, conn):
+            return generation, conn.execute(
+                "SELECT p.doc, p.field, p.frequency, d.source, d.accession, "
+                "d.length FROM index_postings AS p "
+                "LEFT JOIN index_documents AS d ON d.id = p.doc "
+                "WHERE p.token = ? ORDER BY p.doc, p.rowid",
+                (token,),
+            ).fetchall()
 
-    def fetch_all_postings(
+    def fetch_index(
         self,
-    ) -> Tuple[str, Dict[int, List[Tuple[str, str, int]]]]:
+    ) -> Tuple[str, List[Tuple], Dict[int, List[Tuple[str, str, int]]]]:
+        """The whole index: documents in id order, postings per document."""
         by_pk: Dict[int, List[Tuple[str, str, int]]] = {}
-        with self._index_read(
-            "SELECT doc, token, field, frequency FROM index_postings "
-            "ORDER BY rowid"
-        ) as (generation, cursor):
-            for doc, token, field_name, frequency in cursor:
+        with self._index_read() as (generation, conn):
+            documents = conn.execute(
+                "SELECT id, source, accession, length, is_primary "
+                "FROM index_documents ORDER BY id"
+            ).fetchall()
+            for doc, token, field_name, frequency in conn.execute(
+                "SELECT doc, token, field, frequency FROM index_postings "
+                "ORDER BY rowid"
+            ):
                 by_pk.setdefault(doc, []).append((token, field_name, frequency))
-        return generation, by_pk
+        return generation, documents, by_pk
 
     # ------------------------------------------------------------------
     # observability
@@ -885,9 +1202,9 @@ class LazySnapshotSession:
         "Hydrated" means resident in memory: stubs that were faulted in,
         plus any source added after the open — those never came from the
         snapshot, so their ``resident_bytes`` (snapshot payload faulted
-        in) is 0. "Decoded" lists the stubs whose metadata (structure,
-        profiles, samples) has been decoded; a hydration decodes its
-        source, but so can a bare structure read.
+        in) is 0. "Decoded" lists the stubs whose structure has been
+        decoded: a browse, a bare structure read and a hydration each
+        decode it.
         """
         resident = set(self._hydrated)
         if self._aladin is not None:

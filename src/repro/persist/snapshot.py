@@ -180,12 +180,17 @@ def _hash_stored_source(conn: sqlite3.Connection, name: str) -> str:
         (name,),
     ):
         hasher.update(schema_json.encode("utf-8"))
-        for (data,) in conn.execute(
-            "SELECT data FROM rows WHERE source = ? AND table_name = ? "
-            "ORDER BY row_id",
-            (name, table_name),
-        ):
-            hasher.update(data.encode("utf-8"))
+        # One update over the joined payloads hashes the same bytes.
+        hasher.update(
+            "".join(
+                data
+                for (data,) in conn.execute(
+                    "SELECT data FROM rows WHERE source = ? AND table_name = ? "
+                    "ORDER BY row_id",
+                    (name, table_name),
+                )
+            ).encode("utf-8")
+        )
     return hasher.hexdigest()
 
 
@@ -451,11 +456,13 @@ class SourceStub:
     """One source's manifest slice: what a lazy open needs, nothing more.
 
     The open reads only the name, content hash, format, import options,
-    and row counts. The source's structure, ColumnProfiles and samples
-    stay encoded in the file until the first touch decodes them
-    (:meth:`metadata`, fed by :meth:`SnapshotStore.load_source_metadata`
-    or by a hydration's :meth:`SnapshotStore.load_source_body`); the raw
-    text and row payloads stay on disk until hydration.
+    and row counts. The source's structure stays encoded in the file
+    until its first read (:meth:`structure`, fed by
+    :meth:`SnapshotStore.load_source_structure`), its ColumnProfiles and
+    samples until the first read of the whole record (:meth:`metadata`,
+    fed by :meth:`SnapshotStore.load_source_metadata` or by a
+    hydration's :meth:`SnapshotStore.load_source_body`); the raw text
+    and row payloads stay on disk until hydration.
     """
 
     name: str
@@ -463,6 +470,9 @@ class SourceStub:
     row_counts: Dict[str, int]
     format_name: Optional[str] = None
     import_options: Dict[str, Any] = field(default_factory=dict)
+    _structure: Optional[SourceStructure] = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _metadata: Optional[SourceMetadata] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -476,19 +486,41 @@ class SourceStub:
 
     @property
     def decoded(self) -> bool:
-        """True once this source's metadata has been decoded."""
-        return self._metadata is not None
+        """True once this source's structure has been decoded."""
+        return self._structure is not None
 
-    def metadata(self, read: Callable[[], SourceMetadata]) -> SourceMetadata:
-        """The decoded metadata; ``read()`` runs on the first call only.
+    def structure(self, read: Callable[[], SourceStructure]) -> SourceStructure:
+        """The decoded structure; ``read()`` runs on the first call only.
 
         A failed ``read`` leaves the stub undecoded, so the next touch
         retries (and fails the same way on a corrupt file).
         """
+        if self._structure is None:
+            with self._lock:
+                if self._structure is None:
+                    self._structure = read()
+        return self._structure
+
+    def metadata(
+        self,
+        read_structure: Callable[[], SourceStructure],
+        read_profiles: Callable[[], Tuple[Dict[AttributeRef, ColumnProfile],
+                                          Dict[str, List[dict]]]],
+    ) -> SourceMetadata:
+        """The whole decoded metadata, decoding what no touch has yet.
+
+        ``read_profiles()`` returns ``(profiles, samples)`` and, like
+        ``read_structure``, runs at most once; a failure leaves that part
+        undecoded for the next touch to retry.
+        """
+        structure = self.structure(read_structure)
         if self._metadata is None:
             with self._lock:
                 if self._metadata is None:
-                    self._metadata = read()
+                    profiles, samples = read_profiles()
+                    self._metadata = SourceMetadata(
+                        structure=structure, profiles=profiles, samples=samples
+                    )
         return self._metadata
 
 
@@ -1455,11 +1487,37 @@ class SnapshotStore:
             payload_bytes += len(joined)
             table.bulk_load(codec.decode_batch(payloads), materialize=False)
         if hasher.hexdigest() != content_hash:
-            raise SnapshotError(
-                f"snapshot {self.path!r}: content hash mismatch for source "
-                f"{name!r} — the stored rows do not match the manifest"
-            )
+            raise self._hash_mismatch(name)
         return database, payload_bytes
+
+    def _hash_mismatch(self, name: str) -> SnapshotError:
+        return SnapshotError(
+            f"snapshot {self.path!r}: content hash mismatch for source "
+            f"{name!r} — the stored rows do not match the manifest"
+        )
+
+    def verify_source_slice(
+        self, conn: sqlite3.Connection, name: str, content_hash: str
+    ) -> Dict[str, List[str]]:
+        """Check one source's stored slice against ``content_hash``.
+
+        The hash walk of :meth:`_load_tables` without decoding a row:
+        every schema and row payload is hashed, and a mismatch raises
+        SnapshotError naming the file and the source. Returns each
+        table's column names, for reading single rows of the verified
+        slice in the caller's transaction.
+        """
+        if _hash_stored_source(conn, name) != content_hash:
+            raise self._hash_mismatch(name)
+        return {
+            table_name: codec.schema_from_dict(
+                codec.canonical_loads(schema_json)
+            ).column_names
+            for table_name, schema_json in conn.execute(
+                "SELECT table_name, schema FROM table_schemas WHERE source = ?",
+                (name,),
+            )
+        }
 
     def load_manifest(
         self, connect: Callable[[], sqlite3.Connection]
@@ -1513,18 +1571,23 @@ class SnapshotStore:
             config=json.loads(config_json) if config_json else None,
         )
 
-    def _read_source_metadata(
-        self, conn: sqlite3.Connection, name: str
-    ) -> SourceMetadata:
-        """Decode one source's structure, samples, and profiles.
+    def _corrupt_metadata(self, name: str, exc: Exception) -> SnapshotError:
+        return SnapshotError(
+            f"snapshot {self.path!r}: metadata of source {name!r} is "
+            f"corrupted: {exc}"
+        )
 
-        Two keyed reads (``sources`` and ``profiles`` by primary key) in
-        the caller's transaction. A missing or undecodable row raises a
-        SnapshotError naming the file and the source.
+    def _read_source_structure(
+        self, conn: sqlite3.Connection, name: str
+    ) -> SourceStructure:
+        """Decode one source's structure: one keyed read of ``sources``.
+
+        A missing or undecodable row raises a SnapshotError naming the
+        file and the source.
         """
         try:
             row = conn.execute(
-                "SELECT structure, samples FROM sources WHERE name = ?", (name,)
+                "SELECT structure FROM sources WHERE name = ?", (name,)
             ).fetchone()
             if row is None:
                 raise SnapshotError(
@@ -1535,7 +1598,28 @@ class SnapshotStore:
                 raise ValueError(
                     f"structure belongs to source {structure.source_name!r}"
                 )
-            samples = codec.canonical_loads(row[1])
+        except (sqlite3.DatabaseError, json.JSONDecodeError, KeyError,
+                ValueError, TypeError, AttributeError) as exc:
+            raise self._corrupt_metadata(name, exc) from exc
+        return structure
+
+    def _read_source_profiles(
+        self, conn: sqlite3.Connection, name: str
+    ) -> Tuple[Dict[AttributeRef, ColumnProfile], Dict[str, List[dict]]]:
+        """Decode one source's ColumnProfiles and samples.
+
+        Two keyed reads (``sources`` and ``profiles`` by primary key) in
+        the caller's transaction; errors name the file and the source.
+        """
+        try:
+            row = conn.execute(
+                "SELECT samples FROM sources WHERE name = ?", (name,)
+            ).fetchone()
+            if row is None:
+                raise SnapshotError(
+                    f"snapshot {self.path!r} has no source {name!r}"
+                )
+            samples = codec.canonical_loads(row[0])
             if not isinstance(samples, dict):
                 raise ValueError("samples are not a JSON object")
             keyed = conn.execute(
@@ -1550,27 +1634,52 @@ class SnapshotStore:
             }
         except (sqlite3.DatabaseError, json.JSONDecodeError, KeyError,
                 ValueError, TypeError, AttributeError) as exc:
-            raise SnapshotError(
-                f"snapshot {self.path!r}: metadata of source {name!r} is "
-                f"corrupted: {exc}"
-            ) from exc
-        return SourceMetadata(structure=structure, profiles=profiles, samples=samples)
+            raise self._corrupt_metadata(name, exc) from exc
+        return profiles, samples
+
+    def _decode_metadata(
+        self, conn: sqlite3.Connection, stub: SourceStub
+    ) -> SourceMetadata:
+        """``stub``'s whole metadata, decoding in the caller's transaction."""
+        return stub.metadata(
+            functools.partial(self._read_source_structure, conn, stub.name),
+            functools.partial(self._read_source_profiles, conn, stub.name),
+        )
+
+    def _in_read_transaction(self, conn: sqlite3.Connection, read, name: str):
+        """``read(conn, name)`` as a callable running in its own transaction."""
+
+        def run():
+            with _read_transaction(conn):
+                return read(conn, name)
+
+        return run
+
+    def load_source_structure(
+        self, conn: sqlite3.Connection, stub: SourceStub
+    ) -> SourceStructure:
+        """``stub``'s structure, decoded in a read transaction of its own.
+
+        What an object page needs of a source's metadata: its profiles
+        and samples stay encoded.
+        """
+        return stub.structure(
+            self._in_read_transaction(conn, self._read_source_structure, stub.name)
+        )
 
     def load_source_metadata(
         self, conn: sqlite3.Connection, stub: SourceStub
     ) -> SourceMetadata:
-        """``stub``'s metadata, decoded in a read transaction of its own.
+        """``stub``'s metadata; each undecoded part in a transaction of its own.
 
-        For a first touch that is not a hydration (e.g. a structure read);
-        a hydration decodes inside :meth:`load_source_body` instead, in
-        the same transaction as the rows.
+        For a first read of the whole record that is not a hydration; a
+        hydration decodes inside :meth:`load_source_body` instead, in the
+        same transaction as the rows.
         """
-
-        def read() -> SourceMetadata:
-            with _read_transaction(conn):
-                return self._read_source_metadata(conn, stub.name)
-
-        return stub.metadata(read)
+        return stub.metadata(
+            self._in_read_transaction(conn, self._read_source_structure, stub.name),
+            self._in_read_transaction(conn, self._read_source_profiles, stub.name),
+        )
 
     def content_fingerprint(self) -> str:
         """One hash over the snapshot's per-source content hashes.
@@ -1628,7 +1737,7 @@ class SnapshotStore:
                         f"snapshot {self.path!r} has no source {name!r}"
                     )
                 content_hash, raw_text = row
-                stub.metadata(lambda: self._read_source_metadata(conn, name))
+                self._decode_metadata(conn, stub)
                 database, payload_bytes = self._load_tables(
                     conn, name, content_hash
                 )

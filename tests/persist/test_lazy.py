@@ -296,22 +296,45 @@ class TestSqlPushdown:
 # exact hydration counts on the browse path
 # ----------------------------------------------------------------------
 class TestExactHydration:
-    def test_browse_faults_in_exactly_one_source(self, lazy, eager):
+    def test_browse_reads_one_page_and_hydrates_nothing(self, lazy, eager):
         source = eager.source_names()[0]
         _table, _column, accession = primary_lookup(eager, source)
         want = eager.web.page(source, accession)
         assert want is not None
-        got = lazy.web.page(source, accession)
-        assert got.fields == want.fields
-        assert lazy.hydration_stats()["hydrated"] == [source]
+        assert lazy.web.page(source, accession) == want
+        stats = lazy.hydration_stats()
+        assert stats["hydrated"] == []
+        assert stats["per_source"][source]["pushdown_hits"] == 1
 
     def test_search_then_browse(self, lazy, eager):
         hits = lazy.search_engine().search(QUERIES[0], top_k=5)
         assert hits and lazy.hydration_stats()["hydrated"] == []
         top = hits[0]
         page = lazy.web.page(top.source, top.accession)
-        assert page is not None
+        assert page == eager.web.page(top.source, top.accession)
+        assert lazy.hydration_stats()["hydrated"] == []
+        # Touching the source's database still faults exactly it in.
+        assert lazy.database(top.source) is not None
         assert lazy.hydration_stats()["hydrated"] == [top.source]
+
+    def test_search_reads_only_the_documents_it_scores(self, lazy, eager, monkeypatch):
+        def whole_index_read():
+            raise AssertionError("a query must not read the whole index")
+
+        monkeypatch.setattr(lazy._lazy, "fetch_index", whole_index_read)
+        assert len(lazy._index) == len(eager._index)
+        assert lazy._index.average_length == eager._index.average_length
+        for query in QUERIES:
+            assert lazy.search_engine().search(query, top_k=10) == (
+                eager.search_engine().search(query, top_k=10)
+            )
+        scored = {
+            posting.doc_id
+            for query in QUERIES
+            for token in query.split()
+            for posting in lazy._index.postings(token)
+        }
+        assert set(lazy._index._snapshot._documents) == scored
 
 
 # ----------------------------------------------------------------------

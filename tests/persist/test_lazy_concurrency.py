@@ -140,9 +140,9 @@ def test_release_blocks_until_inflight_fault_finishes(snapshot_path):
 def test_cold_index_concurrent_searches_rank_identically(snapshot_path):
     """N threads searching a cold lazy index get byte-identical rankings.
 
-    The document-metadata restore is slowed down so every thread arrives
-    while the table is still cold; a doubled restore pass would shift
-    doc_ids and double lengths, changing scores for everyone after.
+    The query token's page-in is slowed down so every thread arrives
+    while it is still cold; it must be read once, and every ranking must
+    equal a single-threaded session's.
     """
     reference = open_lazy(snapshot_path)
     try:
@@ -159,15 +159,15 @@ def test_cold_index_concurrent_searches_rank_identically(snapshot_path):
         assert isinstance(index, LazyInvertedIndex)
         engine = aladin.search_engine()
 
-        original_fetch = session.fetch_documents
+        original_fetch = session.fetch_token_postings
         fetch_calls = []
 
-        def slow_fetch():
-            fetch_calls.append(threading.get_ident())
+        def slow_fetch(token):
+            fetch_calls.append(token)
             time.sleep(0.2)  # hold the cold window open for every thread
-            return original_fetch()
+            return original_fetch(token)
 
-        session.fetch_documents = slow_fetch
+        session.fetch_token_postings = slow_fetch
 
         barrier = threading.Barrier(N_THREADS)
         results = [None] * N_THREADS
@@ -187,11 +187,11 @@ def test_cold_index_concurrent_searches_rank_identically(snapshot_path):
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
-        session.fetch_documents = original_fetch
+        session.fetch_token_postings = original_fetch
 
         assert not errors, errors
-        # Restored exactly once despite N concurrent cold readers.
-        assert len(fetch_calls) == 1
+        # Read exactly once despite N concurrent cold readers.
+        assert fetch_calls == ["protein"]
         assert len(aladin._index) == expected_len
         for result in results:
             assert result == expected
@@ -208,7 +208,7 @@ def test_same_token_pages_in_exactly_once(snapshot_path):
         session = aladin._lazy
         index = aladin._index
         assert isinstance(index, LazyInvertedIndex)
-        index._ensure_docs()  # isolate the per-token race
+        len(index)  # read the document totals first: isolate the token race
 
         original_fetch = session.fetch_token_postings
         calls = []
@@ -237,6 +237,70 @@ def test_same_token_pages_in_exactly_once(snapshot_path):
         assert calls == ["protein"]
         assert results[0] == results[1]
         assert results[0] == list(index.postings("protein"))
+    finally:
+        aladin.close()
+
+
+# ----------------------------------------------------------------------
+# object pages: concurrent first browses of one unhydrated source
+# ----------------------------------------------------------------------
+
+def test_concurrent_first_browses_verify_once(snapshot_path, monkeypatch):
+    """N threads browsing one cold source verify its slice once,
+    decode its structure once, hydrate nothing, and see equal pages."""
+    from repro.persist import SnapshotStore
+    from repro.serve import serialize_view
+
+    calls = {"verify": 0, "structure": 0}
+    for method, key in (
+        ("verify_source_slice", "verify"),
+        ("_read_source_structure", "structure"),
+    ):
+        original = getattr(SnapshotStore, method)
+
+        def counting(self, *args, _original=original, _key=key):
+            calls[_key] += 1
+            if _key == "verify":
+                time.sleep(0.1)  # hold the cold window open for every thread
+            return _original(self, *args)
+
+        monkeypatch.setattr(SnapshotStore, method, counting)
+
+    reference = Aladin.open(snapshot_path, read_only=True, lazy=False)
+    try:
+        source = next(
+            name for name in reference.source_names()
+            if reference.web.accessions(name)
+        )
+        accession = reference.web.accessions(source)[0]
+        want = serialize_view(reference.browser().visit(source, accession))
+    finally:
+        reference.close()
+    calls.update(verify=0, structure=0)
+
+    aladin = open_lazy(snapshot_path)
+    try:
+        barrier = threading.Barrier(N_THREADS)
+        views, errors = [], []
+
+        def worker():
+            try:
+                barrier.wait(timeout=10)
+                views.append(
+                    serialize_view(aladin.browser().visit(source, accession))
+                )
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(N_THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not errors, errors
+        assert views == [want] * N_THREADS
+        assert calls == {"verify": 1, "structure": 1}
+        assert aladin.hydration_stats()["hydrated"] == []
     finally:
         aladin.close()
 

@@ -71,17 +71,25 @@ def equality_select(eager, source):
     return f"SELECT * FROM {attr.table} WHERE {attr.column} = '{value}'"
 
 
-def count_metadata_reads(monkeypatch):
-    """Count (and describe) every metadata decode of any store."""
+def count_reads(monkeypatch, method):
+    """Count (and describe) every call of one store read method."""
     calls = []
-    original = SnapshotStore._read_source_metadata
+    original = getattr(SnapshotStore, method)
 
-    def counting(self, conn, name):
+    def counting(self, conn, name, *args):
         calls.append((name, conn, conn.in_transaction))
-        return original(self, conn, name)
+        return original(self, conn, name, *args)
 
-    monkeypatch.setattr(SnapshotStore, "_read_source_metadata", counting)
+    monkeypatch.setattr(SnapshotStore, method, counting)
     return calls
+
+
+def count_metadata_reads(monkeypatch):
+    """Every structure decode, and every profiles-and-samples decode."""
+    return (
+        count_reads(monkeypatch, "_read_source_structure"),
+        count_reads(monkeypatch, "_read_source_profiles"),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -121,7 +129,8 @@ class TestDecodeCounts:
         finally:
             lazy.close()
 
-    def test_browse_decodes_exactly_one(self, snapshot, eager):
+    def test_browse_decodes_exactly_one_structure(self, snapshot, eager, monkeypatch):
+        structures, profiles = count_metadata_reads(monkeypatch)
         accession = accession_of(eager, BROWSED)
         lazy = open_lazy(snapshot)
         try:
@@ -130,7 +139,11 @@ class TestDecodeCounts:
                 eager.browser().visit(BROWSED, accession)
             )
             assert decoded(lazy) == [BROWSED]
-            assert lazy.hydration_stats()["hydrated"] == [BROWSED]
+            # The page is read from the snapshot: nothing hydrates, and
+            # the browsed source's profiles and samples stay encoded.
+            assert lazy.hydration_stats()["hydrated"] == []
+            assert [name for name, _c, _t in structures] == [BROWSED]
+            assert profiles == []
         finally:
             lazy.close()
 
@@ -171,7 +184,7 @@ class TestDecodeCounts:
 # ----------------------------------------------------------------------
 class TestOneDecode:
     def test_hydration_decodes_in_the_rows_transaction(self, snapshot, monkeypatch):
-        calls = count_metadata_reads(monkeypatch)
+        structures, profiles = count_metadata_reads(monkeypatch)
         body_conns = []
         original = SnapshotStore._load_tables
 
@@ -193,29 +206,35 @@ class TestOneDecode:
         lazy = open_lazy(snapshot)
         try:
             lazy.database(BROWSED)
-            assert [name for name, _conn, _txn in calls] == [BROWSED]
-            (_name, meta_conn, meta_txn), = calls
+            assert [name for name, _conn, _txn in structures] == [BROWSED]
+            assert [name for name, _conn, _txn in profiles] == [BROWSED]
+            (_name, structure_conn, structure_txn), = structures
+            (_name, meta_conn, meta_txn), = profiles
             (body_conn, body_txn), = body_conns
             # One read transaction on the session's connection served the
             # metadata and the rows alike.
             assert transactions == [body_conn]
-            assert meta_conn is body_conn
-            assert meta_txn and body_txn
+            assert meta_conn is body_conn and structure_conn is body_conn
+            assert meta_txn and structure_txn and body_txn
             assert not body_conn.in_transaction  # rolled back afterwards
         finally:
             lazy.close()
 
     def test_decode_before_hydration_is_not_repeated(self, snapshot, monkeypatch):
-        calls = count_metadata_reads(monkeypatch)
+        structures, profiles = count_metadata_reads(monkeypatch)
         lazy = open_lazy(snapshot)
         try:
             lazy.repository.structure(BROWSED)
-            (_name, conn, in_transaction), = calls
+            (_name, conn, in_transaction), = structures
+            assert in_transaction and not conn.in_transaction
+            assert profiles == []
+            lazy.repository.source(BROWSED)
+            (_name, conn, in_transaction), = profiles
             assert in_transaction and not conn.in_transaction
             lazy.database(BROWSED)
             lazy.release_source(BROWSED)
             lazy.database(BROWSED)
-            assert len(calls) == 1
+            assert len(structures) == 1 and len(profiles) == 1
         finally:
             lazy.close()
 
@@ -245,10 +264,13 @@ class TestOneDecode:
         """8 threads (more than cores) race the first touch of one stub.
 
         Half read the structure first (the repository path), all browse
+        (the page read from the snapshot), half then fault the source in
         (the hydration path); a short switch interval makes the threads
-        interleave inside the double-checked decode and fault-in.
+        interleave inside the double-checked decodes, the slice
+        verification and the fault-in.
         """
-        calls = count_metadata_reads(monkeypatch)
+        structures, profiles = count_metadata_reads(monkeypatch)
+        verifications = count_reads(monkeypatch, "verify_source_slice")
         accession = accession_of(eager, BROWSED)
         want = serialize_view(eager.browser().visit(BROWSED, accession))
         rounds = 5
@@ -275,6 +297,8 @@ class TestOneDecode:
                                 lazy.repository.structure(BROWSED)
                             view = lazy.browser().visit(BROWSED, accession)
                             views.append(serialize_view(view))
+                            if index % 2 == 0:
+                                lazy.database(BROWSED)
                         except Exception as exc:  # noqa: BLE001 - surfaced below
                             errors.append(exc)
 
@@ -289,7 +313,10 @@ class TestOneDecode:
                     assert not any(thread.is_alive() for thread in threads)
                     assert not errors, errors
                     assert views == [want] * N_THREADS
-                    assert [name for name, _c, _t in calls] == [BROWSED] * (round_index + 1)
+                    rounds_so_far = [BROWSED] * (round_index + 1)
+                    assert [name for name, _c, _t in structures] == rounds_so_far
+                    assert [name for name, _c, _t in profiles] == rounds_so_far
+                    assert [name for name, _c, _t in verifications] == rounds_so_far
                     assert [event.payload["source"] for event in faults] == [BROWSED]
                     assert decoded(lazy) == [BROWSED]
                 finally:
@@ -312,15 +339,19 @@ CORRUPTIONS = {
 }
 
 
-@pytest.fixture(params=sorted(CORRUPTIONS))
-def corrupted(request, snapshot, tmp_path):
-    path = copy_snapshot(snapshot, tmp_path / f"{request.param}.snapshot")
+def corrupt(snapshot, tmp_path, kind):
+    path = copy_snapshot(snapshot, tmp_path / f"{kind}.snapshot")
     conn = sqlite3.connect(path)
-    cursor = conn.execute(CORRUPTIONS[request.param], (PUSHED,))
+    cursor = conn.execute(CORRUPTIONS[kind], (PUSHED,))
     assert cursor.rowcount == 1
     conn.commit()
     conn.close()
     return path
+
+
+@pytest.fixture(params=sorted(CORRUPTIONS))
+def corrupted(request, snapshot, tmp_path):
+    return corrupt(snapshot, tmp_path, request.param)
 
 
 class TestCorruptMetadata:
@@ -338,20 +369,49 @@ class TestCorruptMetadata:
         finally:
             lazy.close()
 
-    def test_touching_the_corrupt_source_names_it(self, corrupted, eager):
+    def assert_names_the_source(self, touch, path):
+        with pytest.raises(SnapshotError) as info:
+            touch()
+        assert repr(PUSHED) in str(info.value)
+        assert str(path) in str(info.value)
+
+    def test_corrupt_structure_raises_at_every_first_touch(
+        self, snapshot, tmp_path, eager
+    ):
+        path = corrupt(snapshot, tmp_path, "structure")
         accession = accession_of(eager, PUSHED)
-        lazy = open_lazy(corrupted)
+        lazy = open_lazy(path)
         try:
             for touch in (
                 lambda: lazy.repository.structure(PUSHED),
                 lambda: lazy.database(PUSHED),
                 lambda: lazy.browser().visit(PUSHED, accession),
             ):
-                with pytest.raises(SnapshotError) as info:
-                    touch()
-                assert repr(PUSHED) in str(info.value)
-                assert str(corrupted) in str(info.value)
+                self.assert_names_the_source(touch, path)
             assert PUSHED not in decoded(lazy)
+            assert PUSHED not in lazy.hydration_stats()["hydrated"]
+        finally:
+            lazy.close()
+
+    @pytest.mark.parametrize("kind", ["profile", "samples"])
+    def test_corrupt_profiles_raise_at_the_first_record_read(
+        self, snapshot, tmp_path, eager, kind
+    ):
+        """A browse reads the structure alone, so it still answers; the
+        first read of the whole record — or a hydration — raises."""
+        path = corrupt(snapshot, tmp_path, kind)
+        accession = accession_of(eager, PUSHED)
+        lazy = open_lazy(path)
+        try:
+            assert serialize_view(lazy.browser().visit(PUSHED, accession)) == (
+                serialize_view(eager.browser().visit(PUSHED, accession))
+            )
+            for touch in (
+                lambda: lazy.repository.source(PUSHED),
+                lambda: lazy.database(PUSHED),
+            ):
+                self.assert_names_the_source(touch, path)
+            assert decoded(lazy) == [PUSHED]  # the structure decoded fine
             assert PUSHED not in lazy.hydration_stats()["hydrated"]
         finally:
             lazy.close()
