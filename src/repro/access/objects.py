@@ -56,7 +56,7 @@ class ObjectWeb:
         self._hydrator = None
         self._sql_pushdown = None
         self._page_pushdown = None
-        self._accessions_pushdown = None
+        self._siblings_pushdown = None
 
     # ------------------------------------------------------------------
     # lazy hydration hooks
@@ -79,21 +79,21 @@ class ObjectWeb:
         """
         self._sql_pushdown = pushdown
 
-    def set_page_pushdown(self, page, accessions) -> None:
+    def set_page_pushdown(self, page, siblings) -> None:
         """Install the snapshot page reader for unhydrated sources.
 
         ``page(source, accession)`` returns the object's page read from
         the snapshot, or None if the source has no such object.
-        ``accessions(source, exclude, limit)`` returns the source's
-        non-null primary accessions in row order, leaving out
-        ``exclude`` and stopping after ``limit`` (None: no bound). Both
-        must answer exactly as the in-memory path would, or return
-        :data:`DECLINED`; the caller then hydrates the source and
-        answers in memory. Only a source that is not attached is
-        offered: once its rows are resident, memory answers.
+        ``siblings(source, accession, limit)`` returns the first
+        ``limit`` of the source's non-null primary accessions other than
+        ``accession``, in row order. Both must answer exactly as the
+        in-memory path would, or return :data:`DECLINED`; the caller
+        then hydrates the source and answers in memory. Only a source
+        that is not attached is offered: once its rows are resident,
+        memory answers.
         """
         self._page_pushdown = page
-        self._accessions_pushdown = accessions
+        self._siblings_pushdown = siblings
 
     def _ensure_attached(self, source: str) -> None:
         if self._hydrator is not None and source not in self._databases:
@@ -149,21 +149,9 @@ class ObjectWeb:
 
     # ------------------------------------------------------------------
     def accessions(self, source: str) -> List[str]:
-        return self._primary_accessions(source)
-
-    def _primary_accessions(
-        self, source: str, exclude: Optional[str] = None, limit: Optional[int] = None
-    ) -> List[str]:
-        if self._accessions_pushdown is not None and source not in self._databases:
-            found = self._accessions_pushdown(source, exclude, limit)
-            if found is not DECLINED:
-                return found
         self._ensure_attached(source)
         resolver = self._resolvers.get(source)
-        accessions = resolver.primary_accessions() if resolver else []
-        if exclude is not None:
-            accessions = [a for a in accessions if a != exclude]
-        return accessions if limit is None else accessions[:limit]
+        return resolver.primary_accessions() if resolver else []
 
     def page(self, source: str, accession: str) -> Optional[ObjectPage]:
         """Materialize one object page (own row + secondary annotations)."""
@@ -215,7 +203,12 @@ class ObjectWeb:
     # ------------------------------------------------------------------
     def same_relation(self, source: str, accession: str, limit: int = 10) -> List[str]:
         """Type 1: sibling objects in the same primary relation."""
-        return self._primary_accessions(source, exclude=accession, limit=limit)
+        if self._siblings_pushdown is not None and source not in self._databases:
+            found = self._siblings_pushdown(source, accession, limit)
+            if found is not DECLINED:
+                return found
+        siblings = [a for a in self.accessions(source) if a != accession]
+        return siblings[:limit]
 
     def dependencies(self, source: str, accession: str) -> Dict[str, List[Dict[str, object]]]:
         """Type 2: the secondary objects of this object."""

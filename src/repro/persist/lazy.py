@@ -32,7 +32,10 @@ statements, simple aggregations and object pages are answered by SQL
 against the snapshot's own ``cells`` value index (written at checkpoint
 time) — a query over 2 of 50 sources never materializes the other 48,
 and a browse reads one object's rows (:meth:`LazySnapshotSession.read_page`)
-from a slice verified against its content hash once per session.
+from a slice verified against its content hash once per session. Only a
+source's first page is read that way: a session that reads a second
+page of it is walking the source, so that page hydrates it and memory
+answers from then on.
 Anything the pushdown layer cannot answer exactly declines, hydrates, and
 runs in memory; declining is always correct, just slower.
 
@@ -56,7 +59,7 @@ import functools
 import json
 import sqlite3
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.access.index import DocumentDelta, InvertedIndex, PostingField
 from repro.access.objects import DECLINED, ObjectPage
@@ -138,23 +141,61 @@ def _chunks(items: List[Any]):
         yield items[start:start + _IN_CHUNK]
 
 
+# A row of one table whose value at JSON path ?4 is a scalar a probe can
+# match (``_probe_value`` takes no other kind) but that has no ``cells``
+# entry holding that value under column ?3. One such row means lookups
+# on the column could miss rows, so the column is not read through cells.
+_CELLS_GAP_SQL = (
+    "SELECT 1 FROM rows AS r WHERE r.source = ?1 AND r.table_name = ?2 "
+    "AND json_type(r.data, ?4) IN ('integer', 'real', 'text', 'true', 'false') "
+    "AND NOT EXISTS (SELECT 1 FROM cells AS c WHERE c.source = ?1 "
+    "AND c.table_name = ?2 AND c.column_name = ?3 "
+    "AND c.value = json_extract(r.data, ?4) AND c.row_id = r.row_id) "
+    "LIMIT 1"
+)
+
+
 class _SliceReader:
     """Point reads of one source's verified slice, in one read transaction.
 
     Rows are found through the ``cells`` value index and decoded from
-    ``rows``; every found row is checked against the values it was found
-    by, so the index narrows what is read but never decides an answer.
-    Each method returns :data:`DECLINED` where it cannot answer exactly
-    as the in-memory object web would, and the caller hydrates instead.
+    ``rows``. The content hash covers ``rows``, not ``cells``, so the
+    index is held to both sides of an exact answer: a column is probed
+    only once every row's value in it is shown to have its cells entry
+    (:meth:`_cells_complete`), and every found row is checked against the
+    values it was found by. The index narrows what is read but never
+    decides an answer. Each method returns :data:`DECLINED` where it
+    cannot answer exactly as the in-memory object web would, and the
+    caller hydrates instead.
     """
 
     def __init__(
-        self, conn: sqlite3.Connection, source: str, columns: Dict[str, List[str]]
+        self,
+        conn: sqlite3.Connection,
+        source: str,
+        columns: Dict[str, List[str]],
+        complete: Dict[Tuple[str, str], bool],
     ):
         self._conn = conn
         self._source = source
         self._columns = columns  # table -> column names, as verified
+        # (table, column) -> _cells_complete's answer, kept with the
+        # verified slice it was checked against.
+        self._complete = complete
         self._decoded: Dict[Tuple[str, int], Dict[str, Any]] = {}
+
+    def _cells_complete(self, table: str, column: str) -> bool:
+        """Does ``cells`` hold every value of ``table.column`` a probe can
+        match? Checked in SQL once per verified slice and column."""
+        key = (table, column)
+        known = self._complete.get(key)
+        if known is None:
+            path = f"$[{self._columns[table].index(column)}]"
+            known = self._conn.execute(
+                _CELLS_GAP_SQL, (self._source, table, column, path)
+            ).fetchone() is None
+            self._complete[key] = known
+        return known
 
     def _rows(self, table: str, row_ids: List[int]):
         """``row_id -> row`` for ``row_ids`` (ascending), each decoded once."""
@@ -181,6 +222,8 @@ class _SliceReader:
         of ``values`` (non-null), in row order."""
         table, column = table.lower(), column.lower()
         if column not in self._columns.get(table, ()):
+            return DECLINED
+        if not self._cells_complete(table, column):
             return DECLINED
         probes = []
         for value in values:
@@ -252,11 +295,9 @@ class _SliceReader:
                 page.annotations[table_name] = [dict(rows[i]) for i in sorted(rows)]
         return page
 
-    def accessions(
-        self, resolver: ObjectResolver, exclude: Any, limit: Optional[int]
-    ):
-        """``ObjectResolver.primary_accessions`` without ``exclude``, at
-        most ``limit`` of them: decoded in row order until enough."""
+    def siblings(self, resolver: ObjectResolver, accession: Any, limit: int):
+        """The first ``limit`` of ``ObjectResolver.primary_accessions``
+        other than ``accession``: decoded in row order until enough."""
         primary = resolver.primary_relation.lower()
         column = resolver.accession_column.lower()
         names = self._columns.get(primary, [])
@@ -272,14 +313,14 @@ class _SliceReader:
             (self._source, primary),
         )
         while True:
-            batch = cursor.fetchmany(64 if limit is not None else 4096)
+            batch = cursor.fetchmany(64)
             if not batch:
                 return found
             for values in codec.decode_batch([data for (data,) in batch]):
                 if len(values) != len(names):
                     return DECLINED
                 value = values[position]
-                if value is not None and (exclude is None or value != exclude):
+                if value is not None and value != accession:
                     found.append(value)
                     if len(found) == limit:
                         return found
@@ -405,12 +446,15 @@ class SnapshotIndexReader:
 class LazyInvertedIndex(InvertedIndex):
     """An inverted index that stays in the snapshot until a write needs it.
 
-    Until then every read goes to a :class:`SnapshotIndexReader`, whose
-    document ids are ``index_documents.id``. Any operation that needs the
+    Until then a query reads through :meth:`reader`, a
+    :class:`SnapshotIndexReader` whose document ids are
+    ``index_documents.id``, and the totals come from its aggregate. Any
+    other read that names a document, and any operation that needs the
     whole index — mutation, source removal, export — faults all of it in
     first (:meth:`_ensure_all`): documents in id order take positional
     ids, and from then on this behaves like a plain
-    :class:`InvertedIndex`.
+    :class:`InvertedIndex`. So every id a caller gets from this object
+    is positional, and only a pinned reader hands out the other kind.
     """
 
     def __init__(self, session: "LazySnapshotSession"):
@@ -449,7 +493,8 @@ class LazyInvertedIndex(InvertedIndex):
             self._all_loaded = True
 
     # ------------------------------------------------------------------
-    # reads: from the snapshot until the whole index is resident
+    # totals: from the snapshot's aggregate until the whole index is
+    # resident. They name no document, so they hold in either id space.
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         if not self._all_loaded:
@@ -467,34 +512,30 @@ class LazyInvertedIndex(InvertedIndex):
             return self._snapshot.document_count()
         return super().document_count()
 
+    # ------------------------------------------------------------------
+    # per-document reads and whole-index operations fault the remainder
+    # in first: only a pinned reader() reads documents from the snapshot
+    # ------------------------------------------------------------------
     def postings(self, token: str) -> List[PostingField]:
-        if not self._all_loaded:
-            return self._snapshot.postings(token)
+        self._ensure_all()
         return super().postings(token)
 
     def document_frequency(self, token: str) -> int:
-        if not self._all_loaded:
-            return self._snapshot.document_frequency(token)
+        self._ensure_all()
         return super().document_frequency(token)
 
     def document(self, doc_id: int) -> Tuple[str, str]:
-        if not self._all_loaded:
-            return self._snapshot.document(doc_id)
+        self._ensure_all()
         return super().document(doc_id)
 
     def doc_length(self, doc_id: int) -> int:
-        if not self._all_loaded:
-            return self._snapshot.doc_length(doc_id)
+        self._ensure_all()
         return super().doc_length(doc_id)
 
     def source_of(self, doc_id: int) -> str:
-        if not self._all_loaded:
-            return self._snapshot.source_of(doc_id)
+        self._ensure_all()
         return super().source_of(doc_id)
 
-    # ------------------------------------------------------------------
-    # whole-index operations fault the remainder in first
-    # ------------------------------------------------------------------
     def add_tokenized(self, identity, tokenized) -> int:
         self._ensure_all()
         return super().add_tokenized(identity, tokenized)
@@ -537,11 +578,21 @@ class LazySnapshotSession:
         self._pushdown_counts: Dict[str, int] = {}
         self._link_lookups = 0
         self._cells_cache: Dict[str, bool] = {}
-        # name -> (content hash, table -> column names): the slices page
-        # reads have verified. Verification walks every row payload, so
-        # concurrent first reads of one source share one walk.
-        self._verified: Dict[str, Tuple[str, Dict[str, List[str]]]] = {}
+        # name -> (content hash, table -> column names, the cells
+        # columns checked complete): the slices page reads have verified.
+        # Verification walks every row payload, so concurrent first reads
+        # of one source share one walk.
+        self._verified: Dict[
+            str, Tuple[str, Dict[str, List[str]], Dict[Tuple[str, str], bool]]
+        ] = {}
         self._verify_lock = threading.Lock()
+        # Sources whose one snapshot page read is taken. A page walk
+        # costs a few keyed reads per secondary table every time, while
+        # memory pays once per source: a second page of a source
+        # hydrates it, so a crawl, a link join or a long-lived server
+        # reads a source from the snapshot at most once.
+        self._paged: Set[str] = set()
+        self._paged_lock = threading.Lock()
         # One connection per reader thread: sqlite3 connections are not
         # safe for concurrent use (and by default refuse cross-thread use
         # outright), and a serving layer drives this session from a pool
@@ -588,7 +639,7 @@ class LazySnapshotSession:
         aladin.repository.set_deferred_links(self._load_links, self.lookup_links)
         aladin.web.set_hydrator(self.hydrate)
         aladin.web.set_sql_pushdown(self.try_select)
-        aladin.web.set_page_pushdown(self.read_page, self.read_accessions)
+        aladin.web.set_page_pushdown(self.read_page, self.read_siblings)
 
     def _source_structure(self, stub: SourceStub):
         return self._store.load_source_structure(self._connection(), stub)
@@ -779,6 +830,7 @@ class LazySnapshotSession:
         self._pushdown_counts.pop(name, None)
         self._cells_cache.pop(name, None)
         self._verified.pop(name, None)
+        self._paged.discard(name)
 
     def note_maintenance(self) -> None:
         self._maintained = True
@@ -957,30 +1009,43 @@ class LazySnapshotSession:
         rows it reaches, all in one read transaction with the slice's
         verified content hash. Decodes the source's structure, nothing
         else of its metadata, and hydrates nothing.
+
+        Only the source's first page read in this session is answered
+        so; every later one declines, and the caller hydrates the source.
         """
         return self._read_object(
             source, "page",
             lambda reader, resolver, structure: reader.page(
                 resolver, list(structure.secondary_paths), source, accession
             ),
+            first_only=True,
         )
 
-    def read_accessions(self, source: str, exclude: Any, limit: Optional[int]):
-        """A source's primary accessions from the snapshot, or DECLINED."""
-        if limit is not None and limit < 0:
-            self._count_decline("accessions")
+    def read_siblings(self, source: str, accession: Any, limit: int):
+        """A bounded prefix of a source's other primary accessions from
+        the snapshot, or DECLINED."""
+        if limit < 0:
+            self._count_decline("siblings")
             return DECLINED  # a negative slice bound counts from the end
         return self._read_object(
-            source, "accessions",
-            lambda reader, resolver, _structure: reader.accessions(
-                resolver, exclude, limit
+            source, "siblings",
+            lambda reader, resolver, _structure: reader.siblings(
+                resolver, accession, limit
             ),
         )
 
-    def _read_object(self, source: str, kind: str, read):
+    def _claim_first_page(self, source: str) -> bool:
+        with self._paged_lock:
+            if source in self._paged:
+                return False
+            self._paged.add(source)
+            return True
+
+    def _read_object(self, source: str, kind: str, read, first_only: bool = False):
         """Run ``read(slice reader, resolver, structure)`` over ``source``'s
         verified slice; a source without pages answers ``read``'s empty
-        answer without reading."""
+        answer without reading. With ``first_only``, only the first such
+        read of the source in this session reads at all."""
         if (
             source in self._hydrated
             or source not in self._stubs
@@ -994,6 +1059,9 @@ class LazySnapshotSession:
         except ValueError:  # no primary relation: no pages
             self._count_pushdown(source, kind)
             return None if kind == "page" else []
+        if first_only and not self._claim_first_page(source):
+            self._count_decline(kind)
+            return DECLINED
         conn = self._connection()
         try:
             with _read_transaction(conn):
@@ -1002,8 +1070,11 @@ class LazySnapshotSession:
                 ).fetchone()
                 answer = DECLINED
                 if row is not None:
-                    columns = self._verify(conn, source, row[0])
-                    answer = read(_SliceReader(conn, source, columns), resolver, structure)
+                    answer = read(
+                        _SliceReader(conn, source, *self._verify(conn, source, row[0])),
+                        resolver,
+                        structure,
+                    )
         except (sqlite3.Error, OverflowError, ValueError, TypeError):
             answer = DECLINED
         if answer is DECLINED:
@@ -1014,8 +1085,9 @@ class LazySnapshotSession:
 
     def _verify(
         self, conn: sqlite3.Connection, source: str, content_hash: str
-    ) -> Dict[str, List[str]]:
-        """The verified slice's column names; verifies a hash not seen yet.
+    ) -> Tuple[Dict[str, List[str]], Dict[Tuple[str, str], bool]]:
+        """The verified slice's column names and its cells checks so far;
+        verifies a hash not seen yet.
 
         Runs in the caller's read transaction, so the rows it reads next
         belong to the hash checked here. A mismatch raises SnapshotError.
@@ -1028,9 +1100,10 @@ class LazySnapshotSession:
                     known = (
                         content_hash,
                         self._store.verify_source_slice(conn, source, content_hash),
+                        {},
                     )
                     self._verified[source] = known
-        return known[1]
+        return known[1], known[2]
 
     # ------------------------------------------------------------------
     # pushdown: single-table SELECT

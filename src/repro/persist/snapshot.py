@@ -166,12 +166,15 @@ def _file_id(path: str) -> Optional[Tuple[int, int]]:
     return stat.st_dev, stat.st_ino
 
 
-def _hash_stored_source(conn: sqlite3.Connection, name: str) -> str:
+def _hash_stored_source(
+    conn: sqlite3.Connection, name: str, schemas: Optional[Dict[str, str]] = None
+) -> str:
     """Recompute one stored source's content hash from its persisted slice.
 
     Byte-for-byte the hashing order of ``_write_tables`` / ``_load_tables``:
     per table (sorted by name) the canonical schema JSON, then every row
-    payload in row-id order.
+    payload in row-id order. Each hashed schema JSON is also kept in
+    ``schemas`` (table name -> JSON) when one is passed.
     """
     hasher = hashlib.sha256()
     for table_name, schema_json in conn.execute(
@@ -180,17 +183,14 @@ def _hash_stored_source(conn: sqlite3.Connection, name: str) -> str:
         (name,),
     ):
         hasher.update(schema_json.encode("utf-8"))
-        # One update over the joined payloads hashes the same bytes.
-        hasher.update(
-            "".join(
-                data
-                for (data,) in conn.execute(
-                    "SELECT data FROM rows WHERE source = ? AND table_name = ? "
-                    "ORDER BY row_id",
-                    (name, table_name),
-                )
-            ).encode("utf-8")
-        )
+        if schemas is not None:
+            schemas[table_name] = schema_json
+        for (data,) in conn.execute(
+            "SELECT data FROM rows WHERE source = ? AND table_name = ? "
+            "ORDER BY row_id",
+            (name, table_name),
+        ):
+            hasher.update(data.encode("utf-8"))
     return hasher.hexdigest()
 
 
@@ -1507,16 +1507,17 @@ class SnapshotStore:
         table's column names, for reading single rows of the verified
         slice in the caller's transaction.
         """
-        if _hash_stored_source(conn, name) != content_hash:
+        schemas: Dict[str, str] = {}
+        if _hash_stored_source(conn, name, schemas) != content_hash:
             raise self._hash_mismatch(name)
+        # The hashed schemas are the writer's own, whose column names a
+        # TableSchema has already normalized: no schema is rebuilt.
         return {
-            table_name: codec.schema_from_dict(
-                codec.canonical_loads(schema_json)
-            ).column_names
-            for table_name, schema_json in conn.execute(
-                "SELECT table_name, schema FROM table_schemas WHERE source = ?",
-                (name,),
-            )
+            table_name: [
+                column["name"]
+                for column in codec.canonical_loads(schema_json)["columns"]
+            ]
+            for table_name, schema_json in schemas.items()
         }
 
     def load_manifest(

@@ -328,13 +328,27 @@ class TestExactHydration:
             assert lazy.search_engine().search(query, top_k=10) == (
                 eager.search_engine().search(query, top_k=10)
             )
+        reader = lazy._index.reader()
         scored = {
             posting.doc_id
             for query in QUERIES
             for token in query.split()
-            for posting in lazy._index.postings(token)
+            for posting in reader.postings(token)
         }
-        assert set(lazy._index._snapshot._documents) == scored
+        assert set(reader._documents) == scored
+        assert not lazy._index._all_loaded
+
+    def test_reads_naming_a_document_use_one_id_space(self, lazy, eager):
+        """Outside a pinned reader, a posting's id resolves positionally:
+        such reads fault the whole index in first."""
+        token = QUERIES[0].split()[0]
+        index = lazy._index
+        postings = index.postings(token)
+        assert index._all_loaded
+        assert postings == eager._index.postings(token)
+        assert [index.document(p.doc_id) for p in postings] == [
+            eager._index.document(p.doc_id) for p in postings
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -206,8 +206,8 @@ def test_same_token_pages_in_exactly_once(snapshot_path):
     aladin = open_lazy(snapshot_path)
     try:
         session = aladin._lazy
-        index = aladin._index
-        assert isinstance(index, LazyInvertedIndex)
+        assert isinstance(aladin._index, LazyInvertedIndex)
+        index = aladin._index.reader()
         len(index)  # read the document totals first: isolate the token race
 
         original_fetch = session.fetch_token_postings
@@ -246,8 +246,10 @@ def test_same_token_pages_in_exactly_once(snapshot_path):
 # ----------------------------------------------------------------------
 
 def test_concurrent_first_browses_verify_once(snapshot_path, monkeypatch):
-    """N threads browsing one cold source verify its slice once,
-    decode its structure once, hydrate nothing, and see equal pages."""
+    """N threads browsing one cold source see equal pages: one reads its
+    page from the snapshot, verifying the slice once, and the others find
+    that read taken and hydrate the source once; its structure is
+    decoded once for both."""
     from repro.persist import SnapshotStore
     from repro.serve import serialize_view
 
@@ -300,7 +302,7 @@ def test_concurrent_first_browses_verify_once(snapshot_path, monkeypatch):
         assert not errors, errors
         assert views == [want] * N_THREADS
         assert calls == {"verify": 1, "structure": 1}
-        assert aladin.hydration_stats()["hydrated"] == []
+        assert aladin.hydration_stats()["hydrated"] == [source]
     finally:
         aladin.close()
 

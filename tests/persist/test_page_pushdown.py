@@ -4,19 +4,25 @@ A browse of a source that is not resident reads the object's rows from
 the snapshot: its primary rows through the ``cells`` value index, each
 secondary table's rows by walking the table's shortest path forward
 over the join columns, all in one read transaction whose content hash
-the session has verified over the stored slice. Nothing hydrates. These
-tests pin that every page, accession list and browse view equals an
-eager open's, that a forged row fails the verification, and that what
-the reader cannot answer exactly declines to a hydration.
+the session has verified over the stored slice. Nothing hydrates. Only
+a source's first page in a session is read so; a second one hydrates
+the source. These tests pin that every page, sibling list and browse
+view equals an eager open's, that a forged row fails the verification,
+and that what the reader cannot answer exactly — a second page, an
+unbounded accession list, a cells index missing an entry — declines to
+a hydration.
 """
 
 import os
 import shutil
 import sqlite3
+from collections import Counter
 
 import pytest
 
+from repro.access.objects import DECLINED
 from repro.core import Aladin, AladinConfig
+from repro.linking.resolve import ObjectResolver
 from repro.persist import SnapshotError, codec
 from repro.serve import serialize_view
 
@@ -86,39 +92,62 @@ def browsed_source(eager):
     raise AssertionError("the world has no page showing a two-step path")
 
 
+def paged_twice(eager, name, accession):
+    """The sources a browse of ``name/accession`` reads two pages of."""
+    if eager.web.page(name, accession) is None:
+        return set()
+    paged = Counter([name])
+    for link in eager.web.duplicates(name, accession):
+        paged.update(
+            source for source, other in link.endpoints()
+            if (source, other) != (name, accession)
+        )
+    return {source for source, count in paged.items() if count > 1}
+
+
 class TestEqualsEager:
     def test_every_object_of_every_source(self, snapshot, eager):
-        lazy = open_lazy(snapshot)
-        try:
-            cases = set()
-            for name in eager.source_names():
-                structure = eager.repository.structure(name)
-                if structure.primary_relation is None:
-                    cases.add("no primary relation")
-                accessions = eager.web.accessions(name)
-                assert lazy.web.accessions(name) == accessions
-                for accession in accessions + [UNKNOWN]:
-                    want = eager.web.page(name, accession)
-                    assert lazy.web.page(name, accession) == want
-                    assert visit(lazy, name, accession) == visit(eager, name, accession)
-                    if want is None:
-                        cases.add("unknown accession")
-                        continue
-                    if not want.annotations and structure.secondary_paths:
-                        cases.add("no annotations")
-                    for table in want.annotations:
-                        if min(p.length for p in structure.secondary_paths[table]) >= 2:
-                            cases.add("path of two or more steps")
-            assert cases == {
-                "no primary relation", "unknown accession",
-                "no annotations", "path of two or more steps",
-            }
-            stats = lazy.hydration_stats()
-            assert stats["hydrated"] == []
-            assert stats["pushdown_hits"] > 0
-            assert "persist.pushdown.page.declined" not in counters(lazy)
-        finally:
-            lazy.close()
+        """Each object's page, and its browse view, read in a fresh
+        session, equal the eager open's. The page hydrates nothing; the
+        view hydrates only a source it reads a second page of (its
+        conflicts panel reads the page of every duplicate)."""
+
+        def first_read(read, hydrated=()):
+            lazy = open_lazy(snapshot)
+            try:
+                got = read(lazy)
+                assert lazy.hydration_stats()["hydrated"] == sorted(hydrated)
+                assert counters(lazy).get(
+                    "persist.pushdown.page.declined", 0
+                ) == len(hydrated)
+            finally:
+                lazy.close()
+            return got
+
+        cases = set()
+        for name in eager.source_names():
+            structure = eager.repository.structure(name)
+            if structure.primary_relation is None:
+                cases.add("no primary relation")
+            for accession in eager.web.accessions(name) + [UNKNOWN]:
+                want = eager.web.page(name, accession)
+                assert first_read(lambda s: s.web.page(name, accession)) == want
+                assert first_read(
+                    lambda s: visit(s, name, accession),
+                    paged_twice(eager, name, accession),
+                ) == visit(eager, name, accession)
+                if want is None:
+                    cases.add("unknown accession")
+                    continue
+                if not want.annotations and structure.secondary_paths:
+                    cases.add("no annotations")
+                for table in want.annotations:
+                    if min(p.length for p in structure.secondary_paths[table]) >= 2:
+                        cases.add("path of two or more steps")
+        assert cases == {
+            "no primary relation", "unknown accession",
+            "no annotations", "path of two or more steps",
+        }
 
     def test_siblings_are_read_without_the_whole_relation(self, snapshot, eager):
         name, accession = browsed_source(eager)
@@ -140,6 +169,32 @@ class TestEqualsEager:
             stats = lazy.hydration_stats()
             assert stats["per_source"][name]["pushdown_hits"] == 1
             assert counters(lazy)["persist.pushdown.page.accepted"] == 1
+        finally:
+            lazy.close()
+
+    def test_second_page_of_a_source_hydrates_it(self, snapshot, eager):
+        """A session walking a source reads it from the snapshot once."""
+        name, accession = browsed_source(eager)
+        other = next(a for a in eager.web.accessions(name) if a != accession)
+        lazy = open_lazy(snapshot)
+        try:
+            assert lazy.web.page(name, accession) == eager.web.page(name, accession)
+            assert lazy.hydration_stats()["hydrated"] == []
+            for again in (other, accession, other):
+                assert lazy.web.page(name, again) == eager.web.page(name, again)
+            assert lazy.hydration_stats()["hydrated"] == [name]
+            assert counters(lazy)["persist.pushdown.page.accepted"] == 1
+            assert counters(lazy)["persist.pushdown.page.declined"] == 1
+        finally:
+            lazy.close()
+
+    def test_every_accession_hydrates(self, snapshot, eager):
+        """The unbounded accession list is a crawl's seed: it hydrates."""
+        name, _accession = browsed_source(eager)
+        lazy = open_lazy(snapshot)
+        try:
+            assert lazy.web.accessions(name) == eager.web.accessions(name)
+            assert lazy.hydration_stats()["hydrated"] == [name]
         finally:
             lazy.close()
 
@@ -207,6 +262,60 @@ class TestDecline:
             assert visit(lazy, name, accession) == visit(eager, name, accession)
             assert lazy.hydration_stats()["hydrated"] == [name]
             assert counters(lazy)["persist.pushdown.page.declined"] >= 1
+        finally:
+            lazy.close()
+
+    @staticmethod
+    def drop_cells_entry(snapshot, target, name, table, column, value):
+        return edit(
+            snapshot, target,
+            "DELETE FROM cells WHERE source = ? AND table_name = ? "
+            "AND column_name = ? AND value = ?",
+            (name, table.lower(), column.lower(), value),
+        )
+
+    def test_cells_missing_a_join_entry_hydrates(self, snapshot, eager, tmp_path):
+        """The content hash does not cover ``cells``: a lost entry of a
+        secondary join column the page walks must decline, not drop the
+        row it indexed from the page."""
+        name, accession = browsed_source(eager)
+        structure = eager.repository.structure(name)
+        want = eager.web.page(name, accession)
+        table_name = next(
+            t for t in want.annotations
+            if min(p.length for p in structure.secondary_paths[t]) >= 2
+        )
+        _from_table, _from_column, table, column = (
+            ObjectResolver(None, structure).forward_steps(table_name)[-1]
+        )
+        # The entry of a row the page shows, under the column the walk probes.
+        value = want.annotations[table_name][0][column.lower()]
+        path = self.drop_cells_entry(
+            snapshot, tmp_path / "cells_gap.snapshot", name, table, column, value
+        )
+        lazy = open_lazy(path)
+        try:
+            assert visit(lazy, name, accession) == visit(eager, name, accession)
+            assert lazy.hydration_stats()["hydrated"] == [name]
+            assert counters(lazy)["persist.pushdown.page.declined"] == 1
+            assert "persist.pushdown.page.accepted" not in counters(lazy)
+        finally:
+            lazy.close()
+
+    def test_cells_missing_the_accession_entry_declines(self, snapshot, eager, tmp_path):
+        """A lost entry of the accession column declines the page read
+        instead of answering "no such object"."""
+        name, accession = browsed_source(eager)
+        resolver = ObjectResolver(None, eager.repository.structure(name))
+        path = self.drop_cells_entry(
+            snapshot, tmp_path / "cells_gap.snapshot", name,
+            resolver.primary_relation, resolver.accession_column, accession,
+        )
+        lazy = open_lazy(path)
+        try:
+            assert lazy._lazy.read_page(name, accession) is DECLINED
+            assert counters(lazy)["persist.pushdown.page.declined"] == 1
+            assert lazy.hydration_stats()["hydrated"] == []
         finally:
             lazy.close()
 
