@@ -11,18 +11,69 @@ Section 4.6 enumerates what a user can follow from an object:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.linking.model import ObjectLink
 from repro.linking.resolve import ObjectResolver
 from repro.metadata.repository import MetadataRepository
 from repro.relational.database import Database
+from repro.relational.types import is_null
 
 
 #: What a page pushdown returns to decline (``None`` already answers
 #: "no such object"); see :meth:`ObjectWeb.set_page_pushdown`.
 DECLINED = object()
+
+#: Rows found by ``row_id``, as :func:`walk_annotations` passes them on.
+Rows = Dict[int, Dict[str, object]]
+
+
+def walk_annotations(
+    resolver: ObjectResolver,
+    tables: Iterable[str],
+    seed: Rows,
+    find: Callable[[str, str, List[object]], Rows],
+):
+    """A page's annotations: per secondary table of ``tables``, in that
+    order, the rows reached by walking its shortest path forward from
+    ``seed``, the primary rows holding the object's accession.
+
+    Each :meth:`ObjectResolver.forward_steps` join is one
+    ``find(table, column, values) -> {row_id: row}`` of the rows whose
+    ``column`` equals one of ``values``; a table no row reaches is
+    left out. ``find`` may return :data:`DECLINED`, and so does the
+    walk. Rows are copied, so the page belongs to its caller.
+    """
+    annotations: Dict[str, List[Dict[str, object]]] = {}
+    for table_name in tables:
+        steps = resolver.forward_steps(table_name)
+        if steps is None:
+            continue
+        rows = seed
+        for _from_table, from_column, to_table, to_column in steps:
+            values = [
+                row[from_column] for row in rows.values()
+                if not is_null(row[from_column])
+            ]
+            rows = find(to_table, to_column, values) if values else {}
+            if rows is DECLINED:
+                return DECLINED
+            if not rows:
+                break
+        if rows:
+            annotations[table_name] = [dict(rows[i]) for i in sorted(rows)]
+    return annotations
+
+
+def _resident_rows(database: Database, table_name: str, column: str, values) -> Rows:
+    """The in-memory ``find`` of :func:`walk_annotations`: the table's
+    ``value -> row_ids`` index, never a snapshot backing."""
+    table = database.table(table_name)
+    index = table.columns.row_ids(column)
+    found = sorted({row_id for value in values for row_id in index.get(value, ())})
+    return {row_id: table.row_at(row_id) for row_id in found}
 
 
 @dataclass
@@ -46,9 +97,6 @@ class ObjectWeb:
         self._repository = repository
         self._databases: Dict[str, Database] = {}
         self._resolvers: Dict[str, ObjectResolver] = {}
-        # (source, table) -> accession -> rows; built lazily, one scan per
-        # secondary table instead of one per page visit.
-        self._annotation_cache: Dict[Tuple[str, str], Dict[str, List[Dict[str, object]]]] = {}
         # Lazy-open hooks: fault a source's database in on first touch,
         # and (optionally) answer single-source SQL and object pages
         # straight from the snapshot before hydrating (see set_hydrator /
@@ -121,7 +169,7 @@ class ObjectWeb:
     def attach_database(self, name: str, database: Database) -> None:
         if not self._repository.has_source(name):
             raise KeyError(f"source {name!r} not in the metadata repository")
-        self.detach_database(name)  # drop any previous attachment's caches
+        self.detach_database(name)
         self._databases[name] = database
         try:
             self._resolvers[name] = ObjectResolver(
@@ -134,10 +182,6 @@ class ObjectWeb:
         """Forget one source's pages; every other attachment stays live."""
         self._databases.pop(name, None)
         self._resolvers.pop(name, None)
-        self._annotation_cache = {
-            key: value for key, value in self._annotation_cache.items()
-            if key[0] != name
-        }
 
     @property
     def repository(self) -> MetadataRepository:
@@ -168,35 +212,17 @@ class ObjectWeb:
         row = database.table(primary).lookup_unique(resolver.accession_column, accession)
         if row is None:
             return None
-        page = ObjectPage(source=source, accession=accession, fields=dict(row))
-        structure = self._repository.structure(source)
-        for table_name in structure.secondary_paths:
-            rows = self._annotation_rows(source, table_name, resolver).get(accession)
-            if rows:
-                page.annotations[table_name] = rows
-        return page
-
-    def _annotation_rows(
-        self, source: str, table_name: str, resolver: ObjectResolver
-    ) -> Dict[str, List[Dict[str, object]]]:
-        key = (source, table_name)
-        cached = self._annotation_cache.get(key)
-        if cached is None:
-            # Secondary-path-aware index: the resolver maps the whole
-            # table to its owners in one forward sweep over the shared
-            # ColumnStore value indexes — no per-row backward path walks.
-            cached = {}
-            table = self._databases[source].table(table_name)
-            owners_by_row = resolver.owners_index(table_name)
-            for row_id in range(len(table)):
-                owners = owners_by_row.get(row_id)
-                if not owners:
-                    continue
-                row = table.row_at(row_id)
-                for owner in owners:
-                    cached.setdefault(owner, []).append(dict(row))
-            self._annotation_cache[key] = cached
-        return cached
+        find = functools.partial(_resident_rows, database)
+        annotations = walk_annotations(
+            resolver,
+            self._repository.structure(source).secondary_paths,
+            find(primary, resolver.accession_column, [accession]),
+            find,
+        )
+        return ObjectPage(
+            source=source, accession=accession, fields=dict(row),
+            annotations=annotations,
+        )
 
     # ------------------------------------------------------------------
     # the four link types

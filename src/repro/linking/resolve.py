@@ -101,50 +101,15 @@ class ObjectResolver:
                 accessions.append(accession)
         return accessions
 
-    def owners_index(self, table: str) -> Dict[int, List[str]]:
-        """``row_id -> owning accessions`` for *every* row of ``table``.
-
-        The bulk counterpart of :meth:`owners_of_row`: instead of walking
-        the secondary path backwards once per row, the whole table is
-        resolved in one forward sweep per path step over the shared
-        ColumnStore structures — the row-ordered value arrays on the
-        "from" side and the ``value -> row_ids`` hash index on the "to"
-        side. Per-row accession lists are first-seen ordered and
-        de-duplicated, and the primary relation owns itself, mirroring the
-        per-row method. Tables without a discovered path map to ``{}``.
-        """
-        steps = self.forward_steps(table)
-        if steps is None:
-            return {}
-        # Seed: every primary row owns itself. Each step then pushes the
-        # ownership one table outward along the path.
-        current = self._primary_owner_seed()
-        for from_table, from_column, to_table, to_column in steps:
-            from_values = self._db.table(from_table).columns.values(from_column)
-            to_index = self._column_index(to_table, to_column)
-            forwarded: Dict[int, List[str]] = {}
-            for from_row_id, accessions in current.items():
-                value = from_values[from_row_id]
-                if value is None:
-                    continue
-                for to_row_id in to_index.get(value, ()):
-                    bucket = forwarded.setdefault(to_row_id, [])
-                    for accession in accessions:
-                        if accession not in bucket:
-                            bucket.append(accession)
-            current = forwarded
-            if not current:
-                break
-        return current
-
     def forward_steps(self, table: str) -> Optional[List[JoinStep]]:
         """The joins that carry ownership from the primary relation to ``table``.
 
         One :data:`JoinStep` per step of the shortest discovered secondary
         path; ``[]`` for the primary relation itself, None for a table no
-        path reaches. :meth:`owners_index` sweeps these steps in memory
-        and a lazy snapshot reader walks them over the stored value index,
-        so the two agree on the path and its join columns by construction.
+        path reaches. ``access.objects.walk_annotations`` walks these
+        steps for every object page, over resident rows or the snapshot's
+        value index alike, so both pages take one path and its join
+        columns by construction.
         """
         if table == self._primary:
             return []
@@ -161,16 +126,6 @@ class ObjectResolver:
             )
             for step in path.steps
         ]
-
-    def _primary_owner_seed(self) -> Dict[int, List[str]]:
-        """Every primary row mapped to its own accession (the sweep seed)."""
-        return {
-            row_id: [value]
-            for row_id, value in enumerate(
-                self._db.table(self._primary).columns.values(self._accession_column)
-            )
-            if value is not None
-        }
 
     # ------------------------------------------------------------------
     def _join_column(self, step, side: str) -> str:

@@ -62,7 +62,7 @@ import threading
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.access.index import DocumentDelta, InvertedIndex, PostingField
-from repro.access.objects import DECLINED, ObjectPage
+from repro.access.objects import DECLINED, ObjectPage, walk_annotations
 from repro.linking.model import ObjectLink
 from repro.linking.resolve import ObjectResolver
 from repro.linking.stats import statistics_from_profile
@@ -88,7 +88,6 @@ from repro.relational.query import (  # noqa: PLC2701 - shared executor internal
     _stable_sort,
 )
 from repro.relational.sql import SelectPlan, plan_select
-from repro.relational.types import is_null
 
 
 def _probe_value(value: Any) -> Optional[Any]:
@@ -257,43 +256,20 @@ class _SliceReader:
         accession: Any,
     ):
         """The page ``ObjectWeb.page`` builds in memory: the first primary
-        row holding ``accession``, and per secondary table in ``tables``
-        (the structure's order) the rows its owner walk reaches."""
-        primary = resolver.primary_relation.lower()
-        seed = self.find(primary, resolver.accession_column, [accession])
+        row holding ``accession``, and the annotations
+        :func:`walk_annotations` reaches from its primary rows."""
+        seed = self.find(resolver.primary_relation, resolver.accession_column, [accession])
         if seed is DECLINED:
             return DECLINED
         if not seed:
             return None
-        page = ObjectPage(
-            source=source, accession=accession, fields=dict(seed[min(seed)])
+        annotations = walk_annotations(resolver, tables, seed, self.find)
+        if annotations is DECLINED:
+            return DECLINED
+        return ObjectPage(
+            source=source, accession=accession, fields=dict(seed[min(seed)]),
+            annotations=annotations,
         )
-        for table_name in tables:
-            steps = resolver.forward_steps(table_name)
-            if steps is None:
-                continue
-            rows, at = seed, primary
-            for from_table, from_column, to_table, to_column in steps:
-                from_column = from_column.lower()
-                if from_table.lower() != at or from_column not in self._columns[at]:
-                    return DECLINED
-                values = [
-                    row[from_column]
-                    for row in rows.values()
-                    if not is_null(row[from_column])
-                ]
-                rows = self.find(to_table, to_column, values) if values else {}
-                if rows is DECLINED:
-                    return DECLINED
-                at = to_table.lower()
-                if not rows:
-                    break
-            else:
-                if at != table_name.lower():
-                    return DECLINED
-            if rows:
-                page.annotations[table_name] = [dict(rows[i]) for i in sorted(rows)]
-        return page
 
     def siblings(self, resolver: ObjectResolver, accession: Any, limit: int):
         """The first ``limit`` of ``ObjectResolver.primary_accessions``
@@ -1004,9 +980,9 @@ class LazySnapshotSession:
 
         Finds the object's primary rows through the ``cells`` index,
         walks each secondary table's shortest path forward by ``cells``
-        lookups on the join columns (:meth:`ObjectResolver.forward_steps`,
-        the path the in-memory owner index sweeps), and decodes only the
-        rows it reaches, all in one read transaction with the slice's
+        lookups on the join columns (:func:`walk_annotations`, the walk a
+        resident page takes over its in-memory indexes), and decodes only
+        the rows it reaches, all in one read transaction with the slice's
         verified content hash. Decodes the source's structure, nothing
         else of its metadata, and hydrates nothing.
 

@@ -11,8 +11,14 @@ view equals an eager open's, that a forged row fails the verification,
 and that what the reader cannot answer exactly — a second page, an
 unbounded accession list, a cells index missing an entry — declines to
 a hydration.
+
+Every page, read from the snapshot or from resident rows, is checked
+against an independent reference: the backward walk of
+``ObjectResolver.owners_of_row``, which maps each secondary row to its
+owners instead of walking forward from the object.
 """
 
+import copy
 import os
 import shutil
 import sqlite3
@@ -20,6 +26,7 @@ from collections import Counter
 
 import pytest
 
+from repro.access.crawler import Crawler
 from repro.access.objects import DECLINED
 from repro.core import Aladin, AladinConfig
 from repro.linking.resolve import ObjectResolver
@@ -103,6 +110,23 @@ def paged_twice(eager, name, accession):
             if (source, other) != (name, accession)
         )
     return {source for source, count in paged.items() if count > 1}
+
+
+def owned_rows(aladin, source, accession):
+    """Per secondary table, the rows whose owners include ``accession``,
+    in row order: a page's annotations by the backward walk."""
+    database = aladin.database(source)
+    structure = aladin.repository.structure(source)
+    resolver = ObjectResolver(database, structure)
+    annotations = {}
+    for table_name in structure.secondary_paths:
+        rows = [
+            dict(row) for row in database.table(table_name).rows()
+            if accession in resolver.owners_of_row(table_name, row)
+        ]
+        if rows:
+            annotations[table_name] = rows
+    return annotations
 
 
 class TestEqualsEager:
@@ -207,6 +231,59 @@ class TestEqualsEager:
             assert "persist.pushdown.page.accepted" not in counters(lazy)
         finally:
             lazy.close()
+
+
+class TestOwnerOracle:
+    def test_snapshot_and_hydrated_pages_equal_the_backward_walk(
+        self, snapshot, eager
+    ):
+        """Every object's page read from the snapshot (its source's first
+        page in a fresh session) and read again once the source is
+        resident holds the rows the backward walk assigns it."""
+        checked = 0
+        for name in eager.web.sources_with_pages():
+            hydrated = open_lazy(snapshot)
+            try:
+                hydrated.database(name)
+                for accession in eager.web.accessions(name):
+                    want = owned_rows(eager, name, accession)
+                    lazy = open_lazy(snapshot)
+                    try:
+                        read = lazy.web.page(name, accession)
+                        assert lazy.hydration_stats()["hydrated"] == []
+                    finally:
+                        lazy.close()
+                    assert read.annotations == want
+                    assert hydrated.web.page(name, accession).annotations == want
+                    checked += bool(want)
+            finally:
+                hydrated.close()
+        assert checked
+
+
+class TestPagesBelongToTheirCaller:
+    def test_editing_a_page_changes_no_later_page(self, snapshot, eager):
+        """A page's fields, annotation lists and rows are the caller's:
+        editing them changes no later page, crawl or lazy read."""
+        name, accession = browsed_source(eager)
+        resident = Aladin.open(snapshot, read_only=True, lazy=False)
+        lazy = open_lazy(snapshot)
+        try:
+            want = copy.deepcopy(resident.web.page(name, accession))
+            edited = resident.web.page(name, accession)
+            rows = next(iter(edited.annotations.values()))
+            rows[0]["edited"] = True
+            rows.append({"edited": True})
+            edited.fields["edited"] = True
+            again = resident.web.page(name, accession)
+            (crawled,) = Crawler(resident.web).crawl(
+                seeds=[(name, accession)], follow_links=False
+            )
+            assert again == crawled == lazy.web.page(name, accession) == want
+            assert lazy.hydration_stats()["hydrated"] == []
+        finally:
+            lazy.close()
+            resident.close()
 
 
 class TestIntegrity:
